@@ -12,9 +12,7 @@ radial Gibbs measures built on the norm.
 """
 
 from .bgg import (
-    BggEval,
     QuadratureConfig,
-    bgg_eval,
     compare_cloud,
     fundamental_solution_closed,
     fundamental_solution_quad,
@@ -66,7 +64,6 @@ from .norm import NormEval, exact_partials, norm_N, norm_batch, partials_batch
 __version__ = "0.1.0"
 
 __all__ = [
-    "BggEval",
     "FdConfig",
     "FeasibilityResult",
     "GroupParams",
@@ -81,7 +78,6 @@ __all__ = [
     "alpha_opt",
     "batch_means_se",
     "beta_lsi_functional",
-    "bgg_eval",
     "check_gradient_bounds",
     "check_lsi_conditions",
     "check_partial_bounds",

@@ -37,13 +37,10 @@ import numpy as np
 from scipy.integrate import quad
 
 from .group import GroupParams, Point
-from .norm import ab_quantities, norm_N
+from .norm import ab_quantities
 
 __all__ = [
     "QuadratureConfig",
-    "BggEval",
-    "csch_weight",
-    "phase_quadratic",
     "modulus_integral",
     "modulus_integral_quad",
     "phase_correction_quad",
@@ -53,23 +50,22 @@ __all__ = [
     "solution_constant",
     "fundamental_solution_quad",
     "fundamental_solution_closed",
-    "bgg_eval",
     "compare_cloud",
 ]
+
+
+ABS_TOL = 1e-30
+MAX_SUBDIVISIONS = 200
+SPLIT_POINT = 1.0  # [0, split] direct, tail via s -> 1/s
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-11
-    abs_tol: float = 1e-30
-    max_subdivisions: int = 200
-    split_point: float = 1.0  # [0, split] direct, tail via s -> 1/s
 
     def __post_init__(self) -> None:
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("Quadrature tolerances must be positive.")
-        if self.max_subdivisions < 10 or not self.split_point > 0:
-            raise ValueError("Bad quadrature configuration.")
+        if not self.rel_tol > 0:
+            raise ValueError("Quadrature tolerance must be positive.")
 
 
 class QuadratureError(RuntimeError):
@@ -79,8 +75,8 @@ class QuadratureError(RuntimeError):
 def _quad(f: Callable[[float], float], lo: float, hi: float, cfg: QuadratureConfig) -> float:
     out = quad(
         f, lo, hi,
-        epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-        limit=cfg.max_subdivisions, full_output=1,
+        epsabs=ABS_TOL, epsrel=cfg.rel_tol,
+        limit=MAX_SUBDIVISIONS, full_output=1,
     )
     val, err = out[0], out[1]
     if len(out) > 3 and err > 1e-6 * max(abs(val), 1e-300):
@@ -89,9 +85,9 @@ def _quad(f: Callable[[float], float], lo: float, hi: float, cfg: QuadratureConf
 
 
 def _integrate_half_line(f: Callable[[float], float], cfg: QuadratureConfig) -> float:
-    """int_0^inf f, split at cfg.split_point with an inversion of the tail."""
-    head = _quad(f, 0.0, cfg.split_point, cfg)
-    tail = _quad(lambda v: f(1.0 / v) / (v * v), 0.0, 1.0 / cfg.split_point, cfg)
+    """int_0^inf f, split at SPLIT_POINT with an inversion of the tail."""
+    head = _quad(f, 0.0, SPLIT_POINT, cfg)
+    tail = _quad(lambda v: f(1.0 / v) / (v * v), 0.0, 1.0 / SPLIT_POINT, cfg)
     return head + tail
 
 
@@ -100,51 +96,6 @@ def _ipow(z: complex, n: int) -> complex:
     for _ in range(n):
         out *= z
     return out
-
-
-def csch_weight(tau: float, n: int) -> float:
-    """(tau^n / 2) csch(tau/2) csch(tau)^(n-1); even, positive, 1 at tau = 0."""
-    if n < 2:
-        raise ValueError(f"Need n >= 2, got {n}.")
-    a = abs(tau)
-    if a == 0.0:
-        return 1.0
-    if a < 1e-5:
-        # tau/sinh(tau) = 1 - tau^2/6 + O(tau^4)
-        half = 1.0 - (a / 2.0) ** 2 / 6.0
-        full = 1.0 - a * a / 6.0
-        return 0.5 * (2.0 * half) * full ** (n - 1)
-    if a > 30.0:
-        # log csch a = log 2 - a - log1p(-exp(-2a))
-        log_csch_half = math.log(2.0) - a / 2.0 - math.log1p(-math.exp(-a))
-        log_csch_full = math.log(2.0) - a - math.log1p(-math.exp(-2.0 * a))
-        return math.exp(
-            n * math.log(a) - math.log(2.0) + log_csch_half + (n - 1) * log_csch_full
-        )
-    return (a ** n / 2.0) / (math.sinh(a / 2.0) * math.sinh(a) ** (n - 1))
-
-
-def _tau_coth(tau: float, half: bool = False) -> float:
-    """tau*coth(tau/2) if half else tau*coth(tau); limits 2 and 1 at tau = 0."""
-    a = abs(tau)
-    s = a / 2.0 if half else a
-    if s < 1e-6:
-        # s*coth(s) = 1 + s^2/3 + O(s^4); rescale for the half case
-        base = 1.0 + s * s / 3.0
-        return 2.0 * base if half else base
-    val = s / math.tanh(s)
-    return 2.0 * val if half else val
-
-
-def phase_quadratic(a: float, b: float, t: float, tau: float) -> complex:
-    """Complex phase tau*coth(tau/2)(A-B) + tau*coth(tau)(2B-A) - i*t*tau.
-
-    Real part tends to A as tau -> 0 and collapses to tau*coth(tau/2)*B when
-    A = 2B (isotropic slice).
-    """
-    if b < 0 or a < b or a > 2 * b + 1e-12 * abs(b):
-        raise ValueError(f"Quadratics must satisfy 0 <= B <= A <= 2B, got A={a}, B={b}.")
-    return _tau_coth(tau, half=True) * (a - b) + _tau_coth(tau) * (2 * b - a) - 1j * t * tau
 
 
 def _check_ab(a: float, b: float) -> None:
@@ -243,9 +194,7 @@ def fundamental_solution_quad(p: Point, params: GroupParams, cfg: QuadratureConf
         z = a + 2.0 * b * v * v - 2.0j * t * v * math.sqrt(1.0 + v * v)
         return (1.0 / _ipow(z, n)).real
 
-    val = _quad(head, 0.0, cfg.split_point, cfg) + _quad(
-        tail, 0.0, 1.0 / cfg.split_point, cfg
-    )
+    val = _quad(head, 0.0, SPLIT_POINT, cfg) + _quad(tail, 0.0, 1.0 / SPLIT_POINT, cfg)
     return pref * val
 
 
@@ -259,31 +208,6 @@ def fundamental_solution_closed(p: Point, params: GroupParams) -> float:
     n = params.n
     ln = n * math.log(e) - math.log(w) - (n - 0.5) * math.log(d)
     return solution_constant(n) * math.exp(ln)
-
-
-@dataclass(frozen=True)
-class BggEval:
-    """Quadrature and closed-form values at one point, with the n = 2 pieces."""
-
-    quad: float
-    closed: float
-    core_closed: float          # Re I_2 for the point's (A, B, t)
-    core_modulus: float         # closed modulus piece
-    core_phase_correction: float  # quadrature of the phase correction
-    pole_imag_mean_sq: float
-
-
-def bgg_eval(p: Point, params: GroupParams, cfg: QuadratureConfig) -> BggEval:
-    a, b = ab_quantities(p)
-    t = p.t
-    return BggEval(
-        quad=fundamental_solution_quad(p, params, cfg),
-        closed=fundamental_solution_closed(p, params),
-        core_closed=real_part_integral(a, b, t),
-        core_modulus=modulus_integral(a, b, t),
-        core_phase_correction=phase_correction_quad(a, b, t, cfg),
-        pole_imag_mean_sq=pole_imag_mean_sq(a, b, t),
-    )
 
 
 def compare_cloud(

@@ -5,7 +5,7 @@ Subcommands:
     norm eval               gauge value and exact derivatives at one point
     check lemma2            gradient bounds over a seeded cloud
     check intermediate      per-coordinate slope bounds over a seeded cloud
-    check fundamental       FD harmonicity of N^(2-Q) vs truncation estimate
+    check fundamental       FD harmonicity of N^(2-Q) vs truncation + roundoff
     check infinity-harmonic infinity-Laplacian witness vs FD noise floor
     check constants         coercivity margins and stationarity over a range of n
     bgg compare             quadrature vs closed-form fundamental solution
@@ -46,9 +46,8 @@ class RunConfig:
     command: str
     options: dict = field(default_factory=dict)
     output_path: Optional[str] = None
-    fmt: str = "json"
     timestamp: bool = True
-    threads: Optional[int] = None
+    threads: Optional[int] = None  # None: one pool thread per CPU, not recorded
 
 
 def _parse_xlist(text: str, expected: int) -> np.ndarray:
@@ -113,7 +112,7 @@ def _cmd_check_cloud(cfg: RunConfig, which: str) -> tuple[dict, bool]:
         o["seed"],
         box=o.get("box", 5.0),
         tolerance=o.get("tolerance", inequalities.DEFAULT_TOLERANCE),
-        threads=cfg.threads,
+        threads=cfg.threads if cfg.threads is not None else os.cpu_count(),
     )
     return {"reports": [r.as_dict() for r in reports]}, all(r.passed for r in reports)
 
@@ -136,21 +135,16 @@ def _cmd_check_fundamental(cfg: RunConfig) -> tuple[dict, bool]:
                 break
     coords = np.asarray(rows)
     h = o.get("h_base", 1.6e-3)
-    plain = fd.harmonicity_residual_batch(coords, params, fd.FdConfig(h_base=h))
-    half = fd.harmonicity_residual_batch(coords, params, fd.FdConfig(h_base=h / 2))
-    rich = fd.harmonicity_residual_batch(
-        coords, params, fd.FdConfig(h_base=h, richardson=True)
-    )
-    estimate = np.abs(plain - half)
-    passed = bool(np.all(np.abs(rich) <= estimate))
+    check = fd.harmonicity_check(coords, params, h)
     return {
         "points": target,
         "h_base": h,
-        "max_abs_residual": float(np.max(np.abs(rich))),
-        "mean_abs_residual": float(np.mean(np.abs(rich))),
-        "mean_truncation_estimate": float(np.mean(estimate)),
-        "bounded_by_truncation": passed,
-    }, passed
+        "max_abs_residual": float(np.max(np.abs(check.residual))),
+        "mean_abs_residual": float(np.mean(np.abs(check.residual))),
+        "mean_truncation_estimate": float(np.mean(check.estimate)),
+        "mean_roundoff_floor": float(np.mean(check.floor)),
+        "bounded_by_truncation": check.passed,
+    }, check.passed
 
 
 def _cmd_check_infinity(cfg: RunConfig) -> tuple[dict, bool]:
@@ -411,9 +405,8 @@ def config_from_args(argv: Optional[list[str]] = None) -> RunConfig:
         command=command,
         options=options,
         output_path=output,
-        fmt="json",
         timestamp=timestamp,
-        threads=threads if threads is not None else os.cpu_count(),
+        threads=threads,
     )
 
 
@@ -423,16 +416,18 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
     if key not in _DISPATCH:
         raise ValueError(f"Unknown command {cfg.command!r}.")
     results, passed = _DISPATCH[key](cfg)
+    config = {
+        "command": cfg.command,
+        "options": dict(sorted(cfg.options.items())),
+        "output_path": cfg.output_path,
+        "format": "json",
+    }
+    if cfg.threads is not None:
+        config["threads"] = cfg.threads
     report = {
         "schema": SCHEMA_VERSION,
         "command": cfg.command,
-        "config": {
-            "command": cfg.command,
-            "options": dict(sorted(cfg.options.items())),
-            "output_path": cfg.output_path,
-            "format": cfg.fmt,
-            "threads": cfg.threads,
-        },
+        "config": config,
         "results": results,
         "pass": passed,
     }

@@ -6,14 +6,14 @@ The sub-Laplacian in coordinates is
 
 with the central coefficients c_j from the group layer.  Second derivatives
 use 3-point central stencils, mixed ones 4-point cross stencils.  Steps scale
-with 1 + ||p||_inf by default.  Richardson extrapolation (h, h/2) is off by
-default and enabled where fourth-order accuracy is needed.
+with 1 + ||p||_inf.  Richardson extrapolation (h, h/2) is off by default and
+enabled where fourth-order accuracy is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,10 +22,12 @@ from .norm import npow_field, partials_batch
 
 __all__ = [
     "FdConfig",
+    "HarmonicityCheck",
     "sub_laplacian",
     "sub_laplacian_batch",
     "harmonicity_residual",
     "harmonicity_residual_batch",
+    "harmonicity_check",
     "fd_gradient",
     "infinity_laplacian",
     "infinity_laplacian_N",
@@ -39,24 +41,19 @@ Field = Callable[[np.ndarray], np.ndarray]
 class FdConfig:
     h_base: float = 1e-4        # second differences
     h_first: float = 1e-6       # first differences
-    scale_mode: str = "relative"  # step times 1 + ||p||_inf, or "absolute"
     richardson: bool = False
 
     def __post_init__(self) -> None:
         if not (self.h_base > 0 and self.h_first > 0):
             raise ValueError("Finite-difference steps must be positive.")
-        if self.scale_mode not in ("relative", "absolute"):
-            raise ValueError(f"Unknown scale_mode {self.scale_mode!r}.")
 
-    def step(self, coords: np.ndarray, base: float) -> np.ndarray:
-        """Per-row step; coords has shape (m, dim)."""
-        if self.scale_mode == "absolute":
-            h = np.full(coords.shape[0], base)
-        else:
-            h = base * (1.0 + np.max(np.abs(coords), axis=-1))
-        if np.any(coords + h[:, None] == coords):
-            raise ValueError("Finite-difference step underflows at this scale.")
-        return h
+
+def _step(coords: np.ndarray, base: float) -> np.ndarray:
+    """Per-row step base * (1 + ||p||_inf); coords has shape (m, dim)."""
+    h = base * (1.0 + np.max(np.abs(coords), axis=-1))
+    if np.any(coords + h[:, None] == coords):
+        raise ValueError("Finite-difference step underflows at this scale.")
+    return h
 
 
 def _eval(field: Field, coords: np.ndarray) -> np.ndarray:
@@ -66,8 +63,14 @@ def _eval(field: Field, coords: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _sub_laplacian_h(field: Field, coords: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """One-step evaluation on (m, 2n+1) rows with (m,) steps."""
+def _sub_laplacian_h(
+    field: Field, coords: np.ndarray, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One-step evaluation on (m, 2n+1) rows with (m,) steps.
+
+    Returns the stencil sum and sum_k |w_k v_k| over its weights w_k and
+    field values v_k, the scale of its rounding error.
+    """
     m, dim = coords.shape
     k = dim - 1  # horizontal dimension 2n
     c = field_coefficients_batch(coords[:, :-1])
@@ -107,16 +110,25 @@ def _sub_laplacian_h(field: Field, coords: np.ndarray, h: np.ndarray) -> np.ndar
         out += 2.0 * c[:, j] * cross
         pos += 4
     out += csq * (vals[pos] + vals[pos + 1] - 2.0 * center) / h2
-    return out
+
+    av = np.abs(vals)
+    cross_abs = av[1 + 2 * k : 1 + 6 * k].reshape(k, 4, m).sum(axis=1)
+    mag = (
+        av[0] * (2 * k + 2.0 * csq)
+        + av[1 : 1 + 2 * k].sum(axis=0)
+        + 0.5 * np.sum(np.abs(c).T * cross_abs, axis=0)
+        + csq * (av[-2] + av[-1])
+    ) / h2
+    return out, mag
 
 
 def sub_laplacian_batch(field: Field, coords: np.ndarray, cfg: FdConfig) -> np.ndarray:
     """Finite-difference sub-Laplacian of field on (m, 2n+1) coordinate rows."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    h = cfg.step(coords, cfg.h_base)
-    val = _sub_laplacian_h(field, coords, h)
+    h = _step(coords, cfg.h_base)
+    val, _ = _sub_laplacian_h(field, coords, h)
     if cfg.richardson:
-        half = _sub_laplacian_h(field, coords, 0.5 * h)
+        half, _ = _sub_laplacian_h(field, coords, 0.5 * h)
         val = (4.0 * half - val) / 3.0
     return val
 
@@ -132,9 +144,7 @@ def harmonicity_residual_batch(
 
     The exact value is 0; the residual is pure discretisation error.
     """
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    if np.any(~np.any(coords[:, :-1], axis=-1)):
-        raise ValueError("harmonicity residual is singular on the central line x = 0.")
+    coords = _off_central_line(coords)
     field = npow_field(params, 2 - params.homogeneous_dim)
     return sub_laplacian_batch(field, coords, cfg)
 
@@ -143,11 +153,50 @@ def harmonicity_residual(p: Point, params: GroupParams, cfg: FdConfig) -> float:
     return float(harmonicity_residual_batch(p.coords()[None, :], params, cfg)[0])
 
 
+def _off_central_line(coords: np.ndarray) -> np.ndarray:
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    if np.any(~np.any(coords[:, :-1], axis=-1)):
+        raise ValueError("harmonicity residual is singular on the central line x = 0.")
+    return coords
+
+
+class HarmonicityCheck(NamedTuple):
+    """Per-point Richardson residual of N^(2-Q) and the bounds it must meet."""
+
+    residual: np.ndarray  # Richardson (h, h/2) sub-Laplacian; exactly 0 in theory
+    estimate: np.ndarray  # |plain - half|, the truncation estimate
+    floor: np.ndarray     # roundoff floor of the residual
+
+    @property
+    def passed(self) -> bool:
+        return bool(np.all(np.abs(self.residual) <= self.estimate + self.floor))
+
+
+def harmonicity_check(
+    coords: np.ndarray, params: GroupParams, h_base: float
+) -> HarmonicityCheck:
+    """Richardson residual of N^(2-Q) against truncation plus roundoff.
+
+    The check passes where |residual| <= estimate + floor at every point.
+    The floor eps |2-Q| sum_k |w_k v_k| covers rounding in the stencil sums:
+    N^(2-Q) amplifies the relative error of N by |2-Q|, and the Richardson
+    mix (4 half - plain) / 3 weights the h/2 stencil by 4/3.
+    """
+    coords = _off_central_line(coords)
+    power = 2 - params.homogeneous_dim
+    field = npow_field(params, power)
+    h = _step(coords, h_base)
+    plain, plain_mag = _sub_laplacian_h(field, coords, h)
+    half, half_mag = _sub_laplacian_h(field, coords, 0.5 * h)
+    floor = np.finfo(float).eps * abs(power) * (4.0 * half_mag + plain_mag) / 3.0
+    return HarmonicityCheck((4.0 * half - plain) / 3.0, np.abs(plain - half), floor)
+
+
 def fd_gradient(field: Field, coords: np.ndarray, cfg: FdConfig) -> np.ndarray:
     """Central first differences of field; returns (m, 2n+1) Euclidean gradients."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     m, dim = coords.shape
-    h = cfg.step(coords, cfg.h_first)
+    h = _step(coords, cfg.h_first)
     out = np.empty((m, dim))
     for i in range(dim):
         plus = coords.copy()
@@ -207,7 +256,7 @@ def infinity_laplacian_witness(
     fine_cfg = replace(cfg, h_first=cfg.h_first * 0.5)
     fine = infinity_laplacian_N(p, params, fine_cfg)
     pb = partials_batch(p.x[None, :], np.asarray([p.t]))
-    h = cfg.step(p.coords()[None, :], cfg.h_first)[0]
+    h = _step(p.coords()[None, :], cfg.h_first)[0]
     scale = float(pb.grad_sq[0]) * np.sqrt(float(pb.grad_sq[0]))
     roundoff = np.finfo(float).eps * (p.x.size + 1) * scale / h
     floor = abs(coarse - fine) / 3.0 + roundoff

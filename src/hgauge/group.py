@@ -17,15 +17,12 @@ import numpy as np
 __all__ = [
     "GroupParams",
     "Point",
-    "SkewForm",
     "origin",
     "compose",
     "inverse",
     "dilate",
-    "skew_form",
     "field_coefficients",
     "field_coefficients_batch",
-    "horizontal_apply",
 ]
 
 
@@ -126,38 +123,6 @@ def dilate(lam: float, p: Point) -> Point:
     return Point(lam * p.x, lam * lam * p.t)
 
 
-@dataclass(frozen=True)
-class SkewForm:
-    """Skew-symmetric matrix L with c(x) = L x for the central coefficients."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"SkewForm needs a square matrix, got shape {m.shape}.")
-        if not np.array_equal(m, -m.T):
-            raise ValueError("SkewForm matrix must be exactly skew-symmetric.")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0] // 2
-
-
-def skew_form(params: GroupParams) -> SkewForm:
-    """The form encoding the bracket: weight 1/2 on the (1, n+1) pair, 1 elsewhere."""
-    n = params.n
-    m = np.zeros((2 * n, 2 * n))
-    m[0, n] = -0.5
-    m[n, 0] = 0.5
-    for j in range(1, n):
-        m[j, j + n] = -1.0
-        m[j + n, j] = 1.0
-    return SkewForm(m)
-
-
 def field_coefficients(p: Point) -> np.ndarray:
     """Central coefficients c_j(x) of the horizontal fields X_j = d_j + c_j d_t.
 
@@ -177,16 +142,3 @@ def field_coefficients_batch(x: np.ndarray) -> np.ndarray:
     c[..., 1:n] = -x[..., n + 1 : 2 * n]
     c[..., n + 1 : 2 * n] = x[..., 1:n]
     return c
-
-
-def horizontal_apply(euclidean_grad: np.ndarray, p: Point) -> np.ndarray:
-    """Convert a Euclidean gradient (2n+1 entries) to the horizontal gradient.
-
-    X_j u = d_{x_j} u + c_j(x) d_t u for j = 1..2n.
-    """
-    g = np.asarray(euclidean_grad, dtype=float)
-    if g.size != p.x.size + 1:
-        raise ValueError(
-            f"Gradient length {g.size} does not match ambient dimension {p.x.size + 1}."
-        )
-    return g[:-1] + field_coefficients(p) * g[-1]

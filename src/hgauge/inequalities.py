@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = -1e-12
+EXCLUSION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -94,18 +95,15 @@ def sample_cloud(
     n_points: int,
     seed: int,
     box: float = 5.0,
-    exclusion: float = 1e-3,
-    t_scale: Optional[float] = None,
 ) -> np.ndarray:
     """Random (m, 2n+1) cloud: 3/4 uniform box, 1/4 log-radial dilates.
 
-    Rows keep |x| >= exclusion; the log-radial part rescales unit-box points
-    by dilation factors 10^U(-2, 2) to stress small and large scales.
+    Rows keep |x| >= EXCLUSION, and box rows take t in [-box^2, box^2]; the
+    log-radial part rescales unit-box points by dilation factors 10^U(-2, 2)
+    to stress small and large scales.
     """
     rng = np.random.default_rng(seed)
     dim_x = params.horizontal_dim
-    if t_scale is None:
-        t_scale = box * box
     m_box = (3 * n_points) // 4
     rows = []
 
@@ -114,14 +112,14 @@ def sample_cloud(
         got = 0
         while got < m:
             x = rng.uniform(-xb, xb, (m - got, dim_x))
-            keep = np.linalg.norm(x, axis=1) >= exclusion
+            keep = np.linalg.norm(x, axis=1) >= EXCLUSION
             k = int(np.count_nonzero(keep))
             out[got : got + k, :dim_x] = x[keep]
             out[got : got + k, dim_x] = rng.uniform(-tb, tb, k)
             got += k
         return out
 
-    rows.append(draw(m_box, box, t_scale))
+    rows.append(draw(m_box, box, box * box))
     radial = draw(n_points - m_box, 1.0, 1.0)
     lam = 10.0 ** rng.uniform(-2.0, 2.0, n_points - m_box)
     radial[:, :dim_x] *= lam[:, None]

@@ -43,7 +43,6 @@ __all__ = [
     "g_prime",
     "g_second",
     "eta_weight",
-    "eta_profile",
     "log_density",
     "grad_log_density",
     "check_slope_condition",
@@ -162,15 +161,6 @@ def eta_weight(spec: MeasureSpec, r: np.ndarray) -> np.ndarray:
     """The carre-du-champ weight eta(N) = g'(N) / N^2."""
     r = np.asarray(r, dtype=float)
     return g_prime(spec, r) / (r * r)
-
-
-def eta_profile(spec: MeasureSpec, radii: np.ndarray) -> np.ndarray:
-    """eta sampled on a radius grid; diagnostic for the small-N behaviour.
-
-    For power(k) this is k N^(k-3), so the profile stays bounded near the
-    origin only once k >= 3; the profile is recorded, not asserted.
-    """
-    return eta_weight(spec, radii)
 
 
 def log_density(spec: MeasureSpec, p: Point, params: GroupParams) -> float:

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .group import GroupParams, Point, field_coefficients_batch, horizontal_apply
+from .group import GroupParams, Point, field_coefficients_batch
 
 __all__ = [
     "NormEval",
@@ -46,19 +46,21 @@ __all__ = [
     "norm_batch",
     "exact_partials",
     "partials_batch",
-    "x_dot_grad",
     "norm_field",
     "npow_field",
-    "gradsq_field",
 ]
+
+
+def _rs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R (distinguished pair) and S (remaining coordinates) squared lengths."""
+    n = x.shape[-1] // 2
+    r = x[..., 0] ** 2 + x[..., n] ** 2
+    return r, np.sum(x * x, axis=-1) - r
 
 
 def ab_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A and B for an (m, 2n) array of horizontal parts."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1] // 2
-    r = x[..., 0] ** 2 + x[..., n] ** 2
-    s = np.sum(x * x, axis=-1) - r
+    r, s = _rs(np.asarray(x, dtype=float))
     return 0.5 * r + 0.5 * s, 0.25 * r + 0.5 * s
 
 
@@ -69,25 +71,18 @@ def ab_quantities(p: Point) -> tuple[float, float]:
 
 
 def _core(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Shared quantities (A, B, W, E, D) with W = hypot(B, t)."""
-    a, b = ab_batch(x)
-    t = np.asarray(t, dtype=float)
+    """Shared quantities (R, S, A, B, W, E, D) with W = hypot(B, t)."""
+    r, s = _rs(x)
+    a, b = 0.5 * r + 0.5 * s, 0.25 * r + 0.5 * s
     w = np.hypot(b, t)
     e = b + w
     d = a * e + t * t
-    return a, b, w, e, d
+    return r, s, a, b, w, e, d
 
 
-def norm_batch(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Gauge values for (m, 2n) horizontal parts and (m,) central parts.
-
-    Log-domain evaluation; exact zero at the identity.
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    a, b, w, e, d = _core(x, t)
-    n = x.shape[-1] // 2
-    out = np.zeros(np.broadcast(a, t).shape)
+def _gauge(w: np.ndarray, e: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
+    """N from the core quantities W, E, D."""
+    out = np.zeros(d.shape)
     # d > 0 implies w > 0; the gap is deep-underflow input whose value
     # rounds to zero anyway
     mask = d > 0.0
@@ -102,6 +97,16 @@ def norm_batch(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def norm_batch(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Gauge values for (m, 2n) horizontal parts and (m,) central parts.
+
+    Log-domain evaluation; exact zero at the identity.
+    """
+    x = np.asarray(x, dtype=float)
+    _, _, _, _, w, e, d = _core(x, np.asarray(t, dtype=float))
+    return _gauge(w, e, d, x.shape[-1] // 2)
+
+
 def norm_N(p: Point, params: GroupParams) -> float:
     """Gauge value at a single point."""
     _check_params(p, params)
@@ -113,24 +118,44 @@ class PartialsBatch(NamedTuple):
 
     pair_slope and block_slope satisfy dN/dx_j = x_j * slope on the
     distinguished pair {1, n+1} and on the remaining coordinates
-    respectively; dN/dt = t * time_slope.
+    respectively; dN/dt = t * time_slope.  The (m, 2n) arrays dN_dx and
+    horizontal are built from x only when read.
     """
 
+    x: np.ndarray
     N: np.ndarray
     A: np.ndarray
     B: np.ndarray
     pair_slope: np.ndarray
     block_slope: np.ndarray
     time_slope: np.ndarray
-    dN_dx: np.ndarray
     dN_dt: np.ndarray
-    horizontal: np.ndarray
     grad_sq: np.ndarray
     x_dot: np.ndarray
 
+    @property
+    def dN_dx(self) -> np.ndarray:
+        """dN/dx_j = x_j * slope, pair or block by the index j."""
+        n = self.x.shape[-1] // 2
+        dn_dx = self.x * self.block_slope[..., None]
+        dn_dx[..., 0] = self.x[..., 0] * self.pair_slope
+        dn_dx[..., n] = self.x[..., n] * self.pair_slope
+        return dn_dx
+
+    @property
+    def horizontal(self) -> np.ndarray:
+        """X_j N = dN/dx_j + c_j(x) dN/dt."""
+        return self.dN_dx + field_coefficients_batch(self.x) * self.dN_dt[..., None]
+
 
 def partials_batch(x: np.ndarray, t: np.ndarray) -> PartialsBatch:
-    """Exact gauge derivatives on an (m, 2n) x (m,) batch.
+    """Exact gauge derivatives on an (m, 2n) x (m,) batch, in one pass.
+
+    Because x . c(x) = 0 and sum_j c_j^2 = R/4 + S, the squared horizontal
+    gradient and x . grad N follow from per-row scalars:
+
+        grad_sq = R pair^2 + S block^2 + (R/4 + S) dN_dt^2,
+        x_dot   = R pair + S block.
 
     Rows with x = 0 produce non-finite slopes; callers excluding the central
     line need not mask.
@@ -138,9 +163,9 @@ def partials_batch(x: np.ndarray, t: np.ndarray) -> PartialsBatch:
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     n = x.shape[-1] // 2
-    a, b, w, e, d = _core(x, t)
+    r, s, a, b, w, e, d = _core(x, t)
     p = w * w
-    nn = norm_batch(x, t)
+    nn = _gauge(w, e, d, n)
 
     fourn = 4.0 * n
     mid = ((2 * n - 1) / fourn) * e / d
@@ -156,29 +181,19 @@ def partials_batch(x: np.ndarray, t: np.ndarray) -> PartialsBatch:
     pair_slope = nn * g_pair
     block_slope = nn * g_block
     time_slope = nn * g_time
-
-    dn_dx = x * block_slope[..., None]
-    dn_dx[..., 0] = x[..., 0] * pair_slope
-    dn_dx[..., n] = x[..., n] * pair_slope
     dn_dt = t * time_slope
 
-    c = field_coefficients_batch(x)
-    horizontal = dn_dx + c * dn_dt[..., None]
-    grad_sq = np.sum(horizontal * horizontal, axis=-1)
-    x_dot = np.sum(x * horizontal, axis=-1)
-
     return PartialsBatch(
+        x=x,
         N=nn,
         A=a,
         B=b,
         pair_slope=pair_slope,
         block_slope=block_slope,
         time_slope=time_slope,
-        dN_dx=dn_dx,
         dN_dt=dn_dt,
-        horizontal=horizontal,
-        grad_sq=grad_sq,
-        x_dot=x_dot,
+        grad_sq=r * pair_slope**2 + s * block_slope**2 + (0.25 * r + s) * dn_dt**2,
+        x_dot=r * pair_slope + s * block_slope,
     )
 
 
@@ -218,12 +233,6 @@ def exact_partials(p: Point, params: GroupParams) -> NormEval:
     )
 
 
-def x_dot_grad(p: Point, params: GroupParams) -> float:
-    """sum_j x_j X_j N; the central twist cancels, so this also equals
-    sum_j x_j dN/dx_j."""
-    return exact_partials(p, params).x_dot_grad
-
-
 def _check_params(p: Point, params: GroupParams) -> None:
     if p.n != params.n:
         raise ValueError(f"Point has n={p.n}, params have n={params.n}.")
@@ -248,18 +257,5 @@ def npow_field(params: GroupParams, power: float) -> Callable[[np.ndarray], np.n
 
     def field(coords: np.ndarray) -> np.ndarray:
         return base(coords) ** power
-
-    return field
-
-
-def gradsq_field(params: GroupParams) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorised |grad N|^2 (horizontal gradient), via the exact partials."""
-    dim = params.ambient_dim
-
-    def field(coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape[-1] != dim:
-            raise ValueError(f"Expected trailing dimension {dim}.")
-        return partials_batch(coords[..., :-1], coords[..., -1]).grad_sq
 
     return field

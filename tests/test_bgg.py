@@ -5,15 +5,12 @@ import pytest
 
 from hgauge.bgg import (
     QuadratureConfig,
-    bgg_eval,
     compare_cloud,
-    csch_weight,
     fundamental_solution_closed,
     fundamental_solution_quad,
     modulus_integral,
     modulus_integral_quad,
     phase_correction_quad,
-    phase_quadratic,
     pole_imag_mean_sq,
     real_part_integral,
     real_part_integral_quad,
@@ -31,44 +28,6 @@ def _admissible_triples(rng, m):
     a = b * rng.uniform(1.0, 2.0, m)
     t = rng.uniform(-6.0, 6.0, m)
     return a, b, t
-
-
-# -- weight function ----------------------------------------------------------
-
-
-def test_csch_weight_limit_at_zero():
-    for n in (2, 3, 6):
-        assert csch_weight(1e-12, n) == pytest.approx(1.0, rel=1e-9)
-
-
-def test_csch_weight_direct_formula():
-    # direct evaluation is stable at moderate tau; both branches must agree
-    for n in (2, 3, 5):
-        for tau in (0.5, 1.0, 5.0, 20.0):
-            direct = (tau**n / 2.0) / math.sinh(tau / 2.0) / math.sinh(tau) ** (n - 1)
-            assert csch_weight(tau, n) == pytest.approx(direct, rel=1e-12)
-
-
-def test_csch_weight_branch_continuity():
-    # series branch below 1e-5, log branch above 30
-    for n in (2, 4):
-        lo, hi = 9.9e-6, 1.01e-5
-        assert csch_weight(lo, n) == pytest.approx(csch_weight(hi, n), rel=1e-9)
-        lo, hi = 29.99, 30.01
-        ratio = csch_weight(lo, n) / csch_weight(hi, n)
-        assert 1.0 < ratio < 1.2  # decreasing, no jump
-
-
-def test_csch_weight_extreme_tau_no_overflow():
-    v = csch_weight(700.0, 8)
-    assert v == 0.0 or (np.isfinite(v) and v >= 0.0)
-
-
-def test_phase_quadratic_validates_inputs():
-    with pytest.raises(ValueError):
-        phase_quadratic(1.0, 2.0, 0.0, 1.0)  # a < b violates b <= a
-    with pytest.raises(ValueError):
-        phase_quadratic(5.0, 2.0, 0.0, 1.0)  # a > 2b
 
 
 # -- closed forms vs quadrature ------------------------------------------------
@@ -167,15 +126,6 @@ def test_solution_homogeneity():
     u1 = fundamental_solution_closed(p, params)
     u2 = fundamental_solution_closed(dilate(lam, p), params)
     assert u2 == pytest.approx(u1 * lam ** (-2 * 3), rel=1e-12)
-
-
-def test_bgg_eval_bundle():
-    params = GroupParams(2)
-    p = Point(np.array([1.0, 0.4, -0.2, 0.6]), 1.2)
-    ev = bgg_eval(p, params, CFG)
-    assert ev.quad == pytest.approx(ev.closed, rel=1e-9)
-    assert ev.core_modulus > 0
-    assert ev.pole_imag_mean_sq > 0
 
 
 def test_compare_cloud_summary():

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from hgauge import fd
 from hgauge.cli import RunConfig, build_parser, config_from_args, main, run
+from hgauge.norm import npow_field
 
 
 def _run_json(capsys, argv):
@@ -22,6 +24,9 @@ def test_norm_eval_report(capsys):
     assert report["pass"] is None
     assert report["results"]["N"] == pytest.approx(2.0 ** -0.75)
     assert report["config"]["options"]["n"] == 2
+    assert report["config"]["format"] == "json"
+    # the thread count is recorded only when --threads is given
+    assert "threads" not in report["config"]
     assert "timestamp" not in report
 
 
@@ -76,6 +81,29 @@ def test_bgg_compare(capsys):
     )
     assert status == 0
     assert report["results"]["max_rel_err"] < 1e-8
+
+
+FUNDAMENTAL = [
+    "--no-timestamp", "check", "fundamental", "--n", "6", "--points", "100", "--seed", "316404785"
+]
+
+
+def test_check_fundamental_roundoff_floor(capsys):
+    # one point of this cloud has a roundoff residual (~2e-11) above its
+    # truncation estimate; the roundoff floor admits it
+    status, report = _run_json(capsys, FUNDAMENTAL)
+    assert status == 0
+    assert report["results"]["bounded_by_truncation"] is True
+
+
+def test_check_fundamental_rejects_non_harmonic_power(capsys, monkeypatch):
+    # N^(2-Q+1e-4) is not harmonic: its residual clears estimate and floor
+    monkeypatch.setattr(fd, "npow_field", lambda params, power: npow_field(params, power + 1e-4))
+    status, report = _run_json(capsys, FUNDAMENTAL)
+    assert status == 1
+    res = report["results"]
+    assert res["bounded_by_truncation"] is False
+    assert res["max_abs_residual"] > 1e3 * res["mean_roundoff_floor"]
 
 
 def test_invalid_n_exits_2(capsys):

@@ -33,7 +33,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FdConfig(h_base=0.0)
     with pytest.raises(ValueError):
-        FdConfig(scale_mode="bogus")
+        FdConfig(h_first=-1e-6)
 
 
 def test_sub_laplacian_quadratic():

@@ -10,10 +10,8 @@ from hgauge.group import (
     dilate,
     field_coefficients,
     field_coefficients_batch,
-    horizontal_apply,
     inverse,
     origin,
-    skew_form,
 )
 
 
@@ -54,15 +52,17 @@ def test_field_coefficients_batch_matches_single():
             assert np.array_equal(batch[i], single)
 
 
-def test_skew_form_matrix():
+def test_field_coefficients_skew_weights():
     for n in (2, 3, 4):
-        params = GroupParams(n)
-        lam = skew_form(params).matrix
-        assert np.array_equal(lam, -lam.T)
         rng = np.random.default_rng(n)
         x = rng.uniform(-2, 2, 2 * n)
-        # the twist coefficients are exactly the linear map x -> Lambda x
-        assert np.allclose(lam @ x, field_coefficients(Point(x, 0.0)), atol=1e-15)
+        c = field_coefficients(Point(x, 0.0))
+        # skew in each pair: the twist never moves along x itself
+        assert abs(x @ c) < 1e-14
+        # weight 1/2 on the distinguished pair (1, n+1), weight 1 elsewhere
+        assert c[0] == -0.5 * x[n] and c[n] == 0.5 * x[0]
+        for j in range(1, n):
+            assert c[j] == -x[j + n] and c[j + n] == x[j]
 
 
 def test_identity_and_inverse():
@@ -106,15 +106,6 @@ def test_dilation_scales_coordinates():
     q = dilate(2.0, p)
     assert np.array_equal(q.x, 2.0 * p.x)
     assert q.t == 16.0
-
-
-def test_horizontal_apply_adds_twist():
-    # X_j f = d/dx_j f + c_j d/dt f applied to the ambient gradient rows
-    p = Point(np.array([1.0, 2.0, 3.0, 4.0]), 0.5)
-    grad = np.array([1.0, 1.0, 1.0, 1.0, 2.0])  # last entry is d/dt
-    out = horizontal_apply(grad, p)
-    c = field_coefficients(p)
-    assert np.allclose(out, grad[:-1] + 2.0 * c)
 
 
 def test_point_coords_roundtrip():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hgauge.group import GroupParams
 from hgauge.inequalities import (
     DEFAULT_TOLERANCE,
+    EXCLUSION,
     alpha_opt,
     check_gradient_bounds,
     check_partial_bounds,
@@ -30,8 +31,8 @@ def test_sample_cloud_shape_and_determinism():
 
 def test_sample_cloud_respects_exclusion():
     params = GroupParams(2)
-    c = sample_cloud(params, 2000, seed=1, exclusion=1e-3)
-    assert np.min(np.linalg.norm(c[:, :-1], axis=1)) >= 1e-3
+    c = sample_cloud(params, 2000, seed=1)
+    assert np.min(np.linalg.norm(c[:, :-1], axis=1)) >= EXCLUSION
 
 
 def test_sample_cloud_covers_scales():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hgauge.fd import FdConfig, fd_gradient
 from hgauge.group import GroupParams, Point, dilate
+from hgauge.inequalities import sample_cloud
 from hgauge.norm import (
     ab_batch,
     exact_partials,
@@ -134,6 +135,24 @@ def test_slopes_match_rational_forms(n):
     assert np.allclose(pb.pair_slope, pair, rtol=1e-11)
     assert np.allclose(pb.block_slope, block, rtol=1e-11)
     assert np.allclose(pb.time_slope, time, rtol=1e-11)
+
+
+@pytest.mark.parametrize("n", [2, 6, 10])
+def test_closed_forms_match_horizontal_contraction(n):
+    # grad_sq and x_dot come from per-row scalars; contract the horizontal
+    # gradient itself as the reference
+    coords = sample_cloud(GroupParams(n), 20_000, seed=300 + n)
+    x = coords[:, :-1]
+    pb = partials_batch(x, coords[:, -1])
+    horiz = pb.horizontal
+    want_sq = np.sum(horiz * horiz, axis=1)
+    assert np.all(np.abs(pb.grad_sq - want_sq) <= 1e-12 * want_sq)
+    # x_dot cancels where the slopes differ in sign; bound by its terms' size
+    r = x[:, 0] ** 2 + x[:, n] ** 2
+    s = np.sum(x * x, axis=1) - r
+    scale = r * np.abs(pb.pair_slope) + s * np.abs(pb.block_slope)
+    want_dot = np.sum(x * horiz, axis=1)
+    assert np.all(np.abs(pb.x_dot - want_dot) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
