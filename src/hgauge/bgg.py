@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .group import GroupParams, Point
 from .norm import ab_quantities
@@ -73,6 +72,10 @@ class QuadratureError(RuntimeError):
 
 
 def _quad(f: Callable[[float], float], lo: float, hi: float, cfg: QuadratureConfig) -> float:
+    # imported here: scipy takes most of the package's import time, and only
+    # the quadrature oracle needs it
+    from scipy.integrate import quad
+
     out = quad(
         f, lo, hi,
         epsabs=ABS_TOL, epsrel=cfg.rel_tol,

@@ -14,7 +14,8 @@ Subcommands:
 
 Reports embed the full run configuration; identical configurations give
 byte-identical reports once --no-timestamp is passed.  Exit status: 0 all
-checks passed, 1 a check failed, 2 invalid configuration.
+checks passed, 1 a check failed, 2 invalid configuration, 3 numerical
+breakdown (a mis-tuned chain, a quadrature that did not converge).
 """
 
 from __future__ import annotations
@@ -227,9 +228,9 @@ def _cmd_measure_sample(cfg: RunConfig) -> tuple[dict, Optional[bool]]:
             writer.writerow(
                 [f"x_{j}" for j in range(1, params.horizontal_dim + 1)] + ["t", "logdens"]
             )
+            # csv writes floats with repr, so every value reads back exactly
             for b in batches:
-                for row, ld in zip(b.coords, b.log_densities):
-                    writer.writerow([repr(float(v)) for v in row] + [repr(float(ld))])
+                writer.writerows(np.column_stack([b.coords, b.log_densities]).tolist())
     summary = {
         "family": spec.label(),
         "chains": [
@@ -445,9 +446,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         status, report = run(cfg)
     except (ValueError, RuntimeError) as exc:
-        err = {"schema": SCHEMA_VERSION, "error": str(exc)}
+        # RuntimeError: a mis-tuned chain or a quadrature that did not converge
+        numerical = isinstance(exc, RuntimeError)
+        err = {
+            "schema": SCHEMA_VERSION,
+            "error": str(exc),
+            "kind": "numerical" if numerical else "invalid",
+        }
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
-        return 2
+        return 3 if numerical else 2
     text = json.dumps(report, sort_keys=True, indent=2)
     if cfg.output_path:
         with open(cfg.output_path, "w") as fh:

@@ -21,6 +21,14 @@ The samplers are plain random-walk Metropolis (default) and MALA on the
 (2n+1)-dimensional coordinate space.  Chains are reproducible: chain i of a
 seeded run always consumes the i-th spawn of the seed sequence, whether run
 alone or as part of run_chains.
+
+A sampler step on one row costs little more than numpy's per-call overhead,
+so the samplers prefetch along the all-reject path: from the current state
+they build the proposals of up to _PREFETCH steps, score them with one gauge
+call, and walk the pre-drawn uniforms to the first acceptance.  The
+proposals, scores and comparisons of each step are those of a one-step loop,
+element for element, so every chain is the same bit for bit as if it were
+run step by step.
 """
 
 from __future__ import annotations
@@ -321,15 +329,17 @@ def _log_pi_rows(spec: MeasureSpec, coords: np.ndarray) -> np.ndarray:
     return -g_value(spec, norm_batch(coords[:, :-1], coords[:, -1]))
 
 
-def _grad_log_pi_rows(spec: MeasureSpec, coords: np.ndarray) -> np.ndarray:
+def _log_pi_grad_rows(spec: MeasureSpec, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log pi and its Euclidean gradient from one partials_batch call."""
     pb = partials_batch(coords[:, :-1], coords[:, -1])
     gp = g_prime(spec, pb.N)
     grad = np.concatenate([pb.dN_dx, pb.dN_dt[:, None]], axis=1)
-    return -gp[:, None] * grad
+    return -g_value(spec, pb.N), -gp[:, None] * grad
 
 
 TUNE_INTERVAL = 200
 TARGET_ACCEPT = 0.25
+_PREFETCH = 8  # proposals scored per gauge call
 
 
 def run_chain(
@@ -343,6 +353,10 @@ def run_chain(
     The proposal scale is tuned toward 25% acceptance during burn-in and
     frozen afterwards.  A post-burn-in acceptance rate outside [0.02, 0.98]
     raises, signalling a mis-tuned step.
+
+    Proposals are scored in blocks (see the module docstring).  A block
+    ends at each tuning boundary and at the end of burn-in, so the step
+    size is constant within it.
     """
     if not 0 <= chain_index < cfg.n_chains:
         raise ValueError(f"chain_index {chain_index} outside 0..{cfg.n_chains - 1}.")
@@ -359,53 +373,70 @@ def run_chain(
     normals = rng.standard_normal((cfg.n_steps, dim))
     log_us = np.log(rng.random(cfg.n_steps))
 
-    kept = np.empty((cfg.n_steps - cfg.burn_in, dim))
-    kept_logpi = np.empty(cfg.n_steps - cfg.burn_in)
-    logpi = float(_log_pi_rows(spec, state[None, :])[0])
+    burn = cfg.burn_in
+    kept = np.empty((cfg.n_steps - burn, dim))
+    kept_logpi = np.empty(cfg.n_steps - burn)
     if mala:
-        grad = _grad_log_pi_rows(spec, state[None, :])[0]
+        logpi, grad = _log_pi_grad_rows(spec, state[None, :])
+        logpi, grad = logpi[0], grad[0]
+    else:
+        logpi = _log_pi_rows(spec, state[None, :])[0]
 
     accepted_window = 0
     accepted_main = 0
-    for i in range(cfg.n_steps):
+    i = 0
+    while i < cfg.n_steps:
+        end = min(i + _PREFETCH, cfg.n_steps)
+        if i < burn:
+            end = min(end, burn, (i // TUNE_INTERVAL + 1) * TUNE_INTERVAL)
         if mala:
             drift = state + 0.5 * step * step * grad
-            prop = drift + step * normals[i]
-            if not np.any(prop[:-1]):
-                accept = False  # central line: reject outright
+            props = drift + step * normals[i:end]
+            live = np.any(props[:, :-1], axis=1)
+            if not live.all():
+                # a central-line proposal is rejected without being scored:
+                # the block stops before it, or is that one step
+                end = i + max(int(np.argmin(live)), 1)
+                props = props[: end - i]
+            if live[0]:
+                prop_logpi, prop_grad = _log_pi_grad_rows(spec, props)
+                back = props + 0.5 * step * step * prop_grad
+                fwd_q = -np.sum((props - drift) ** 2, axis=1) / (2.0 * step * step)
+                back_q = -np.sum((state - back) ** 2, axis=1) / (2.0 * step * step)
+                log_ratio = prop_logpi - logpi + back_q - fwd_q
             else:
-                prop_logpi = float(_log_pi_rows(spec, prop[None, :])[0])
-                prop_grad = _grad_log_pi_rows(spec, prop[None, :])[0]
-                back = prop + 0.5 * step * step * prop_grad
-                fwd_q = -float(np.sum((prop - drift) ** 2)) / (2.0 * step * step)
-                back_q = -float(np.sum((state - back) ** 2)) / (2.0 * step * step)
-                accept = log_us[i] < prop_logpi - logpi + back_q - fwd_q
+                log_ratio = np.array([-np.inf])
         else:
-            prop = state + step * normals[i]
-            prop_logpi = float(_log_pi_rows(spec, prop[None, :])[0])
-            accept = log_us[i] < prop_logpi - logpi
+            props = state + step * normals[i:end]
+            prop_logpi = _log_pi_rows(spec, props)
+            log_ratio = prop_logpi - logpi
 
-        if accept:
-            state = prop
-            logpi = prop_logpi
+        accept = log_us[i:end] < log_ratio
+        k = int(accept.argmax())  # the first acceptance, if there is one
+        j = i + k if accept[k] else end
+        if i >= burn:
+            kept[i - burn : j - burn] = state
+            kept_logpi[i - burn : j - burn] = logpi
+        i = j
+        if accept[k]:
+            state = props[k]
+            logpi = prop_logpi[k]
             if mala:
-                grad = prop_grad
-            accepted_window += 1
-            if i >= cfg.burn_in:
+                grad = prop_grad[k]
+            if i >= burn:
                 accepted_main += 1
+                kept[i - burn] = state
+                kept_logpi[i - burn] = logpi
+            else:
+                accepted_window += 1
+            i += 1
 
-        if i < cfg.burn_in and (i + 1) % TUNE_INTERVAL == 0:
+        if i <= burn and i % TUNE_INTERVAL == 0:
             rate = accepted_window / TUNE_INTERVAL
             step *= math.exp(0.5 * (rate - TARGET_ACCEPT))
             accepted_window = 0
-        elif i == cfg.burn_in - 1:
-            accepted_window = 0
 
-        if i >= cfg.burn_in:
-            kept[i - cfg.burn_in] = state
-            kept_logpi[i - cfg.burn_in] = logpi
-
-    rate = accepted_main / (cfg.n_steps - cfg.burn_in)
+    rate = accepted_main / (cfg.n_steps - burn)
     if not 0.02 <= rate <= 0.98:
         raise RuntimeError(
             f"Acceptance rate {rate:.3f} outside [0.02, 0.98]; step mis-tuned."

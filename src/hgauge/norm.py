@@ -55,7 +55,7 @@ def _rs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """R (distinguished pair) and S (remaining coordinates) squared lengths."""
     n = x.shape[-1] // 2
     r = x[..., 0] ** 2 + x[..., n] ** 2
-    return r, np.sum(x * x, axis=-1) - r
+    return r, (x * x).sum(axis=-1) - r
 
 
 def ab_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,18 +82,18 @@ def _core(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _gauge(w: np.ndarray, e: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
     """N from the core quantities W, E, D."""
-    out = np.zeros(d.shape)
+
+    def log_n(w, e, d):
+        return np.log(w) / (2 * n) + (0.5 - 0.25 / n) * np.log(d) - 0.5 * np.log(e)
+
     # d > 0 implies w > 0; the gap is deep-underflow input whose value
     # rounds to zero anyway
     mask = d > 0.0
-    if np.any(mask):
-        wm, em, dm = w[mask], e[mask], d[mask]
-        ln = (
-            np.log(wm) / (2 * n)
-            + (0.5 - 0.25 / n) * np.log(dm)
-            - 0.5 * np.log(em)
-        )
-        out[mask] = np.exp(ln)
+    if mask.all():
+        return np.exp(log_n(w, e, d))
+    out = np.zeros(d.shape)
+    if mask.any():
+        out[mask] = np.exp(log_n(w[mask], e[mask], d[mask]))
     return out
 
 

@@ -1,10 +1,18 @@
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hgauge import fd
+import hgauge
+from hgauge import fd, measures
 from hgauge.cli import RunConfig, build_parser, config_from_args, main, run
+from hgauge.group import GroupParams
 from hgauge.norm import npow_field
 
 
@@ -109,8 +117,18 @@ def test_check_fundamental_rejects_non_harmonic_power(capsys, monkeypatch):
 def test_invalid_n_exits_2(capsys):
     status = main(["check", "lemma2", "--n", "1", "--points", "10", "--seed", "1"])
     assert status == 2
-    err = capsys.readouterr().err
+    err = json.loads(capsys.readouterr().err)
     assert "error" in err
+    assert err["kind"] == "invalid"
+
+
+def test_mis_tuned_chain_exits_3(capsys):
+    argv = ["measure", "sample", "--family", "power", "--k", "4", "--n", "2", "--seed", "1"]
+    status = main(argv + ["--steps", "3000", "--step", "1e6", "--burn", "0"])
+    assert status == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "numerical"
+    assert "mis-tuned" in err["error"]
 
 
 def test_unknown_family_exits_2(capsys):
@@ -158,6 +176,33 @@ def test_measure_sample_csv(tmp_path, capsys):
     row = [float(v) for v in lines[1].split(",")]
     assert len(row) == 6
     assert report["results"]["chains"][0]["samples"] == 5000
+
+
+def test_measure_sample_csv_is_exact(tmp_path, capsys):
+    out = tmp_path / "samples.csv"
+    opts = ["--n", "2", "--seed", "8", "--steps", "1500", "--burn", "300"]
+    argv = ["measure", "sample", "--family", "power", "--k", "4", "--chains", "2"]
+    assert main(argv + opts + ["--out", str(out)]) == 0
+    cfg = measures.SamplerConfig(n_steps=1500, burn_in=300, seed=8, n_chains=2)
+    batches = measures.run_chains(measures.MeasureSpec(family="power", k=4.0), GroupParams(2), cfg)
+    # the per-value writer the CSV format was defined by
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(["x_1", "x_2", "x_3", "x_4", "t", "logdens"])
+    for b in batches:
+        for row, ld in zip(b.coords, b.log_densities):
+            writer.writerow([repr(float(v)) for v in row] + [repr(float(ld))])
+    assert out.read_bytes() == ref.getvalue().encode()
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    want = np.concatenate([np.column_stack([b.coords, b.log_densities]) for b in batches])
+    assert data.tobytes() == want.tobytes()
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, hgauge.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(hgauge.__file__).parents[1]))
+    p = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert p.stdout.strip() == "False"
 
 
 def test_output_file_written(tmp_path, capsys):
