@@ -36,6 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .group import GroupParams, Point
+from .inequalities import draw_cloud
 from .norm import ab_quantities
 
 __all__ = [
@@ -56,6 +57,10 @@ __all__ = [
 ABS_TOL = 1e-30
 MAX_SUBDIVISIONS = 200
 SPLIT_POINT = 1.0  # [0, split] direct, tail via s -> 1/s
+# compare_cloud's cloud: x in [-5, 5]^{2n} with |x| >= 0.1, t in [-25, 25]
+CLOUD_BOX = 5.0
+CLOUD_T_MAX = 25.0
+CLOUD_MIN_RADIUS = 0.1
 
 
 @dataclass(frozen=True)
@@ -218,35 +223,25 @@ def compare_cloud(
     n_points: int,
     seed: int,
     cfg: QuadratureConfig,
-    box: float = 5.0,
-    t_max: float = 25.0,
-    min_radius: float = 0.1,
 ) -> dict:
-    """Quadrature vs closed form on a random cloud; returns an error summary."""
+    """Quadrature vs closed form on a seeded cloud; returns an error summary.
+
+    The cloud comes from inequalities.draw_cloud with CLOUD_BOX, CLOUD_T_MAX
+    and CLOUD_MIN_RADIUS: x stays clear of the central line, where the
+    integral representation is singular.
+    """
     rng = np.random.default_rng(seed)
-    n = params.n
-    rows = []
-    while len(rows) < n_points:
-        x = rng.uniform(-box, box, 2 * n)
-        if np.linalg.norm(x) < min_radius:
-            continue
-        rows.append((x, rng.uniform(-t_max, t_max)))
-    rel_errs = []
-    worst = None
-    for x, t in rows:
-        p = Point(x, float(t))
-        uq = fundamental_solution_quad(p, params, cfg)
+    coords = draw_cloud(rng, params, n_points, CLOUD_BOX, CLOUD_T_MAX, CLOUD_MIN_RADIUS, None)
+    rel_errs = np.empty(n_points)
+    for i, row in enumerate(coords):
+        p = Point(row[:-1], float(row[-1]))
         uc = fundamental_solution_closed(p, params)
-        rel = abs(uq - uc) / abs(uc)
-        rel_errs.append(rel)
-        if worst is None or rel > worst[0]:
-            worst = (rel, p)
-    rel_errs = np.asarray(rel_errs)
+        rel_errs[i] = abs(fundamental_solution_quad(p, params, cfg) - uc) / abs(uc)
     return {
-        "n": n,
+        "n": params.n,
         "points": n_points,
         "seed": seed,
         "max_rel_err": float(np.max(rel_errs)),
         "mean_rel_err": float(np.mean(rel_errs)),
-        "worst_point": [float(v) for v in worst[1].coords()],
+        "worst_point": [float(v) for v in coords[np.argmax(rel_errs)]],
     }

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import bgg, coercive, fd, inequalities, measures
 from .group import GroupParams, Point
-from .norm import exact_partials, norm_batch, norm_N
+from .norm import exact_partials, norm_N
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
 
@@ -73,7 +73,14 @@ def _measure_spec(opts: dict) -> measures.MeasureSpec:
         alpha=opts.get("alpha"),
         p=opts.get("p"),
         beta=opts.get("beta"),
-        q=opts.get("q", 2.0),
+        q=opts["q"],
+    )
+
+
+def _sampler_config(opts: dict, **chains) -> measures.SamplerConfig:
+    """Sampler settings shared by `measure sample` and `verify`."""
+    return measures.SamplerConfig(
+        n_steps=opts["steps"], burn_in=opts["burn"], step=opts["step"], seed=opts["seed"], **chains
     )
 
 
@@ -111,34 +118,22 @@ def _cmd_check_cloud(cfg: RunConfig, which: str) -> tuple[dict, bool]:
         params,
         o["points"],
         o["seed"],
-        box=o.get("box", 5.0),
-        tolerance=o.get("tolerance", inequalities.DEFAULT_TOLERANCE),
+        box=o["box"],
+        tolerance=o["tolerance"],
         threads=cfg.threads if cfg.threads is not None else os.cpu_count(),
     )
     return {"reports": [r.as_dict() for r in reports]}, all(r.passed for r in reports)
 
 
 def _cmd_check_fundamental(cfg: RunConfig) -> tuple[dict, bool]:
+    """FD harmonicity of N^(2-Q) on inequalities.shell_cloud (1/2 < N < 5)."""
     o = cfg.options
     params = GroupParams(o["n"])
-    rng = np.random.default_rng(o["seed"])
-    target = o["points"]
-    rows = []
-    while len(rows) < target:
-        x = rng.uniform(-2.0, 2.0, (4 * target, params.horizontal_dim))
-        t = rng.uniform(-3.0, 3.0, 4 * target)
-        keep = np.linalg.norm(x, axis=1) > 0.5
-        nn = norm_batch(x, t)
-        keep &= (nn > 0.5) & (nn < 5.0)
-        for i in np.flatnonzero(keep):
-            rows.append(np.concatenate([x[i], [t[i]]]))
-            if len(rows) == target:
-                break
-    coords = np.asarray(rows)
-    h = o.get("h_base", 1.6e-3)
+    coords = inequalities.shell_cloud(params, o["points"], o["seed"])
+    h = o["h_base"]
     check = fd.harmonicity_check(coords, params, h)
     return {
-        "points": target,
+        "points": o["points"],
         "h_base": h,
         "max_abs_residual": float(np.max(np.abs(check.residual))),
         "mean_abs_residual": float(np.mean(np.abs(check.residual))),
@@ -157,7 +152,7 @@ def _cmd_check_infinity(cfg: RunConfig) -> tuple[dict, bool]:
         x = np.zeros(params.horizontal_dim)
         x[0] = 1.0
         x[1] = 1.0
-    p = Point(x, o.get("t", 0.3))
+    p = Point(x, o["t"])
     value, floor = fd.infinity_laplacian_witness(p, params, fd.FdConfig())
     ratio = abs(value) / floor if floor > 0 else float("inf")
     passed = bool(ratio > 10.0)
@@ -172,7 +167,7 @@ def _cmd_check_infinity(cfg: RunConfig) -> tuple[dict, bool]:
 
 def _cmd_check_constants(cfg: RunConfig) -> tuple[dict, bool]:
     o = cfg.options
-    lo, hi = _parse_range(o.get("n_range", "2..20"))
+    lo, hi = _parse_range(o["n_range"])
     if lo < 2:
         raise ValueError("Constant arithmetic needs n >= 2.")
     table = []
@@ -201,10 +196,10 @@ def _cmd_check_constants(cfg: RunConfig) -> tuple[dict, bool]:
 def _cmd_bgg_compare(cfg: RunConfig) -> tuple[dict, bool]:
     o = cfg.options
     params = GroupParams(o["n"])
-    qcfg = bgg.QuadratureConfig(rel_tol=o.get("rel_tol", 1e-11))
+    qcfg = bgg.QuadratureConfig(rel_tol=o["rel_tol"])
     summary = bgg.compare_cloud(params, o["points"], o["seed"], qcfg)
-    passed = bool(summary["max_rel_err"] <= o.get("max_rel_err", 1e-8))
-    summary["pass_threshold"] = o.get("max_rel_err", 1e-8)
+    passed = bool(summary["max_rel_err"] <= o["max_rel_err"])
+    summary["pass_threshold"] = o["max_rel_err"]
     return summary, passed
 
 
@@ -212,14 +207,7 @@ def _cmd_measure_sample(cfg: RunConfig) -> tuple[dict, Optional[bool]]:
     o = cfg.options
     params = GroupParams(o["n"])
     spec = _measure_spec(o)
-    scfg = measures.SamplerConfig(
-        n_steps=o.get("steps", 110_000),
-        burn_in=o.get("burn", 10_000),
-        step=o.get("step", 0.25),
-        seed=o["seed"],
-        n_chains=o.get("chains", 1),
-        algorithm=o.get("algorithm", "rwm"),
-    )
+    scfg = _sampler_config(o, n_chains=o["chains"], algorithm=o["algorithm"])
     batches = measures.run_chains(spec, params, scfg)
     out_path = o.get("out")
     if out_path:
@@ -249,22 +237,11 @@ def _cmd_measure_sample(cfg: RunConfig) -> tuple[dict, Optional[bool]]:
     return summary, None
 
 
-def _verify_batch(o: dict, params: GroupParams, spec: measures.MeasureSpec):
-    scfg = measures.SamplerConfig(
-        n_steps=o.get("steps", 110_000),
-        burn_in=o.get("burn", 10_000),
-        step=o.get("step", 0.25),
-        seed=o["seed"],
-        n_chains=1,
-    )
-    return measures.run_chain(spec, params, scfg, 0)
-
-
 def _cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, bool]:
     o = cfg.options
     params = GroupParams(o["n"])
     spec = _measure_spec(o)
-    batch = _verify_batch(o, params, spec)
+    batch = measures.run_chain(spec, params, _sampler_config(o), 0)
     family = coercive.default_family(params)
     base = {
         "family": spec.label(),
@@ -283,14 +260,10 @@ def _cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, bool]:
         base["ratios"] = ratios
         return base, ok
     if which == "ubound":
-        rows = [
-            coercive.ubound_terms(f, spec, batch, restrict_exterior=o.get("restrict_exterior", False))
-            for f in family
-        ]
-        base["terms"] = [asdict(t) for t in rows]
-        result = coercive.fit_ubound_constants(
-            family, spec, batch, restrict_exterior=o.get("restrict_exterior", False)
+        terms, result = coercive.fit_ubound_constants(
+            family, spec, batch, restrict_exterior=o["restrict_exterior"]
         )
+        base["terms"] = [asdict(t) for t in terms]
     else:
         result = coercive.fit_beta_lsi(family, spec, batch)
     base["fit"] = result.as_dict()

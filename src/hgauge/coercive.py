@@ -405,46 +405,38 @@ def fit_ubound_constants(
     spec: MeasureSpec,
     batch: SampleBatch,
     restrict_exterior: bool = False,
-) -> FeasibilityResult:
-    """Feasible (C, D) for the U-bound over the given family."""
-    rows = []
-    for f in functions:
-        t = ubound_terms(f, spec, batch, restrict_exterior=restrict_exterior)
-        rows.append((t.name, t.lhs, t.grad_term, t.mass_term))
-    anchor = float(np.mean(eta_weight(spec, batch.norms())))
+) -> tuple[list[UboundTerms], FeasibilityResult]:
+    """The U-bound terms of each function, and feasible (C, D) over the family."""
+    terms = [ubound_terms(f, spec, batch, restrict_exterior=restrict_exterior) for f in functions]
+    norms = batch.norms()
+    eta = eta_weight(spec, norms)
     if restrict_exterior:
-        norms = batch.norms()
-        anchor = float(np.mean(np.where(norms >= 1.0, eta_weight(spec, norms), 0.0)))
-    return _fit_constants(rows, anchor)
+        eta = np.where(norms >= 1.0, eta, 0.0)
+    rows = [(t.name, t.lhs, t.grad_term, t.mass_term) for t in terms]
+    return terms, _fit_constants(rows, float(np.mean(eta)))
 
 
 def poincare_ratio(
     f: TestFunction,
     spec: MeasureSpec,
     batch: SampleBatch,
-    q: Optional[float] = None,
 ) -> tuple[float, float]:
     """(E|f - Ef|^q / E|grad f|^q, batch-means error of the ratio).
 
+    The error is the delta-method one, batch_means_se(num - ratio * den) / E den,
+    which stays finite when some batches barely touch the support of f.
     Raises when the gradient mass vanishes (constant f, or a function whose
     support misses the sample entirely).
     """
     coords = batch.coords
-    q = spec.q if q is None else q
     fv = f.value(coords)
-    num_samples = _q_power(fv - fv.mean(), q)
-    den_samples = _q_power(f.grad_norm(coords), q)
+    num_samples = _q_power(fv - fv.mean(), spec.q)
+    den_samples = _q_power(f.grad_norm(coords), spec.q)
     den = float(np.mean(den_samples))
     if den == 0.0:
         raise ValueError(f"Degenerate denominator for {f.name!r} (constant on the sample).")
     ratio = float(np.mean(num_samples)) / den
-    k = 50
-    usable = coords.shape[0] - coords.shape[0] % k
-    num_b = num_samples[:usable].reshape(k, -1).mean(axis=1)
-    den_b = den_samples[:usable].reshape(k, -1).mean(axis=1)
-    ratios = num_b / np.where(den_b > 0, den_b, np.nan)
-    se = float(np.nanstd(ratios, ddof=1) / math.sqrt(k))
-    return ratio, se
+    return ratio, batch_means_se(num_samples - ratio * den_samples) / den
 
 
 def beta_lsi_functional(

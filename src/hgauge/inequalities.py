@@ -45,11 +45,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .group import GroupParams, Point
-from .norm import partials_batch
+from .norm import norm_batch, partials_batch
 
 __all__ = [
     "InequalityReport",
+    "draw_cloud",
     "sample_cloud",
+    "shell_cloud",
     "check_gradient_bounds",
     "check_partial_bounds",
     "split_objective",
@@ -90,6 +92,39 @@ class InequalityReport:
         }
 
 
+def draw_cloud(
+    rng: np.random.Generator,
+    params: GroupParams,
+    n_points: int,
+    x_box: float,
+    t_box: float,
+    min_radius: float,
+    window: Optional[tuple[float, float]],
+) -> np.ndarray:
+    """The one rejection sampler behind every seeded cloud: (n_points, 2n+1) rows.
+
+    x is uniform in [-x_box, x_box]^{2n} and rows with |x| < min_radius are
+    rejected; t is uniform in [-t_box, t_box], drawn only for kept rows.
+    With window = (lo, hi) a row is also rejected unless lo < N < hi.
+    Rejected rows are redrawn until n_points are kept.
+    """
+    out = np.empty((n_points, params.horizontal_dim + 1))
+    got = 0
+    while got < n_points:
+        x = rng.uniform(-x_box, x_box, (n_points - got, params.horizontal_dim))
+        x = x[np.linalg.norm(x, axis=1) >= min_radius]
+        t = rng.uniform(-t_box, t_box, x.shape[0])
+        if window is not None:
+            nn = norm_batch(x, t)
+            keep = (nn > window[0]) & (nn < window[1])
+            x, t = x[keep], t[keep]
+        k = x.shape[0]
+        out[got : got + k, :-1] = x
+        out[got : got + k, -1] = t
+        got += k
+    return out
+
+
 def sample_cloud(
     params: GroupParams,
     n_points: int,
@@ -103,48 +138,45 @@ def sample_cloud(
     to stress small and large scales.
     """
     rng = np.random.default_rng(seed)
-    dim_x = params.horizontal_dim
     m_box = (3 * n_points) // 4
-    rows = []
-
-    def draw(m: int, xb: float, tb: float) -> np.ndarray:
-        out = np.empty((m, dim_x + 1))
-        got = 0
-        while got < m:
-            x = rng.uniform(-xb, xb, (m - got, dim_x))
-            keep = np.linalg.norm(x, axis=1) >= EXCLUSION
-            k = int(np.count_nonzero(keep))
-            out[got : got + k, :dim_x] = x[keep]
-            out[got : got + k, dim_x] = rng.uniform(-tb, tb, k)
-            got += k
-        return out
-
-    rows.append(draw(m_box, box, box * box))
-    radial = draw(n_points - m_box, 1.0, 1.0)
+    boxed = draw_cloud(rng, params, m_box, box, box * box, EXCLUSION, None)
+    radial = draw_cloud(rng, params, n_points - m_box, 1.0, 1.0, EXCLUSION, None)
     lam = 10.0 ** rng.uniform(-2.0, 2.0, n_points - m_box)
-    radial[:, :dim_x] *= lam[:, None]
-    radial[:, dim_x] *= lam * lam
-    rows.append(radial)
-    return np.concatenate(rows)
+    radial[:, :-1] *= lam[:, None]
+    radial[:, -1] *= lam * lam
+    return np.concatenate([boxed, radial])
 
 
-def _chunked_margins(margin_fn, coords: np.ndarray, threads: Optional[int]) -> np.ndarray:
-    """margin_fn maps a coordinate block to an (m, k) margin matrix."""
-    if threads is None or threads <= 1 or coords.shape[0] < 20000:
-        return margin_fn(coords)
-    chunks = np.array_split(coords, threads * 4)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(margin_fn, chunks))
-    return np.concatenate(parts)
+def shell_cloud(params: GroupParams, n_points: int, seed: int) -> np.ndarray:
+    """Random (m, 2n+1) cloud on a gauge shell, for finite-difference checks.
+
+    x in [-2, 2]^{2n} with |x| >= 1/2, t in [-3, 3] and 1/2 < N < 5: every
+    row keeps its FD stencil clear of the central line and the identity.
+    """
+    return draw_cloud(np.random.default_rng(seed), params, n_points, 2.0, 3.0, 0.5, (0.5, 5.0))
 
 
-def _reports(
+def _cloud_reports(
     names: Sequence[str],
-    margins: np.ndarray,
-    coords: np.ndarray,
+    margin_fn,
+    params: GroupParams,
+    n_points: int,
+    seed: int,
+    box: float,
     tolerance: float,
-    seed: Optional[int],
+    threads: Optional[int],
 ) -> list[InequalityReport]:
+    """One report per named column of margin_fn over sample_cloud.
+
+    margin_fn maps a coordinate block to an (m, k) margin matrix; with
+    threads > 1, clouds of 20000 points or more are split over a thread pool.
+    """
+    coords = sample_cloud(params, n_points, seed, box=box)
+    if threads is None or threads <= 1 or coords.shape[0] < 20000:
+        margins = margin_fn(coords)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            margins = np.concatenate(list(pool.map(margin_fn, np.array_split(coords, threads * 4))))
     out = []
     for i, name in enumerate(names):
         col = margins[:, i]
@@ -174,12 +206,9 @@ def check_gradient_bounds(
     box: float = 5.0,
     tolerance: float = DEFAULT_TOLERANCE,
     threads: Optional[int] = None,
-    coords: Optional[np.ndarray] = None,
 ) -> list[InequalityReport]:
     """Radial and two-sided gradient bounds on a random cloud."""
     n = params.n
-    if coords is None:
-        coords = sample_cloud(params, n_points, seed, box=box)
 
     lower_const = 2.0 ** -(5.0 + 2.0 / n)
     upper_const = (2 * n + 1) ** 2 / (2.0 ** 3 * n * n)
@@ -193,8 +222,7 @@ def check_gradient_bounds(
         m3 = upper_const - ratio
         return np.column_stack([m1, m2, m3])
 
-    vals = _chunked_margins(margins, coords, threads)
-    return _reports(_GRADIENT_NAMES, vals, coords, tolerance, seed)
+    return _cloud_reports(_GRADIENT_NAMES, margins, params, n_points, seed, box, tolerance, threads)
 
 
 _PARTIAL_NAMES = (
@@ -215,12 +243,9 @@ def check_partial_bounds(
     box: float = 5.0,
     tolerance: float = DEFAULT_TOLERANCE,
     threads: Optional[int] = None,
-    coords: Optional[np.ndarray] = None,
 ) -> list[InequalityReport]:
     """Per-coordinate slope bounds on a random cloud."""
     n = params.n
-    if coords is None:
-        coords = sample_cloud(params, n_points, seed, box=box)
 
     mixed_block_const = (2 * n - 1) / (2.0 ** (1.0 / n + 2.0) * n)
     mixed_pair_const = 2.0 ** -(2.0 + 1.0 / n)
@@ -242,8 +267,7 @@ def check_partial_bounds(
             ]
         )
 
-    vals = _chunked_margins(margins, coords, threads)
-    return _reports(_PARTIAL_NAMES, vals, coords, tolerance, seed)
+    return _cloud_reports(_PARTIAL_NAMES, margins, params, n_points, seed, box, tolerance, threads)
 
 
 def split_objective(alpha: float, n: int) -> float:

@@ -34,7 +34,7 @@ run step by step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
@@ -312,13 +312,19 @@ class SampleBatch:
     acceptance_rate: float
     chain_index: int
     step_final: float
+    _norms: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return (self.coords.shape[1] - 1) // 2
 
     def norms(self) -> np.ndarray:
-        return norm_batch(self.coords[:, :-1], self.coords[:, -1])
+        """Gauge of every row, read-only; computed on the first call and kept."""
+        if self._norms is None:
+            norms = norm_batch(self.coords[:, :-1], self.coords[:, -1])
+            norms.flags.writeable = False
+            object.__setattr__(self, "_norms", norms)
+        return self._norms
 
     def points(self) -> Iterator[Point]:
         for row in self.coords:

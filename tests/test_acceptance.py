@@ -12,15 +12,14 @@ import dataclasses
 import time
 
 import numpy as np
-import pytest
 
 from conftest import record_line
 
 from hgauge import bgg, coercive, fd, inequalities, measures
-from hgauge.group import GroupParams, Point, dilate, field_coefficients_batch
-from hgauge.inequalities import check_gradient_bounds, check_partial_bounds, sample_cloud
+from hgauge.group import GroupParams, Point, field_coefficients_batch
+from hgauge.inequalities import check_gradient_bounds, check_partial_bounds, shell_cloud
 from hgauge.measures import MeasureSpec, batch_means_se
-from hgauge.norm import ab_batch, exact_partials, norm_batch, norm_field, partials_batch
+from hgauge.norm import ab_batch, norm_batch, norm_field, partials_batch
 
 QCFG = bgg.QuadratureConfig()
 TOL_MARGIN = -1e-12
@@ -30,21 +29,6 @@ def _check(num: int, label: str, ok: bool, detail: str) -> None:
     verdict = "PASS" if ok else "FAIL"
     record_line(f"[{verdict}] {num:02d} {label}: {detail}")
     assert ok, f"criterion {num:02d} ({label}): {detail}"
-
-
-def _norm_cloud(rng, n, m, lo=0.5, hi=5.0):
-    """Points with x bounded away from 0 and gauge in [lo, hi]."""
-    rows = []
-    while len(rows) < m:
-        x = rng.uniform(-2.0, 2.0, (4 * m, 2 * n))
-        t = rng.uniform(-3.0, 3.0, 4 * m)
-        nn = norm_batch(x, t)
-        keep = (np.linalg.norm(x, axis=1) > 0.5) & (nn > lo) & (nn < hi)
-        for i in np.flatnonzero(keep):
-            rows.append(np.concatenate([x[i], [t[i]]]))
-            if len(rows) == m:
-                break
-    return np.asarray(rows)
 
 
 def test_01_closed_form_matches_quadrature():
@@ -91,8 +75,7 @@ def test_02_solution_gauge_product_and_homogeneity():
 
 def test_03_harmonicity_within_truncation():
     params = GroupParams(6)
-    rng = np.random.default_rng(33)
-    coords = _norm_cloud(rng, 6, 100)
+    coords = shell_cloud(params, 100, seed=33)
     ladder = [6.4e-3, 3.2e-3, 1.6e-3, 8e-4]
     means = []
     for h in ladder:
@@ -118,8 +101,7 @@ def test_04_laplacian_gradient_ratio():
     worst = 0.0
     for n in (2, 6):
         params = GroupParams(n)
-        rng = np.random.default_rng(40 + n)
-        coords = _norm_cloud(rng, n, 1000)
+        coords = shell_cloud(params, 1000, seed=40 + n)
         q_hom = params.homogeneous_dim
         lap = fd.sub_laplacian_batch(norm_field(params), coords, fd.FdConfig())
         pb = partials_batch(coords[:, :-1], coords[:, -1])
@@ -205,8 +187,7 @@ def test_09_exact_gradients_vs_fd():
         MeasureSpec(family="power-log", k=3.0),
         MeasureSpec(family="alpha-power", alpha=1.0, p=4.0, beta=0.25),
     ]
-    rng = np.random.default_rng(99)
-    coords = _norm_cloud(rng, 2, 1000, lo=0.4, hi=4.0)
+    coords = shell_cloud(params, 1000, seed=99)
     # gauge gradient
     fd_n = fd.fd_gradient(norm_field(params), coords, fd.FdConfig())
     pb = partials_batch(coords[:, :-1], coords[:, -1])
@@ -300,7 +281,7 @@ def test_12_ubound_feasibility(power4_chains, family_chains, params6):
     all_ok = True
     for spec, batch in cases:
         for q in (2.0, 3.0):
-            res = coercive.fit_ubound_constants(
+            _, res = coercive.fit_ubound_constants(
                 fam, dataclasses.replace(spec, q=q), batch
             )
             worst = max(worst, res.max_violation)

@@ -145,7 +145,8 @@ def test_ubound_terms_nonnegative(batch):
 
 def test_fit_ubound_feasible(batch):
     fam = default_family(PARAMS)
-    res = fit_ubound_constants(fam, POWER4, batch)
+    terms, res = fit_ubound_constants(fam, POWER4, batch)
+    assert terms == [ubound_terms(f, POWER4, batch) for f in fam]
     assert res.feasible
     assert res.max_violation <= 0.0
     assert res.c >= 0.0 and res.d > 0.0
@@ -155,15 +156,15 @@ def test_fit_ubound_feasible(batch):
 
 def test_fit_ubound_exterior_restriction(batch):
     fam = default_family(PARAMS)
-    res = fit_ubound_constants(fam, POWER4, batch, restrict_exterior=True)
+    _, res = fit_ubound_constants(fam, POWER4, batch, restrict_exterior=True)
     assert res.feasible
     assert res.max_violation <= 0.0
 
 
 def test_fit_is_deterministic(batch):
     fam = default_family(PARAMS)
-    r1 = fit_ubound_constants(fam, POWER4, batch)
-    r2 = fit_ubound_constants(fam, POWER4, batch)
+    _, r1 = fit_ubound_constants(fam, POWER4, batch)
+    _, r2 = fit_ubound_constants(fam, POWER4, batch)
     assert r1.c == r2.c and r1.d == r2.d
 
 
@@ -210,7 +211,7 @@ def test_fit_beta_lsi_feasible():
 
 
 def test_feasibility_result_as_dict(batch):
-    res = fit_ubound_constants(default_family(PARAMS), POWER4, batch)
+    _, res = fit_ubound_constants(default_family(PARAMS), POWER4, batch)
     d = res.as_dict()
     assert set(d) == {"C", "D", "max_violation", "per_function", "d_grid", "feasible"}
     assert len(d["per_function"]) == 8
