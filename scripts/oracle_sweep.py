@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
 """Compare the closed-form fundamental solution against the quadrature oracle.
 
-Sweeps dimensions and prints per-n error statistics with timing; useful for
-spotting quadrature degradation before it reaches the test suite.
+Sweeps dimensions and prints per-n error statistics with timing; each n is
+one vectorised tanh-sinh pass over its cloud (hgauge.bgg.compare_cloud).  A
+cloud row that misses --rel-tol raises QuadratureError instead of printing
+an error figure.
+
+    python scripts/oracle_sweep.py --dims 2 3 6 8 --points 200 --seed 0
 """
 
 import argparse

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from hgauge import bgg
 from hgauge.bgg import (
     QuadratureConfig,
+    QuadratureError,
     compare_cloud,
     fundamental_solution_closed,
     fundamental_solution_quad,
@@ -17,6 +19,7 @@ from hgauge.bgg import (
     solution_constant,
 )
 from hgauge.group import GroupParams, Point, dilate
+from hgauge.inequalities import draw_cloud
 from hgauge.norm import norm_N
 
 CFG = QuadratureConfig()
@@ -135,3 +138,64 @@ def test_compare_cloud_summary():
     assert out["max_rel_err"] < 1e-8
     assert out["mean_rel_err"] <= out["max_rel_err"]
     assert len(out["worst_point"]) == 5
+
+
+def test_compare_cloud_rows_equal_scalar_quadrature(monkeypatch):
+    # one integrator: each row of compare_cloud's vectorised pass is the
+    # one-row call bit for bit (rows never mix, sums run row by row)
+    seen = []
+    rows = bgg._solution_rows
+
+    def spy(a, b, t, n, cfg):
+        out = rows(a, b, t, n, cfg)
+        seen.append((t.copy(), out))
+        return out
+
+    monkeypatch.setattr(bgg, "_solution_rows", spy)
+    for n in (2, 6):
+        params = GroupParams(n)
+        seen.clear()
+        compare_cloud(params, 30, seed=5, cfg=CFG)
+        rng = np.random.default_rng(5)
+        coords = draw_cloud(
+            rng, params, 30, bgg.CLOUD_BOX, bgg.CLOUD_T_MAX, bgg.CLOUD_MIN_RADIUS, None
+        )
+        (t, vals), = seen
+        assert t.tobytes() == coords[:, -1].tobytes()
+        seen.clear()
+        scalar = [fundamental_solution_quad(Point(r[:-1], r[-1]), params, CFG) for r in coords]
+        assert np.array(scalar).tobytes() == vals.tobytes()
+
+
+@pytest.mark.parametrize("n, x2, t", [(3, 1e-3, 10.0), (2, 1e-2, -1e3)])
+def test_cancelling_points_raise(n, x2, t):
+    # Re I_n cancels here: the integral of |integrand| exceeds it 4e14-fold
+    # and 3e7-fold.  scipy's adaptive quad returned 5.94e-14 for the closed
+    # form's 2.37e-6 at the first point and was 2.5e-8 off at the second,
+    # both without raising
+    x = np.zeros(2 * n)
+    x[1] = x2
+    with pytest.raises(QuadratureError):
+        fundamental_solution_quad(Point(x, t), GroupParams(n), CFG)
+
+
+def test_log_sweep_returns_only_accurate_values():
+    # |x| in 10^[-3, 1], |t| in 10^[-3, 3]: a value is returned only if it is
+    # within 1e-8 of the closed form.  About half the sweep raises, every
+    # raising point being cancellation-limited (small |x| against |t|).
+    rng = np.random.default_rng(0)
+    returned = total = 0
+    for n in (2, 3, 6, 8):
+        params = GroupParams(n)
+        for r in np.logspace(-3, 1, 9):
+            for t in np.concatenate([np.logspace(-3, 3, 13), -np.logspace(-3, 3, 13)]):
+                d = rng.normal(size=2 * n)
+                p = Point(r * d / np.linalg.norm(d), float(t))
+                total += 1
+                try:
+                    u = fundamental_solution_quad(p, params, CFG)
+                except QuadratureError:
+                    continue
+                returned += 1
+                assert u == pytest.approx(fundamental_solution_closed(p, params), rel=1e-8)
+    assert returned >= 0.4 * total

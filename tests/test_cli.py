@@ -214,10 +214,17 @@ def test_measure_sample_csv_is_exact(tmp_path, capsys):
 
 
 def test_cli_import_does_not_load_scipy():
-    code = "import sys, hgauge.cli; print('scipy' in sys.modules)"
+    # neither the import nor the quadrature oracle needs scipy
+    argv = ["--no-timestamp", "bgg", "compare", "--n", "2", "--points", "5", "--seed", "1"]
+    code = (
+        "import sys, hgauge.cli; print('scipy' in sys.modules); "
+        f"status = hgauge.cli.main({argv!r}); print(status, 'scipy' in sys.modules)"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(hgauge.__file__).parents[1]))
     p = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert p.stdout.strip() == "False"
+    lines = p.stdout.strip().splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "0 False"
 
 
 SCRIPTS = {
