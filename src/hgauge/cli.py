@@ -14,8 +14,9 @@ Subcommands:
 
 Reports embed the full run configuration; identical configurations give
 byte-identical reports once --no-timestamp is passed.  Exit status: 0 all
-checks passed, 1 a check failed, 2 invalid configuration, 3 numerical
-breakdown (a mis-tuned chain, a quadrature that did not converge).
+checks passed, 1 a check failed, 2 invalid configuration (an output path
+that cannot be written included), 3 numerical breakdown (a mis-tuned chain,
+a quadrature that did not converge).
 """
 
 from __future__ import annotations
@@ -418,8 +419,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         status, report = run(cfg)
-    except (ValueError, RuntimeError) as exc:
-        # RuntimeError: a mis-tuned chain or a quadrature that did not converge
+        text = json.dumps(report, sort_keys=True, indent=2)
+        if cfg.output_path:
+            with open(cfg.output_path, "w") as fh:
+                fh.write(text + "\n")
+    except (ValueError, RuntimeError, OSError) as exc:
+        # RuntimeError: a mis-tuned chain or a quadrature that did not converge;
+        # OSError: an --output or --out path that cannot be written
         numerical = isinstance(exc, RuntimeError)
         err = {
             "schema": SCHEMA_VERSION,
@@ -428,11 +434,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         }
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
         return 3 if numerical else 2
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
+    if not cfg.output_path:
         print(text)
     return status
 

@@ -8,9 +8,9 @@ with all expectations replaced by Monte Carlo means over a SampleBatch:
     beta-LSI     E[|f|^q |log(|f|^q / E|f|^q)|^beta]
                                            <= C E[|grad f|^q] + D E[|f|^q]
 
-Gradients are horizontal and exact; the fitter scans a log grid of D values
-anchored at the empirical mean of eta and reports the smallest C that
-satisfies every test function, preferring the smallest D on ties.  The
+Gradients are horizontal and exact.  The fitter takes D in [a, 10a], a the
+empirical mean of eta, and returns in closed form the smallest C that
+satisfies every test function and then the smallest D that attains it.  The
 constant function pins D from below (its gradient is zero), so the fitted
 pair is a genuine two-sided certificate, not a one-parameter fit.
 """
@@ -360,41 +360,40 @@ def ubound_terms(
 def _fit_constants(
     rows: Sequence[tuple[str, float, float, float]],
     d_anchor: float,
-    d_grid_size: int = 200,
 ) -> FeasibilityResult:
-    """Smallest C on a 200-point log grid of D in [anchor, 10*anchor].
+    """Least C >= 0, then least D in [anchor, 10*anchor], in closed form.
 
-    Each row is (name, lhs, grad, mass).  Functions with zero gradient mass
-    constrain D alone; ties in C resolve toward smaller D.
+    Each row (name, lhs, grad, mass) asks C*grad + D*mass >= lhs.  C(D) is
+    non-increasing, so C = C(10*anchor) and D = max (lhs - C*grad)/mass; C,
+    and D from one ulp below, then step up by ulps until the reported margins
+    are >= 0 (the least such D when C = 0).  Infeasible when D > 10*anchor.
     """
     names = tuple(r[0] for r in rows)
-    lhs = np.array([r[1] for r in rows])
-    grad = np.array([r[2] for r in rows])
-    mass = np.array([r[3] for r in rows])
-    live = grad > 0.0
-
+    lhs, grad, mass = (np.array([r[i] for r in rows]) for i in (1, 2, 3))
     d_lo, d_hi = d_anchor, 10.0 * d_anchor
-    ds = np.geomspace(d_lo, d_hi, d_grid_size)
-    best: Optional[tuple[float, float]] = None
-    for d in ds:
-        slack = lhs - d * mass
-        if np.any(slack[~live] > 1e-12 * max(d_anchor, 1.0)):
-            continue  # zero-gradient functions must already be satisfied
-        c_req = float(np.max(np.clip(slack[live] / grad[live], 0.0, None), initial=0.0))
-        if best is None or c_req < best[0] * (1.0 - 1e-9):
-            best = (c_req, float(d))
-    feasible = best is not None
-    if not feasible:
-        best = (math.inf, float(d_hi))
-    c, d = best
-    margins = tuple(float(c * g + d * m - l) for g, m, l in zip(grad, mass, lhs))
-    violation = float(max(0.0, -min(margins))) if feasible else math.inf
+
+    def margins(c: float, d: float) -> np.ndarray:
+        return c * grad + d * mass - lhs
+
+    live = grad > 0.0
+    c = float(np.max((lhs[live] - d_hi * mass[live]) / grad[live], initial=0.0))
+    while np.any(margins(c, d_hi)[live] < 0.0):
+        c = float(np.nextafter(c, math.inf))
+    need = lhs - c * grad
+    with np.errstate(divide="ignore"):  # a row with no mass and need > 0 asks D = inf
+        d = np.max(need[need > 0.0] / mass[need > 0.0], initial=0.0)
+    d = min(max(d_lo, float(np.nextafter(d, -math.inf))), d_hi)
+    while d <= d_hi and np.any(margins(c, d) < 0.0):
+        d = float(np.nextafter(d, math.inf))
+    feasible = d <= d_hi
+    c, d = (c, d) if feasible else (math.inf, d_hi)
+    final = tuple(float(v) for v in margins(c, d))
     return FeasibilityResult(
         c=c,
         d=d,
-        max_violation=violation,
+        max_violation=float(max(0.0, -min(final))) if feasible else math.inf,
         function_names=names,
-        per_function_margins=margins,
+        per_function_margins=final,
         d_grid=(float(d_lo), float(d_hi)),
         feasible=feasible,
     )

@@ -106,8 +106,12 @@ def draw_cloud(
     x is uniform in [-x_box, x_box]^{2n} and rows with |x| < min_radius are
     rejected; t is uniform in [-t_box, t_box], drawn only for kept rows.
     With window = (lo, hi) a row is also rejected unless lo < N < hi.
-    Rejected rows are redrawn until n_points are kept.
+    Rejected rows are redrawn until n_points are kept.  Raises ValueError when
+    the box holds no |x| > min_radius, where no row could ever be kept.
     """
+    dim = params.horizontal_dim
+    if not x_box * math.sqrt(dim) > min_radius:  # min_radius >= 0: x_box <= 0 or NaN fails too
+        raise ValueError(f"The x box {x_box!r} holds no |x| > {min_radius!r} in dimension {dim}.")
     out = np.empty((n_points, params.horizontal_dim + 1))
     got = 0
     while got < n_points:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -314,10 +314,6 @@ class SampleBatch:
     step_final: float
     _norms: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def n(self) -> int:
-        return (self.coords.shape[1] - 1) // 2
-
     def norms(self) -> np.ndarray:
         """Gauge of every row, read-only; computed on the first call and kept."""
         if self._norms is None:
@@ -325,10 +321,6 @@ class SampleBatch:
             norms.flags.writeable = False
             object.__setattr__(self, "_norms", norms)
         return self._norms
-
-    def points(self) -> Iterator[Point]:
-        for row in self.coords:
-            yield Point(row[:-1], float(row[-1]))
 
 
 def _log_pi_rows(spec: MeasureSpec, coords: np.ndarray) -> np.ndarray:

@@ -49,8 +49,8 @@ def test_timestamp_present_by_default(capsys):
 # sha256 prefixes of `verify` reports on 3000-step n=6 chains (seed 3, burn
 # 500): terms, anchor and fit are pinned byte for byte
 VERIFY_REPORTS = {
-    "7f334ef185ba39fa60c68095e11c0e51": "ubound --family cosh-power --k 1",
-    "85164c4e639daa82c89602e8a9b22d20": "ubound --family power --k 4 --q 3 --restrict-exterior",
+    "8a03f6b1ce7f168ffe1f2c77df48f3e4": "ubound --family cosh-power --k 1",
+    "e29d0b90646d096e93695c3e3ccdca49": "ubound --family power --k 4 --q 3 --restrict-exterior",
     "5ed47fa29378edfff4f0de4311f82978": "lsi --family alpha-power --alpha 1 --p 4 --beta 0.25",
 }
 
@@ -135,6 +135,39 @@ def test_invalid_n_exits_2(capsys):
     err = json.loads(capsys.readouterr().err)
     assert "error" in err
     assert err["kind"] == "invalid"
+
+
+@pytest.mark.parametrize("box", ["0", "1e-4", "-1"])
+def test_box_without_admissible_rows_exits_2(box):
+    # no x in the box reaches |x| >= EXCLUSION, so the cloud sampler could
+    # never keep a row; a subprocess with a timeout keeps a hang out of the suite
+    argv = ["check", "lemma2", "--n", "2", "--points", "10", "--seed", "1", "--box", box]
+    env = dict(os.environ, PYTHONPATH=str(Path(hgauge.__file__).parents[1]))
+    cmd = [sys.executable, "-m", "hgauge.cli", *argv]
+    p = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert p.returncode == 2, p.stderr
+    err = json.loads(p.stderr)
+    assert err["kind"] == "invalid"
+    assert "box" in err["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--output", "{dir}/r.json", "norm", "eval", "--n", "2", "--x", "1,0,0,0"],
+        ["measure", "sample", "--family", "power", "--k", "4", "--n", "2", "--seed", "1",
+         "--steps", "400", "--burn", "100", "--out", "{dir}/s.csv"],
+    ],
+    ids=["output", "out"],
+)
+def test_unwritable_path_exits_2(tmp_path, capsys, argv):
+    missing = tmp_path / "missing"
+    status = main([a.format(dir=missing) for a in argv])
+    assert status == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "invalid"
+    assert str(missing) in err["error"]
+    assert not missing.exists()
 
 
 def test_mis_tuned_chain_exits_3(capsys):

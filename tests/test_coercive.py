@@ -1,9 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from hgauge.coercive import (
+    _fit_constants,
     Constant,
     Coordinate,
     ExpDecay,
@@ -215,3 +217,76 @@ def test_feasibility_result_as_dict(batch):
     d = res.as_dict()
     assert set(d) == {"C", "D", "max_violation", "per_function", "d_grid", "feasible"}
     assert len(d["per_function"]) == 8
+
+
+# Synthetic (name, lhs, grad, mass) rows for the closed-form fit, anchor 1.3
+# (D in [1.3, 13]).
+FIT_CASES = {
+    "c-positive": [("constant", 1.0, 0.0, 1.0), ("steep", 3.7, 0.3, 0.2), ("mild", 0.9, 0.5, 0.4)],
+    "zero-grad": [("constant", 2.9, 0.0, 1.1), ("mild", 0.9, 0.5, 0.4)],
+    "zero-mass": [("constant", 1.0, 0.0, 1.0), ("no-mass", 0.7, 0.2, 0.0), ("wide", 3.3, 0.1, 0.6)],
+    "infeasible": [("constant", 14.5, 0.0, 1.1), ("mild", 0.9, 0.5, 0.4)],
+}
+
+
+def _brute_fit(rows, anchor, size=200_001):
+    """(least C, least D reaching it) on a dense linear grid of D; (inf, None) if none."""
+    _, lhs, grad, mass = (np.array(v) for v in zip(*rows))
+    ds = np.linspace(anchor, 10.0 * anchor, size)
+    slack = lhs - ds[:, None] * mass
+    ok = np.all(slack[:, grad == 0.0] <= 0.0, axis=1)
+    live = grad > 0.0
+    c = np.max(np.clip(slack[:, live] / grad[live], 0.0, None), axis=1, initial=0.0)
+    if not ok.any():
+        return math.inf, None
+    c_min = float(c[ok].min())
+    return c_min, float(ds[ok & (c <= c_min + 1e-9 * (1.0 + c_min))][0])
+
+
+@pytest.mark.parametrize("case", sorted(FIT_CASES))
+def test_fit_constants_closed_form(case):
+    rows, anchor = FIT_CASES[case], 1.3
+    with np.errstate(invalid="ignore"):  # inf * 0 margins of an infeasible fit
+        res = _fit_constants(rows, anchor)
+    c_brute, d_brute = _brute_fit(rows, anchor)
+    assert res.d_grid == (anchor, 10.0 * anchor)
+    if d_brute is None:
+        assert not res.feasible and res.c == math.inf and res.d == 10.0 * anchor
+        assert res.max_violation == math.inf
+        return
+    assert res.feasible and res.max_violation == 0.0
+    assert (res.c > 0.0) == (c_brute > 0.0) == (case != "zero-grad")
+    assert res.c == pytest.approx(c_brute, rel=1e-9, abs=1e-12)
+    assert abs(res.d - d_brute) <= 9.0 * anchor / 200_000
+    _, lhs, grad, mass = (np.array(v) for v in zip(*rows))
+    assert np.all(res.c * grad + res.d * mass - lhs >= 0.0)
+    assert res.per_function_margins == tuple(res.c * grad + res.d * mass - lhs)
+    if res.d > anchor:
+        below = np.nextafter(res.d, -math.inf)
+        assert np.any(res.c * grad + below * mass - lhs < 0.0)
+
+
+def test_fit_constants_random_rows():
+    # a fit is feasible iff its zero-gradient rows hold at D = 10*anchor, a
+    # feasible fit holds as reported, and a fit with C = 0 (every fit seen on
+    # real chains) ends at the least float D that holds
+    rng = np.random.default_rng(7)
+    counts = {"c0": 0, "c+": 0}
+    for _ in range(2000):
+        k = int(rng.integers(1, 9))
+        lhs, grad, mass = rng.uniform(0.0, 1.0, (3, k)) * 10.0 ** rng.uniform(-3.0, 3.0, (3, 1))
+        grad[rng.uniform(size=k) < 0.2] = 0.0
+        mass[rng.uniform(size=k) < 0.1] = 0.0
+        anchor = float(10.0 ** rng.uniform(-2.0, 2.0))
+        with np.errstate(invalid="ignore"):
+            res = _fit_constants(list(zip("abcdefgh", lhs, grad, mass)), anchor)
+        zero = grad == 0.0
+        assert res.feasible == np.all(10.0 * anchor * mass[zero] - lhs[zero] >= 0.0)
+        if not res.feasible:
+            continue
+        assert np.all(res.c * grad + res.d * mass - lhs >= 0.0)
+        counts["c+" if res.c > 0.0 else "c0"] += 1
+        if res.c == 0.0 and res.d > anchor:
+            below = np.nextafter(res.d, -math.inf)
+            assert np.any(below * mass - lhs < 0.0)
+    assert min(counts.values()) > 300, counts
