@@ -31,10 +31,8 @@ from .coercive import (
 from .fd import (
     FdConfig,
     fd_gradient,
-    harmonicity_residual,
     infinity_laplacian_N,
     infinity_laplacian_witness,
-    sub_laplacian,
 )
 from .group import GroupParams, Point, compose, dilate, field_coefficients, inverse, origin
 from .inequalities import (
@@ -96,7 +94,6 @@ __all__ = [
     "fit_ubound_constants",
     "fundamental_solution_closed",
     "fundamental_solution_quad",
-    "harmonicity_residual",
     "infinity_laplacian_N",
     "infinity_laplacian_witness",
     "inverse",
@@ -110,6 +107,5 @@ __all__ = [
     "run_chains",
     "sample_cloud",
     "split_objective",
-    "sub_laplacian",
     "ubound_terms",
 ]

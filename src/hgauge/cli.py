@@ -281,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--output", help="write the report to this path instead of stdout")
     ap.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
-    ap.add_argument("--threads", type=int, default=None, help="worker threads for cloud checks")
+    ap.add_argument(
+        "--threads", type=int, default=None, help="worker threads for cloud checks, at most one per CPU"
+    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_norm = sub.add_parser("norm", help="gauge evaluation")
@@ -390,6 +392,8 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
     key = tuple(cfg.command.split(" ", 1))
     if key not in _DISPATCH:
         raise ValueError(f"Unknown command {cfg.command!r}.")
+    if cfg.threads is not None and cfg.threads < 1:
+        raise ValueError(f"Need --threads >= 1, got {cfg.threads}.")
     results, passed = _DISPATCH[key](cfg)
     config = {
         "command": cfg.command,

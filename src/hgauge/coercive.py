@@ -8,34 +8,35 @@ with all expectations replaced by Monte Carlo means over a SampleBatch:
     beta-LSI     E[|f|^q |log(|f|^q / E|f|^q)|^beta]
                                            <= C E[|grad f|^q] + D E[|f|^q]
 
-Gradients are horizontal and exact.  The fitter takes D in [a, 10a], a the
-empirical mean of eta, and returns in closed form the smallest C that
-satisfies every test function and then the smallest D that attains it.  The
-constant function pins D from below (its gradient is zero), so the fitted
-pair is a genuine two-sided certificate, not a one-parameter fit.
+Every test function is f = h(u) for a profile h and a base function u: the
+coordinate x_1, or the gauge N(c^{-1} p) about a centre c.  Gradients are
+horizontal and exact, |grad f| = |h'(u)| |grad u|.  X_j x_1 = delta_j1 gives
+|grad x_1| = 1; left invariance gives |grad u| = |grad N| at c^{-1} p, which
+partials_batch returns in closed form as sqrt(grad_sq).  The origin-centred
+functions all read N and |grad N| from the batch's one cached gauge pass;
+a function with a centre makes one pass of its own.
+
+The fitter takes D in [a, 10a], a the empirical mean of eta, and returns in
+closed form the smallest C that satisfies every test function and then the
+smallest D that attains it.  The constant function pins D from below (its
+gradient is zero), so the fitted pair is a genuine two-sided certificate, not
+a one-parameter fit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .group import GroupParams, Point, field_coefficients, inverse
 from .measures import MeasureSpec, SampleBatch, batch_means_se, eta_weight
-from .norm import norm_batch, partials_batch
+from .norm import partials_batch
 
 __all__ = [
     "TestFunction",
-    "Constant",
-    "Coordinate",
-    "Oscillatory",
-    "ExpDecay",
-    "RadialPower",
-    "RadialLog",
-    "SmoothBump",
     "default_family",
     "UboundTerms",
     "FeasibilityResult",
@@ -46,131 +47,50 @@ __all__ = [
     "fit_beta_lsi",
 ]
 
+Profile = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
+
+@dataclass(frozen=True)
 class TestFunction:
-    """Scalar test function with an exact horizontal gradient.
+    """f = h(u), with profile(u) = (h(u), h'(u)).
 
-    value and horizontal_grad act on (m, 2n+1) coordinate arrays.
+    u is x_1 when radial is False, else N(center^{-1} p), the gauge about
+    center (the identity when center is None).
     """
 
-    name: str = "abstract"
+    name: str
+    profile: Profile
+    radial: bool = True
+    center: Optional[Point] = None
 
-    def value(self, coords: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def evaluate(self, batch: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
+        """(f, |grad f|) on every row of the batch.
 
-    def horizontal_grad(self, coords: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def grad_norm(self, coords: np.ndarray) -> np.ndarray:
-        g = self.horizontal_grad(coords)
-        return np.sqrt(np.sum(g * g, axis=-1))
-
-
-class Constant(TestFunction):
-    def __init__(self, c: float = 1.0):
-        self.c = float(c)
-        self.name = "constant"
-
-    def value(self, coords):
-        return np.full(coords.shape[0], self.c)
-
-    def horizontal_grad(self, coords):
-        return np.zeros((coords.shape[0], coords.shape[1] - 1))
-
-
-class Coordinate(TestFunction):
-    """f = x_j (1-based horizontal index)."""
-
-    def __init__(self, j: int = 1):
-        if j < 1:
-            raise ValueError("Coordinate index is 1-based.")
-        self.j = j
-        self.name = f"coordinate-x{j}"
-
-    def value(self, coords):
-        return coords[:, self.j - 1].copy()
-
-    def horizontal_grad(self, coords):
-        g = np.zeros((coords.shape[0], coords.shape[1] - 1))
-        g[:, self.j - 1] = 1.0
-        return g
+        The gradient is an exact 0 wherever h'(u) = 0, even on the central
+        line of center^{-1} p, where |grad N| is not finite.
+        """
+        coords = batch.coords
+        if not self.radial:
+            u, grad_u = coords[:, 0], np.ones(coords.shape[0])
+        elif self.center is None:
+            u, grad_u = batch.norms(), batch.grad_norms()
+        else:
+            y = _left_translate(inverse(self.center), coords)
+            pb = partials_batch(y[:, :-1], y[:, -1])
+            u, grad_u = pb.N, np.sqrt(pb.grad_sq)
+        h, dh = self.profile(u)
+        live = dh != 0.0
+        grad = np.zeros(h.shape)
+        grad[live] = np.abs(dh[live]) * grad_u[live]
+        return h, grad
 
 
-class Oscillatory(TestFunction):
-    """f = sin(omega x_j); X_j only (the twist never touches x_j itself)."""
-
-    def __init__(self, j: int = 1, omega: float = 1.0):
-        self.j = j
-        self.omega = float(omega)
-        self.name = f"sin({self.omega:g}*x{j})"
-
-    def value(self, coords):
-        return np.sin(self.omega * coords[:, self.j - 1])
-
-    def horizontal_grad(self, coords):
-        g = np.zeros((coords.shape[0], coords.shape[1] - 1))
-        g[:, self.j - 1] = self.omega * np.cos(self.omega * coords[:, self.j - 1])
-        return g
-
-
-class _RadialProfile(TestFunction):
-    """f = profile(N(y)), y = offset^{-1} * p; gradient via the chain rule.
-
-    Left invariance makes the horizontal gradient at p equal to
-    profile'(N(y)) * (grad N)(y).  Rows where profile' vanishes are exact
-    zeros even on the central line of y.
-    """
-
-    def __init__(self, params: GroupParams, center: Optional[Point] = None):
-        self.params = params
-        self.center = center
-
-    def _shifted(self, coords: np.ndarray) -> np.ndarray:
-        if self.center is None:
-            return coords
-        # left translation by center^{-1}: y = c^{-1} * p
-        cinv = inverse(self.center)
-        out = np.empty_like(coords)
-        out[:, :-1] = coords[:, :-1] + cinv.x
-        # twist: t + tau + x_p . c(x_cinv)
-        cvec = field_coefficients(cinv)
-        out[:, -1] = cinv.t + coords[:, -1] + coords[:, :-1] @ cvec
-        return out
-
-    def _profile(self, r: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _profile_slope(self, r: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def value(self, coords):
-        y = self._shifted(coords)
-        return self._profile(norm_batch(y[:, :-1], y[:, -1]))
-
-    def horizontal_grad(self, coords):
-        y = self._shifted(coords)
-        rr = norm_batch(y[:, :-1], y[:, -1])
-        slope = self._profile_slope(rr)
-        live = slope != 0.0
-        g = np.zeros((coords.shape[0], coords.shape[1] - 1))
-        if np.any(live):
-            pb = partials_batch(y[live, :-1], y[live, -1])
-            g[live] = slope[live, None] * pb.horizontal
-        return g
-
-
-class ExpDecay(_RadialProfile):
-    """f = exp(-N)."""
-
-    def __init__(self, params: GroupParams):
-        super().__init__(params)
-        self.name = "exp(-N)"
-
-    def _profile(self, r):
-        return np.exp(-r)
-
-    def _profile_slope(self, r):
-        return -np.exp(-r)
+def _left_translate(g: Point, coords: np.ndarray) -> np.ndarray:
+    """Rows g * p for (m, 2n+1) rows p."""
+    out = np.empty_like(coords)
+    out[:, :-1] = coords[:, :-1] + g.x
+    out[:, -1] = g.t + coords[:, -1] + coords[:, :-1] @ field_coefficients(g)
+    return out
 
 
 def _smooth_step(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,92 +117,67 @@ def _smooth_step(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return val, dval
 
 
-class RadialPower(_RadialProfile):
-    """f = N^a * cutoff(N); cutoff is 1 on N <= 2 and 0 on N >= 4."""
-
-    def __init__(self, params: GroupParams, a: float = 1.0):
-        super().__init__(params)
-        if a < 1:
-            raise ValueError("RadialPower needs a >= 1 for a bounded gradient.")
-        self.a = float(a)
-        self.name = f"N^{a:g}*cutoff"
-
-    def _cut(self, r):
-        return _smooth_step((r - 2.0) / 2.0)
-
-    def _profile(self, r):
-        chi, _ = self._cut(r)
-        return r ** self.a * chi
-
-    def _profile_slope(self, r):
-        chi, dchi = self._cut(r)
-        return self.a * r ** (self.a - 1.0) * chi + r ** self.a * dchi / 2.0
+def _constant(u):
+    return np.ones_like(u), np.zeros_like(u)
 
 
-class RadialLog(_RadialProfile):
-    """f = log(1 + N)."""
-
-    def __init__(self, params: GroupParams):
-        super().__init__(params)
-        self.name = "log(1+N)"
-
-    def _profile(self, r):
-        return np.log1p(r)
-
-    def _profile_slope(self, r):
-        return 1.0 / (1.0 + r)
+def _coordinate(u):
+    return u.copy(), np.ones_like(u)
 
 
-class SmoothBump(_RadialProfile):
-    """f = exp(1 - 1/(1 - (m/radius)^2)) on {m < radius}, m = N(center^{-1} p)."""
+def _sine(u):
+    return np.sin(u), np.cos(u)
 
-    def __init__(self, params: GroupParams, center: Optional[Point] = None, radius: float = 1.5):
-        super().__init__(params, center)
-        if not radius > 0:
-            raise ValueError("Bump radius must be positive.")
-        self.radius = float(radius)
-        where = "origin" if center is None else "offset"
-        self.name = f"bump({where}, r={radius:g})"
 
-    def _profile(self, r):
-        s = r / self.radius
-        out = np.zeros_like(s)
-        live = s < 1.0
-        with np.errstate(divide="ignore", over="ignore"):
-            out[live] = np.exp(1.0 - 1.0 / (1.0 - s[live] ** 2))
-        return out
+def _exp_decay(r):
+    h = np.exp(-r)
+    return h, -h
 
-    def _profile_slope(self, r):
-        s = r / self.radius
-        out = np.zeros_like(s)
+
+def _power_cutoff(r):
+    """N * cutoff(N); the cutoff is 1 on N <= 2 and 0 on N >= 4."""
+    chi, dchi = _smooth_step((r - 2.0) / 2.0)
+    return r * chi, chi + r * dchi / 2.0
+
+
+def _log1p(r):
+    return np.log1p(r), 1.0 / (1.0 + r)
+
+
+def _bump(radius: float) -> Profile:
+    """exp(1 - 1/(1 - (r/radius)^2)) on r < radius, 0 beyond."""
+
+    def profile(r):
+        s = r / radius
+        h = np.zeros_like(s)
+        dh = np.zeros_like(s)
         live = s < 1.0
         sl = s[live]
         with np.errstate(divide="ignore", over="ignore"):
-            out[live] = (
-                np.exp(1.0 - 1.0 / (1.0 - sl ** 2))
-                * (-2.0 * sl / (1.0 - sl ** 2) ** 2)
-                / self.radius
-            )
-        return out
+            h[live] = np.exp(1.0 - 1.0 / (1.0 - sl ** 2))
+            dh[live] = h[live] * (-2.0 * sl / (1.0 - sl ** 2) ** 2) / radius
+        return h, dh
+
+    return profile
 
 
-def default_family(params: GroupParams, bump_distance: float = 3.0) -> list[TestFunction]:
+def default_family(params: GroupParams) -> list[TestFunction]:
     """The eight standard test functions.
 
-    The offset bump is centred at bump_distance along x_1 with a radius wide
-    enough (2.5) that its support overlaps the bulk of every default measure;
-    a narrow far bump would have no Monte Carlo support at all.
+    The offset bump is centred at 3 e_1 with a radius wide enough (2.5) that
+    its support overlaps the bulk of every default measure; a narrow far bump
+    would have no Monte Carlo support at all.
     """
-    center = Point(np.eye(params.horizontal_dim)[0] * bump_distance, 0.0)
+    center = Point(np.eye(params.horizontal_dim)[0] * 3.0, 0.0)
     return [
-        Constant(),
-        Coordinate(1),
-        Oscillatory(1, 1.0),
-        ExpDecay(params),
-        RadialPower(params, 1.0),
-        RadialLog(params),
-        SmoothBump(params, None, radius=1.5),
-        SmoothBump(params, center, radius=2.5),
+        TestFunction("constant", _constant, radial=False),
+        TestFunction("coordinate-x1", _coordinate, radial=False),
+        TestFunction("sin(1*x1)", _sine, radial=False),
+        TestFunction("exp(-N)", _exp_decay),
+        TestFunction("N^1*cutoff", _power_cutoff),
+        TestFunction("log(1+N)", _log1p),
+        TestFunction("bump(origin, r=1.5)", _bump(1.5)),
+        TestFunction("bump(offset, r=2.5)", _bump(2.5), center=center),
     ]
 
 
@@ -338,14 +233,14 @@ def ubound_terms(
     restrict_exterior keeps only {N >= 1} contributions on the left side,
     matching the exterior form of the bound; the right side is unchanged.
     """
-    coords = batch.coords
     norms = batch.norms()
     q = spec.q
-    fv = _q_power(f.value(coords), q)
+    values, grads = f.evaluate(batch)
+    fv = _q_power(values, q)
     lhs_samples = eta_weight(spec, norms) * fv
     if restrict_exterior:
         lhs_samples = np.where(norms >= 1.0, lhs_samples, 0.0)
-    grad_samples = _q_power(f.grad_norm(coords), q)
+    grad_samples = _q_power(grads, q)
     return UboundTerms(
         name=f.name,
         lhs=float(np.mean(lhs_samples)),
@@ -366,7 +261,9 @@ def _fit_constants(
     Each row (name, lhs, grad, mass) asks C*grad + D*mass >= lhs.  C(D) is
     non-increasing, so C = C(10*anchor) and D = max (lhs - C*grad)/mass; C,
     and D from one ulp below, then step up by ulps until the reported margins
-    are >= 0 (the least such D when C = 0).  Infeasible when D > 10*anchor.
+    are >= 0 (the least such D when C = 0).  Infeasible when D > 10*anchor:
+    the fit is then reported at (C, 10*anchor), where only zero-gradient rows
+    fall short and max_violation is the largest shortfall.
     """
     names = tuple(r[0] for r in rows)
     lhs, grad, mass = (np.array([r[i] for r in rows]) for i in (1, 2, 3))
@@ -386,12 +283,12 @@ def _fit_constants(
     while d <= d_hi and np.any(margins(c, d) < 0.0):
         d = float(np.nextafter(d, math.inf))
     feasible = d <= d_hi
-    c, d = (c, d) if feasible else (math.inf, d_hi)
+    d = min(d, d_hi)
     final = tuple(float(v) for v in margins(c, d))
     return FeasibilityResult(
         c=c,
         d=d,
-        max_violation=float(max(0.0, -min(final))) if feasible else math.inf,
+        max_violation=max(0.0, -min(final)),
         function_names=names,
         per_function_margins=final,
         d_grid=(float(d_lo), float(d_hi)),
@@ -427,10 +324,9 @@ def poincare_ratio(
     Raises when the gradient mass vanishes (constant f, or a function whose
     support misses the sample entirely).
     """
-    coords = batch.coords
-    fv = f.value(coords)
+    fv, grads = f.evaluate(batch)
     num_samples = _q_power(fv - fv.mean(), spec.q)
-    den_samples = _q_power(f.grad_norm(coords), spec.q)
+    den_samples = _q_power(grads, spec.q)
     den = float(np.mean(den_samples))
     if den == 0.0:
         raise ValueError(f"Degenerate denominator for {f.name!r} (constant on the sample).")
@@ -444,16 +340,16 @@ def beta_lsi_functional(
     """(entropy-like lhs, gradient term, mass term) for the beta-LSI."""
     if spec.beta is None:
         raise ValueError("beta-LSI needs a family carrying a beta exponent.")
-    coords = batch.coords
     q = spec.q
-    fq = _q_power(f.value(coords), q)
+    values, grads = f.evaluate(batch)
+    fq = _q_power(values, q)
     mean_fq = float(np.mean(fq))
     if mean_fq == 0.0:
         raise ValueError(f"{f.name!r} vanishes on the whole sample.")
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.where(fq > 0.0, np.abs(np.log(fq / mean_fq)) ** spec.beta, 0.0)
     lhs = float(np.mean(fq * logs))
-    grad = float(np.mean(_q_power(f.grad_norm(coords), q)))
+    grad = float(np.mean(_q_power(grads, q)))
     return lhs, grad, mean_fq
 
 

@@ -23,9 +23,7 @@ from .norm import npow_field, partials_batch
 __all__ = [
     "FdConfig",
     "HarmonicityCheck",
-    "sub_laplacian",
     "sub_laplacian_batch",
-    "harmonicity_residual",
     "harmonicity_residual_batch",
     "harmonicity_check",
     "fd_gradient",
@@ -133,10 +131,6 @@ def sub_laplacian_batch(field: Field, coords: np.ndarray, cfg: FdConfig) -> np.n
     return val
 
 
-def sub_laplacian(field: Field, p: Point, cfg: FdConfig) -> float:
-    return float(sub_laplacian_batch(field, p.coords()[None, :], cfg)[0])
-
-
 def harmonicity_residual_batch(
     coords: np.ndarray, params: GroupParams, cfg: FdConfig
 ) -> np.ndarray:
@@ -147,10 +141,6 @@ def harmonicity_residual_batch(
     coords = _off_central_line(coords)
     field = npow_field(params, 2 - params.homogeneous_dim)
     return sub_laplacian_batch(field, coords, cfg)
-
-
-def harmonicity_residual(p: Point, params: GroupParams, cfg: FdConfig) -> float:
-    return float(harmonicity_residual_batch(p.coords()[None, :], params, cfg)[0])
 
 
 def _off_central_line(coords: np.ndarray) -> np.ndarray:

@@ -38,6 +38,7 @@ is the coercivity margin; it is positive exactly for n >= 6.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -107,11 +108,14 @@ def draw_cloud(
     rejected; t is uniform in [-t_box, t_box], drawn only for kept rows.
     With window = (lo, hi) a row is also rejected unless lo < N < hi.
     Rejected rows are redrawn until n_points are kept.  Raises ValueError when
-    the box holds no |x| > min_radius, where no row could ever be kept.
+    the box holds no |x| > min_radius, where no row could ever be kept, or
+    when a width 2 x_box or 2 t_box is not a finite float.
     """
     dim = params.horizontal_dim
     if not x_box * math.sqrt(dim) > min_radius:  # min_radius >= 0: x_box <= 0 or NaN fails too
         raise ValueError(f"The x box {x_box!r} holds no |x| > {min_radius!r} in dimension {dim}.")
+    if not (math.isfinite(2.0 * x_box) and math.isfinite(2.0 * t_box)):
+        raise ValueError(f"The box widths 2*{x_box!r} and 2*{t_box!r} must be finite.")
     out = np.empty((n_points, params.horizontal_dim + 1))
     got = 0
     while got < n_points:
@@ -173,14 +177,18 @@ def _cloud_reports(
     """One report per named column of margin_fn over sample_cloud.
 
     margin_fn maps a coordinate block to an (m, k) margin matrix; with
-    threads > 1, clouds of 20000 points or more are split over a thread pool.
+    threads > 1, clouds of 20000 points or more are split into 4 chunks per
+    worker over a pool of min(threads, os.cpu_count()) workers.
     """
+    if not math.isfinite(tolerance):
+        raise ValueError(f"The tolerance {tolerance!r} must be finite.")
     coords = sample_cloud(params, n_points, seed, box=box)
-    if threads is None or threads <= 1 or coords.shape[0] < 20000:
+    workers = min(threads or 1, os.cpu_count() or 1)
+    if workers <= 1 or coords.shape[0] < 20000:
         margins = margin_fn(coords)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            margins = np.concatenate(list(pool.map(margin_fn, np.array_split(coords, threads * 4))))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            margins = np.concatenate(list(pool.map(margin_fn, np.array_split(coords, workers * 4))))
     out = []
     for i, name in enumerate(names):
         col = margins[:, i]

@@ -313,6 +313,7 @@ class SampleBatch:
     chain_index: int
     step_final: float
     _norms: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _grad_norms: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def norms(self) -> np.ndarray:
         """Gauge of every row, read-only; computed on the first call and kept."""
@@ -321,6 +322,15 @@ class SampleBatch:
             norms.flags.writeable = False
             object.__setattr__(self, "_norms", norms)
         return self._norms
+
+    def grad_norms(self) -> np.ndarray:
+        """|grad_H N| of every row, read-only; one partials_batch call, kept."""
+        if self._grad_norms is None:
+            pb = partials_batch(self.coords[:, :-1], self.coords[:, -1])
+            grad_norms = np.sqrt(pb.grad_sq)
+            grad_norms.flags.writeable = False
+            object.__setattr__(self, "_grad_norms", grad_norms)
+        return self._grad_norms
 
 
 def _log_pi_rows(spec: MeasureSpec, coords: np.ndarray) -> np.ndarray:

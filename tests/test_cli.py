@@ -49,8 +49,8 @@ def test_timestamp_present_by_default(capsys):
 # sha256 prefixes of `verify` reports on 3000-step n=6 chains (seed 3, burn
 # 500): terms, anchor and fit are pinned byte for byte
 VERIFY_REPORTS = {
-    "8a03f6b1ce7f168ffe1f2c77df48f3e4": "ubound --family cosh-power --k 1",
-    "e29d0b90646d096e93695c3e3ccdca49": "ubound --family power --k 4 --q 3 --restrict-exterior",
+    "2c89cbd1ecb4e9d25a47c46662dcf121": "ubound --family cosh-power --k 1",
+    "17c50facbe09175420230a4b9cc476f1": "ubound --family power --k 4 --q 3 --restrict-exterior",
     "5ed47fa29378edfff4f0de4311f82978": "lsi --family alpha-power --alpha 1 --p 4 --beta 0.25",
 }
 
@@ -137,10 +137,11 @@ def test_invalid_n_exits_2(capsys):
     assert err["kind"] == "invalid"
 
 
-@pytest.mark.parametrize("box", ["0", "1e-4", "-1"])
+@pytest.mark.parametrize("box", ["0", "1e-4", "-1", "inf", "1e200"])
 def test_box_without_admissible_rows_exits_2(box):
-    # no x in the box reaches |x| >= EXCLUSION, so the cloud sampler could
-    # never keep a row; a subprocess with a timeout keeps a hang out of the suite
+    # in the first three boxes no x reaches |x| >= EXCLUSION, so the cloud
+    # sampler could never keep a row; a subprocess with a timeout keeps a hang
+    # out of the suite.  The last two overflow a box width: t in [-1e400, 1e400]
     argv = ["check", "lemma2", "--n", "2", "--points", "10", "--seed", "1", "--box", box]
     env = dict(os.environ, PYTHONPATH=str(Path(hgauge.__file__).parents[1]))
     cmd = [sys.executable, "-m", "hgauge.cli", *argv]
@@ -149,6 +150,16 @@ def test_box_without_admissible_rows_exits_2(box):
     err = json.loads(p.stderr)
     assert err["kind"] == "invalid"
     assert "box" in err["error"]
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [([], ["--tolerance", "nan"]), (["--threads", "0"], []), (["--threads", "-3"], [])],
+)
+def test_invalid_cloud_option_exits_2(capsys, before, after):
+    argv = [*before, "check", "lemma2", "--n", "2", "--points", "10", "--seed", "1", *after]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "invalid"
 
 
 @pytest.mark.parametrize(

@@ -4,12 +4,10 @@ import pytest
 from hgauge.fd import (
     FdConfig,
     fd_gradient,
-    harmonicity_residual,
     harmonicity_residual_batch,
     infinity_laplacian,
     infinity_laplacian_N,
     infinity_laplacian_witness,
-    sub_laplacian,
     sub_laplacian_batch,
 )
 from hgauge.group import GroupParams, Point, dilate, field_coefficients_batch
@@ -70,16 +68,6 @@ def test_richardson_beats_plain_on_quartic():
     assert abs(rich - want) < abs(plain - want) / 10
 
 
-def test_single_point_wrapper_matches_batch():
-    n = 2
-    params = GroupParams(n)
-    p = Point(np.array([1.0, 0.3, -0.4, 0.9]), 0.6)
-    cfg = FdConfig()
-    a = sub_laplacian(_quadratic_field(n), p, cfg)
-    b = float(sub_laplacian_batch(_quadratic_field(n), p.coords()[None, :], cfg)[0])
-    assert a == b
-
-
 def test_harmonicity_residual_small():
     # N^(2-Q) is annihilated by the sub-Laplacian away from the centre
     params = GroupParams(2)
@@ -98,7 +86,7 @@ def test_harmonicity_residual_small():
 def test_harmonicity_rejects_central_line():
     params = GroupParams(2)
     with pytest.raises(ValueError):
-        harmonicity_residual(Point(np.zeros(4), 1.0), params, FdConfig())
+        harmonicity_residual_batch(np.array([[0.0, 0.0, 0.0, 0.0, 1.0]]), params, FdConfig())
 
 
 def test_fd_gradient_polynomial():

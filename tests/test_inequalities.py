@@ -1,11 +1,13 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgauge import inequalities
 from hgauge.group import GroupParams
 from hgauge.inequalities import (
     DEFAULT_TOLERANCE,
@@ -82,6 +84,34 @@ def test_threading_does_not_change_results():
     for a, b in zip(serial, parallel):
         assert a.min_margin == b.min_margin
         assert np.array_equal(np.asarray(a.worst_point), np.asarray(b.worst_point))
+
+
+def test_thread_pool_is_capped_at_cpu_count(monkeypatch):
+    # a stand-in executor records the pool size and maps in this thread, so a
+    # huge thread count starts no threads even if the cap were missing
+    seen = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            chunks = list(chunks)
+            seen.append(len(chunks))
+            return map(fn, chunks)
+
+    monkeypatch.setattr(inequalities, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    params = GroupParams(2)
+    capped = check_gradient_bounds(params, 20_000, seed=3, threads=10**6)
+    assert seen == [3, 12]
+    assert capped == check_gradient_bounds(params, 20_000, seed=3, threads=1)
 
 
 def test_report_as_dict_roundtrips_through_json():
