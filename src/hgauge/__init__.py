@@ -28,12 +28,7 @@ from .coercive import (
     poincare_ratio,
     ubound_terms,
 )
-from .fd import (
-    FdConfig,
-    fd_gradient,
-    infinity_laplacian_N,
-    infinity_laplacian_witness,
-)
+from .fd import FdConfig, fd_gradient, infinity_laplacian_witness
 from .group import GroupParams, Point, compose, dilate, field_coefficients, inverse, origin
 from .inequalities import (
     InequalityReport,
@@ -94,7 +89,6 @@ __all__ = [
     "fit_ubound_constants",
     "fundamental_solution_closed",
     "fundamental_solution_quad",
-    "infinity_laplacian_N",
     "infinity_laplacian_witness",
     "inverse",
     "log_density",

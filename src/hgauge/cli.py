@@ -13,10 +13,11 @@ Subcommands:
     verify ubound|poincare|lsi   empirical functional inequalities
 
 Reports embed the full run configuration; identical configurations give
-byte-identical reports once --no-timestamp is passed.  Exit status: 0 all
-checks passed, 1 a check failed, 2 invalid configuration (an output path
-that cannot be written included), 3 numerical breakdown (a mis-tuned chain,
-a quadrature that did not converge).
+byte-identical reports once --no-timestamp is passed.  Reports are strict
+JSON.  Exit status: 0 all checks passed, 1 a check failed, 2 invalid
+configuration (an output path that cannot be written included), 3 numerical
+breakdown (a mis-tuned chain, a quadrature that did not converge, a report
+that holds a non-finite number).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -177,17 +179,20 @@ def _cmd_check_constants(cfg: RunConfig) -> tuple[dict, bool]:
         margin = inequalities.coercivity_margin(n)
         a = inequalities.alpha_opt(n)
         h = 1e-5 * a
-        stat = abs(
-            inequalities.split_objective(a + h, n) - inequalities.split_objective(a - h, n)
-        ) / (2 * h)
+        f_plus = inequalities.split_objective(a + h, n)
+        f_minus = inequalities.split_objective(a - h, n)
+        stat = abs(f_plus - f_minus) / (2 * h)
+        # rounding in f(a +- h) alone can reach eps (|f(a+h)| + |f(a-h)|) / (2h)
+        floor = sys.float_info.epsilon * (abs(f_plus) + abs(f_minus)) / (2 * h)
         sign_ok = margin < 0 if n <= 5 else margin > 0
-        ok = ok and sign_ok and stat <= 1e-10
+        ok = ok and sign_ok and stat <= 1e-10 + floor
         table.append(
             {
                 "n": n,
                 "margin": margin,
                 "alpha_opt": a,
                 "stationarity_fd": stat,
+                "stationarity_floor": floor,
                 "sign_expected": sign_ok,
             }
         )
@@ -196,6 +201,8 @@ def _cmd_check_constants(cfg: RunConfig) -> tuple[dict, bool]:
 
 def _cmd_bgg_compare(cfg: RunConfig) -> tuple[dict, bool]:
     o = cfg.options
+    if not math.isfinite(o["max_rel_err"]):
+        raise ValueError(f"Need a finite --max-rel-err, got {o['max_rel_err']}.")
     params = GroupParams(o["n"])
     qcfg = bgg.QuadratureConfig(rel_tol=o["rel_tol"])
     summary = bgg.compare_cloud(params, o["points"], o["seed"], qcfg)
@@ -416,6 +423,14 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
     return status, report
 
 
+def _strict_json(report: dict) -> str:
+    """The report as JSON; a NaN or infinity in it is a numerical breakdown."""
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise RuntimeError(f"The report holds a non-finite number ({exc}).") from None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = config_from_args(argv)
@@ -423,13 +438,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         status, report = run(cfg)
-        text = json.dumps(report, sort_keys=True, indent=2)
+        text = _strict_json(report)
         if cfg.output_path:
             with open(cfg.output_path, "w") as fh:
                 fh.write(text + "\n")
     except (ValueError, RuntimeError, OSError) as exc:
-        # RuntimeError: a mis-tuned chain or a quadrature that did not converge;
-        # OSError: an --output or --out path that cannot be written
+        # RuntimeError: a mis-tuned chain, a quadrature that did not converge
+        # or a non-finite report; OSError: an --output or --out path that
+        # cannot be written
         numerical = isinstance(exc, RuntimeError)
         err = {
             "schema": SCHEMA_VERSION,

@@ -6,13 +6,13 @@ The sub-Laplacian in coordinates is
 
 with the central coefficients c_j from the group layer.  Second derivatives
 use 3-point central stencils, mixed ones 4-point cross stencils.  Steps scale
-with 1 + ||p||_inf.  Richardson extrapolation (h, h/2) is off by default and
-enabled where fourth-order accuracy is needed.
+with 1 + ||p||_inf.  Every stencil is one matrix of step multiples, and the
+field is evaluated once on all of its shifted copies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -27,8 +27,6 @@ __all__ = [
     "harmonicity_residual_batch",
     "harmonicity_check",
     "fd_gradient",
-    "infinity_laplacian",
-    "infinity_laplacian_N",
     "infinity_laplacian_witness",
 ]
 
@@ -39,7 +37,6 @@ Field = Callable[[np.ndarray], np.ndarray]
 class FdConfig:
     h_base: float = 1e-4        # second differences
     h_first: float = 1e-6       # first differences
-    richardson: bool = False
 
     def __post_init__(self) -> None:
         if not (self.h_base > 0 and self.h_first > 0):
@@ -54,11 +51,27 @@ def _step(coords: np.ndarray, base: float) -> np.ndarray:
     return h
 
 
-def _eval(field: Field, coords: np.ndarray) -> np.ndarray:
-    vals = np.asarray(field(coords), dtype=float)
+def _stencil(field: Field, coords: np.ndarray, shifts: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Field at coords + shifts[k] * h for every stencil row k; returns (K, m).
+
+    shifts is a (K, 2n+1) integer matrix of step multiples in {-1, 0, 1}, so
+    every shifted coordinate is an exact coords +- h, or coords itself.
+    """
+    m, dim = coords.shape
+    rows = coords[None, :, :] + shifts[:, None, :] * h[None, :, None]
+    vals = np.asarray(field(rows.reshape(-1, dim)), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("Non-finite field values in finite-difference stencil.")
-    return vals
+    return vals.reshape(len(shifts), m)
+
+
+def _sub_laplacian_shifts(dim: int) -> np.ndarray:
+    """Centre, (+j, -j) pairs, cross quadruples (+-j, +-t), then (+t, -t)."""
+    eye = np.eye(dim, dtype=int)
+    hor, t = eye[:-1], eye[-1]
+    axial = np.stack([hor, -hor], axis=1).reshape(-1, dim)
+    cross = np.stack([hor + t, hor - t, -hor + t, -hor - t], axis=1).reshape(-1, dim)
+    return np.vstack([np.zeros_like(t), axial, cross, t, -t])
 
 
 def _sub_laplacian_h(
@@ -73,27 +86,7 @@ def _sub_laplacian_h(
     k = dim - 1  # horizontal dimension 2n
     c = field_coefficients_batch(coords[:, :-1])
     csq = np.sum(c * c, axis=-1)
-
-    # stencil layout per row: center, (+j, -j) pairs, cross quadruples, (+t, -t)
-    offsets = [np.zeros((m, dim))]
-    for j in range(k):
-        for sj in (+1.0, -1.0):
-            o = np.zeros((m, dim))
-            o[:, j] = sj * h
-            offsets.append(o)
-    for j in range(k):
-        for sj, st in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            o = np.zeros((m, dim))
-            o[:, j] = sj * h
-            o[:, -1] = st * h
-            offsets.append(o)
-    for st in (+1.0, -1.0):
-        o = np.zeros((m, dim))
-        o[:, -1] = st * h
-        offsets.append(o)
-
-    stacked = coords[None, :, :] + np.stack(offsets)  # (n_off, m, dim)
-    vals = _eval(field, stacked.reshape(-1, dim)).reshape(len(offsets), m)
+    vals = _stencil(field, coords, _sub_laplacian_shifts(dim), h)
 
     h2 = h * h
     center = vals[0]
@@ -123,12 +116,7 @@ def _sub_laplacian_h(
 def sub_laplacian_batch(field: Field, coords: np.ndarray, cfg: FdConfig) -> np.ndarray:
     """Finite-difference sub-Laplacian of field on (m, 2n+1) coordinate rows."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    h = _step(coords, cfg.h_base)
-    val, _ = _sub_laplacian_h(field, coords, h)
-    if cfg.richardson:
-        half, _ = _sub_laplacian_h(field, coords, 0.5 * h)
-        val = (4.0 * half - val) / 3.0
-    return val
+    return _sub_laplacian_h(field, coords, _step(coords, cfg.h_base))[0]
 
 
 def harmonicity_residual_batch(
@@ -185,52 +173,11 @@ def harmonicity_check(
 def fd_gradient(field: Field, coords: np.ndarray, cfg: FdConfig) -> np.ndarray:
     """Central first differences of field; returns (m, 2n+1) Euclidean gradients."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    m, dim = coords.shape
+    dim = coords.shape[1]
     h = _step(coords, cfg.h_first)
-    out = np.empty((m, dim))
-    for i in range(dim):
-        plus = coords.copy()
-        minus = coords.copy()
-        plus[:, i] += h
-        minus[:, i] -= h
-        out[:, i] = (_eval(field, plus) - _eval(field, minus)) / (2.0 * h)
-    return out
-
-
-def infinity_laplacian(
-    grad_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    p: Point,
-    cfg: FdConfig,
-) -> float:
-    """Infinity-Laplacian 0.5 <grad |grad u|^2, grad u> at p.
-
-    grad_fn maps (m, 2n+1) coordinate rows to (horizontal gradient (m, 2n),
-    |grad u|^2 (m,)); the outer gradient of |grad u|^2 is taken by first
-    differences and contracted with the exact inner gradient.
-    """
-    coords = p.coords()[None, :]
-    horiz, _ = grad_fn(coords)
-    gsq_field: Field = lambda c: grad_fn(np.atleast_2d(c))[1]
-    egrad = fd_gradient(gsq_field, coords, cfg)[0]
-    c = field_coefficients_batch(p.x[None, :])[0]
-    horiz_of_gsq = egrad[:-1] + c * egrad[-1]
-    return float(0.5 * horiz_of_gsq @ horiz[0])
-
-
-def _norm_grad_fn(params: GroupParams) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    def grad_fn(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        pb = partials_batch(coords[:, :-1], coords[:, -1])
-        return pb.horizontal, pb.grad_sq
-
-    return grad_fn
-
-
-def infinity_laplacian_N(p: Point, params: GroupParams, cfg: FdConfig) -> float:
-    """Infinity-Laplacian of the gauge N itself, exact inner gradient."""
-    if not np.any(p.x):
-        raise ValueError("infinity_laplacian_N is singular on the central line x = 0.")
-    return infinity_laplacian(_norm_grad_fn(params), p, cfg)
+    eye = np.eye(dim, dtype=int)
+    vals = _stencil(field, coords, np.vstack([eye, -eye]), h)
+    return ((vals[:dim] - vals[dim:]) / (2.0 * h)).T
 
 
 def infinity_laplacian_witness(
@@ -238,15 +185,28 @@ def infinity_laplacian_witness(
 ) -> tuple[float, float]:
     """(value, noise floor) for the infinity-Laplacian of N at p.
 
-    The floor combines the (h, h/2) difference of the outer first
-    differences with a roundoff estimate; a value exceeding the floor by a
-    clear factor certifies a genuinely nonzero infinity-Laplacian.
+    The value is 0.5 <grad_H |grad_H N|^2, grad_H N>, with the exact inner
+    gradient and the outer gradient of |grad_H N|^2 by first differences at
+    h_first and h_first/2; the finer one is reported.  The floor combines
+    the difference of the two with a roundoff estimate; a value exceeding
+    the floor by a clear factor certifies a genuinely nonzero
+    infinity-Laplacian.
     """
-    coarse = infinity_laplacian_N(p, params, cfg)
-    fine_cfg = replace(cfg, h_first=cfg.h_first * 0.5)
-    fine = infinity_laplacian_N(p, params, fine_cfg)
+    if not np.any(p.x):
+        raise ValueError("The infinity-Laplacian of N is singular on the central line x = 0.")
+    coords = p.coords()[None, :]
     pb = partials_batch(p.x[None, :], np.asarray([p.t]))
-    h = _step(p.coords()[None, :], cfg.h_first)[0]
+    c = field_coefficients_batch(p.x[None, :])[0]
+
+    def grad_sq(rows: np.ndarray) -> np.ndarray:
+        return partials_batch(rows[:, :-1], rows[:, -1]).grad_sq
+
+    def value(h_first: float) -> float:
+        egrad = fd_gradient(grad_sq, coords, FdConfig(cfg.h_base, h_first))[0]
+        return float(0.5 * (egrad[:-1] + c * egrad[-1]) @ pb.horizontal[0])
+
+    coarse, fine = value(cfg.h_first), value(cfg.h_first * 0.5)
+    h = _step(coords, cfg.h_first)[0]
     scale = float(pb.grad_sq[0]) * np.sqrt(float(pb.grad_sq[0]))
     roundoff = np.finfo(float).eps * (p.x.size + 1) * scale / h
     floor = abs(coarse - fine) / 3.0 + roundoff

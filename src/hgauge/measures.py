@@ -78,6 +78,10 @@ class MeasureSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"Unknown family {self.family!r}; choose from {FAMILIES}.")
+        for name in ("q", "k", "alpha", "p", "beta"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"Need a finite {name}, got {value}.")
         if self.q < 2:
             raise ValueError(f"Need q >= 2, got {self.q}.")
         if self.family == "power":
@@ -297,8 +301,8 @@ class SamplerConfig:
             raise ValueError(f"Unknown algorithm {self.algorithm!r}.")
         if not (0 <= self.burn_in < self.n_steps):
             raise ValueError("Need 0 <= burn_in < n_steps.")
-        if not self.step > 0:
-            raise ValueError("Need step > 0.")
+        if not (self.step > 0 and math.isfinite(self.step)):
+            raise ValueError(f"Need a finite step > 0, got {self.step}.")
         if self.n_chains < 1:
             raise ValueError("Need n_chains >= 1.")
 
@@ -308,20 +312,16 @@ class SampleBatch:
     """Post-burn-in draws of one chain."""
 
     coords: np.ndarray        # (m, 2n+1)
-    log_densities: np.ndarray  # (m,) unnormalised
+    log_densities: np.ndarray  # (m,) unnormalised, -g(N)
     acceptance_rate: float
     chain_index: int
     step_final: float
-    _norms: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    gauge: np.ndarray          # (m,) N of every row, read-only
     _grad_norms: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def norms(self) -> np.ndarray:
-        """Gauge of every row, read-only; computed on the first call and kept."""
-        if self._norms is None:
-            norms = norm_batch(self.coords[:, :-1], self.coords[:, -1])
-            norms.flags.writeable = False
-            object.__setattr__(self, "_norms", norms)
-        return self._norms
+        """Gauge N of every row, read-only; the sampler's own values."""
+        return self.gauge
 
     def grad_norms(self) -> np.ndarray:
         """|grad_H N| of every row, read-only; one partials_batch call, kept."""
@@ -333,16 +333,20 @@ class SampleBatch:
         return self._grad_norms
 
 
-def _log_pi_rows(spec: MeasureSpec, coords: np.ndarray) -> np.ndarray:
-    return -g_value(spec, norm_batch(coords[:, :-1], coords[:, -1]))
+def _log_pi_rows(spec: MeasureSpec, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauge and log pi of every row."""
+    norms = norm_batch(coords[:, :-1], coords[:, -1])
+    return norms, -g_value(spec, norms)
 
 
-def _log_pi_grad_rows(spec: MeasureSpec, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log pi and its Euclidean gradient from one partials_batch call."""
+def _log_pi_grad_rows(
+    spec: MeasureSpec, coords: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauge, log pi and its Euclidean gradient from one partials_batch call."""
     pb = partials_batch(coords[:, :-1], coords[:, -1])
     gp = g_prime(spec, pb.N)
     grad = np.concatenate([pb.dN_dx, pb.dN_dt[:, None]], axis=1)
-    return -g_value(spec, pb.N), -gp[:, None] * grad
+    return pb.N, -g_value(spec, pb.N), -gp[:, None] * grad
 
 
 TUNE_INTERVAL = 200
@@ -383,12 +387,11 @@ def run_chain(
 
     burn = cfg.burn_in
     kept = np.empty((cfg.n_steps - burn, dim))
-    kept_logpi = np.empty(cfg.n_steps - burn)
+    kept_norms = np.empty(cfg.n_steps - burn)
     if mala:
-        logpi, grad = _log_pi_grad_rows(spec, state[None, :])
-        logpi, grad = logpi[0], grad[0]
+        norm, logpi, grad = (v[0] for v in _log_pi_grad_rows(spec, state[None, :]))
     else:
-        logpi = _log_pi_rows(spec, state[None, :])[0]
+        norm, logpi = (v[0] for v in _log_pi_rows(spec, state[None, :]))
 
     accepted_window = 0
     accepted_main = 0
@@ -407,7 +410,7 @@ def run_chain(
                 end = i + max(int(np.argmin(live)), 1)
                 props = props[: end - i]
             if live[0]:
-                prop_logpi, prop_grad = _log_pi_grad_rows(spec, props)
+                prop_norms, prop_logpi, prop_grad = _log_pi_grad_rows(spec, props)
                 back = props + 0.5 * step * step * prop_grad
                 fwd_q = -np.sum((props - drift) ** 2, axis=1) / (2.0 * step * step)
                 back_q = -np.sum((state - back) ** 2, axis=1) / (2.0 * step * step)
@@ -416,7 +419,7 @@ def run_chain(
                 log_ratio = np.array([-np.inf])
         else:
             props = state + step * normals[i:end]
-            prop_logpi = _log_pi_rows(spec, props)
+            prop_norms, prop_logpi = _log_pi_rows(spec, props)
             log_ratio = prop_logpi - logpi
 
         accept = log_us[i:end] < log_ratio
@@ -424,17 +427,17 @@ def run_chain(
         j = i + k if accept[k] else end
         if i >= burn:
             kept[i - burn : j - burn] = state
-            kept_logpi[i - burn : j - burn] = logpi
+            kept_norms[i - burn : j - burn] = norm
         i = j
         if accept[k]:
             state = props[k]
-            logpi = prop_logpi[k]
+            norm, logpi = prop_norms[k], prop_logpi[k]
             if mala:
                 grad = prop_grad[k]
             if i >= burn:
                 accepted_main += 1
                 kept[i - burn] = state
-                kept_logpi[i - burn] = logpi
+                kept_norms[i - burn] = norm
             else:
                 accepted_window += 1
             i += 1
@@ -449,12 +452,14 @@ def run_chain(
         raise RuntimeError(
             f"Acceptance rate {rate:.3f} outside [0.02, 0.98]; step mis-tuned."
         )
+    kept_norms.flags.writeable = False
     return SampleBatch(
         coords=kept,
-        log_densities=kept_logpi,
+        log_densities=-g_value(spec, kept_norms),
         acceptance_rate=rate,
         chain_index=chain_index,
         step_final=step,
+        gauge=kept_norms,
     )
 
 

@@ -85,7 +85,7 @@ def test_03_harmonicity_within_truncation():
     h = 1.6e-3
     plain = fd.harmonicity_residual_batch(coords, params, fd.FdConfig(h_base=h))
     half = fd.harmonicity_residual_batch(coords, params, fd.FdConfig(h_base=h / 2))
-    rich = fd.harmonicity_residual_batch(coords, params, fd.FdConfig(h_base=h, richardson=True))
+    rich = fd.harmonicity_check(coords, params, h).residual
     estimate = np.abs(plain - half)
     bounded = bool(np.all(np.abs(rich) <= estimate))
     ok = bounded and abs(slope - 2.0) <= 0.3

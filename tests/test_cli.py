@@ -68,6 +68,22 @@ def test_reports_are_byte_identical(capsys):
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:32] == digest, args
 
 
+# sha256 prefixes of `check infinity-harmonic` reports and their exit
+# status: the witness value, noise floor and verdict are pinned byte for byte
+INFINITY_REPORTS = {
+    "16b86a3e7cda825d808a0e78b571ce5f": ("--n 2", 0),
+    "ab173c441e113db407cb9a0712ad0d62": ("--n 3", 0),
+    "814100ea22c1345692bf63924f47ad70": ("--n 6", 0),
+    "01ba249315622c2210c2a1ad6b8c0c0c": ("--n 2 --x 1,0,1,0 --t 0", 1),
+}
+
+
+def test_infinity_harmonic_reports_are_pinned(capsys):
+    for digest, (args, status) in INFINITY_REPORTS.items():
+        assert main(["--no-timestamp", "check", "infinity-harmonic", *args.split()]) == status
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:32] == digest, args
+
+
 def test_check_lemma2_passes(capsys):
     status, report = _run_json(
         capsys,
@@ -95,6 +111,18 @@ def test_check_constants_range(capsys):
     rows = report["results"]["table"]
     assert [r["n"] for r in rows] == list(range(2, 9))
     assert all(r["sign_expected"] for r in rows)
+
+
+def test_check_constants_roundoff_floor(capsys):
+    # from n ~ 290 on, rounding in split_objective(alpha_opt +- h) alone
+    # exceeds 1e-10; the floor eps (|f(a+h)| + |f(a-h)|) / (2h) admits it
+    status, report = _run_json(
+        capsys, ["--no-timestamp", "check", "constants", "--n-range", "280..300"]
+    )
+    assert status == 0
+    rows = report["results"]["table"]
+    assert any(r["stationarity_fd"] > 1e-10 for r in rows)
+    assert all(r["stationarity_fd"] <= 1e-10 + r["stationarity_floor"] for r in rows)
 
 
 def test_bgg_compare(capsys):
@@ -160,6 +188,38 @@ def test_invalid_cloud_option_exits_2(capsys, before, after):
     argv = [*before, "check", "lemma2", "--n", "2", "--points", "10", "--seed", "1", *after]
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().err)["kind"] == "invalid"
+
+
+VERIFY_SHORT = ["verify", "ubound", "--n", "2", "--seed", "1", "--steps", "600", "--burn", "100"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        VERIFY_SHORT + ["--family", "power", "--k", "4", "--q", "nan"],
+        VERIFY_SHORT + ["--family", "power", "--k", "4", "--q", "inf"],
+        VERIFY_SHORT + ["--family", "power", "--k", "nan"],
+        VERIFY_SHORT + ["--family", "power", "--k", "4", "--step", "inf"],
+        ["bgg", "compare", "--n", "2", "--points", "5", "--seed", "1", "--max-rel-err", "nan"],
+    ],
+    ids=["q-nan", "q-inf", "k-nan", "step-inf", "max-rel-err-nan"],
+)
+def test_non_finite_parameter_exits_2(capsys, argv):
+    assert main(["--no-timestamp", *argv]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "invalid"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("x", ["1e200,0,0,0", "1e-200,0,0,0"])
+def test_non_finite_report_exits_3(capsys, x):
+    # at 1e200 the closed form overflows, at 1e-200 the derivatives are NaN;
+    # a report holding NaN or infinity is not strict JSON and is not printed
+    assert main(["--no-timestamp", "norm", "eval", "--n", "2", "--x", x]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err["kind"] == "numerical"
+    assert "non-finite" in err["error"]
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,8 @@ def batch():
 
 def _rows(coords):
     """A SampleBatch holding arbitrary coordinate rows."""
-    return SampleBatch(coords, np.zeros(len(coords)), 1.0, 0, 1.0)
+    norms = norm_batch(coords[:, :-1], coords[:, -1])
+    return SampleBatch(coords, np.zeros(len(coords)), 1.0, 0, 1.0, norms)
 
 
 def _fd_horizontal_grad(f, coords, h=1e-6):
@@ -150,8 +151,8 @@ def test_offset_bump_is_left_translate():
 
 
 def test_family_shares_one_gauge_pass(batch, monkeypatch):
-    # every origin-centred function reads the batch's cached N and |grad N|;
-    # only the offset bump makes a gauge pass of its own
+    # every origin-centred function reads the sampler's N and the batch's
+    # cached |grad N|; only the offset bump makes a gauge pass of its own
     calls = {"norm_batch": 0, "partials_batch": 0}
     for name in calls:
         target = getattr(norm, name)
@@ -163,9 +164,9 @@ def test_family_shares_one_gauge_pass(batch, monkeypatch):
         for module in (norm, measures, coercive):
             if getattr(module, name, None) is target:
                 monkeypatch.setattr(module, name, counted)
-    fresh = dataclasses.replace(batch)  # empty caches
+    fresh = dataclasses.replace(batch)  # empty cache
     fit_ubound_constants(FAMILY, POWER4, fresh)
-    assert calls["norm_batch"] <= 1 and calls["partials_batch"] <= 2, calls
+    assert calls["norm_batch"] == 0 and calls["partials_batch"] <= 2, calls
 
 
 def test_constant_has_zero_gradient(batch):

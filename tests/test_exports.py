@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 import re
@@ -26,3 +27,48 @@ def test_readme_python_blocks_run():
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["result"].feasible
+
+
+def _is_dataclass(node):
+    # @dataclass or @dataclass(...)
+    decorators = [getattr(d, "func", d) for d in node.decorator_list]
+    return any(getattr(d, "id", None) == "dataclass" for d in decorators)
+
+
+def _init_false(value):
+    # field(..., init=False)
+    return (
+        isinstance(value, ast.Call)
+        and getattr(value.func, "id", None) == "field"
+        and any(
+            kw.arg == "init" and getattr(kw.value, "value", None) is False for kw in value.keywords
+        )
+    )
+
+
+def _count_options(tree):
+    """Defaulted parameters of public functions and methods, plus defaulted
+    dataclass fields that the constructor takes."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("_"):
+                count += len(node.args.defaults)
+                count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(
+                isinstance(stmt, ast.AnnAssign)
+                and stmt.value is not None
+                and not _init_false(stmt.value)
+                for stmt in node.body
+            )
+    return count
+
+
+def test_option_count_is_pinned():
+    # Each independently settable option doubles the configurations that
+    # tests and benchmarks must cover.  A change that adds an option must
+    # justify it in review; one that removes an option lowers this count.
+    src = Path(hgauge.__file__).resolve().parent
+    total = sum(_count_options(ast.parse(p.read_text())) for p in sorted(src.glob("*.py")))
+    assert total == 34

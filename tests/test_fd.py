@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+from hgauge import fd, norm
 from hgauge.fd import (
     FdConfig,
     fd_gradient,
     harmonicity_residual_batch,
-    infinity_laplacian,
-    infinity_laplacian_N,
     infinity_laplacian_witness,
     sub_laplacian_batch,
 )
@@ -53,21 +52,6 @@ def test_sub_laplacian_kills_linear_and_central():
         assert np.max(np.abs(got)) < 1e-8
 
 
-def test_richardson_beats_plain_on_quartic():
-    n = 2
-    coords = np.array([[1.0, 0.5, -0.3, 0.8, 0.2]])
-
-    def field(c):
-        return c[:, 0] ** 4
-
-    # exact sub-Laplacian is 12 x_1^2
-    want = 12.0 * coords[0, 0] ** 2
-    h = FdConfig(h_base=1e-2)
-    plain = float(sub_laplacian_batch(field, coords, h)[0])
-    rich = float(sub_laplacian_batch(field, coords, FdConfig(h_base=1e-2, richardson=True))[0])
-    assert abs(rich - want) < abs(plain - want) / 10
-
-
 def test_harmonicity_residual_small():
     # N^(2-Q) is annihilated by the sub-Laplacian away from the centre
     params = GroupParams(2)
@@ -99,29 +83,30 @@ def test_fd_gradient_polynomial():
     assert np.allclose(g, want, atol=1e-7)
 
 
-def test_infinity_laplacian_zero_for_coordinate():
-    # |grad x_1| is constant, so the infinity-Laplacian vanishes
-    params = GroupParams(2)
-
-    def grad_fn(coords):
-        m = coords.shape[0]
-        g = np.zeros((m, 4))
-        g[:, 0] = 1.0
-        return g, np.zeros(m)
-
-    p = Point(np.array([0.4, 1.0, -0.2, 0.3]), 0.5)
-    val = infinity_laplacian(grad_fn, p, FdConfig())
-    assert abs(val) < 1e-10
-
-
 def test_infinity_laplacian_scaling():
     # degree -1 homogeneity under the dilations
     params = GroupParams(2)
     p = Point(np.array([1.0, 1.0, 0.0, 0.0]), 0.3)
     lam = 2.0
-    v1 = infinity_laplacian_N(p, params, FdConfig())
-    v2 = infinity_laplacian_N(dilate(lam, p), params, FdConfig())
+    v1, _ = infinity_laplacian_witness(p, params, FdConfig())
+    v2, _ = infinity_laplacian_witness(dilate(lam, p), params, FdConfig())
     assert v2 == pytest.approx(v1 / lam, rel=1e-4)
+
+
+def test_witness_makes_three_gauge_passes(monkeypatch):
+    # one at p for the inner gradient, one per step for the outer stencil
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return norm.partials_batch(*args)
+
+    monkeypatch.setattr(fd, "partials_batch", counted)
+    params = GroupParams(2)
+    infinity_laplacian_witness(Point(np.array([1.0, 1.0, 0.0, 0.0]), 0.3), params, FdConfig())
+    assert calls == [1, 10, 10]
+    with pytest.raises(ValueError):
+        infinity_laplacian_witness(Point(np.zeros(4), 0.3), params, FdConfig())
 
 
 def test_witness_clears_noise_floor():
