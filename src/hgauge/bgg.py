@@ -284,6 +284,8 @@ def compare_cloud(
     x stays clear of the central line, where the integral representation is
     singular.
     """
+    if not n_points >= 1:
+        raise ValueError(f"Need at least 1 point, got {n_points!r}.")
     rng = np.random.default_rng(seed)
     coords = draw_cloud(rng, params, n_points, CLOUD_BOX, CLOUD_T_MAX, CLOUD_MIN_RADIUS, None)
     a, b = ab_batch(coords[:, :-1])

@@ -401,6 +401,8 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
         raise ValueError(f"Unknown command {cfg.command!r}.")
     if cfg.threads is not None and cfg.threads < 1:
         raise ValueError(f"Need --threads >= 1, got {cfg.threads}.")
+    if cfg.options.get("points", 1) < 1:
+        raise ValueError(f"Need --points >= 1, got {cfg.options['points']}.")
     results, passed = _DISPATCH[key](cfg)
     config = {
         "command": cfg.command,

@@ -12,6 +12,7 @@ field is evaluated once on all of its shifted copies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -39,8 +40,13 @@ class FdConfig:
     h_first: float = 1e-6       # first differences
 
     def __post_init__(self) -> None:
-        if not (self.h_base > 0 and self.h_first > 0):
-            raise ValueError("Finite-difference steps must be positive.")
+        _check_step(self.h_base)
+        _check_step(self.h_first)
+
+
+def _check_step(base: float) -> None:
+    if not (base > 0 and math.isfinite(base)):
+        raise ValueError(f"Finite-difference steps must be finite and positive, got {base!r}.")
 
 
 def _step(coords: np.ndarray, base: float) -> np.ndarray:
@@ -160,6 +166,7 @@ def harmonicity_check(
     N^(2-Q) amplifies the relative error of N by |2-Q|, and the Richardson
     mix (4 half - plain) / 3 weights the h/2 stencil by 4/3.
     """
+    _check_step(h_base)
     coords = _off_central_line(coords)
     power = 2 - params.homogeneous_dim
     field = npow_field(params, power)

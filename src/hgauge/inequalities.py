@@ -93,6 +93,18 @@ class InequalityReport:
         }
 
 
+def _check_box(dim: int, x_box: float, t_box: float, min_radius: float) -> None:
+    if not x_box * math.sqrt(dim) > min_radius:  # min_radius >= 0: x_box <= 0 or NaN fails too
+        raise ValueError(f"The x box {x_box!r} holds no |x| > {min_radius!r} in dimension {dim}.")
+    if not (math.isfinite(2.0 * x_box) and math.isfinite(2.0 * t_box)):
+        raise ValueError(f"The box widths 2*{x_box!r} and 2*{t_box!r} must be finite.")
+
+
+def _check_points(n_points: int) -> None:
+    if not n_points >= 1:
+        raise ValueError(f"Need at least 1 point, got {n_points!r}.")
+
+
 def draw_cloud(
     rng: np.random.Generator,
     params: GroupParams,
@@ -111,11 +123,7 @@ def draw_cloud(
     the box holds no |x| > min_radius, where no row could ever be kept, or
     when a width 2 x_box or 2 t_box is not a finite float.
     """
-    dim = params.horizontal_dim
-    if not x_box * math.sqrt(dim) > min_radius:  # min_radius >= 0: x_box <= 0 or NaN fails too
-        raise ValueError(f"The x box {x_box!r} holds no |x| > {min_radius!r} in dimension {dim}.")
-    if not (math.isfinite(2.0 * x_box) and math.isfinite(2.0 * t_box)):
-        raise ValueError(f"The box widths 2*{x_box!r} and 2*{t_box!r} must be finite.")
+    _check_box(params.horizontal_dim, x_box, t_box, min_radius)
     out = np.empty((n_points, params.horizontal_dim + 1))
     got = 0
     while got < n_points:
@@ -161,7 +169,69 @@ def shell_cloud(params: GroupParams, n_points: int, seed: int) -> np.ndarray:
     x in [-2, 2]^{2n} with |x| >= 1/2, t in [-3, 3] and 1/2 < N < 5: every
     row keeps its FD stencil clear of the central line and the identity.
     """
+    _check_points(n_points)
     return draw_cloud(np.random.default_rng(seed), params, n_points, 2.0, 3.0, 0.5, (0.5, 5.0))
+
+
+_CHUNK = 1 << 15  # rows per span of a streamed cloud check
+
+
+def _spans(n_points: int) -> list[tuple[int, int]]:
+    """sample_cloud's row ranges of at most _CHUNK rows; none mixes box and radial rows."""
+    m_box = (3 * n_points) // 4
+    parts = ((0, m_box), (m_box, n_points))
+    return [(a, min(a + _CHUNK, end)) for lo, end in parts for a in range(lo, end, _CHUNK)]
+
+
+def _uniform(seq: np.random.SeedSequence, position: int, size: int, lo, hi) -> np.ndarray:
+    """default_rng(seq).uniform(lo, hi, size) with the stream advanced to position.
+
+    Generator.uniform is lo + (hi - lo) * random(), one PCG64 output per double.
+    """
+    lo, hi = float(lo), float(hi)
+    out = np.random.Generator(np.random.PCG64(seq).advance(position)).random(size)
+    out *= hi - lo
+    out += lo
+    return out
+
+
+def _span_rows(
+    params: GroupParams, n_points: int, seq: np.random.SeedSequence, box: float, span: tuple[int, int]
+) -> Optional[np.ndarray]:
+    """Rows span[0]:span[1] of sample_cloud, drawn at their stream positions.
+
+    The positions hold while no row is rejected; a span holding a row with
+    |x| < EXCLUSION returns None, since that row shifts every later position.
+    """
+    dim = params.horizontal_dim
+    m_box = (3 * n_points) // 4
+    a, b = span
+    radial = a >= m_box
+    if not radial:
+        origin, m, x_box, t_box = 0, m_box, box, box * box
+    else:
+        origin, m, x_box, t_box = m_box * (dim + 1), n_points - m_box, 1.0, 1.0
+        a, b = a - m_box, b - m_box
+    x = _uniform(seq, origin + a * dim, (b - a) * dim, -x_box, x_box).reshape(b - a, dim)
+    if not np.all(np.linalg.norm(x, axis=1) >= EXCLUSION):
+        return None
+    rows = np.empty((b - a, dim + 1))
+    rows[:, :-1] = x
+    rows[:, -1] = _uniform(seq, origin + m * dim + a, b - a, -t_box, t_box)
+    if radial:
+        lam = 10.0 ** _uniform(seq, origin + m * (dim + 1) + a, b - a, -2.0, 2.0)
+        rows[:, :-1] *= lam[:, None]
+        rows[:, -1] *= lam * lam
+    return rows
+
+
+def _span_minima(margin_fn, rows: Optional[np.ndarray]):
+    """(per-column minimum of margin_fn(rows), the first row attaining each)."""
+    if rows is None:
+        return None
+    margins = margin_fn(rows)
+    worst = np.argmin(margins, axis=0)
+    return margins[worst, np.arange(margins.shape[1])], rows[worst]
 
 
 def _cloud_reports(
@@ -174,34 +244,49 @@ def _cloud_reports(
     tolerance: float,
     threads: Optional[int],
 ) -> list[InequalityReport]:
-    """One report per named column of margin_fn over sample_cloud.
+    """One report per named column of margin_fn over sample_cloud, streamed.
 
-    margin_fn maps a coordinate block to an (m, k) margin matrix; with
-    threads > 1, clouds of 20000 points or more are split into 4 chunks per
-    worker over a pool of min(threads, os.cpu_count()) workers.
+    margin_fn maps a coordinate block to a (rows, k) margin matrix.  The cloud
+    is never built: it is cut into spans of _CHUNK rows, and each span draws
+    its own rows at their PCG64 stream positions and keeps only its
+    per-column minima, so time grows linearly and memory stays flat in
+    n_points.  Spans run on a pool of min(threads, os.cpu_count()) workers.
+    Where a row is rejected (|x| < EXCLUSION, only in tiny boxes), the later
+    positions shift, and the spans are cut from sample_cloud itself instead.
+    Either way the reports are those of the whole materialised cloud.
     """
     if not math.isfinite(tolerance):
         raise ValueError(f"The tolerance {tolerance!r} must be finite.")
-    coords = sample_cloud(params, n_points, seed, box=box)
+    _check_points(n_points)
+    _check_box(params.horizontal_dim, box, box * box, EXCLUSION)
+    seq = np.random.SeedSequence(seed)
+    spans = _spans(n_points)
     workers = min(threads or 1, os.cpu_count() or 1)
-    if workers <= 1 or coords.shape[0] < 20000:
-        margins = margin_fn(coords)
-    else:
+
+    def each_span(kernel) -> list:
+        if workers <= 1:
+            return list(map(kernel, spans))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            margins = np.concatenate(list(pool.map(margin_fn, np.array_split(coords, workers * 4))))
+            return list(pool.map(kernel, spans))
+
+    parts = each_span(lambda span: _span_minima(margin_fn, _span_rows(params, n_points, seq, box, span)))
+    if any(part is None for part in parts):
+        coords = sample_cloud(params, n_points, seed, box=box)
+        parts = each_span(lambda span: _span_minima(margin_fn, coords[span[0] : span[1]]))
+    minima = np.stack([part[0] for part in parts])  # (spans, k)
+    rows = np.stack([part[1] for part in parts])  # (spans, k, 2n+1)
+    first = np.argmin(minima, axis=0)  # spans run in row order: the first row attaining the minimum
     out = []
     for i, name in enumerate(names):
-        col = margins[:, i]
-        worst = int(np.argmin(col))
-        row = coords[worst]
+        value, row = minima[first[i], i], rows[first[i], i]
         out.append(
             InequalityReport(
                 name=name,
-                n_points=coords.shape[0],
-                min_margin=float(col[worst]),
+                n_points=n_points,
+                min_margin=float(value),
                 worst_point=Point(row[:-1], float(row[-1])),
                 tolerance=tolerance,
-                passed=bool(col[worst] >= tolerance),
+                passed=bool(value >= tolerance),
                 seed=seed,
             )
         )

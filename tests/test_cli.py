@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,30 @@ def test_invalid_cloud_option_exits_2(capsys, before, after):
     argv = [*before, "check", "lemma2", "--n", "2", "--points", "10", "--seed", "1", *after]
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().err)["kind"] == "invalid"
+
+
+@pytest.mark.parametrize("points", ["0", "-2"])
+@pytest.mark.parametrize(
+    "command",
+    [["check", "lemma2"], ["check", "intermediate"], ["check", "fundamental"], ["bgg", "compare"]],
+    ids=lambda c: c[-1],
+)
+def test_points_below_one_exits_2(capsys, command, points):
+    assert main([*command, "--n", "2", "--points", points, "--seed", "1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "invalid"
+    assert err["error"] == f"Need --points >= 1, got {points}."
+
+
+@pytest.mark.parametrize("h_base", ["-1.6e-3", "0", "nan", "inf", "1e400"])
+def test_check_fundamental_rejects_bad_step(capsys, h_base):
+    argv = ["check", "fundamental", "--n", "6", "--points", "20", "--seed", "3", f"--h-base={h_base}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning before the check fails the test
+        assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "invalid"
+    assert "finite and positive" in err["error"]
 
 
 VERIFY_SHORT = ["verify", "ubound", "--n", "2", "--seed", "1", "--steps", "600", "--burn", "100"]

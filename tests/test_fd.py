@@ -5,6 +5,7 @@ from hgauge import fd, norm
 from hgauge.fd import (
     FdConfig,
     fd_gradient,
+    harmonicity_check,
     harmonicity_residual_batch,
     infinity_laplacian_witness,
     sub_laplacian_batch,
@@ -27,10 +28,18 @@ def _exact_quadratic_sublap(coords, n):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        FdConfig(h_base=0.0)
-    with pytest.raises(ValueError):
-        FdConfig(h_first=-1e-6)
+    for h in (-1.6e-3, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            FdConfig(h_base=h)
+        with pytest.raises(ValueError, match="finite and positive"):
+            FdConfig(h_first=h)
+
+
+@pytest.mark.parametrize("h", [-1.6e-3, 0.0, float("nan"), float("inf")])
+def test_harmonicity_check_rejects_bad_step(h):
+    coords = np.array([[1.0, 0.5, -0.3, 0.2, 0.4]])
+    with pytest.raises(ValueError, match="finite and positive"):
+        harmonicity_check(coords, GroupParams(2), h)
 
 
 def test_sub_laplacian_quadratic():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgauge import inequalities
+from hgauge import bgg, inequalities
 from hgauge.group import GroupParams
 from hgauge.inequalities import (
     DEFAULT_TOLERANCE,
@@ -17,6 +17,7 @@ from hgauge.inequalities import (
     check_partial_bounds,
     coercivity_margin,
     sample_cloud,
+    shell_cloud,
     split_objective,
 )
 
@@ -110,8 +111,81 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     params = GroupParams(2)
     capped = check_gradient_bounds(params, 20_000, seed=3, threads=10**6)
-    assert seen == [3, 12]
+    assert seen == [3, 2]  # one box span of 15000 rows, one radial span of 5000
     assert capped == check_gradient_bounds(params, 20_000, seed=3, threads=1)
+
+
+CHUNK = inequalities._CHUNK
+
+
+@pytest.mark.parametrize("n", [2, 6, 10])
+@pytest.mark.parametrize("m", [1, 5, CHUNK + 1, 100_003])
+def test_span_rows_concatenate_to_sample_cloud(n, m):
+    params = GroupParams(n)
+    seq = np.random.SeedSequence(20261017)
+    spans = inequalities._spans(m)
+    assert all(b - a <= CHUNK for a, b in spans)
+    rows = np.concatenate([inequalities._span_rows(params, m, seq, 5.0, span) for span in spans])
+    assert rows.tobytes() == sample_cloud(params, m, 20261017).tobytes()
+
+
+def _materialised_reports(check, params, m, seed, box, monkeypatch):
+    """(min_margin, worst row) per column of margin_fn over the whole sample_cloud."""
+    captured = []
+    reports = inequalities._cloud_reports
+
+    def capture(names, margin_fn, *args):
+        captured.append(margin_fn)
+        return reports(names, margin_fn, *args)
+
+    monkeypatch.setattr(inequalities, "_cloud_reports", capture)
+    check(params, 1, seed)
+    monkeypatch.setattr(inequalities, "_cloud_reports", reports)
+    coords = sample_cloud(params, m, seed, box=box)
+    margins = captured[0](coords)
+    worst = np.argmin(margins, axis=0)
+    return [(margins[w, i], coords[w]) for i, w in enumerate(worst)]
+
+
+@pytest.mark.parametrize(
+    "n, m, box",
+    [(n, m, 5.0) for n in (2, 6, 10) for m in (1, CHUNK - 1, CHUNK, CHUNK + 1, 100_003)]
+    + [(2, 5000, 1e-3), (2, 100_003, 1e-3)],
+)
+def test_streamed_reports_equal_materialised_cloud(n, m, box, monkeypatch):
+    # box=1e-3 rejects rows, which shifts the stream: the check then reduces
+    # slices of sample_cloud itself
+    params = GroupParams(n)
+    for check in (check_gradient_bounds, check_partial_bounds):
+        want = _materialised_reports(check, params, m, 9, box, monkeypatch)
+        for threads in (1, 2):
+            got = check(params, m, 9, box=box, threads=threads)
+            assert [r.n_points for r in got] == [m] * len(want)
+            for r, (value, row) in zip(got, want):
+                assert r.min_margin == value, (check.__name__, threads, r.name)
+                assert r.worst_point.coords().tobytes() == row.tobytes(), (check.__name__, threads, r.name)
+
+
+def test_streamed_check_never_builds_the_cloud(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_cloud called")
+
+    monkeypatch.setattr(inequalities, "sample_cloud", refuse)
+    for r in check_gradient_bounds(GroupParams(2), 200_000, seed=5, threads=2):
+        assert r.passed and r.n_points == 200_000
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_clouds_need_a_point(m):
+    params = GroupParams(2)
+    for call in (
+        lambda: check_gradient_bounds(params, m, seed=1),
+        lambda: check_partial_bounds(params, m, seed=1),
+        lambda: shell_cloud(params, m, seed=1),
+        lambda: bgg.compare_cloud(params, m, 1, bgg.QuadratureConfig()),
+    ):
+        with pytest.raises(ValueError, match="at least 1 point"):
+            call()
 
 
 def test_report_as_dict_roundtrips_through_json():
