@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .group import GroupParams, Point
-from .inequalities import draw_cloud
+from .inequalities import draw_rows
 from .norm import ab_batch, ab_quantities
 
 __all__ = [
@@ -79,8 +79,8 @@ class QuadratureConfig:
     rel_tol: float = 1e-11
 
     def __post_init__(self) -> None:
-        if not self.rel_tol > 0:
-            raise ValueError("Quadrature tolerance must be positive.")
+        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
+            raise ValueError(f"Quadrature tolerance must be finite and positive: {self.rel_tol!r}.")
 
 
 class QuadratureError(RuntimeError):
@@ -279,15 +279,14 @@ def compare_cloud(
     """Quadrature vs closed form on a seeded cloud; returns an error summary.
 
     The whole cloud is integrated in one vectorised pass, row for row the
-    same arithmetic as fundamental_solution_quad.  The cloud comes from
-    inequalities.draw_cloud with CLOUD_BOX, CLOUD_T_MAX and CLOUD_MIN_RADIUS:
-    x stays clear of the central line, where the integral representation is
-    singular.
+    same arithmetic as fundamental_solution_quad.  The cloud is one part
+    drawn by inequalities.draw_rows with CLOUD_BOX, CLOUD_T_MAX and
+    CLOUD_MIN_RADIUS: x stays clear of the central line, where the integral
+    representation is singular.
     """
-    if not n_points >= 1:
-        raise ValueError(f"Need at least 1 point, got {n_points!r}.")
-    rng = np.random.default_rng(seed)
-    coords = draw_cloud(rng, params, n_points, CLOUD_BOX, CLOUD_T_MAX, CLOUD_MIN_RADIUS, None)
+    coords = draw_rows(
+        params, seed, 0, n_points, CLOUD_BOX, CLOUD_T_MAX, CLOUD_MIN_RADIUS, None, (0, n_points)
+    )
     a, b = ab_batch(coords[:, :-1])
     t = coords[:, -1]
     closed = _closed(a, b, t, params.n)

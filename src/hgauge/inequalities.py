@@ -50,7 +50,7 @@ from .norm import norm_batch, partials_batch
 
 __all__ = [
     "InequalityReport",
-    "draw_cloud",
+    "draw_rows",
     "sample_cloud",
     "shell_cloud",
     "check_gradient_bounds",
@@ -93,9 +93,11 @@ class InequalityReport:
         }
 
 
-def _check_box(dim: int, x_box: float, t_box: float, min_radius: float) -> None:
-    if not x_box * math.sqrt(dim) > min_radius:  # min_radius >= 0: x_box <= 0 or NaN fails too
-        raise ValueError(f"The x box {x_box!r} holds no |x| > {min_radius!r} in dimension {dim}.")
+def _check_box(x_box: float, t_box: float, min_radius: float) -> None:
+    # x_box >= min_radius keeps the ball |x| < min_radius inside the box, so at
+    # least 1 - V_2n(1) / 2^2n of the rows (0.69 at 2n = 4) are kept
+    if not x_box >= min_radius:  # NaN fails too
+        raise ValueError(f"The x box {x_box!r} is below the exclusion radius {min_radius!r}.")
     if not (math.isfinite(2.0 * x_box) and math.isfinite(2.0 * t_box)):
         raise ValueError(f"The box widths 2*{x_box!r} and 2*{t_box!r} must be finite.")
 
@@ -105,40 +107,89 @@ def _check_points(n_points: int) -> None:
         raise ValueError(f"Need at least 1 point, got {n_points!r}.")
 
 
-def draw_cloud(
-    rng: np.random.Generator,
+def _uniform(seed: int, position: int, size: int, lo, hi) -> np.ndarray:
+    """default_rng(seed).uniform(lo, hi, size) with the stream advanced to position.
+
+    Generator.uniform is lo + (hi - lo) * random(), one PCG64 output per double.
+    """
+    lo, hi = float(lo), float(hi)
+    out = np.random.Generator(np.random.PCG64(seed).advance(position)).random(size)
+    out *= hi - lo
+    out += lo
+    return out
+
+
+def draw_rows(
     params: GroupParams,
-    n_points: int,
+    seed: int,
+    origin: int,
+    m: int,
     x_box: float,
     t_box: float,
     min_radius: float,
     window: Optional[tuple[float, float]],
+    span: tuple[int, int],
 ) -> np.ndarray:
-    """The one rejection sampler behind every seeded cloud: (n_points, 2n+1) rows.
+    """The one sampler behind every seeded cloud: rows span[0]:span[1] of an m-row part.
 
-    x is uniform in [-x_box, x_box]^{2n} and rows with |x| < min_radius are
-    rejected; t is uniform in [-t_box, t_box], drawn only for kept rows.
-    With window = (lo, hi) a row is also rejected unless lo < N < hi.
-    Rejected rows are redrawn until n_points are kept.  Raises ValueError when
-    the box holds no |x| > min_radius, where no row could ever be kept, or
-    when a width 2 x_box or 2 t_box is not a finite float.
+    Row i takes x uniform in [-x_box, x_box]^{2n} from the PCG64 stream of
+    seed at positions origin + i*2n and t uniform in [-t_box, t_box] at
+    origin + m*2n + i.  A row with |x| < min_radius, or with window = (lo, hi)
+    and N outside (lo, hi), is redrawn in place from a stream keyed by
+    (seed, origin, span[0]), so a rejection moves no other row.  Raises
+    ValueError when x_box < min_radius or a width 2 x_box or 2 t_box is not
+    a finite float.
     """
-    _check_box(params.horizontal_dim, x_box, t_box, min_radius)
-    out = np.empty((n_points, params.horizontal_dim + 1))
-    got = 0
-    while got < n_points:
-        x = rng.uniform(-x_box, x_box, (n_points - got, params.horizontal_dim))
-        x = x[np.linalg.norm(x, axis=1) >= min_radius]
-        t = rng.uniform(-t_box, t_box, x.shape[0])
+    _check_points(m)
+    _check_box(x_box, t_box, min_radius)
+    dim = params.horizontal_dim
+    a, b = span
+    x = _uniform(seed, origin + a * dim, (b - a) * dim, -x_box, x_box).reshape(-1, dim)
+    t = _uniform(seed, origin + m * dim + a, b - a, -t_box, t_box)
+
+    def rejected(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        out = np.linalg.norm(x, axis=1) < min_radius
         if window is not None:
             nn = norm_batch(x, t)
-            keep = (nn > window[0]) & (nn < window[1])
-            x, t = x[keep], t[keep]
-        k = x.shape[0]
-        out[got : got + k, :-1] = x
-        out[got : got + k, -1] = t
-        got += k
-    return out
+            out |= ~((nn > window[0]) & (nn < window[1]))
+        return out
+
+    redraw = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(origin, a)))
+    bad = np.flatnonzero(rejected(x, t))
+    while bad.size:
+        x[bad] = redraw.uniform(-x_box, x_box, (bad.size, dim))
+        t[bad] = redraw.uniform(-t_box, t_box, bad.size)
+        bad = bad[rejected(x[bad], t[bad])]
+    return np.column_stack([x, t])
+
+
+_CHUNK = 1 << 15  # rows per span of sample_cloud
+
+
+def _spans(n_points: int) -> list[tuple[int, int]]:
+    """sample_cloud's row ranges of at most _CHUNK rows; none mixes box and radial rows."""
+    _check_points(n_points)
+    m_box = (3 * n_points) // 4
+    parts = ((0, m_box), (m_box, n_points))
+    return [(a, min(a + _CHUNK, end)) for lo, end in parts for a in range(lo, end, _CHUNK)]
+
+
+def _span_rows(
+    params: GroupParams, n_points: int, seed: int, box: float, span: tuple[int, int]
+) -> np.ndarray:
+    """Rows span[0]:span[1] of sample_cloud: box rows, or radial rows with their dilations."""
+    m_box = (3 * n_points) // 4
+    if span[0] < m_box:
+        return draw_rows(params, seed, 0, m_box, box, box * box, EXCLUSION, None, span)
+    # the radial part's stream follows the box part's, and its dilations follow its rows
+    a, b = span[0] - m_box, span[1] - m_box
+    width = params.horizontal_dim + 1  # stream positions per row
+    m, origin = n_points - m_box, m_box * width
+    rows = draw_rows(params, seed, origin, m, 1.0, 1.0, EXCLUSION, None, (a, b))
+    lam = 10.0 ** _uniform(seed, origin + m * width + a, b - a, -2.0, 2.0)
+    rows[:, :-1] *= lam[:, None]
+    rows[:, -1] *= lam * lam
+    return rows
 
 
 def sample_cloud(
@@ -151,16 +202,11 @@ def sample_cloud(
 
     Rows keep |x| >= EXCLUSION, and box rows take t in [-box^2, box^2]; the
     log-radial part rescales unit-box points by dilation factors 10^U(-2, 2)
-    to stress small and large scales.
+    to stress small and large scales.  The rows are those of the spans that
+    the bound checks stream.
     """
-    rng = np.random.default_rng(seed)
-    m_box = (3 * n_points) // 4
-    boxed = draw_cloud(rng, params, m_box, box, box * box, EXCLUSION, None)
-    radial = draw_cloud(rng, params, n_points - m_box, 1.0, 1.0, EXCLUSION, None)
-    lam = 10.0 ** rng.uniform(-2.0, 2.0, n_points - m_box)
-    radial[:, :-1] *= lam[:, None]
-    radial[:, -1] *= lam * lam
-    return np.concatenate([boxed, radial])
+    spans = _spans(n_points)
+    return np.concatenate([_span_rows(params, n_points, seed, box, span) for span in spans])
 
 
 def shell_cloud(params: GroupParams, n_points: int, seed: int) -> np.ndarray:
@@ -169,69 +215,7 @@ def shell_cloud(params: GroupParams, n_points: int, seed: int) -> np.ndarray:
     x in [-2, 2]^{2n} with |x| >= 1/2, t in [-3, 3] and 1/2 < N < 5: every
     row keeps its FD stencil clear of the central line and the identity.
     """
-    _check_points(n_points)
-    return draw_cloud(np.random.default_rng(seed), params, n_points, 2.0, 3.0, 0.5, (0.5, 5.0))
-
-
-_CHUNK = 1 << 15  # rows per span of a streamed cloud check
-
-
-def _spans(n_points: int) -> list[tuple[int, int]]:
-    """sample_cloud's row ranges of at most _CHUNK rows; none mixes box and radial rows."""
-    m_box = (3 * n_points) // 4
-    parts = ((0, m_box), (m_box, n_points))
-    return [(a, min(a + _CHUNK, end)) for lo, end in parts for a in range(lo, end, _CHUNK)]
-
-
-def _uniform(seq: np.random.SeedSequence, position: int, size: int, lo, hi) -> np.ndarray:
-    """default_rng(seq).uniform(lo, hi, size) with the stream advanced to position.
-
-    Generator.uniform is lo + (hi - lo) * random(), one PCG64 output per double.
-    """
-    lo, hi = float(lo), float(hi)
-    out = np.random.Generator(np.random.PCG64(seq).advance(position)).random(size)
-    out *= hi - lo
-    out += lo
-    return out
-
-
-def _span_rows(
-    params: GroupParams, n_points: int, seq: np.random.SeedSequence, box: float, span: tuple[int, int]
-) -> Optional[np.ndarray]:
-    """Rows span[0]:span[1] of sample_cloud, drawn at their stream positions.
-
-    The positions hold while no row is rejected; a span holding a row with
-    |x| < EXCLUSION returns None, since that row shifts every later position.
-    """
-    dim = params.horizontal_dim
-    m_box = (3 * n_points) // 4
-    a, b = span
-    radial = a >= m_box
-    if not radial:
-        origin, m, x_box, t_box = 0, m_box, box, box * box
-    else:
-        origin, m, x_box, t_box = m_box * (dim + 1), n_points - m_box, 1.0, 1.0
-        a, b = a - m_box, b - m_box
-    x = _uniform(seq, origin + a * dim, (b - a) * dim, -x_box, x_box).reshape(b - a, dim)
-    if not np.all(np.linalg.norm(x, axis=1) >= EXCLUSION):
-        return None
-    rows = np.empty((b - a, dim + 1))
-    rows[:, :-1] = x
-    rows[:, -1] = _uniform(seq, origin + m * dim + a, b - a, -t_box, t_box)
-    if radial:
-        lam = 10.0 ** _uniform(seq, origin + m * (dim + 1) + a, b - a, -2.0, 2.0)
-        rows[:, :-1] *= lam[:, None]
-        rows[:, -1] *= lam * lam
-    return rows
-
-
-def _span_minima(margin_fn, rows: Optional[np.ndarray]):
-    """(per-column minimum of margin_fn(rows), the first row attaining each)."""
-    if rows is None:
-        return None
-    margins = margin_fn(rows)
-    worst = np.argmin(margins, axis=0)
-    return margins[worst, np.arange(margins.shape[1])], rows[worst]
+    return draw_rows(params, seed, 0, n_points, 2.0, 3.0, 0.5, (0.5, 5.0), (0, n_points))
 
 
 def _cloud_reports(
@@ -247,32 +231,29 @@ def _cloud_reports(
     """One report per named column of margin_fn over sample_cloud, streamed.
 
     margin_fn maps a coordinate block to a (rows, k) margin matrix.  The cloud
-    is never built: it is cut into spans of _CHUNK rows, and each span draws
-    its own rows at their PCG64 stream positions and keeps only its
-    per-column minima, so time grows linearly and memory stays flat in
-    n_points.  Spans run on a pool of min(threads, os.cpu_count()) workers.
-    Where a row is rejected (|x| < EXCLUSION, only in tiny boxes), the later
-    positions shift, and the spans are cut from sample_cloud itself instead.
-    Either way the reports are those of the whole materialised cloud.
+    is never built: each of sample_cloud's spans of _CHUNK rows draws its own
+    rows and keeps only its per-column minima, so time grows linearly and
+    memory stays flat in n_points.  Spans run on a pool of
+    min(threads, os.cpu_count()) workers.  The reports are those of the
+    whole sample_cloud.
     """
     if not math.isfinite(tolerance):
         raise ValueError(f"The tolerance {tolerance!r} must be finite.")
-    _check_points(n_points)
-    _check_box(params.horizontal_dim, box, box * box, EXCLUSION)
-    seq = np.random.SeedSequence(seed)
     spans = _spans(n_points)
     workers = min(threads or 1, os.cpu_count() or 1)
 
-    def each_span(kernel) -> list:
-        if workers <= 1:
-            return list(map(kernel, spans))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(kernel, spans))
+    def span_minima(span):
+        """(per-column minimum of margin_fn over the span, the first row attaining each)."""
+        rows = _span_rows(params, n_points, seed, box, span)
+        margins = margin_fn(rows)
+        worst = np.argmin(margins, axis=0)
+        return margins[worst, np.arange(margins.shape[1])], rows[worst]
 
-    parts = each_span(lambda span: _span_minima(margin_fn, _span_rows(params, n_points, seq, box, span)))
-    if any(part is None for part in parts):
-        coords = sample_cloud(params, n_points, seed, box=box)
-        parts = each_span(lambda span: _span_minima(margin_fn, coords[span[0] : span[1]]))
+    if workers <= 1:
+        parts = list(map(span_minima, spans))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(span_minima, spans))
     minima = np.stack([part[0] for part in parts])  # (spans, k)
     rows = np.stack([part[1] for part in parts])  # (spans, k, 2n+1)
     first = np.argmin(minima, axis=0)  # spans run in row order: the first row attaining the minimum

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from hgauge.bgg import (
     solution_constant,
 )
 from hgauge.group import GroupParams, Point, dilate
-from hgauge.inequalities import draw_cloud
+from hgauge.inequalities import draw_rows
 from hgauge.norm import norm_N
 
 CFG = QuadratureConfig()
@@ -156,15 +157,44 @@ def test_compare_cloud_rows_equal_scalar_quadrature(monkeypatch):
         params = GroupParams(n)
         seen.clear()
         compare_cloud(params, 30, seed=5, cfg=CFG)
-        rng = np.random.default_rng(5)
-        coords = draw_cloud(
-            rng, params, 30, bgg.CLOUD_BOX, bgg.CLOUD_T_MAX, bgg.CLOUD_MIN_RADIUS, None
+        coords = draw_rows(
+            params, 5, 0, 30, bgg.CLOUD_BOX, bgg.CLOUD_T_MAX, bgg.CLOUD_MIN_RADIUS, None, (0, 30)
         )
         (t, vals), = seen
         assert t.tobytes() == coords[:, -1].tobytes()
         seen.clear()
         scalar = [fundamental_solution_quad(Point(r[:-1], r[-1]), params, CFG) for r in coords]
         assert np.array(scalar).tobytes() == vals.tobytes()
+
+
+# sha256 prefixes of compare_cloud's rows (x, then t) at criterion 01's
+# points and seeds, recorded from the sequential rejection sampler that the
+# positional one replaced: none of these clouds rejects a row
+COMPARE_DIGESTS = {
+    2: "eb3a8616709926a3eacf574dfbde47f8",
+    3: "0f99f33ffcda0e15719629b086c86079",
+    6: "3d6d30adc159982734c1f6f32390e1e9",
+    8: "fecbd3abab63648d89d9fd39e960fda4",
+}
+
+
+@pytest.mark.parametrize("n", sorted(COMPARE_DIGESTS))
+def test_compare_cloud_digests(n, monkeypatch):
+    h = hashlib.sha256()
+    ab, rows = bgg.ab_batch, bgg._solution_rows
+
+    def ab_spy(x):
+        h.update(x.tobytes())
+        return ab(x)
+
+    def rows_spy(a, b, t, n, cfg):
+        h.update(t.tobytes())
+        return rows(a, b, t, n, cfg)
+
+    monkeypatch.setattr(bgg, "ab_batch", ab_spy)
+    monkeypatch.setattr(bgg, "_solution_rows", rows_spy)
+    compare_cloud(GroupParams(n), 200, seed=1000 + n, cfg=CFG)
+    assert h.hexdigest()[:32] == COMPARE_DIGESTS[n]
 
 
 @pytest.mark.parametrize("n, x2, t", [(3, 1e-3, 10.0), (2, 1e-2, -1e3)])

@@ -166,11 +166,12 @@ def test_invalid_n_exits_2(capsys):
     assert err["kind"] == "invalid"
 
 
-@pytest.mark.parametrize("box", ["0", "1e-4", "-1", "inf", "1e200"])
+@pytest.mark.parametrize("box", ["0", "1e-4", "0.0005001", "-1", "inf", "1e200"])
 def test_box_without_admissible_rows_exits_2(box):
-    # in the first three boxes no x reaches |x| >= EXCLUSION, so the cloud
-    # sampler could never keep a row; a subprocess with a timeout keeps a hang
-    # out of the suite.  The last two overflow a box width: t in [-1e400, 1e400]
+    # the first four boxes are below EXCLUSION: in the first three no x
+    # reaches |x| >= EXCLUSION, and at 0.0005001 about 1e-26 of the rows
+    # would; a subprocess with a timeout keeps a hang out of the suite.  The
+    # last two overflow a box width: t in [-1e400, 1e400]
     argv = ["check", "lemma2", "--n", "2", "--points", "10", "--seed", "1", "--box", box]
     env = dict(os.environ, PYTHONPATH=str(Path(hgauge.__file__).parents[1]))
     cmd = [sys.executable, "-m", "hgauge.cli", *argv]
@@ -226,8 +227,9 @@ VERIFY_SHORT = ["verify", "ubound", "--n", "2", "--seed", "1", "--steps", "600",
         VERIFY_SHORT + ["--family", "power", "--k", "nan"],
         VERIFY_SHORT + ["--family", "power", "--k", "4", "--step", "inf"],
         ["bgg", "compare", "--n", "2", "--points", "5", "--seed", "1", "--max-rel-err", "nan"],
+        ["bgg", "compare", "--n", "2", "--points", "5", "--seed", "1", "--rel-tol", "inf"],
     ],
-    ids=["q-nan", "q-inf", "k-nan", "step-inf", "max-rel-err-nan"],
+    ids=["q-nan", "q-inf", "k-nan", "step-inf", "max-rel-err-nan", "rel-tol-inf"],
 )
 def test_non_finite_parameter_exits_2(capsys, argv):
     assert main(["--no-timestamp", *argv]) == 2

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hgauge import bgg, inequalities
 from hgauge.group import GroupParams
+from hgauge.norm import norm_batch
 from hgauge.inequalities import (
     DEFAULT_TOLERANCE,
     EXCLUSION,
@@ -119,14 +120,75 @@ CHUNK = inequalities._CHUNK
 
 
 @pytest.mark.parametrize("n", [2, 6, 10])
-@pytest.mark.parametrize("m", [1, 5, CHUNK + 1, 100_003])
+@pytest.mark.parametrize("m", [1, 5, CHUNK + 1, 100_003, 4 * CHUNK + 8])
 def test_span_rows_concatenate_to_sample_cloud(n, m):
-    params = GroupParams(n)
-    seq = np.random.SeedSequence(20261017)
+    # the spans, each drawn at its own stream positions, concatenate to the
+    # layout drawn whole: box x, box t, then radial x, t and dilations.  At
+    # 4 * CHUNK + 8 points the radial part has two spans
+    params, seed, dim = GroupParams(n), 20261017, 2 * n
     spans = inequalities._spans(m)
     assert all(b - a <= CHUNK for a, b in spans)
-    rows = np.concatenate([inequalities._span_rows(params, m, seq, 5.0, span) for span in spans])
-    assert rows.tobytes() == sample_cloud(params, m, 20261017).tobytes()
+    rows = np.concatenate([inequalities._span_rows(params, m, seed, 5.0, span) for span in spans])
+    m_box = (3 * m) // 4
+    x = inequalities._uniform(seed, 0, m_box * dim, -5.0, 5.0).reshape(m_box, dim)
+    t = inequalities._uniform(seed, m_box * dim, m_box, -25.0, 25.0)
+    r0, k = m_box * (dim + 1), m - m_box
+    rx = inequalities._uniform(seed, r0, k * dim, -1.0, 1.0).reshape(k, dim)
+    rt = inequalities._uniform(seed, r0 + k * dim, k, -1.0, 1.0)
+    lam = 10.0 ** inequalities._uniform(seed, r0 + k * (dim + 1), k, -2.0, 2.0)
+    radial = np.column_stack([rx * lam[:, None], rt * (lam * lam)])
+    whole = np.vstack([np.column_stack([x, t]), radial])
+    assert rows.tobytes() == whole.tobytes()
+    assert rows.tobytes() == sample_cloud(params, m, seed).tobytes()
+
+
+def test_rejection_moves_no_other_row():
+    # box=1e-3 rejects about 1 box row in 3 at n=2; each is redrawn in place
+    params, m, seed = GroupParams(2), 100_003, 9
+    m_box = (3 * m) // 4
+    cloud = sample_cloud(params, m, seed, box=1e-3)
+    assert cloud[m_box:].tobytes() == sample_cloud(params, m, seed)[m_box:].tobytes()
+    x = inequalities._uniform(seed, 0, m_box * 4, -1e-3, 1e-3).reshape(m_box, 4)
+    t = inequalities._uniform(seed, m_box * 4, m_box, -1e-6, 1e-6)
+    kept = np.linalg.norm(x, axis=1) >= EXCLUSION
+    assert 0.5 < kept.mean() < 0.9
+    assert cloud[:m_box][kept].tobytes() == np.column_stack([x, t])[kept].tobytes()
+    assert np.all(np.linalg.norm(cloud[:, :-1], axis=1) >= EXCLUSION)
+    # the redraws come from a stream keyed by (seed, part origin, span start)
+    assert hashlib.sha256(cloud.tobytes()).hexdigest()[:32] == "b044c55d928cc641dc2b5d8c97f91d0b"
+
+
+# sha256 prefixes of shell_cloud over m in {1, 20, 100, 1000} and seeds
+# {0, 33, 46, 20261017}, recorded from the sequential rejection sampler that
+# the positional one replaced: none of these clouds rejects a row
+SHELL_DIGESTS = {
+    3: "f895c9c9709a21173a5c15eac88c65c4",
+    6: "7b2671b2efcb8dcd994e517503ed93ea",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SHELL_DIGESTS))
+def test_shell_cloud_digests(n):
+    h = hashlib.sha256()
+    for m in (1, 20, 100, 1000):
+        for seed in (0, 33, 46, 20261017):
+            h.update(shell_cloud(GroupParams(n), m, seed).tobytes())
+    assert h.hexdigest()[:32] == SHELL_DIGESTS[n]
+
+
+def test_shell_cloud_redraws_in_place():
+    # at n=2 a few rows per hundred fall outside |x| >= 1/2, 1/2 < N < 5
+    params = GroupParams(2)
+    cloud = shell_cloud(params, 1000, seed=42)
+    x = inequalities._uniform(42, 0, 4000, -2.0, 2.0).reshape(1000, 4)
+    t = inequalities._uniform(42, 4000, 1000, -3.0, 3.0)
+    nn = norm_batch(x, t)
+    kept = (np.linalg.norm(x, axis=1) >= 0.5) & (nn > 0.5) & (nn < 5.0)
+    assert 0 < np.count_nonzero(~kept) < 100
+    assert cloud[kept].tobytes() == np.column_stack([x, t])[kept].tobytes()
+    nn = norm_batch(cloud[:, :-1], cloud[:, -1])
+    assert np.all(np.linalg.norm(cloud[:, :-1], axis=1) >= 0.5) and np.all((nn > 0.5) & (nn < 5.0))
+    assert hashlib.sha256(cloud.tobytes()).hexdigest()[:32] == "b1c368ee04b9eb0e43c7d4976e4403a2"
 
 
 def _materialised_reports(check, params, m, seed, box, monkeypatch):
@@ -153,8 +215,7 @@ def _materialised_reports(check, params, m, seed, box, monkeypatch):
     + [(2, 5000, 1e-3), (2, 100_003, 1e-3)],
 )
 def test_streamed_reports_equal_materialised_cloud(n, m, box, monkeypatch):
-    # box=1e-3 rejects rows, which shifts the stream: the check then reduces
-    # slices of sample_cloud itself
+    # box=1e-3 rejects rows, which the spans redraw in place
     params = GroupParams(n)
     for check in (check_gradient_bounds, check_partial_bounds):
         want = _materialised_reports(check, params, m, 9, box, monkeypatch)
@@ -181,6 +242,7 @@ def test_clouds_need_a_point(m):
     for call in (
         lambda: check_gradient_bounds(params, m, seed=1),
         lambda: check_partial_bounds(params, m, seed=1),
+        lambda: sample_cloud(params, m, seed=1),
         lambda: shell_cloud(params, m, seed=1),
         lambda: bgg.compare_cloud(params, m, 1, bgg.QuadratureConfig()),
     ):
