@@ -23,7 +23,8 @@ that holds a non-finite number).
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
+import functools
 import json
 import math
 import os
@@ -80,8 +81,15 @@ def _measure_spec(opts: dict) -> measures.MeasureSpec:
     )
 
 
+# batch_means_se splits the kept steps into 50 batches of at least two
+_MIN_KEPT = 100
+
+
 def _sampler_config(opts: dict, **chains) -> measures.SamplerConfig:
     """Sampler settings shared by `measure sample` and `verify`."""
+    kept = opts["steps"] - opts["burn"]
+    if kept < _MIN_KEPT:
+        raise ValueError(f"Need --steps - --burn >= {_MIN_KEPT} kept steps, got {kept}.")
     return measures.SamplerConfig(
         n_steps=opts["steps"], burn_in=opts["burn"], step=opts["step"], seed=opts["seed"], **chains
     )
@@ -211,22 +219,42 @@ def _cmd_bgg_compare(cfg: RunConfig) -> tuple[dict, bool]:
     return summary, passed
 
 
+def _write_csv_rows(fh, rows: np.ndarray) -> None:
+    """Write float rows as CSV lines, formatting each run of equal rows once.
+
+    Rows are compared bit for bit, so 0.0 and -0.0 stay apart and a repeated
+    NaN row is one run.  repr gives the bytes csv.writer gives, and every
+    value reads back exactly.
+    """
+    bits = rows.view(np.uint64)
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=len(rows))
+    for row, count in zip(rows[starts].tolist(), counts.tolist()):
+        fh.writelines([",".join(map(repr, row)) + "\r\n"] * count)
+
+
 def _cmd_measure_sample(cfg: RunConfig) -> tuple[dict, Optional[bool]]:
     o = cfg.options
     params = GroupParams(o["n"])
     spec = _measure_spec(o)
     scfg = _sampler_config(o, n_chains=o["chains"], algorithm=o["algorithm"])
-    batches = measures.run_chains(spec, params, scfg)
     out_path = o.get("out")
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [f"x_{j}" for j in range(1, params.horizontal_dim + 1)] + ["t", "logdens"]
-            )
-            # csv writes floats with repr, so every value reads back exactly
-            for b in batches:
-                writer.writerows(np.column_stack([b.coords, b.log_densities]).tolist())
+    # opened before any chain runs, so an unwritable path fails at once
+    fh = open(out_path, "w", newline="") if out_path else contextlib.nullcontext()
+    try:
+        with fh:
+            batches = measures.run_chains(spec, params, scfg)
+            if out_path:
+                header = [f"x_{j}" for j in range(1, params.horizontal_dim + 1)] + ["t", "logdens"]
+                fh.write(",".join(header) + "\r\n")
+                for b in batches:
+                    _write_csv_rows(fh, np.column_stack([b.coords, b.log_densities]))
+    except BaseException:
+        if out_path:
+            os.remove(out_path)  # a failed run leaves no CSV behind
+        raise
     summary = {
         "family": spec.label(),
         "chains": [
@@ -281,6 +309,7 @@ def _cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, bool]:
 # -- wiring -------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process; callers must not modify it
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hgauge",
@@ -438,8 +467,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = config_from_args(argv)
     except SystemExit as exc:  # argparse already printed a message
         return int(exc.code or 0)
+    csv_path = None
     try:
         status, report = run(cfg)
+        csv_path = cfg.options.get("out")
         text = _strict_json(report)
         if cfg.output_path:
             with open(cfg.output_path, "w") as fh:
@@ -448,6 +479,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         # RuntimeError: a mis-tuned chain, a quadrature that did not converge
         # or a non-finite report; OSError: an --output or --out path that
         # cannot be written
+        if csv_path:
+            os.remove(csv_path)  # the run wrote its CSV before the report failed
         numerical = isinstance(exc, RuntimeError)
         err = {
             "schema": SCHEMA_VERSION,

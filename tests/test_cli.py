@@ -14,7 +14,7 @@ import pytest
 
 import hgauge
 from hgauge import fd, measures
-from hgauge.cli import RunConfig, build_parser, config_from_args, main, run
+from hgauge.cli import RunConfig, _write_csv_rows, build_parser, config_from_args, main, run
 from hgauge.group import GroupParams
 from hgauge.norm import npow_field
 
@@ -249,6 +249,10 @@ def test_non_finite_report_exits_3(capsys, x):
     assert "non-finite" in err["error"]
 
 
+def _no_chain(*args):
+    raise AssertionError("a chain ran")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -258,7 +262,9 @@ def test_non_finite_report_exits_3(capsys, x):
     ],
     ids=["output", "out"],
 )
-def test_unwritable_path_exits_2(tmp_path, capsys, argv):
+def test_unwritable_path_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # an unwritable --out fails before any chain runs
+    monkeypatch.setattr(measures, "run_chain", _no_chain)
     missing = tmp_path / "missing"
     status = main([a.format(dir=missing) for a in argv])
     assert status == 2
@@ -268,13 +274,38 @@ def test_unwritable_path_exits_2(tmp_path, capsys, argv):
     assert not missing.exists()
 
 
-def test_mis_tuned_chain_exits_3(capsys):
-    argv = ["measure", "sample", "--family", "power", "--k", "4", "--n", "2", "--seed", "1"]
+@pytest.mark.parametrize(
+    "command",
+    ["measure sample --out {dir}/s.csv", "verify ubound", "verify poincare", "verify lsi"],
+)
+def test_short_chain_exits_2_before_any_chain_runs(tmp_path, capsys, monkeypatch, command):
+    # batch_means_se needs 100 kept steps; the run must not find out after its chains
+    monkeypatch.setattr(measures, "run_chain", _no_chain)
+    argv = command.format(dir=tmp_path).split()
+    opts = ["--family", "power", "--k", "4", "--n", "2", "--seed", "1", "--steps", "150", "--burn", "100"]
+    assert main(argv + opts) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "invalid"
+    assert "--steps - --burn >= 100" in err["error"]
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_mis_tuned_chain_exits_3(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    argv = ["measure", "sample", "--family", "power", "--k", "4", "--n", "2", "--seed", "1", "--out", str(out)]
     status = main(argv + ["--steps", "3000", "--step", "1e6", "--burn", "0"])
     assert status == 3
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "numerical"
     assert "mis-tuned" in err["error"]
+    assert not out.exists()  # a failed run leaves no CSV behind
+
+
+def test_unwritable_report_leaves_no_csv(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    argv = ["--output", str(tmp_path / "missing" / "r.json"), "measure", "sample", "--family", "power"]
+    assert main(argv + ["--k", "4", "--n", "2", "--seed", "1", "--steps", "400", "--burn", "100", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_unknown_family_exits_2(capsys):
@@ -324,12 +355,14 @@ def test_measure_sample_csv(tmp_path, capsys):
     assert report["results"]["chains"][0]["samples"] == 5000
 
 
-def test_measure_sample_csv_is_exact(tmp_path, capsys):
+@pytest.mark.parametrize("algorithm", ["rwm", "mala"])
+def test_measure_sample_csv_is_exact(tmp_path, capsys, algorithm):
+    # RWM repeats most rows, MALA (acceptance near 0.87) few
     out = tmp_path / "samples.csv"
-    opts = ["--n", "2", "--seed", "8", "--steps", "1500", "--burn", "300"]
-    argv = ["measure", "sample", "--family", "power", "--k", "4", "--chains", "2"]
+    opts = ["--n", "2", "--seed", "8", "--steps", "1500", "--burn", "300", "--algorithm", algorithm]
+    argv = ["measure", "sample", "--family", "power", "--k", "4", "--chains", "3"]
     assert main(argv + opts + ["--out", str(out)]) == 0
-    cfg = measures.SamplerConfig(n_steps=1500, burn_in=300, seed=8, n_chains=2)
+    cfg = measures.SamplerConfig(n_steps=1500, burn_in=300, seed=8, n_chains=3, algorithm=algorithm)
     batches = measures.run_chains(measures.MeasureSpec(family="power", k=4.0), GroupParams(2), cfg)
     # the per-value writer the CSV format was defined by
     ref = io.StringIO(newline="")
@@ -342,6 +375,22 @@ def test_measure_sample_csv_is_exact(tmp_path, capsys):
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     want = np.concatenate([np.column_stack([b.coords, b.log_densities]) for b in batches])
     assert data.tobytes() == want.tobytes()
+
+
+def test_csv_rows_match_csv_writer():
+    nan = float("nan")
+    cases = {
+        "signed zero": [[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]],
+        "repeated nan": [[nan, 2.0], [nan, 2.0], [nan, 2.0], [1.5, -nan]],
+        "one row": [[1e-300, -2.5e300]],
+        "no repeats": [[0.1, 0.2], [0.2, 0.1], [float("inf"), -1.0]],
+    }
+    for name, rows in cases.items():
+        ref = io.StringIO(newline="")
+        csv.writer(ref).writerows(rows)
+        got = io.StringIO(newline="")
+        _write_csv_rows(got, np.array(rows))
+        assert got.getvalue() == ref.getvalue(), name
 
 
 def test_cli_import_does_not_load_scipy():
