@@ -47,7 +47,7 @@ import numpy as np
 
 from .group import GroupParams, Point
 from .inequalities import draw_rows
-from .norm import ab_batch, ab_quantities
+from .norm import ab_batch, wed
 
 __all__ = [
     "QuadratureConfig",
@@ -174,7 +174,7 @@ def _solution_rows(
 
 def _closed(a, b, t, n: int):
     """K_n E^n / (W D^(n-1/2)) on floats or arrays."""
-    w, e, d = _wed(a, b, t)
+    w, e, d = wed(a, b, t)
     return solution_constant(n) * np.exp(n * np.log(e) - np.log(w) - (n - 0.5) * np.log(d))
 
 
@@ -183,17 +183,10 @@ def _check_ab(a: float, b: float) -> None:
         raise ValueError(f"Need 0 < B <= A <= 2B, got A={a}, B={b}.")
 
 
-def _wed(a, b, t):
-    w = np.hypot(b, t)
-    e = b + w
-    d = a * e + t * t
-    return w, e, d
-
-
 def modulus_integral(a: float, b: float, t: float) -> float:
     """Closed form pi / (4 A sqrt(D)) of the modulus piece."""
     _check_ab(a, b)
-    _, _, d = _wed(a, b, t)
+    _, _, d = wed(a, b, t)
     return math.pi / (4.0 * a * math.sqrt(d))
 
 
@@ -225,7 +218,7 @@ def phase_correction_quad(a: float, b: float, t: float, cfg: QuadratureConfig) -
 def real_part_integral(a: float, b: float, t: float) -> float:
     """Closed form Re I_2 = pi E^2 / (8 W D^(3/2))."""
     _check_ab(a, b)
-    w, e, d = _wed(a, b, t)
+    w, e, d = wed(a, b, t)
     return math.pi * e * e / (8.0 * w * d ** 1.5)
 
 
@@ -241,7 +234,7 @@ def pole_imag_mean_sq(a: float, b: float, t: float) -> float:
     is the squared imaginary part of that double pole.
     """
     _check_ab(a, b)
-    _, _, d = _wed(a, b, t)
+    _, _, d = wed(a, b, t)
     return d / (a * a)
 
 
@@ -266,8 +259,8 @@ def fundamental_solution_closed(p: Point, params: GroupParams) -> float:
     """Closed form K_n E^n / (W D^(n-1/2))."""
     if not np.any(p.x) and p.t == 0.0:
         raise ValueError("Fundamental solution is singular at the identity.")
-    a, b = ab_quantities(p)
-    return float(_closed(a, b, p.t, params.n))
+    a, b = ab_batch(p.x[None, :])
+    return float(_closed(a, b, p.t, params.n)[0])
 
 
 def compare_cloud(

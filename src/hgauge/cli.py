@@ -23,13 +23,12 @@ that holds a non-finite number).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -49,14 +48,15 @@ class RunConfig:
     """Everything a run depends on; no hidden global state."""
 
     command: str
-    options: dict = field(default_factory=dict)
-    output_path: Optional[str] = None
-    timestamp: bool = True
-    threads: Optional[int] = None  # None: one pool thread per CPU, not recorded
+    options: dict
+    output_path: Optional[str]
+    timestamp: bool
+    threads: Optional[int]  # None: one pool thread per CPU, not recorded
 
 
 def _parse_xlist(text: str, expected: int) -> np.ndarray:
-    vals = [float(v) for v in text.replace(",", " ").split()]
+    """Comma- or space-separated floats; an empty comma field is invalid."""
+    vals = [float(v) for v in (text.split(",") if "," in text else text.split())]
     if len(vals) != expected:
         raise ValueError(f"Expected {expected} horizontal coordinates, got {len(vals)}.")
     return np.asarray(vals)
@@ -81,8 +81,8 @@ def _measure_spec(opts: dict) -> measures.MeasureSpec:
     )
 
 
-# batch_means_se splits the kept steps into 50 batches of at least two
-_MIN_KEPT = 100
+# batch_means_se splits the kept steps into batches of at least two
+_MIN_KEPT = 2 * measures.N_BATCHES
 
 
 def _sampler_config(opts: dict, **chains) -> measures.SamplerConfig:
@@ -241,20 +241,13 @@ def _cmd_measure_sample(cfg: RunConfig) -> tuple[dict, Optional[bool]]:
     spec = _measure_spec(o)
     scfg = _sampler_config(o, n_chains=o["chains"], algorithm=o["algorithm"])
     out_path = o.get("out")
-    # opened before any chain runs, so an unwritable path fails at once
-    fh = open(out_path, "w", newline="") if out_path else contextlib.nullcontext()
-    try:
-        with fh:
-            batches = measures.run_chains(spec, params, scfg)
-            if out_path:
-                header = [f"x_{j}" for j in range(1, params.horizontal_dim + 1)] + ["t", "logdens"]
-                fh.write(",".join(header) + "\r\n")
-                for b in batches:
-                    _write_csv_rows(fh, np.column_stack([b.coords, b.log_densities]))
-    except BaseException:
-        if out_path:
-            os.remove(out_path)  # a failed run leaves no CSV behind
-        raise
+    batches = measures.run_chains(spec, params, scfg)
+    if out_path:
+        with open(out_path, "w", newline="") as fh:
+            header = [f"x_{j}" for j in range(1, params.horizontal_dim + 1)] + ["t", "logdens"]
+            fh.write(",".join(header) + "\r\n")
+            for b in batches:
+                _write_csv_rows(fh, np.column_stack([b.coords, b.log_densities]))
     summary = {
         "family": spec.label(),
         "chains": [
@@ -336,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         pc.add_argument("--n", type=int, required=True)
         pc.add_argument("--points", type=int, default=100_000)
         pc.add_argument("--seed", type=int, required=True)
-        pc.add_argument("--box", type=float, default=5.0)
+        pc.add_argument("--box", type=float, default=inequalities.DEFAULT_BOX)
         pc.add_argument("--tolerance", type=float, default=inequalities.DEFAULT_TOLERANCE)
     pf = check_sub.add_parser("fundamental")
     pf.add_argument("--n", type=int, required=True)
@@ -356,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--n", type=int, required=True)
     pb.add_argument("--points", type=int, default=200)
     pb.add_argument("--seed", type=int, required=True)
-    pb.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-11)
+    pb.add_argument("--rel-tol", dest="rel_tol", type=float, default=bgg.QuadratureConfig.rel_tol)
     pb.add_argument("--max-rel-err", dest="max_rel_err", type=float, default=1e-8)
 
     p_meas = sub.add_parser("measure", help="measure families and samplers")
@@ -364,8 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     pm = meas_sub.add_parser("sample")
     _add_measure_flags(pm)
     pm.add_argument("--out", help="CSV path for the samples")
-    pm.add_argument("--chains", type=int, default=1)
-    pm.add_argument("--algorithm", choices=("rwm", "mala"), default="rwm")
+    pm.add_argument("--chains", type=int, default=measures.SamplerConfig.n_chains)
+    pm.add_argument(
+        "--algorithm", choices=measures.ALGORITHMS, default=measures.SamplerConfig.algorithm
+    )
 
     p_verify = sub.add_parser("verify", help="functional-inequality verification")
     verify_sub = p_verify.add_subparsers(dest="subcommand", required=True)
@@ -383,12 +378,12 @@ def _add_measure_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--q", type=float, default=2.0)
+    p.add_argument("--q", type=float, default=measures.MeasureSpec.q)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--steps", type=int, default=110_000)
-    p.add_argument("--burn", type=int, default=10_000)
-    p.add_argument("--step", type=float, default=0.25)
+    p.add_argument("--steps", type=int, default=measures.SamplerConfig.n_steps)
+    p.add_argument("--burn", type=int, default=measures.SamplerConfig.burn_in)
+    p.add_argument("--step", type=float, default=measures.SamplerConfig.step)
 
 
 _DISPATCH = {
@@ -467,20 +462,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = config_from_args(argv)
     except SystemExit as exc:  # argparse already printed a message
         return int(exc.code or 0)
-    csv_path = None
+    made = []  # the files this run created; a run that fails leaves none behind
     try:
+        # each output path is created before the run, so an unwritable one fails at once
+        for path in (cfg.output_path, cfg.options.get("out")):
+            if path:
+                open(path, "w").close()
+                made.append(path)
         status, report = run(cfg)
-        csv_path = cfg.options.get("out")
         text = _strict_json(report)
         if cfg.output_path:
             with open(cfg.output_path, "w") as fh:
                 fh.write(text + "\n")
+        made.clear()
     except (ValueError, RuntimeError, OSError) as exc:
         # RuntimeError: a mis-tuned chain, a quadrature that did not converge
         # or a non-finite report; OSError: an --output or --out path that
         # cannot be written
-        if csv_path:
-            os.remove(csv_path)  # the run wrote its CSV before the report failed
         numerical = isinstance(exc, RuntimeError)
         err = {
             "schema": SCHEMA_VERSION,
@@ -489,6 +487,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         }
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
         return 3 if numerical else 2
+    finally:
+        for path in made:
+            os.remove(path)
     if not cfg.output_path:
         print(text)
     return status

@@ -66,8 +66,8 @@ class TestFunction:
     def evaluate(self, batch: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
         """(f, |grad f|) on every row of the batch.
 
-        The gradient is an exact 0 wherever h'(u) = 0, even on the central
-        line of center^{-1} p, where |grad N| is not finite.
+        The gradient is an exact 0 wherever h'(u) = 0, even at the centre
+        itself (the identity of center^{-1} p), where |grad N| is undefined.
         """
         coords = batch.coords
         if not self.radial:
@@ -226,7 +226,7 @@ def ubound_terms(
     f: TestFunction,
     spec: MeasureSpec,
     batch: SampleBatch,
-    restrict_exterior: bool = False,
+    restrict_exterior: bool,
 ) -> UboundTerms:
     """Per-sample U-bound functionals for one test function.
 

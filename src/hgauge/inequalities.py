@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = -1e-12
+DEFAULT_BOX = 5.0
 EXCLUSION = 1e-3
 
 
@@ -196,7 +197,7 @@ def sample_cloud(
     params: GroupParams,
     n_points: int,
     seed: int,
-    box: float = 5.0,
+    box: float = DEFAULT_BOX,
 ) -> np.ndarray:
     """Random (m, 2n+1) cloud: 3/4 uniform box, 1/4 log-radial dilates.
 
@@ -281,7 +282,7 @@ def check_gradient_bounds(
     params: GroupParams,
     n_points: int,
     seed: int,
-    box: float = 5.0,
+    box: float = DEFAULT_BOX,
     tolerance: float = DEFAULT_TOLERANCE,
     threads: Optional[int] = None,
 ) -> list[InequalityReport]:
@@ -318,7 +319,7 @@ def check_partial_bounds(
     params: GroupParams,
     n_points: int,
     seed: int,
-    box: float = 5.0,
+    box: float = DEFAULT_BOX,
     tolerance: float = DEFAULT_TOLERANCE,
     threads: Optional[int] = None,
 ) -> list[InequalityReport]:

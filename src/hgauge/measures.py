@@ -62,6 +62,8 @@ __all__ = [
 ]
 
 FAMILIES = ("power", "cosh-power", "power-log", "alpha-power")
+ALGORITHMS = ("rwm", "mala")
+N_BATCHES = 50  # batch_means_se's batches
 
 
 @dataclass(frozen=True)
@@ -297,7 +299,7 @@ class SamplerConfig:
     algorithm: str = "rwm"
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ("rwm", "mala"):
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"Unknown algorithm {self.algorithm!r}.")
         if not (0 <= self.burn_in < self.n_steps):
             raise ValueError("Need 0 <= burn_in < n_steps.")
@@ -358,7 +360,7 @@ def run_chain(
     spec: MeasureSpec,
     params: GroupParams,
     cfg: SamplerConfig,
-    chain_index: int = 0,
+    chain_index: int,
 ) -> SampleBatch:
     """Run one chain; deterministic given (cfg.seed, chain_index).
 
@@ -377,8 +379,6 @@ def run_chain(
     dim = params.ambient_dim
 
     state = rng.standard_normal(dim)
-    if not np.any(state[:-1]):
-        state[0] = 1.0  # keep MALA gradients defined
     step = cfg.step
     mala = cfg.algorithm == "mala"
 
@@ -403,20 +403,11 @@ def run_chain(
         if mala:
             drift = state + 0.5 * step * step * grad
             props = drift + step * normals[i:end]
-            live = np.any(props[:, :-1], axis=1)
-            if not live.all():
-                # a central-line proposal is rejected without being scored:
-                # the block stops before it, or is that one step
-                end = i + max(int(np.argmin(live)), 1)
-                props = props[: end - i]
-            if live[0]:
-                prop_norms, prop_logpi, prop_grad = _log_pi_grad_rows(spec, props)
-                back = props + 0.5 * step * step * prop_grad
-                fwd_q = -np.sum((props - drift) ** 2, axis=1) / (2.0 * step * step)
-                back_q = -np.sum((state - back) ** 2, axis=1) / (2.0 * step * step)
-                log_ratio = prop_logpi - logpi + back_q - fwd_q
-            else:
-                log_ratio = np.array([-np.inf])
+            prop_norms, prop_logpi, prop_grad = _log_pi_grad_rows(spec, props)
+            back = props + 0.5 * step * step * prop_grad
+            fwd_q = -np.sum((props - drift) ** 2, axis=1) / (2.0 * step * step)
+            back_q = -np.sum((state - back) ** 2, axis=1) / (2.0 * step * step)
+            log_ratio = prop_logpi - logpi + back_q - fwd_q
         else:
             props = state + step * normals[i:end]
             prop_norms, prop_logpi = _log_pi_rows(spec, props)
@@ -467,11 +458,11 @@ def run_chains(spec: MeasureSpec, params: GroupParams, cfg: SamplerConfig) -> li
     return [run_chain(spec, params, cfg, i) for i in range(cfg.n_chains)]
 
 
-def batch_means_se(values: np.ndarray, n_batches: int = 50) -> float:
-    """Batch-means standard error for a stationary chain functional."""
+def batch_means_se(values: np.ndarray) -> float:
+    """Batch-means standard error over N_BATCHES batches for a stationary chain functional."""
     values = np.asarray(values, dtype=float)
-    if values.size < 2 * n_batches:
-        raise ValueError(f"Need at least {2 * n_batches} values for {n_batches} batches.")
-    usable = values.size - values.size % n_batches
-    means = values[:usable].reshape(n_batches, -1).mean(axis=1)
-    return float(np.std(means, ddof=1) / math.sqrt(n_batches))
+    if values.size < 2 * N_BATCHES:
+        raise ValueError(f"Need at least {2 * N_BATCHES} values for {N_BATCHES} batches.")
+    usable = values.size - values.size % N_BATCHES
+    means = values[:usable].reshape(N_BATCHES, -1).mean(axis=1)
+    return float(np.std(means, ddof=1) / math.sqrt(N_BATCHES))

@@ -40,8 +40,8 @@ from .group import GroupParams, Point, field_coefficients_batch
 __all__ = [
     "NormEval",
     "PartialsBatch",
-    "ab_quantities",
     "ab_batch",
+    "wed",
     "norm_N",
     "norm_batch",
     "exact_partials",
@@ -58,26 +58,21 @@ def _rs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, (x * x).sum(axis=-1) - r
 
 
-def ab_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A and B for an (m, 2n) array of horizontal parts."""
-    r, s = _rs(np.asarray(x, dtype=float))
+def _ab(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A = R/2 + S/2 and B = R/4 + S/2."""
     return 0.5 * r + 0.5 * s, 0.25 * r + 0.5 * s
 
 
-def ab_quantities(p: Point) -> tuple[float, float]:
-    """The anisotropic quadratics (A, B) at a point."""
-    a, b = ab_batch(p.x[None, :])
-    return float(a[0]), float(b[0])
+def ab_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A and B for an (m, 2n) array of horizontal parts."""
+    return _ab(*_rs(np.asarray(x, dtype=float)))
 
 
-def _core(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Shared quantities (R, S, A, B, W, E, D) with W = hypot(B, t)."""
-    r, s = _rs(x)
-    a, b = 0.5 * r + 0.5 * s, 0.25 * r + 0.5 * s
+def wed(a, b, t):
+    """W = hypot(B, t), E = B + W and D = A E + t^2, on floats or arrays."""
     w = np.hypot(b, t)
     e = b + w
-    d = a * e + t * t
-    return r, s, a, b, w, e, d
+    return w, e, a * e + t * t
 
 
 def _gauge(w: np.ndarray, e: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
@@ -103,8 +98,7 @@ def norm_batch(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     Log-domain evaluation; exact zero at the identity.
     """
     x = np.asarray(x, dtype=float)
-    _, _, _, _, w, e, d = _core(x, np.asarray(t, dtype=float))
-    return _gauge(w, e, d, x.shape[-1] // 2)
+    return _gauge(*wed(*ab_batch(x), np.asarray(t, dtype=float)), x.shape[-1] // 2)
 
 
 def norm_N(p: Point, params: GroupParams) -> float:
@@ -157,13 +151,15 @@ def partials_batch(x: np.ndarray, t: np.ndarray) -> PartialsBatch:
         grad_sq = R pair^2 + S block^2 + (R/4 + S) dN_dt^2,
         x_dot   = R pair + S block.
 
-    Rows with x = 0 produce non-finite slopes; callers excluding the central
-    line need not mask.
+    N is smooth on the central line x = 0, and its rows are exact like any
+    other; the identity row gives NaN slopes.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     n = x.shape[-1] // 2
-    r, s, a, b, w, e, d = _core(x, t)
+    r, s = _rs(x)
+    a, b = _ab(r, s)
+    w, e, d = wed(a, b, t)
     p = w * w
     nn = _gauge(w, e, d, n)
 
@@ -214,12 +210,12 @@ class NormEval:
 def exact_partials(p: Point, params: GroupParams) -> NormEval:
     """Exact first derivatives of the gauge at p.
 
-    Raises on the central line x = 0, where N = sqrt|t| has no horizontal
-    derivatives in the classical sense.
+    Raises on the central line x = 0, although N = sqrt|t| is smooth there and
+    partials_batch is exact on it; only the identity is singular.
     """
     _check_params(p, params)
     if not np.any(p.x):
-        raise ValueError("exact_partials is undefined on the central line x = 0.")
+        raise ValueError("exact_partials does not take the central line x = 0.")
     batch = partials_batch(p.x[None, :], np.asarray([p.t]))
     return NormEval(
         A=float(batch.A[0]),

@@ -228,8 +228,10 @@ VERIFY_SHORT = ["verify", "ubound", "--n", "2", "--seed", "1", "--steps", "600",
         VERIFY_SHORT + ["--family", "power", "--k", "4", "--step", "inf"],
         ["bgg", "compare", "--n", "2", "--points", "5", "--seed", "1", "--max-rel-err", "nan"],
         ["bgg", "compare", "--n", "2", "--points", "5", "--seed", "1", "--rel-tol", "inf"],
+        # an empty coordinate field is invalid input, not a dropped coordinate
+        ["norm", "eval", "--n", "2", "--x", "1,,0,0,0"],
     ],
-    ids=["q-nan", "q-inf", "k-nan", "step-inf", "max-rel-err-nan", "rel-tol-inf"],
+    ids=["q-nan", "q-inf", "k-nan", "step-inf", "max-rel-err-nan", "rel-tol-inf", "x-empty-field"],
 )
 def test_non_finite_parameter_exits_2(capsys, argv):
     assert main(["--no-timestamp", *argv]) == 2
@@ -259,11 +261,13 @@ def _no_chain(*args):
         ["--output", "{dir}/r.json", "norm", "eval", "--n", "2", "--x", "1,0,0,0"],
         ["measure", "sample", "--family", "power", "--k", "4", "--n", "2", "--seed", "1",
          "--steps", "400", "--burn", "100", "--out", "{dir}/s.csv"],
+        ["--output", "{dir}/r.json", "verify", "ubound", "--family", "power", "--k", "4",
+         "--n", "2", "--seed", "1", "--steps", "400", "--burn", "100"],
     ],
-    ids=["output", "out"],
+    ids=["output", "out", "output-verify"],
 )
 def test_unwritable_path_exits_2(tmp_path, capsys, monkeypatch, argv):
-    # an unwritable --out fails before any chain runs
+    # an unwritable --output or --out fails before any chain runs
     monkeypatch.setattr(measures, "run_chain", _no_chain)
     missing = tmp_path / "missing"
     status = main([a.format(dir=missing) for a in argv])
@@ -407,23 +411,6 @@ def test_cli_import_does_not_load_scipy():
     assert lines[-1] == "0 False"
 
 
-SCRIPTS = {
-    "margin_scan.py --n-max 6": "  n       margin",
-    "oracle_sweep.py --dims 2 --points 3": "  n    max rel err",
-    "ratio_stability.py --steps 2000 --burn 500 --seeds 1": "measure power(k=4.0)",
-}
-
-
-@pytest.mark.parametrize("command", sorted(SCRIPTS))
-def test_script_runs(command):
-    script, *args = command.split()
-    path = Path(__file__).resolve().parents[1] / "scripts" / script
-    env = dict(os.environ, PYTHONPATH=str(Path(hgauge.__file__).parents[1]))
-    p = subprocess.run([sys.executable, str(path), *args], env=env, capture_output=True, text=True)
-    assert p.returncode == 0, p.stderr
-    assert p.stdout.startswith(SCRIPTS[command]), p.stdout
-
-
 def test_output_file_written(tmp_path, capsys):
     path = tmp_path / "report.json"
     status = main(
@@ -478,7 +465,7 @@ def test_run_config_roundtrip():
 
 def test_unknown_command_in_run():
     with pytest.raises(ValueError):
-        run(RunConfig(command="bogus thing"))
+        run(RunConfig(command="bogus thing", options={}, output_path=None, timestamp=False, threads=None))
 
 
 def test_parser_rejects_unknown_subcommand(capsys):

@@ -177,7 +177,7 @@ def test_constant_has_zero_gradient(batch):
 
 def test_ubound_terms_nonnegative(batch):
     for f in default_family(PARAMS):
-        terms = ubound_terms(f, POWER4, batch)
+        terms = ubound_terms(f, POWER4, batch, restrict_exterior=False)
         assert terms.lhs >= 0.0
         assert terms.grad_term >= 0.0
         assert terms.mass_term > 0.0
@@ -186,7 +186,7 @@ def test_ubound_terms_nonnegative(batch):
 def test_fit_ubound_feasible(batch):
     fam = default_family(PARAMS)
     terms, res = fit_ubound_constants(fam, POWER4, batch)
-    assert terms == [ubound_terms(f, POWER4, batch) for f in fam]
+    assert terms == [ubound_terms(f, POWER4, batch, restrict_exterior=False) for f in fam]
     assert res.feasible
     assert res.max_violation <= 0.0
     assert res.c >= 0.0 and res.d > 0.0

@@ -2,11 +2,13 @@ import ast
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import hgauge
+from hgauge.cli import build_parser
 
 MODULES = ["hgauge"] + [f"hgauge.{m.name}" for m in pkgutil.iter_modules(hgauge.__path__)]
 
@@ -27,6 +29,20 @@ def test_readme_python_blocks_run():
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["result"].feasible
+
+
+def test_readme_cli_examples_parse():
+    # every `hgauge ...` line of the README's sh blocks parses with the current flags
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+        for line in block.splitlines()
+        if line.startswith("hgauge ")
+    ]
+    assert len(lines) >= 10
+    for line in lines:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 def _is_dataclass(node):
@@ -71,4 +87,4 @@ def test_option_count_is_pinned():
     # justify it in review; one that removes an option lowers this count.
     src = Path(hgauge.__file__).resolve().parent
     total = sum(_count_options(ast.parse(p.read_text())) for p in sorted(src.glob("*.py")))
-    assert total == 34
+    assert total == 27

@@ -169,6 +169,20 @@ def test_gradient_matches_finite_differences(n):
     assert np.max(np.abs(fd - exact) / scale) < 5e-7
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 6])
+def test_partials_on_central_line_match_finite_differences(n):
+    # away from the identity the central line is smooth: exact, finite, no warning
+    params = GroupParams(n)
+    coords = np.zeros((3, 2 * n + 1))
+    coords[:, -1] = [0.3, -2.0, 7.5]
+    pb = partials_batch(coords[:, :-1], coords[:, -1])
+    exact = np.column_stack([pb.dN_dx, pb.dN_dt])
+    assert np.all(np.isfinite(exact)) and np.all(np.isfinite(pb.grad_sq))
+    fd = fd_gradient(norm_field(params), coords, FdConfig())
+    assert np.max(np.abs(fd - exact)) < 1e-9
+
+
 def test_exact_partials_single_point_consistency():
     params = GroupParams(3)
     rng = np.random.default_rng(4)
