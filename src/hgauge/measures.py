@@ -23,12 +23,22 @@ seeded run always consumes the i-th spawn of the seed sequence, whether run
 alone or as part of run_chains.
 
 A sampler step on one row costs little more than numpy's per-call overhead,
-so the samplers prefetch along the all-reject path: from the current state
-they build the proposals of up to _PREFETCH steps, score them with one gauge
-call, and walk the pre-drawn uniforms to the first acceptance.  The
-proposals, scores and comparisons of each step are those of a one-step loop,
-element for element, so every chain is the same bit for bit as if it were
-run step by step.
+so the samplers score many proposals per gauge call.  The increments
+step * normal are computed once per window of constant step size (each
+tuning window, then all of post-burn-in).  From the current state the
+random walk scores a two-level tree in one gauge call: the up to _PREFETCH
+proposals of the next steps as if each were rejected, and for each of them
+the _PREFETCH proposals that follow if it is the first one accepted, read
+off the increments as sliding windows.  The walk over the pre-drawn
+uniforms then takes up to two acceptances.  MALA's drift needs the new
+state's gradient, so it scores the first level only.  Every proposal is
+state + increment (MALA: drift + increment), computed element for element
+as in a one-step loop; the gauge is evaluated row by row, so a row's score
+does not depend on the batch it sits in; and the accept/reject tests
+compare the same doubles, on Python floats whose - and < are IEEE's.  So
+every chain is the same bit for bit as if it were run step by step.  The
+kept rows are recorded as runs of a repeated state and expanded once at the
+end.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .group import GroupParams, Point
 from .inequalities import InequalityReport
@@ -181,17 +192,16 @@ def log_density(spec: MeasureSpec, p: Point, params: GroupParams) -> float:
     """log of the unnormalised density, -g(N(p))."""
     if p.n != params.n:
         raise ValueError("Point/params dimension mismatch.")
-    val = norm_batch(p.x[None, :], np.asarray([p.t]))[0]
-    return float(-g_value(spec, val))
+    return float(_log_pi_rows(spec, p.coords()[None, :])[1][0])
 
 
 def grad_log_density(spec: MeasureSpec, p: Point, params: GroupParams) -> np.ndarray:
     """Euclidean gradient of the log density: -g'(N) (dN/dx_1, ..., dN/dt)."""
-    if not np.any(p.x):
-        raise ValueError("grad_log_density is undefined on the central line x = 0.")
-    pb = partials_batch(p.x[None, :], np.asarray([p.t]))
-    gp = float(g_prime(spec, pb.N[0]))
-    return -gp * np.concatenate([pb.dN_dx[0], [pb.dN_dt[0]]])
+    if p.n != params.n:
+        raise ValueError("Point/params dimension mismatch.")
+    if p.t == 0 and not np.any(p.x):
+        raise ValueError("grad_log_density is undefined at the identity.")
+    return _log_pi_grad_rows(spec, p.coords()[None, :])[2][0]
 
 
 # -- condition grids ---------------------------------------------------------
@@ -353,7 +363,17 @@ def _log_pi_grad_rows(
 
 TUNE_INTERVAL = 200
 TARGET_ACCEPT = 0.25
-_PREFETCH = 8  # proposals scored per gauge call
+_PREFETCH = 8  # proposals per level of a scored tree
+
+
+def _first_accept(
+    log_us: list, log_pi: list, current: float, count: int, u0: int = 0, p0: int = 0
+) -> int:
+    """First k < count with log_us[u0 + k] < log_pi[p0 + k] - current, else count."""
+    for k in range(count):
+        if log_us[u0 + k] < log_pi[p0 + k] - current:
+            return k
+    return count
 
 
 def run_chain(
@@ -368,9 +388,21 @@ def run_chain(
     frozen afterwards.  A post-burn-in acceptance rate outside [0.02, 0.98]
     raises, signalling a mis-tuned step.
 
-    Proposals are scored in blocks (see the module docstring).  A block
-    ends at each tuning boundary and at the end of burn-in, so the step
-    size is constant within it.
+    Proposals are scored in trees (see the module docstring).  A window of
+    constant step ends at each tuning boundary and at the end of burn-in;
+    its increments inc_j = step * normals[j] are computed once, in place, when
+    the window starts.  A continuation may run past the window's end, into
+    rows not yet scaled or into the _PREFETCH zero rows past the last step:
+    those rows are scored but never walked.
+    A random-walk tree from state s at step i holds p_k = s + inc_{i+k} for
+    k < m = min(_PREFETCH, end - i), then for each k the rows
+    p_k + inc_{i+k+1+c} for c < _PREFETCH: the proposal of step i + k + 1 + c
+    when step i + k is the first acceptance.  These are the additions a
+    one-step loop makes, the gauge of a row does not depend on its batch, and
+    the walk compares the same doubles, so the chain is that loop's bit for
+    bit.  Each acceptance after burn-in starts a run of kept rows; the runs'
+    states are copied into one buffer (no kept row is a view of a scored
+    tree) and expanded with np.repeat at the end.
     """
     if not 0 <= chain_index < cfg.n_chains:
         raise ValueError(f"chain_index {chain_index} outside 0..{cfg.n_chains - 1}.")
@@ -382,67 +414,107 @@ def run_chain(
     step = cfg.step
     mala = cfg.algorithm == "mala"
 
-    normals = rng.standard_normal((cfg.n_steps, dim))
+    # _PREFETCH zero rows past the last step make every continuation a full
+    # sliding window
+    normals = np.zeros((cfg.n_steps + _PREFETCH, dim))
+    rng.standard_normal(out=normals[: cfg.n_steps])
     log_us = np.log(rng.random(cfg.n_steps))
+    conts = sliding_window_view(normals, _PREFETCH, axis=0).swapaxes(1, 2)
 
     burn = cfg.burn_in
-    kept = np.empty((cfg.n_steps - burn, dim))
-    kept_norms = np.empty(cfg.n_steps - burn)
+    n_kept = cfg.n_steps - burn
+    # run r repeats run_rows[r] (gauge run_norms[r]) from kept row run_starts[r]
+    run_rows = np.empty((n_kept + 1, dim))
+    run_norms = np.empty(n_kept + 1)
+    run_starts: list[int] = []
     if mala:
         norm, logpi, grad = (v[0] for v in _log_pi_grad_rows(spec, state[None, :]))
     else:
         norm, logpi = (v[0] for v in _log_pi_rows(spec, state[None, :]))
+    logpi = float(logpi)
 
     accepted_window = 0
     accepted_main = 0
     i = 0
     while i < cfg.n_steps:
-        end = min(i + _PREFETCH, cfg.n_steps)
         if i < burn:
-            end = min(end, burn, (i // TUNE_INTERVAL + 1) * TUNE_INTERVAL)
-        if mala:
-            drift = state + 0.5 * step * step * grad
-            props = drift + step * normals[i:end]
-            prop_norms, prop_logpi, prop_grad = _log_pi_grad_rows(spec, props)
-            back = props + 0.5 * step * step * prop_grad
-            fwd_q = -np.sum((props - drift) ** 2, axis=1) / (2.0 * step * step)
-            back_q = -np.sum((state - back) ** 2, axis=1) / (2.0 * step * step)
-            log_ratio = prop_logpi - logpi + back_q - fwd_q
+            end = min(burn, (i // TUNE_INTERVAL + 1) * TUNE_INTERVAL)
         else:
-            props = state + step * normals[i:end]
-            prop_norms, prop_logpi = _log_pi_rows(spec, props)
-            log_ratio = prop_logpi - logpi
-
-        accept = log_us[i:end] < log_ratio
-        k = int(accept.argmax())  # the first acceptance, if there is one
-        j = i + k if accept[k] else end
-        if i >= burn:
-            kept[i - burn : j - burn] = state
-            kept_norms[i - burn : j - burn] = norm
-        i = j
-        if accept[k]:
-            state = props[k]
-            norm, logpi = prop_norms[k], prop_logpi[k]
+            end = cfg.n_steps
+            run_starts.append(0)
+            run_rows[0] = state
+            run_norms[0] = norm
+        # the window's increments, in place: normals[j] becomes step * normals[j]
+        np.multiply(step, normals[i:end], out=normals[i:end])
+        while i < end:
+            m = min(_PREFETCH, end - i)
+            us = log_us[i : i + m + _PREFETCH].tolist()
             if mala:
-                grad = prop_grad[k]
-            if i >= burn:
-                accepted_main += 1
-                kept[i - burn] = state
-                kept_norms[i - burn] = norm
+                drift = state + 0.5 * step * step * grad
+                props = drift + normals[i : i + m]
+                prop_norms, prop_logpi, prop_grad = _log_pi_grad_rows(spec, props)
+                back = props + 0.5 * step * step * prop_grad
+                fwd_q = -np.sum((props - drift) ** 2, axis=1) / (2.0 * step * step)
+                back_q = -np.sum((state - back) ** 2, axis=1) / (2.0 * step * step)
+                log_ratio = (prop_logpi - logpi + back_q - fwd_q).tolist()
+                k = _first_accept(us, log_ratio, 0.0, m)
+                hits = [(k, i + k)] if k < m else []
+                walked = min(k + 1, m)
+                if hits:
+                    logpi = float(prop_logpi[k])
+                    grad = prop_grad[k]
             else:
-                accepted_window += 1
-            i += 1
+                props = np.empty(((_PREFETCH + 1) * m, dim))
+                np.add(state, normals[i : i + m], out=props[:m])
+                np.add(
+                    props[:m, None],
+                    conts[i + 1 : i + 1 + m],
+                    out=props[m:].reshape(m, _PREFETCH, dim),
+                )
+                prop_norms, prop_logpi = _log_pi_rows(spec, props)
+                lp = prop_logpi.tolist()
+                k = _first_accept(us, lp, logpi, m)
+                hits = []
+                walked = m
+                if k < m:
+                    # after an acceptance at step i + k, step i + k + 1 + c
+                    # proposes row m + k _PREFETCH + c
+                    hits.append((k, i + k))
+                    logpi = lp[k]
+                    row = m + k * _PREFETCH
+                    room = min(_PREFETCH, end - (i + k + 1))
+                    c = _first_accept(us, lp, logpi, room, k + 1, row)
+                    walked = k + 1 + min(c + 1, room)
+                    if c < room:
+                        hits.append((row + c, i + k + 1 + c))
+                        logpi = lp[row + c]
+            i += walked
+            for h, g in hits:
+                state = props[h]
+                norm = prop_norms[h]
+                if g >= burn:
+                    accepted_main += 1
+                    r = len(run_starts)
+                    run_starts.append(g - burn)
+                    run_rows[r] = state
+                    run_norms[r] = norm
+                else:
+                    accepted_window += 1
 
         if i <= burn and i % TUNE_INTERVAL == 0:
             rate = accepted_window / TUNE_INTERVAL
             step *= math.exp(0.5 * (rate - TARGET_ACCEPT))
             accepted_window = 0
 
-    rate = accepted_main / (cfg.n_steps - burn)
+    del normals, conts  # free the increments before the kept rows are built
+    rate = accepted_main / n_kept
     if not 0.02 <= rate <= 0.98:
         raise RuntimeError(
             f"Acceptance rate {rate:.3f} outside [0.02, 0.98]; step mis-tuned."
         )
+    counts = np.diff(run_starts + [n_kept])
+    kept = np.repeat(run_rows[: len(run_starts)], counts, axis=0)
+    kept_norms = np.repeat(run_norms[: len(run_starts)], counts)
     kept_norms.flags.writeable = False
     return SampleBatch(
         coords=kept,

@@ -55,12 +55,13 @@ def _rs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """R (distinguished pair) and S (remaining coordinates) squared lengths."""
     n = x.shape[-1] // 2
     r = x[..., 0] ** 2 + x[..., n] ** 2
-    return r, (x * x).sum(axis=-1) - r
+    return r, np.add.reduce(x * x, axis=-1) - r
 
 
 def _ab(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A = R/2 + S/2 and B = R/4 + S/2."""
-    return 0.5 * r + 0.5 * s, 0.25 * r + 0.5 * s
+    half_s = 0.5 * s
+    return 0.5 * r + half_s, 0.25 * r + half_s
 
 
 def ab_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,14 +82,14 @@ def _gauge(w: np.ndarray, e: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
     def log_n(w, e, d):
         return np.log(w) / (2 * n) + (0.5 - 0.25 / n) * np.log(d) - 0.5 * np.log(e)
 
-    # d > 0 implies w > 0; the gap is deep-underflow input whose value
-    # rounds to zero anyway
-    mask = d > 0.0
-    if mask.all():
+    # d >= 0, and d > 0 implies w > 0 and e > 0.  d == 0 at the identity and
+    # on deep-underflow input, whose value rounds to zero anyway; a NaN row
+    # fails the test too and stays NaN below.
+    if np.minimum.reduce(d, axis=None, initial=np.inf) > 0.0:
         return np.exp(log_n(w, e, d))
     out = np.zeros(d.shape)
-    if mask.any():
-        out[mask] = np.exp(log_n(w[mask], e[mask], d[mask]))
+    rest = d != 0.0
+    out[rest] = np.exp(log_n(w[rest], e[rest], d[rest]))
     return out
 
 
@@ -112,20 +113,32 @@ class PartialsBatch(NamedTuple):
 
     pair_slope and block_slope satisfy dN/dx_j = x_j * slope on the
     distinguished pair {1, n+1} and on the remaining coordinates
-    respectively; dN/dt = t * time_slope.  The (m, 2n) arrays dN_dx and
-    horizontal are built from x only when read.
+    respectively; dN/dt = t * time_slope.  R and S are the squared lengths
+    of the pair and of the rest.  The (m, 2n) arrays dN_dx and horizontal,
+    and the per-row grad_sq and x_dot, are built only when read.
     """
 
     x: np.ndarray
     N: np.ndarray
     A: np.ndarray
     B: np.ndarray
+    R: np.ndarray
+    S: np.ndarray
     pair_slope: np.ndarray
     block_slope: np.ndarray
     time_slope: np.ndarray
     dN_dt: np.ndarray
-    grad_sq: np.ndarray
-    x_dot: np.ndarray
+
+    @property
+    def grad_sq(self) -> np.ndarray:
+        """|grad_H N|^2 = R pair^2 + S block^2 + (R/4 + S) dN_dt^2."""
+        r, s = self.R, self.S
+        return r * self.pair_slope**2 + s * self.block_slope**2 + (0.25 * r + s) * self.dN_dt**2
+
+    @property
+    def x_dot(self) -> np.ndarray:
+        """x . grad N = R pair + S block."""
+        return self.R * self.pair_slope + self.S * self.block_slope
 
     @property
     def dN_dx(self) -> np.ndarray:
@@ -152,7 +165,7 @@ def partials_batch(x: np.ndarray, t: np.ndarray) -> PartialsBatch:
         x_dot   = R pair + S block.
 
     N is smooth on the central line x = 0, and its rows are exact like any
-    other; the identity row gives NaN slopes.
+    other; the identity row gives N = 0 and NaN slopes, a NaN row NaN.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -164,8 +177,8 @@ def partials_batch(x: np.ndarray, t: np.ndarray) -> PartialsBatch:
     nn = _gauge(w, e, d, n)
 
     fourn = 4.0 * n
-    mid = ((2 * n - 1) / fourn) * e / d
     with np.errstate(divide="ignore", invalid="ignore"):
+        mid = ((2 * n - 1) / fourn) * e / d
         g_pair = b / (fourn * p) + mid * (1.0 + a / (2.0 * w)) - 1.0 / (4.0 * w)
         g_block = 2.0 * b / (fourn * p) + mid * (1.0 + a / w) - 1.0 / (2.0 * w)
         g_time = (
@@ -184,12 +197,12 @@ def partials_batch(x: np.ndarray, t: np.ndarray) -> PartialsBatch:
         N=nn,
         A=a,
         B=b,
+        R=r,
+        S=s,
         pair_slope=pair_slope,
         block_slope=block_slope,
         time_slope=time_slope,
         dN_dt=dn_dt,
-        grad_sq=r * pair_slope**2 + s * block_slope**2 + (0.25 * r + s) * dn_dt**2,
-        x_dot=r * pair_slope + s * block_slope,
     )
 
 
@@ -210,12 +223,12 @@ class NormEval:
 def exact_partials(p: Point, params: GroupParams) -> NormEval:
     """Exact first derivatives of the gauge at p.
 
-    Raises on the central line x = 0, although N = sqrt|t| is smooth there and
-    partials_batch is exact on it; only the identity is singular.
+    Raises at the identity, the one point where N is not differentiable; the
+    central line x = 0 is smooth elsewhere and exact like any other point.
     """
     _check_params(p, params)
-    if not np.any(p.x):
-        raise ValueError("exact_partials does not take the central line x = 0.")
+    if p.t == 0 and not np.any(p.x):
+        raise ValueError("exact_partials is undefined at the identity.")
     batch = partials_batch(p.x[None, :], np.asarray([p.t]))
     return NormEval(
         A=float(batch.A[0]),

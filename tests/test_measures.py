@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hgauge.fd import FdConfig, fd_gradient
 from hgauge.group import GroupParams, Point
 from hgauge.measures import (
     FAMILIES,
+    TARGET_ACCEPT,
+    TUNE_INTERVAL,
     MeasureSpec,
     SamplerConfig,
     batch_means_se,
@@ -24,6 +27,7 @@ from hgauge.measures import (
     run_chain,
     run_chains,
 )
+from hgauge.measures import _log_pi_grad_rows, _log_pi_rows
 
 POWER4 = MeasureSpec(family="power", k=4.0)
 COSH1 = MeasureSpec(family="cosh-power", k=1.0)
@@ -113,10 +117,19 @@ def test_grad_log_density_matches_fd(spec):
         assert np.allclose(exact, fd, rtol=1e-5, atol=1e-7)
 
 
-def test_grad_log_density_rejects_central_line():
+def test_grad_log_density_rejects_only_identity():
+    # the central line is smooth away from the identity: finite and FD-exact
     params = GroupParams(2)
+    p = Point(np.zeros(4), 1.0)
+    exact = grad_log_density(POWER4, p, params)
+    def field(coords):
+        return _log_pi_rows(POWER4, coords)[1]
+
+    fd = fd_gradient(field, p.coords()[None, :], FdConfig())[0]
+    assert np.all(np.isfinite(exact))
+    assert np.allclose(exact, fd, rtol=1e-7, atol=1e-9)
     with pytest.raises(ValueError):
-        grad_log_density(POWER4, Point(np.zeros(4), 1.0), params)
+        grad_log_density(POWER4, Point(np.zeros(4), 0.0), params)
 
 
 # -- analytic conditions --------------------------------------------------------
@@ -286,6 +299,110 @@ def test_chain_digests_are_pinned(algorithm, family, n, monkeypatch):
         h.update(np.float64(b.acceptance_rate).tobytes())
         h.update(np.float64(b.step_final).tobytes())
     assert h.hexdigest()[:32] == CHAIN_DIGESTS[algorithm, family, n]
+
+
+def _one_step_chain(spec, params, cfg, chain_index):
+    """The reference sampler: a plain loop scoring one proposal per gauge call.
+
+    Returns (coords, log-densities, acceptance, step_final) as run_chain's
+    batch does, and raises as run_chain does on a mis-tuned step.
+    """
+    stream = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chains)[chain_index]
+    rng = np.random.default_rng(stream)
+    dim = params.ambient_dim
+    state = rng.standard_normal(dim)[None, :]
+    normals = rng.standard_normal((cfg.n_steps, dim))
+    log_us = np.log(rng.random(cfg.n_steps))
+    mala = cfg.algorithm == "mala"
+    step = cfg.step
+    if mala:
+        norm, logpi, grad = _log_pi_grad_rows(spec, state)
+    else:
+        norm, logpi = _log_pi_rows(spec, state)
+    coords, norms = [], []
+    accepted_window = accepted_main = 0
+    for i in range(cfg.n_steps):
+        if mala:
+            drift = state + 0.5 * step * step * grad
+            prop = drift + step * normals[i : i + 1]
+            prop_norm, prop_logpi, prop_grad = _log_pi_grad_rows(spec, prop)
+            back = prop + 0.5 * step * step * prop_grad
+            fwd_q = -np.sum((prop - drift) ** 2, axis=1) / (2.0 * step * step)
+            back_q = -np.sum((state - back) ** 2, axis=1) / (2.0 * step * step)
+            log_ratio = prop_logpi - logpi + back_q - fwd_q
+        else:
+            prop = state + step * normals[i : i + 1]
+            prop_norm, prop_logpi = _log_pi_rows(spec, prop)
+            log_ratio = prop_logpi - logpi
+        if log_us[i] < log_ratio[0]:
+            state, norm, logpi = prop, prop_norm, prop_logpi
+            if mala:
+                grad = prop_grad
+            if i >= cfg.burn_in:
+                accepted_main += 1
+            else:
+                accepted_window += 1
+        if i >= cfg.burn_in:
+            coords.append(state[0])
+            norms.append(norm[0])
+        elif (i + 1) % TUNE_INTERVAL == 0:
+            step *= math.exp(0.5 * (accepted_window / TUNE_INTERVAL - TARGET_ACCEPT))
+            accepted_window = 0
+    rate = accepted_main / (cfg.n_steps - cfg.burn_in)
+    if not 0.02 <= rate <= 0.98:
+        raise RuntimeError(f"Acceptance rate {rate:.3f} outside [0.02, 0.98]; step mis-tuned.")
+    return np.array(coords), -g_value(spec, np.array(norms)), rate, step
+
+
+# (n_steps, burn_in, step by algorithm or (algorithm, n)); burn-in 437 leaves
+# 5 kept steps after a partial tuning window; the tiny and large steps run
+# untuned, at acceptance 0.92-0.98 and 0.02-0.04 for the random walk
+REFERENCE_CONFIGS = {
+    "no-burn-in": (1000, 0, {"rwm": 0.5, "mala": 0.4}),
+    "burn-in-multiple": (1000, 2 * TUNE_INTERVAL, {"rwm": 0.5, "mala": 0.4}),
+    "five-kept": (442, 437, {"rwm": 0.5, "mala": 0.4}),
+    "tiny-step": (1000, 0, {("rwm", 2): 0.04, ("rwm", 6): 0.006, "mala": 0.3}),
+    "large-step": (1000, 0, {("rwm", 2): 2.0, ("rwm", 6): 0.9, "mala": 0.8}),
+    "mis-tuned": (300, 0, {"rwm": 1e6, "mala": 1e6}),
+}
+
+
+def _chain_fields(spec, params, cfg, chain_index):
+    b = run_chain(spec, params, cfg, chain_index)
+    return b.coords, b.log_densities, b.acceptance_rate, b.step_final
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except RuntimeError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("config", sorted(REFERENCE_CONFIGS))
+@pytest.mark.parametrize("n", [2, 6])
+@pytest.mark.parametrize("algorithm", ["rwm", "mala"])
+def test_chain_equals_one_step_reference(algorithm, n, config):
+    n_steps, burn_in, steps = REFERENCE_CONFIGS[config]
+    step = steps.get((algorithm, n), steps.get(algorithm))
+    cfg = SamplerConfig(
+        n_steps=n_steps, burn_in=burn_in, step=step, seed=11, n_chains=2, algorithm=algorithm
+    )
+    params = GroupParams(n)
+    want = _outcome(_one_step_chain, POWER4, params, cfg, 1)
+    got = _outcome(_chain_fields, POWER4, params, cfg, 1)
+    if config == "mis-tuned":
+        assert want.startswith("Acceptance rate 0.000") and got == want
+        return
+    coords, logdens, rate, step_final = got
+    assert coords.shape == want[0].shape == (n_steps - burn_in, 2 * n + 1)
+    assert coords.tobytes() == want[0].tobytes()
+    assert logdens.tobytes() == want[1].tobytes()
+    assert (rate, step_final) == want[2:]
+    if algorithm == "rwm" and config == "tiny-step":
+        assert rate > 0.9  # nearly every second-level branch is walked
+    if algorithm == "rwm" and config == "large-step":
+        assert rate < 0.05  # the all-reject path dominates
 
 
 def test_batch_means_se_iid():

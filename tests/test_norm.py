@@ -95,6 +95,33 @@ def test_extreme_scales_stay_finite():
         assert v == pytest.approx(s * unit, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 6])
+def test_empty_batch_gives_empty_arrays(n):
+    x, t = np.empty((0, 2 * n)), np.empty(0)
+    assert norm_batch(x, t).shape == (0,)
+    pb = partials_batch(x, t)
+    assert pb.N.shape == pb.grad_sq.shape == pb.x_dot.shape == (0,)
+    assert pb.dN_dx.shape == (0, 2 * n)
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_nan_and_identity_rows(n):
+    # the identity is exactly 0 with NaN slopes; a NaN row stays NaN; neither
+    # touches its neighbours
+    x = np.zeros((4, 2 * n))
+    x[1, 0] = np.nan
+    x[3, 1] = 1.5
+    t = np.array([0.0, 0.7, np.nan, -0.4])
+    want = norm_batch(x[3:], t[3:])[0]
+    nn = norm_batch(x, t)
+    assert nn[0] == 0.0 and np.isnan(nn[1]) and np.isnan(nn[2]) and nn[3] == want
+    pb = partials_batch(x, t)
+    assert np.array_equal(pb.N, nn, equal_nan=True)
+    for v in (pb.pair_slope, pb.block_slope, pb.time_slope, pb.grad_sq, pb.x_dot):
+        assert np.all(np.isnan(v[:3])) and np.isfinite(v[3])
+    assert pb.grad_sq[3] == partials_batch(x[3:], t[3:]).grad_sq[0]
+
+
 # -- derivatives --------------------------------------------------------------
 
 
@@ -199,10 +226,17 @@ def test_exact_partials_single_point_consistency():
     assert ev.x_dot_grad == pytest.approx(float(x @ ev.dN_dx), rel=1e-12)
 
 
-def test_exact_partials_rejects_central_line():
+def test_exact_partials_rejects_only_identity():
+    # the central line is smooth away from the identity: finite and FD-exact
     params = GroupParams(2)
+    p = Point(np.zeros(4), 1.0)
+    ev = exact_partials(p, params)
+    exact = np.append(ev.dN_dx, ev.dN_dt)
+    fd = fd_gradient(norm_field(params), p.coords()[None, :], FdConfig())[0]
+    assert np.all(np.isfinite(exact))
+    assert np.max(np.abs(fd - exact)) < 1e-9
     with pytest.raises(ValueError):
-        exact_partials(Point(np.zeros(4), 1.0), params)
+        exact_partials(Point(np.zeros(4), 0.0), params)
 
 
 def test_gradient_is_homogeneous_degree_zero():
