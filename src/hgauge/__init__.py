@@ -52,7 +52,7 @@ from .measures import (
     run_chain,
     run_chains,
 )
-from .norm import NormEval, exact_partials, norm_N, norm_batch, partials_batch
+from .norm import exact_partials, norm_N, norm_batch, partials_batch
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "GroupParams",
     "InequalityReport",
     "MeasureSpec",
-    "NormEval",
     "Point",
     "QuadratureConfig",
     "SampleBatch",

@@ -8,6 +8,10 @@ with the central coefficients c_j from the group layer.  Second derivatives
 use 3-point central stencils, mixed ones 4-point cross stencils.  Steps scale
 with 1 + ||p||_inf.  Every stencil is one matrix of step multiples, and the
 field is evaluated once on all of its shifted copies.
+
+Only the identity is singular: the gauge is smooth everywhere else, the
+central line x = 0 included.  A stencil that meets the identity raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -65,7 +69,8 @@ def _stencil(field: Field, coords: np.ndarray, shifts: np.ndarray, h: np.ndarray
     """
     m, dim = coords.shape
     rows = coords[None, :, :] + shifts[:, None, :] * h[None, :, None]
-    vals = np.asarray(field(rows.reshape(-1, dim)), dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vals = np.asarray(field(rows.reshape(-1, dim)), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("Non-finite field values in finite-difference stencil.")
     return vals.reshape(len(shifts), m)
@@ -128,20 +133,12 @@ def sub_laplacian_batch(field: Field, coords: np.ndarray, cfg: FdConfig) -> np.n
 def harmonicity_residual_batch(
     coords: np.ndarray, params: GroupParams, cfg: FdConfig
 ) -> np.ndarray:
-    """Sub-Laplacian of N^(2-Q) on rows away from the central line.
+    """Sub-Laplacian of N^(2-Q) on rows away from the identity.
 
     The exact value is 0; the residual is pure discretisation error.
     """
-    coords = _off_central_line(coords)
     field = npow_field(params, 2 - params.homogeneous_dim)
     return sub_laplacian_batch(field, coords, cfg)
-
-
-def _off_central_line(coords: np.ndarray) -> np.ndarray:
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    if np.any(~np.any(coords[:, :-1], axis=-1)):
-        raise ValueError("harmonicity residual is singular on the central line x = 0.")
-    return coords
 
 
 class HarmonicityCheck(NamedTuple):
@@ -167,7 +164,7 @@ def harmonicity_check(
     mix (4 half - plain) / 3 weights the h/2 stencil by 4/3.
     """
     _check_step(h_base)
-    coords = _off_central_line(coords)
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
     power = 2 - params.homogeneous_dim
     field = npow_field(params, power)
     h = _step(coords, h_base)
@@ -197,10 +194,13 @@ def infinity_laplacian_witness(
     h_first and h_first/2; the finer one is reported.  The floor combines
     the difference of the two with a roundoff estimate; a value exceeding
     the floor by a clear factor certifies a genuinely nonzero
-    infinity-Laplacian.
+    infinity-Laplacian.  On the central line x = 0, where grad_H N = 0, both
+    are exactly 0; the identity raises.
     """
     if not np.any(p.x):
-        raise ValueError("The infinity-Laplacian of N is singular on the central line x = 0.")
+        if p.t == 0:
+            raise ValueError("The infinity-Laplacian of N is undefined at the identity.")
+        return 0.0, 0.0
     coords = p.coords()[None, :]
     pb = partials_batch(p.x[None, :], np.asarray([p.t]))
     c = field_coefficients_batch(p.x[None, :])[0]

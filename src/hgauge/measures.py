@@ -223,21 +223,37 @@ def condition_grid_start(spec: MeasureSpec) -> float:
     return 1.0
 
 
+def _worst_margin(
+    conditions: list[tuple[str, np.ndarray, np.ndarray]], n_points: int, strict: bool
+) -> InequalityReport:
+    """Report the smallest margin over (name, margins, radii) conditions.
+
+    A non-finite margin (an overflowed profile) ranks below every finite one
+    and fails, so the report names that condition and its first such radius.
+    Passing needs margin > 0 when strict, margin >= 0 otherwise.
+    """
+    worst = []
+    for name, margins, radii in conditions:
+        bad = np.flatnonzero(~np.isfinite(margins))
+        i = int(bad[0]) if bad.size else int(np.argmin(margins))
+        worst.append((bad.size == 0, float(margins[i]), name, float(radii[i])))
+    finite, margin, name, radius = min(worst, key=lambda w: w[:2])
+    return InequalityReport(
+        name=name,
+        n_points=n_points,
+        min_margin=margin,
+        worst_point=radius,
+        tolerance=0.0,
+        passed=finite and (margin > 0.0 if strict else margin >= 0.0),
+    )
+
+
 def check_slope_condition(spec: MeasureSpec, n_grid: np.ndarray) -> InequalityReport:
     """g'(N)^2 - g''(N) >= 0 on the given grid, normalised by g'(N)^2."""
     r = np.asarray(n_grid, dtype=float)
     if np.any(r <= 0):
         raise ValueError("Grid radii must be positive.")
-    margins = 1.0 - slope_ratio(spec, r)
-    worst = int(np.argmin(margins))
-    return InequalityReport(
-        name="slope-condition",
-        n_points=r.size,
-        min_margin=float(margins[worst]),
-        worst_point=float(r[worst]),
-        tolerance=0.0,
-        passed=bool(margins[worst] >= 0.0),
-    )
+    return _worst_margin([("slope-condition", 1.0 - slope_ratio(spec, r), r)], r.size, False)
 
 
 def check_lsi_conditions(
@@ -247,7 +263,7 @@ def check_lsi_conditions(
 
     Margins (all scale-free): relative increments of g', the ratio
     1 - g / (c g'/N^2)^(1/beta), and 1 - g'' / (d g'^2).  The report carries
-    the worst of the three.
+    the worst of the three; a margin the profile overflows fails.
     """
     if spec.beta is None:
         raise ValueError("LSI conditions need a family with a beta exponent.")
@@ -256,33 +272,17 @@ def check_lsi_conditions(
     r = np.sort(np.asarray(n_grid, dtype=float))
     if np.any(r < 1.0):
         raise ValueError("LSI condition grid lives on {N >= 1}.")
-    gp = g_prime(spec, r)
-    gv = g_value(spec, r)
-    gs = g_second(spec, r)
-
-    inc = np.diff(gp) / np.abs(gp[:-1])
-    dominating = (c * gp / (r * r)) ** (1.0 / spec.beta)
-    m_grow = 1.0 - gv / dominating
-    m_curv = 1.0 - gs / (d * gp * gp)
-
-    candidates = [
-        ("monotone-slope", inc, r[:-1]),
-        ("beta-growth", m_grow, r),
-        ("curvature", m_curv, r),
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gp = g_prime(spec, r)
+        inc = np.diff(gp) / np.abs(gp[:-1])
+        m_grow = 1.0 - g_value(spec, r) / (c * gp / (r * r)) ** (1.0 / spec.beta)
+        m_curv = 1.0 - slope_ratio(spec, r) / d
+    conditions = [
+        ("lsi-conditions(monotone-slope)", inc, r[:-1]),
+        ("lsi-conditions(beta-growth)", m_grow, r),
+        ("lsi-conditions(curvature)", m_curv, r),
     ]
-    worst_name, worst_margin, worst_r = None, np.inf, None
-    for name, vals, grid in candidates:
-        i = int(np.argmin(vals))
-        if vals[i] < worst_margin:
-            worst_name, worst_margin, worst_r = name, float(vals[i]), float(grid[i])
-    return InequalityReport(
-        name=f"lsi-conditions({worst_name})",
-        n_points=r.size,
-        min_margin=worst_margin,
-        worst_point=worst_r,
-        tolerance=0.0,
-        passed=bool(worst_margin > 0.0),
-    )
+    return _worst_margin(conditions, r.size, True)
 
 
 # -- samplers -----------------------------------------------------------------

@@ -30,7 +30,6 @@ exposes them directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,7 +37,6 @@ import numpy as np
 from .group import GroupParams, Point, field_coefficients_batch
 
 __all__ = [
-    "NormEval",
     "PartialsBatch",
     "ab_batch",
     "wed",
@@ -109,13 +107,15 @@ def norm_N(p: Point, params: GroupParams) -> float:
 
 
 class PartialsBatch(NamedTuple):
-    """Exact derivative data for a batch of points.
+    """Exact first-order data for a batch of points, or for one point.
 
     pair_slope and block_slope satisfy dN/dx_j = x_j * slope on the
     distinguished pair {1, n+1} and on the remaining coordinates
     respectively; dN/dt = t * time_slope.  R and S are the squared lengths
     of the pair and of the rest.  The (m, 2n) arrays dN_dx and horizontal,
-    and the per-row grad_sq and x_dot, are built only when read.
+    and the per-row grad_sq and x_dot, are built only when read.  The same
+    record holds one point with a (2n,) x and scalar fields (exact_partials).
+    Only the identity is singular: its row has N = 0 and NaN slopes.
     """
 
     x: np.ndarray
@@ -132,8 +132,11 @@ class PartialsBatch(NamedTuple):
     @property
     def grad_sq(self) -> np.ndarray:
         """|grad_H N|^2 = R pair^2 + S block^2 + (R/4 + S) dN_dt^2."""
+        # products, not **2: on scalar fields ** can round differently from
+        # the array path, and a one-point record must match its batch row
         r, s = self.R, self.S
-        return r * self.pair_slope**2 + s * self.block_slope**2 + (0.25 * r + s) * self.dN_dt**2
+        pair, block, dt = self.pair_slope, self.block_slope, self.dN_dt
+        return r * (pair * pair) + s * (block * block) + (0.25 * r + s) * (dt * dt)
 
     @property
     def x_dot(self) -> np.ndarray:
@@ -206,22 +209,8 @@ def partials_batch(x: np.ndarray, t: np.ndarray) -> PartialsBatch:
     )
 
 
-@dataclass(frozen=True)
-class NormEval:
-    """Gauge value and exact first-order data at one point."""
-
-    A: float
-    B: float
-    N: float
-    dN_dx: np.ndarray
-    dN_dt: float
-    horizontal_grad: np.ndarray
-    grad_norm_sq: float
-    x_dot_grad: float
-
-
-def exact_partials(p: Point, params: GroupParams) -> NormEval:
-    """Exact first derivatives of the gauge at p.
+def exact_partials(p: Point, params: GroupParams) -> PartialsBatch:
+    """Exact first-order data at p: the batch kernel's record for its one row.
 
     Raises at the identity, the one point where N is not differentiable; the
     central line x = 0 is smooth elsewhere and exact like any other point.
@@ -229,17 +218,7 @@ def exact_partials(p: Point, params: GroupParams) -> NormEval:
     _check_params(p, params)
     if p.t == 0 and not np.any(p.x):
         raise ValueError("exact_partials is undefined at the identity.")
-    batch = partials_batch(p.x[None, :], np.asarray([p.t]))
-    return NormEval(
-        A=float(batch.A[0]),
-        B=float(batch.B[0]),
-        N=float(batch.N[0]),
-        dN_dx=batch.dN_dx[0],
-        dN_dt=float(batch.dN_dt[0]),
-        horizontal_grad=batch.horizontal[0],
-        grad_norm_sq=float(batch.grad_sq[0]),
-        x_dot_grad=float(batch.x_dot[0]),
-    )
+    return PartialsBatch._make(f[0] for f in partials_batch(p.x[None, :], np.asarray([p.t])))
 
 
 def _check_params(p: Point, params: GroupParams) -> None:

@@ -85,6 +85,34 @@ def test_infinity_harmonic_reports_are_pinned(capsys):
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:32] == digest, args
 
 
+def test_central_line_reports(capsys):
+    # only the identity is singular: x = 0 gets derivatives and a zero
+    # witness (a failed check, exit 1); the identity gets N alone, and the
+    # witness refuses it as invalid input (exit 2)
+    status, report = _run_json(
+        capsys, ["--no-timestamp", "norm", "eval", "--n", "2", "--x", "0,0,0,0", "--t", "1"]
+    )
+    res = report["results"]
+    assert status == 0
+    assert res["grad_norm_sq"] == 0.0 and res["x_dot_grad"] == 0.0
+    # Euler's relation for the degree-1 gauge: x . grad N + 2t dN/dt = N
+    assert abs(res["x_dot_grad"] + 2.0 * res["dN_dt"] - res["N"]) <= 1e-12
+    status, report = _run_json(
+        capsys, ["--no-timestamp", "norm", "eval", "--n", "2", "--x", "0,0,0,0", "--t", "0"]
+    )
+    assert status == 0 and report["results"] == {"N": 0.0}
+
+    argv = ["--no-timestamp", "check", "infinity-harmonic", "--n", "2", "--x", "0,0,0,0"]
+    status, report = _run_json(capsys, argv + ["--t", "0.3"])
+    res = report["results"]
+    assert status == 1
+    # grad_H N = 0 on x = 0: the witness and its floor are exactly 0
+    assert res["value"] == res["noise_floor"] == res["ratio"] == 0.0
+    assert res["nonzero_beyond_noise"] is False
+    assert main(argv + ["--t", "0"]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "invalid"
+
+
 def test_check_lemma2_passes(capsys):
     status, report = _run_json(
         capsys,

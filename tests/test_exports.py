@@ -88,3 +88,53 @@ def test_option_count_is_pinned():
     src = Path(hgauge.__file__).resolve().parent
     total = sum(_count_options(ast.parse(p.read_text())) for p in sorted(src.glob("*.py")))
     assert total == 27
+
+
+def _references(tree):
+    """Names and attributes a module uses, outside the definition they name."""
+    used = set()
+    for node in tree.body:
+        refs = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+        refs |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+        used |= refs - {getattr(node, "name", None)}
+    return used
+
+
+# Public names that nothing but tests uses.  A change that wires one in or
+# deletes it shrinks this set; one that adds a public function only tests
+# call must grow it in review.
+TEST_ONLY_PUBLIC = {
+    "check_lsi_conditions",
+    "check_slope_condition",
+    "compose",
+    "condition_grid_start",
+    "dilate",
+    "fundamental_solution_quad",
+    "grad_log_density",
+    "harmonicity_residual_batch",
+    "log_density",
+    "modulus_integral",
+    "modulus_integral_quad",
+    "phase_correction_quad",
+    "pole_imag_mean_sq",
+    "real_part_integral",
+    "real_part_integral_quad",
+    "sample_cloud",
+}
+
+
+def test_test_only_public_names_are_pinned():
+    # a reference is an ast Name or Attribute in the package (outside the
+    # name's own definition), in perfbench or in a README python block;
+    # imports, __all__ strings and tests do not count
+    repo = Path(__file__).resolve().parents[1]
+    sources = sorted((repo / "src" / "hgauge").glob("*.py")) + sorted(
+        (repo / "perfbench").glob("*.py")
+    )
+    used = set()
+    for path in sources:
+        used |= _references(ast.parse(path.read_text()))
+    for block in re.findall(r"```python\n(.*?)```", (repo / "README.md").read_text(), re.S):
+        used |= _references(ast.parse(block))
+    public = {entry for name in MODULES for entry in importlib.import_module(name).__all__}
+    assert public - used == TEST_ONLY_PUBLIC

@@ -76,10 +76,26 @@ def test_harmonicity_residual_small():
     assert np.max(np.abs(res) * nn ** (q_hom + 2)) < 1e-4
 
 
-def test_harmonicity_rejects_central_line():
+def test_harmonicity_rejects_only_identity():
+    # the central line is smooth: a finite residual, no warning; the identity raises
     params = GroupParams(2)
-    with pytest.raises(ValueError):
-        harmonicity_residual_batch(np.array([[0.0, 0.0, 0.0, 0.0, 1.0]]), params, FdConfig())
+    res = harmonicity_residual_batch(np.array([[0.0, 0.0, 0.0, 0.0, 1.0]]), params, FdConfig())
+    assert np.all(np.isfinite(res))
+    with pytest.raises(ValueError, match="Non-finite"):
+        harmonicity_residual_batch(np.zeros((1, 5)), params, FdConfig())
+    with pytest.raises(ValueError, match="Non-finite"):
+        harmonicity_check(np.zeros((1, 5)), params, 1e-4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 10])
+def test_harmonicity_check_passes_on_central_line(n):
+    # at the CLI's default step the residual sits far inside its bound
+    t = np.geomspace(0.3, 25.0, 6)
+    coords = np.zeros((12, 2 * n + 1))
+    coords[:, -1] = np.concatenate([t, -t])
+    check = harmonicity_check(coords, GroupParams(n), 1.6e-3)
+    assert check.passed
+    assert np.max(np.abs(check.residual) / (check.estimate + check.floor)) < 1e-3
 
 
 def test_fd_gradient_polynomial():
@@ -115,7 +131,7 @@ def test_witness_makes_three_gauge_passes(monkeypatch):
     infinity_laplacian_witness(Point(np.array([1.0, 1.0, 0.0, 0.0]), 0.3), params, FdConfig())
     assert calls == [1, 10, 10]
     with pytest.raises(ValueError):
-        infinity_laplacian_witness(Point(np.zeros(4), 0.3), params, FdConfig())
+        infinity_laplacian_witness(Point(np.zeros(4), 0.0), params, FdConfig())
 
 
 def test_witness_clears_noise_floor():

@@ -188,6 +188,19 @@ def test_lsi_conditions_boundary_c():
     assert good.passed
 
 
+def test_lsi_conditions_fail_where_the_profile_overflows():
+    # sinh(N) overflows past N ~ 710: the slope increments turn non-finite,
+    # which fails and is named, not skipped by a NaN comparison
+    spec = MeasureSpec(family="cosh-power", k=1.0, beta=0.5)
+    report = check_lsi_conditions(spec, np.geomspace(1.0, 1e4, 400), c=0.5, d=1.0)
+    assert not report.passed
+    assert report.name == "lsi-conditions(monotone-slope)"
+    assert 700.0 < report.worst_point < 720.0
+    # below the overflow the family fails its growth condition, finitely
+    low = check_lsi_conditions(spec, np.geomspace(1.0, 700.0, 400), c=0.5, d=1.0)
+    assert low.name == "lsi-conditions(beta-growth)" and np.isfinite(low.min_margin)
+
+
 # -- sampler --------------------------------------------------------------------
 
 SHORT = SamplerConfig(n_steps=12_000, burn_in=2_000, step=0.3, seed=5, n_chains=2)

@@ -7,6 +7,7 @@ from hgauge.fd import FdConfig, fd_gradient
 from hgauge.group import GroupParams, Point, dilate
 from hgauge.inequalities import sample_cloud
 from hgauge.norm import (
+    PartialsBatch,
     ab_batch,
     exact_partials,
     norm_N,
@@ -221,9 +222,29 @@ def test_exact_partials_single_point_consistency():
     assert np.allclose(ev.dN_dx, pb.dN_dx[0])
     assert ev.dN_dt == pytest.approx(float(pb.dN_dt[0]))
     # gradient norm decomposes over the horizontal fields
-    assert ev.grad_norm_sq == pytest.approx(float(np.sum(ev.horizontal_grad**2)), rel=1e-13)
+    assert ev.grad_sq == pytest.approx(float(np.sum(ev.horizontal**2)), rel=1e-13)
     # the twist cancels in the radial combination
-    assert ev.x_dot_grad == pytest.approx(float(x @ ev.dN_dx), rel=1e-12)
+    assert ev.x_dot == pytest.approx(float(x @ ev.dN_dx), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 10])
+def test_exact_partials_is_the_batch_row_bit_for_bit(n):
+    # one record type: the single-point record holds the bytes of its
+    # one-row batch, derived fields included, over 10^+-100 and on x = 0
+    params = GroupParams(n)
+    rng = np.random.default_rng(100 + n)
+    names = PartialsBatch._fields + ("grad_sq", "x_dot", "dN_dx", "horizontal")
+    for i in range(300):
+        s = 10.0 ** rng.uniform(-100, 100)
+        x = rng.uniform(-2, 2, 2 * n) * s if i % 5 else np.zeros(2 * n)
+        t = float(rng.uniform(-3, 3)) * s * s
+        # the kernel overflows past about 1e75 (NaN or inf fields, compared too)
+        with np.errstate(all="ignore"):
+            ev = exact_partials(Point(x, t), params)
+            pb = partials_batch(x[None, :], np.asarray([t]))
+            for name in names:
+                got, want = np.asarray(getattr(ev, name)), getattr(pb, name)[0]
+                assert got.tobytes() == np.asarray(want).tobytes(), (name, x, t)
 
 
 def test_exact_partials_rejects_only_identity():
@@ -250,7 +271,7 @@ def test_gradient_is_homogeneous_degree_zero():
     ev2 = exact_partials(dilate(lam, p), params)
     assert np.allclose(ev2.dN_dx, ev1.dN_dx, rtol=1e-12)
     assert ev2.dN_dt == pytest.approx(ev1.dN_dt / lam, rel=1e-12)
-    assert ev2.grad_norm_sq == pytest.approx(ev1.grad_norm_sq, rel=1e-12)
+    assert ev2.grad_sq == pytest.approx(ev1.grad_sq, rel=1e-12)
 
 
 def test_pair_block_split_frozen_point():
