@@ -48,7 +48,6 @@ from .measures import (
     check_slope_condition,
     condition_grid_start,
     eta_weight,
-    log_density,
     run_chain,
     run_chains,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "fundamental_solution_quad",
     "infinity_laplacian_witness",
     "inverse",
-    "log_density",
     "norm_N",
     "norm_batch",
     "origin",

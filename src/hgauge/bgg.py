@@ -24,7 +24,10 @@ the general closed form
     u = K_n * E^n / (W * D^(n - 1/2)),
     K_n = (prod_{k=3}^{n} (2k-3)) / (2 * pi^(n-1) * 2^(2n)),
 
-so that u * N^(2n) = K_n identically.
+so that u * N^(2n) = K_n identically.  compare_cloud reports how far each
+of these n = 2 steps (the closed modulus piece, the phase correction as
+-t d/dt I_modulus, the split of Re I_2, and the pole locations) is from
+holding on its cloud.
 
 The oracle integrates the representation directly, with numpy alone.  The
 head s in [0, 1] and the tail s = 1/v, v in [0, 1], share one integrand on
@@ -51,12 +54,6 @@ from .norm import ab_batch, wed
 
 __all__ = [
     "QuadratureConfig",
-    "modulus_integral",
-    "modulus_integral_quad",
-    "phase_correction_quad",
-    "real_part_integral",
-    "real_part_integral_quad",
-    "pole_imag_mean_sq",
     "solution_constant",
     "fundamental_solution_quad",
     "fundamental_solution_closed",
@@ -135,14 +132,6 @@ def _integrate(
     )
 
 
-def _half_line(
-    f: Callable[..., np.ndarray], a: float, b: float, t: float, cfg: QuadratureConfig
-) -> float:
-    """int_0^inf g for one (A, B, t): f(v, a, b, t) = g(v) + g(1/v)/v^2 folds
-    the tail s = 1/v onto the head s in [0, 1]."""
-    return float(_integrate(f, (np.array([a]), np.array([b]), np.array([t])), cfg)[0])
-
-
 def _ipow(z: np.ndarray, n: int) -> np.ndarray:
     out = z
     for _ in range(n - 1):
@@ -164,6 +153,22 @@ def _re_integrand(n: int) -> Callable[..., np.ndarray]:
     return f
 
 
+def _modulus_integrand(v, a, b, t):
+    """s^2 / |Z|^2, folded onto [0, 1] like _re_integrand."""
+    v2 = v * v
+    t2 = 4.0 * t * t * (1.0 + v2)
+    return v2 / ((a * v2 + 2.0 * b) ** 2 + t2) + 1.0 / ((a + 2.0 * b * v2) ** 2 + t2 * v2)
+
+
+def _phase_integrand(v, a, b, t):
+    """2 s^2 (Im Z)^2 / |Z|^4, folded: the modulus integrand minus Re s^2 / Z^2."""
+    v2 = v * v
+    t2 = 4.0 * t * t * (1.0 + v2)
+    head = (a * v2 + 2.0 * b) ** 2 + t2
+    tail = (a + 2.0 * b * v2) ** 2 + t2 * v2
+    return 2.0 * t2 * v2 * (1.0 / (head * head) + 1.0 / (tail * tail))
+
+
 def _solution_rows(
     a: np.ndarray, b: np.ndarray, t: np.ndarray, n: int, cfg: QuadratureConfig
 ) -> np.ndarray:
@@ -178,64 +183,37 @@ def _closed(a, b, t, n: int):
     return solution_constant(n) * np.exp(n * np.log(e) - np.log(w) - (n - 0.5) * np.log(d))
 
 
-def _check_ab(a: float, b: float) -> None:
-    if not (a > 0 and b > 0 and b <= a <= 2 * b * (1 + 1e-12)):
-        raise ValueError(f"Need 0 < B <= A <= 2B, got A={a}, B={b}.")
+def _identities(
+    a: np.ndarray, b: np.ndarray, t: np.ndarray, cfg: QuadratureConfig
+) -> dict[str, float]:
+    """Largest deviation over the rows of each step of the n = 2 derivation.
 
-
-def modulus_integral(a: float, b: float, t: float) -> float:
-    """Closed form pi / (4 A sqrt(D)) of the modulus piece."""
-    _check_ab(a, b)
-    _, _, d = wed(a, b, t)
-    return math.pi / (4.0 * a * math.sqrt(d))
-
-
-def modulus_integral_quad(a: float, b: float, t: float, cfg: QuadratureConfig) -> float:
-    _check_ab(a, b)
-
-    def f(v, a, b, t):
-        v2 = v * v
-        t2 = 4.0 * t * t * (1.0 + v2)
-        return v2 / ((a * v2 + 2.0 * b) ** 2 + t2) + 1.0 / ((a + 2.0 * b * v2) ** 2 + t2 * v2)
-
-    return _half_line(f, a, b, t, cfg)
-
-
-def phase_correction_quad(a: float, b: float, t: float, cfg: QuadratureConfig) -> float:
-    """The part subtracted from the modulus piece to give Re I_2."""
-    _check_ab(a, b)
-
-    def f(v, a, b, t):
-        v2 = v * v
-        t2 = 4.0 * t * t * (1.0 + v2)
-        head = (a * v2 + 2.0 * b) ** 2 + t2
-        tail = (a + 2.0 * b * v2) ** 2 + t2 * v2
-        return 2.0 * t2 * v2 * (1.0 / (head * head) + 1.0 / (tail * tail))
-
-    return _half_line(f, a, b, t, cfg)
-
-
-def real_part_integral(a: float, b: float, t: float) -> float:
-    """Closed form Re I_2 = pi E^2 / (8 W D^(3/2))."""
-    _check_ab(a, b)
-    w, e, d = wed(a, b, t)
-    return math.pi * e * e / (8.0 * w * d ** 1.5)
-
-
-def real_part_integral_quad(a: float, b: float, t: float, cfg: QuadratureConfig) -> float:
-    _check_ab(a, b)
-    return _half_line(_re_integrand(2), a, b, t, cfg)
-
-
-def pole_imag_mean_sq(a: float, b: float, t: float) -> float:
-    """Squared mean imaginary part of the upper-half-plane modulus-quartic poles.
-
-    Equals D / A^2; at t = 0 the two poles coincide at i sqrt(2B/A) and this
-    is the squared imaginary part of that double pole.
+    modulus_closed  |I_modulus / quadrature - 1|
+    t_derivative    |phase quadrature - (-t d/dt I_modulus)| / I_modulus,
+                    with d/dt D = A t / W + 2t
+    split           |Re I_2 quadrature / (I_modulus - phase quadrature) - 1|
+    pole_roots      |(D / A^2) / m^2 - 1|, m the mean imaginary part of the
+                    upper-half-plane roots of the modulus quartic, found as
+                    eigenvalues of its companion matrices
     """
-    _check_ab(a, b)
-    _, _, d = wed(a, b, t)
-    return d / (a * a)
+    rows = (a, b, t)
+    w, _, d = wed(a, b, t)
+    modulus = math.pi / (4.0 * a * np.sqrt(d))
+    minus_t_ddt = math.pi * t * (a * t / w + 2.0 * t) / (8.0 * a * d**1.5)
+    phase = _integrate(_phase_integrand, rows, cfg)
+    # z^4 + c2 z^2 + c0, the quartic divided by A^2
+    companion = np.zeros((a.size, 4, 4))
+    companion[:, 0, 1] = -(4.0 * a * b + 4.0 * t * t) / (a * a)
+    companion[:, 0, 3] = -(4.0 * b * b + 4.0 * t * t) / (a * a)
+    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    mean_imag = np.sort(np.linalg.eigvals(companion).imag, axis=1)[:, 2:].mean(axis=1)
+    deviations = {
+        "modulus_closed": modulus / _integrate(_modulus_integrand, rows, cfg) - 1.0,
+        "t_derivative": (phase - minus_t_ddt) / modulus,
+        "split": _integrate(_re_integrand(2), rows, cfg) / (modulus - phase) - 1.0,
+        "pole_roots": d / (a * a) / (mean_imag * mean_imag) - 1.0,
+    }
+    return {name: float(np.max(np.abs(dev))) for name, dev in deviations.items()}
 
 
 def solution_constant(n: int) -> float:
@@ -275,7 +253,9 @@ def compare_cloud(
     same arithmetic as fundamental_solution_quad.  The cloud is one part
     drawn by inequalities.draw_rows with CLOUD_BOX, CLOUD_T_MAX and
     CLOUD_MIN_RADIUS: x stays clear of the central line, where the integral
-    representation is singular.
+    representation is singular.  The summary's "identities" holds the n = 2
+    derivation steps (see _identities) checked on the cloud's own (A, B, t)
+    rows; I_2 depends on those alone, so they are checked for every n.
     """
     coords = draw_rows(
         params, seed, 0, n_points, CLOUD_BOX, CLOUD_T_MAX, CLOUD_MIN_RADIUS, None, (0, n_points)
@@ -291,4 +271,5 @@ def compare_cloud(
         "max_rel_err": float(np.max(rel_errs)),
         "mean_rel_err": float(np.mean(rel_errs)),
         "worst_point": [float(v) for v in coords[np.argmax(rel_errs)]],
+        "identities": _identities(a, b, t, cfg),
     }

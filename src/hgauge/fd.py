@@ -11,7 +11,8 @@ field is evaluated once on all of its shifted copies.
 
 Only the identity is singular: the gauge is smooth everywhere else, the
 central line x = 0 included.  A stencil that meets the identity raises
-ValueError.
+ValueError; one whose field overflows anywhere else raises RuntimeError, a
+numerical breakdown rather than bad input.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "FdConfig",
     "HarmonicityCheck",
     "sub_laplacian_batch",
-    "harmonicity_residual_batch",
     "harmonicity_check",
     "fd_gradient",
     "infinity_laplacian_witness",
@@ -66,13 +66,18 @@ def _stencil(field: Field, coords: np.ndarray, shifts: np.ndarray, h: np.ndarray
 
     shifts is a (K, 2n+1) integer matrix of step multiples in {-1, 0, 1}, so
     every shifted coordinate is an exact coords +- h, or coords itself.
+    Non-finite field values raise ValueError when a stencil row is the
+    identity and RuntimeError otherwise.
     """
     m, dim = coords.shape
     rows = coords[None, :, :] + shifts[:, None, :] * h[None, :, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         vals = np.asarray(field(rows.reshape(-1, dim)), dtype=float)
     if not np.all(np.isfinite(vals)):
-        raise ValueError("Non-finite field values in finite-difference stencil.")
+        msg = "Non-finite field values in finite-difference stencil"
+        if not np.all(np.any(rows, axis=-1)):
+            raise ValueError(f"{msg}: it meets the identity.")
+        raise RuntimeError(f"{msg}: the field overflows.")
     return vals.reshape(len(shifts), m)
 
 
@@ -130,17 +135,6 @@ def sub_laplacian_batch(field: Field, coords: np.ndarray, cfg: FdConfig) -> np.n
     return _sub_laplacian_h(field, coords, _step(coords, cfg.h_base))[0]
 
 
-def harmonicity_residual_batch(
-    coords: np.ndarray, params: GroupParams, cfg: FdConfig
-) -> np.ndarray:
-    """Sub-Laplacian of N^(2-Q) on rows away from the identity.
-
-    The exact value is 0; the residual is pure discretisation error.
-    """
-    field = npow_field(params, 2 - params.homogeneous_dim)
-    return sub_laplacian_batch(field, coords, cfg)
-
-
 class HarmonicityCheck(NamedTuple):
     """Per-point Richardson residual of N^(2-Q) and the bounds it must meet."""
 
@@ -195,14 +189,19 @@ def infinity_laplacian_witness(
     the difference of the two with a roundoff estimate; a value exceeding
     the floor by a clear factor certifies a genuinely nonzero
     infinity-Laplacian.  On the central line x = 0, where grad_H N = 0, both
-    are exactly 0; the identity raises.
+    are exactly 0; the identity raises ValueError, and a gradient that
+    overflows elsewhere RuntimeError.
     """
     if not np.any(p.x):
         if p.t == 0:
             raise ValueError("The infinity-Laplacian of N is undefined at the identity.")
         return 0.0, 0.0
     coords = p.coords()[None, :]
-    pb = partials_batch(p.x[None, :], np.asarray([p.t]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pb = partials_batch(p.x[None, :], np.asarray([p.t]))
+        horizontal = pb.horizontal[0]
+    if not np.all(np.isfinite(horizontal)):
+        raise RuntimeError("The horizontal gradient of N overflows at this point.")
     c = field_coefficients_batch(p.x[None, :])[0]
 
     def grad_sq(rows: np.ndarray) -> np.ndarray:
@@ -210,7 +209,7 @@ def infinity_laplacian_witness(
 
     def value(h_first: float) -> float:
         egrad = fd_gradient(grad_sq, coords, FdConfig(cfg.h_base, h_first))[0]
-        return float(0.5 * (egrad[:-1] + c * egrad[-1]) @ pb.horizontal[0])
+        return float(0.5 * (egrad[:-1] + c * egrad[-1]) @ horizontal)
 
     coarse, fine = value(cfg.h_first), value(cfg.h_first * 0.5)
     h = _step(coords, cfg.h_first)[0]

@@ -50,7 +50,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .group import GroupParams, Point
+from .group import GroupParams
 from .inequalities import InequalityReport
 from .norm import norm_batch, partials_batch
 
@@ -62,8 +62,6 @@ __all__ = [
     "g_prime",
     "g_second",
     "eta_weight",
-    "log_density",
-    "grad_log_density",
     "check_slope_condition",
     "check_lsi_conditions",
     "condition_grid_start",
@@ -186,22 +184,6 @@ def eta_weight(spec: MeasureSpec, r: np.ndarray) -> np.ndarray:
     """The carre-du-champ weight eta(N) = g'(N) / N^2."""
     r = np.asarray(r, dtype=float)
     return g_prime(spec, r) / (r * r)
-
-
-def log_density(spec: MeasureSpec, p: Point, params: GroupParams) -> float:
-    """log of the unnormalised density, -g(N(p))."""
-    if p.n != params.n:
-        raise ValueError("Point/params dimension mismatch.")
-    return float(_log_pi_rows(spec, p.coords()[None, :])[1][0])
-
-
-def grad_log_density(spec: MeasureSpec, p: Point, params: GroupParams) -> np.ndarray:
-    """Euclidean gradient of the log density: -g'(N) (dN/dx_1, ..., dN/dt)."""
-    if p.n != params.n:
-        raise ValueError("Point/params dimension mismatch.")
-    if p.t == 0 and not np.any(p.x):
-        raise ValueError("grad_log_density is undefined at the identity.")
-    return _log_pi_grad_rows(spec, p.coords()[None, :])[2][0]
 
 
 # -- condition grids ---------------------------------------------------------

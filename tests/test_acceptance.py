@@ -19,7 +19,7 @@ from hgauge import bgg, coercive, fd, inequalities, measures
 from hgauge.group import GroupParams, Point, field_coefficients_batch
 from hgauge.inequalities import check_gradient_bounds, check_partial_bounds, shell_cloud
 from hgauge.measures import MeasureSpec, batch_means_se
-from hgauge.norm import ab_batch, norm_batch, norm_field, partials_batch
+from hgauge.norm import ab_batch, norm_batch, norm_field, npow_field, partials_batch
 
 QCFG = bgg.QuadratureConfig()
 TOL_MARGIN = -1e-12
@@ -78,13 +78,14 @@ def test_03_harmonicity_within_truncation():
     coords = shell_cloud(params, 100, seed=33)
     ladder = [6.4e-3, 3.2e-3, 1.6e-3, 8e-4]
     means = []
+    field = npow_field(params, 2 - params.homogeneous_dim)
     for h in ladder:
-        res = fd.harmonicity_residual_batch(coords, params, fd.FdConfig(h_base=h))
+        res = fd.sub_laplacian_batch(field, coords, fd.FdConfig(h_base=h))
         means.append(float(np.mean(np.abs(res))))
     slope = np.polyfit(np.log(ladder), np.log(means), 1)[0]
     h = 1.6e-3
-    plain = fd.harmonicity_residual_batch(coords, params, fd.FdConfig(h_base=h))
-    half = fd.harmonicity_residual_batch(coords, params, fd.FdConfig(h_base=h / 2))
+    plain = fd.sub_laplacian_batch(field, coords, fd.FdConfig(h_base=h))
+    half = fd.sub_laplacian_batch(field, coords, fd.FdConfig(h_base=h / 2))
     rich = fd.harmonicity_check(coords, params, h).residual
     estimate = np.abs(plain - half)
     bounded = bool(np.all(np.abs(rich) <= estimate))
@@ -194,19 +195,14 @@ def test_09_exact_gradients_vs_fd():
     exact_n = np.column_stack([pb.dN_dx, pb.dN_dt])
     scale = np.maximum(np.abs(exact_n), 1.0)
     worst = float(np.max(np.abs(fd_n - exact_n) / scale))
-    # log-density gradients per family
+    # log-density gradients per family, as the MALA sampler computes them,
+    # on the central line x = 0 too
+    central = np.zeros((6, 5))
+    central[:, -1] = [-3.0, -1.0, -0.3, 0.3, 1.0, 3.0]
+    sub = np.vstack([coords[:100], central])
     for spec in specs:
-        def field(rows, spec=spec):
-            out = np.empty(rows.shape[0])
-            for i, row in enumerate(rows):
-                out[i] = measures.log_density(spec, Point(row[:-1], row[-1]), params)
-            return out
-
-        sub = coords[:100]
-        fd_g = fd.fd_gradient(field, sub, fd.FdConfig())
-        exact_g = np.array(
-            [measures.grad_log_density(spec, Point(r[:-1], r[-1]), params) for r in sub]
-        )
+        fd_g = fd.fd_gradient(lambda rows: measures._log_pi_rows(spec, rows)[1], sub, fd.FdConfig())
+        exact_g = measures._log_pi_grad_rows(spec, sub)[2]
         scale = np.maximum(np.abs(exact_g), 1.0)
         worst = max(worst, float(np.max(np.abs(fd_g - exact_g) / scale)))
     ok = worst <= 1e-6
@@ -333,36 +329,17 @@ def test_14_beta_lsi_feasibility(alpha_chain, params6):
 
 
 def test_15_integral_identities():
-    rng = np.random.default_rng(15)
-    b = rng.uniform(0.2, 4.0, 50)
-    a = b * rng.uniform(1.0, 2.0, 50)
-    t = rng.uniform(-6.0, 6.0, 50)
-    worst_split = worst_deriv = worst_closed = worst_pole = 0.0
-    for ai, bi, ti in zip(a, b, t):
-        whole = bgg.real_part_integral_quad(ai, bi, ti, QCFG)
-        split = bgg.modulus_integral(ai, bi, ti) - bgg.phase_correction_quad(ai, bi, ti, QCFG)
-        worst_split = max(worst_split, abs(whole / split - 1.0))
-        h = 1e-5 * max(1.0, abs(ti))
-        i1 = bgg.modulus_integral(ai, bi, ti)
-        der = (bgg.modulus_integral(ai, bi, ti + h) - bgg.modulus_integral(ai, bi, ti - h)) / (2 * h)
-        corr = bgg.phase_correction_quad(ai, bi, ti, QCFG)
-        worst_deriv = max(worst_deriv, abs(corr - (-ti * der)) / abs(i1))
-        quad1 = bgg.modulus_integral_quad(ai, bi, ti, QCFG)
-        worst_closed = max(worst_closed, abs(bgg.modulus_integral(ai, bi, ti) / quad1 - 1.0))
-        quartic = [ai**2, 0.0, 4 * ai * bi + 4 * ti**2, 0.0, 4 * bi**2 + 4 * ti**2]
-        upper = np.sort(np.roots(quartic).imag)
-        mean_sq = float(np.mean(upper[upper > 0])) ** 2
-        worst_pole = max(worst_pole, abs(bgg.pole_imag_mean_sq(ai, bi, ti) / mean_sq - 1.0))
+    ids = bgg.compare_cloud(GroupParams(2), 200, seed=15, cfg=QCFG)["identities"]
     ok = (
-        worst_split <= 1e-6
-        and worst_deriv <= 1e-6
-        and worst_closed <= 1e-9
-        and worst_pole <= 1e-10
+        ids["split"] <= 1e-6
+        and ids["t_derivative"] <= 1e-6
+        and ids["modulus_closed"] <= 1e-9
+        and ids["pole_roots"] <= 1e-10
     )
     _check(
         15,
         "integral split, time-derivative identity, closed modulus part, pole oracle",
         ok,
-        f"split dev {worst_split:.2e} (1e-6), t-derivative dev {worst_deriv:.2e} (1e-6), "
-        f"closed-vs-quad {worst_closed:.2e} (1e-9), pole-vs-roots {worst_pole:.2e} (1e-10)",
+        f"split dev {ids['split']:.2e} (1e-6), t-derivative dev {ids['t_derivative']:.2e} (1e-6), "
+        f"closed-vs-quad {ids['modulus_closed']:.2e} (1e-9), pole-vs-roots {ids['pole_roots']:.2e} (1e-10)",
     )

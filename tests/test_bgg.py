@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -11,78 +12,14 @@ from hgauge.bgg import (
     compare_cloud,
     fundamental_solution_closed,
     fundamental_solution_quad,
-    modulus_integral,
-    modulus_integral_quad,
-    phase_correction_quad,
-    pole_imag_mean_sq,
-    real_part_integral,
-    real_part_integral_quad,
     solution_constant,
 )
+from hgauge.cli import main
 from hgauge.group import GroupParams, Point, dilate
 from hgauge.inequalities import draw_rows
 from hgauge.norm import norm_N
 
 CFG = QuadratureConfig()
-
-
-def _admissible_triples(rng, m):
-    """Random (a, b, t) with b <= a <= 2b, the range the quadratics take."""
-    b = rng.uniform(0.2, 4.0, m)
-    a = b * rng.uniform(1.0, 2.0, m)
-    t = rng.uniform(-6.0, 6.0, m)
-    return a, b, t
-
-
-# -- closed forms vs quadrature ------------------------------------------------
-
-
-def test_modulus_integral_closed_vs_quad():
-    rng = np.random.default_rng(7)
-    a, b, t = _admissible_triples(rng, 25)
-    for ai, bi, ti in zip(a, b, t):
-        closed = modulus_integral(ai, bi, ti)
-        quad = modulus_integral_quad(ai, bi, ti, CFG)
-        assert closed == pytest.approx(quad, rel=1e-9)
-
-
-def test_real_part_identity():
-    # the full integral splits as modulus part minus phase correction
-    rng = np.random.default_rng(8)
-    a, b, t = _admissible_triples(rng, 25)
-    for ai, bi, ti in zip(a, b, t):
-        whole = real_part_integral_quad(ai, bi, ti, CFG)
-        split = modulus_integral(ai, bi, ti) - phase_correction_quad(ai, bi, ti, CFG)
-        assert whole == pytest.approx(split, rel=1e-6)
-        assert whole == pytest.approx(real_part_integral(ai, bi, ti), rel=1e-6)
-
-
-def test_phase_correction_is_time_derivative():
-    # correction = -t * d/dt (modulus integral)
-    rng = np.random.default_rng(9)
-    a, b, t = _admissible_triples(rng, 15)
-    for ai, bi, ti in zip(a, b, t):
-        h = 1e-5 * max(1.0, abs(ti))
-        der = (modulus_integral(ai, bi, ti + h) - modulus_integral(ai, bi, ti - h)) / (2 * h)
-        want = -ti * der
-        got = phase_correction_quad(ai, bi, ti, CFG)
-        assert got == pytest.approx(want, rel=1e-5, abs=1e-10)
-
-
-def test_pole_mean_against_root_oracle():
-    # the closed form equals the squared mean of the two upper-half-plane
-    # root imaginary parts of the modulus quartic
-    rng = np.random.default_rng(10)
-    a, b, t = _admissible_triples(rng, 40)
-    for ai, bi, ti in zip(a, b, t):
-        quartic = [ai**2, 0.0, 4 * ai * bi + 4 * ti**2, 0.0, 4 * bi**2 + 4 * ti**2]
-        roots = np.roots(quartic)
-        upper = np.sort(roots.imag[roots.imag > 0])
-        assert upper.size == 2
-        # all four roots sit on the imaginary axis
-        assert np.max(np.abs(roots.real)) < 1e-8 * np.max(np.abs(roots.imag))
-        want = float(np.mean(upper)) ** 2
-        assert pole_imag_mean_sq(ai, bi, ti) == pytest.approx(want, rel=1e-10)
 
 
 # -- fundamental solution ------------------------------------------------------
@@ -165,6 +102,23 @@ def test_compare_cloud_rows_equal_scalar_quadrature(monkeypatch):
         seen.clear()
         scalar = [fundamental_solution_quad(Point(r[:-1], r[-1]), params, CFG) for r in coords]
         assert np.array(scalar).tobytes() == vals.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 8])
+def test_compare_cloud_identities(n, monkeypatch, capsys):
+    # the n = 2 derivation steps hold to rounding on each cloud's (A, B, t) rows
+    ids = compare_cloud(GroupParams(n), 200, seed=1000 + n, cfg=CFG)["identities"]
+    assert set(ids) == {"modulus_closed", "t_derivative", "split", "pole_roots"}
+    assert max(ids.values()) < 1e-12
+    # a relative 1e-6 error in the phase integrand fails bgg compare, though
+    # quadrature and closed form still agree
+    phase = bgg._phase_integrand
+    monkeypatch.setattr(bgg, "_phase_integrand", lambda *args: phase(*args) * (1.0 + 1e-6))
+    argv = ["--no-timestamp", "bgg", "compare", "--n", str(n), "--seed", str(1000 + n)]
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is False
+    assert report["results"]["max_rel_err"] < 1e-8
 
 
 # sha256 prefixes of compare_cloud's rows (x, then t) at criterion 01's

@@ -113,6 +113,17 @@ def test_central_line_reports(capsys):
     assert json.loads(capsys.readouterr().err)["kind"] == "invalid"
 
 
+@pytest.mark.parametrize("x, t", [("1e200,0,0,0", "0.3"), ("1e42,0,0,0", "1e84")])
+def test_overflowing_witness_exits_3(capsys, x, t):
+    # valid input whose gradient (first case) or stencil (second) overflows:
+    # a numerical breakdown, reported without a RuntimeWarning
+    argv = ["--no-timestamp", "check", "infinity-harmonic", "--n", "2", "--x", x, "--t", t]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["kind"] == "numerical"
+
+
 def test_check_lemma2_passes(capsys):
     status, report = _run_json(
         capsys,

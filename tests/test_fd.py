@@ -6,12 +6,11 @@ from hgauge.fd import (
     FdConfig,
     fd_gradient,
     harmonicity_check,
-    harmonicity_residual_batch,
     infinity_laplacian_witness,
     sub_laplacian_batch,
 )
 from hgauge.group import GroupParams, Point, dilate, field_coefficients_batch
-from hgauge.norm import norm_batch
+from hgauge.norm import norm_batch, npow_field
 
 
 def _quadratic_field(n):
@@ -69,7 +68,7 @@ def test_harmonicity_residual_small():
     t = rng.uniform(-3, 3, 40)
     keep = np.linalg.norm(x, axis=1) > 0.7
     coords = np.column_stack([x, t])[keep]
-    res = harmonicity_residual_batch(coords, params, FdConfig())
+    res = sub_laplacian_batch(npow_field(params, 2 - params.homogeneous_dim), coords, FdConfig())
     nn = norm_batch(coords[:, :-1], coords[:, -1])
     q_hom = 2 * 2 + 2
     # scale-free residual: the raw one decays like N^(-Q-2)
@@ -77,14 +76,18 @@ def test_harmonicity_residual_small():
 
 
 def test_harmonicity_rejects_only_identity():
-    # the central line is smooth: a finite residual, no warning; the identity raises
+    # the central line is smooth: a finite residual, no warning; the identity
+    # raises as invalid input, and an overflowing field as a numerical breakdown
     params = GroupParams(2)
-    res = harmonicity_residual_batch(np.array([[0.0, 0.0, 0.0, 0.0, 1.0]]), params, FdConfig())
+    field = npow_field(params, 2 - params.homogeneous_dim)
+    res = sub_laplacian_batch(field, np.array([[0.0, 0.0, 0.0, 0.0, 1.0]]), FdConfig())
     assert np.all(np.isfinite(res))
-    with pytest.raises(ValueError, match="Non-finite"):
-        harmonicity_residual_batch(np.zeros((1, 5)), params, FdConfig())
-    with pytest.raises(ValueError, match="Non-finite"):
+    with pytest.raises(ValueError, match="identity"):
+        sub_laplacian_batch(field, np.zeros((1, 5)), FdConfig())
+    with pytest.raises(ValueError, match="identity"):
         harmonicity_check(np.zeros((1, 5)), params, 1e-4)
+    with pytest.raises(RuntimeError, match="overflows"):
+        sub_laplacian_batch(field, np.array([[1e-200, 0.0, 0.0, 0.0, 0.0]]), FdConfig())
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 10])

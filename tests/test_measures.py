@@ -7,7 +7,7 @@ import pytest
 
 from hgauge import measures
 from hgauge.fd import FdConfig, fd_gradient
-from hgauge.group import GroupParams, Point
+from hgauge.group import GroupParams
 from hgauge.measures import (
     FAMILIES,
     TARGET_ACCEPT,
@@ -22,8 +22,6 @@ from hgauge.measures import (
     g_prime,
     g_second,
     g_value,
-    grad_log_density,
-    log_density,
     run_chain,
     run_chains,
 )
@@ -97,39 +95,19 @@ def test_eta_weight_definition():
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
 def test_grad_log_density_matches_fd(spec):
-    params = GroupParams(2)
+    # the sampler's gradient rows against differences of its log-density
+    # rows, the central line x = 0 included: it is smooth away from the identity
     rng = np.random.default_rng(3)
-
-    def field(coords):
-        out = np.empty(coords.shape[0])
-        for i, row in enumerate(coords):
-            out[i] = log_density(spec, Point(row[:-1], row[-1]), params)
-        return out
-
-    for _ in range(10):
-        x = rng.uniform(-2, 2, 4)
-        if np.linalg.norm(x) < 0.5:
-            continue
-        t = rng.uniform(-3, 3)
-        p = Point(x, t)
-        exact = grad_log_density(spec, p, params)
-        fd = fd_gradient(field, p.coords()[None, :], FdConfig())[0]
-        assert np.allclose(exact, fd, rtol=1e-5, atol=1e-7)
-
-
-def test_grad_log_density_rejects_only_identity():
-    # the central line is smooth away from the identity: finite and FD-exact
-    params = GroupParams(2)
-    p = Point(np.zeros(4), 1.0)
-    exact = grad_log_density(POWER4, p, params)
-    def field(coords):
-        return _log_pi_rows(POWER4, coords)[1]
-
-    fd = fd_gradient(field, p.coords()[None, :], FdConfig())[0]
+    coords = np.column_stack([rng.uniform(-2, 2, (10, 4)), rng.uniform(-3, 3, 10)])
+    coords = coords[np.linalg.norm(coords[:, :-1], axis=1) >= 0.5]
+    central = np.zeros((4, 5))
+    central[:, -1] = [-2.0, -0.5, 0.5, 1.0]
+    coords = np.vstack([coords, central])
+    exact = _log_pi_grad_rows(spec, coords)[2]
+    fd = fd_gradient(lambda rows: _log_pi_rows(spec, rows)[1], coords, FdConfig())
     assert np.all(np.isfinite(exact))
-    assert np.allclose(exact, fd, rtol=1e-7, atol=1e-9)
-    with pytest.raises(ValueError):
-        grad_log_density(POWER4, Point(np.zeros(4), 0.0), params)
+    assert np.allclose(exact, fd, rtol=1e-5, atol=1e-7)
+    assert np.allclose(exact[-4:], fd[-4:], rtol=1e-7, atol=1e-9)
 
 
 # -- analytic conditions --------------------------------------------------------
@@ -255,10 +233,8 @@ def test_mala_smoke():
 def test_log_densities_recorded_correctly():
     b = run_chain(POWER4, PARAMS2, SHORT, 0)
     idx = [0, 1234, 9999]
-    params = PARAMS2
-    for i in idx:
-        p = Point(b.coords[i, :-1], b.coords[i, -1])
-        assert b.log_densities[i] == pytest.approx(log_density(POWER4, p, params), rel=1e-12)
+    want = _log_pi_rows(POWER4, b.coords[idx])[1]
+    assert np.allclose(b.log_densities[idx], want, rtol=1e-12, atol=0.0)
 
 
 # sha256 prefixes of (coords, log-densities, acceptance, step_final) over both
