@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -104,10 +105,41 @@ def test_compare_cloud_rows_equal_scalar_quadrature(monkeypatch):
         assert np.array(scalar).tobytes() == vals.tobytes()
 
 
-@pytest.mark.parametrize("n", [2, 3, 6, 8])
+# -- the n = 2 derivation steps, as compare_cloud reports them -----------------
+
+IDENTITY_NS = (2, 3, 6, 8)
+
+
+@functools.cache
+def _identities(n):
+    """compare_cloud's identities on a 200-point cloud at n (seed 1000 + n)."""
+    return compare_cloud(GroupParams(n), 200, seed=1000 + n, cfg=CFG)["identities"]
+
+
+def test_modulus_integral_closed_vs_quad():
+    # pi / (4 A sqrt(D)) against quadrature of the modulus integrand
+    assert max(_identities(n)["modulus_closed"] for n in IDENTITY_NS) < 1e-12
+
+
+def test_real_part_identity():
+    # Re I_2 splits as the modulus part minus the phase correction
+    assert max(_identities(n)["split"] for n in IDENTITY_NS) < 1e-12
+
+
+def test_phase_correction_is_time_derivative():
+    # the phase correction equals -t d/dt of the modulus part, in closed form
+    assert max(_identities(n)["t_derivative"] for n in IDENTITY_NS) < 1e-12
+
+
+def test_pole_mean_against_root_oracle():
+    # D / A^2 is the squared mean imaginary part of the modulus quartic's
+    # upper-half-plane roots, found as companion-matrix eigenvalues
+    assert max(_identities(n)["pole_roots"] for n in IDENTITY_NS) < 1e-12
+
+
+@pytest.mark.parametrize("n", IDENTITY_NS)
 def test_compare_cloud_identities(n, monkeypatch, capsys):
-    # the n = 2 derivation steps hold to rounding on each cloud's (A, B, t) rows
-    ids = compare_cloud(GroupParams(n), 200, seed=1000 + n, cfg=CFG)["identities"]
+    ids = _identities(n)
     assert set(ids) == {"modulus_closed", "t_derivative", "split", "pole_roots"}
     assert max(ids.values()) < 1e-12
     # a relative 1e-6 error in the phase integrand fails bgg compare, though

@@ -110,6 +110,18 @@ def test_grad_log_density_matches_fd(spec):
     assert np.allclose(exact[-4:], fd[-4:], rtol=1e-7, atol=1e-9)
 
 
+def test_grad_log_density_rejects_only_identity():
+    # the central line is smooth away from the identity: finite and FD-exact;
+    # the identity row, where the gauge has no gradient, is NaN
+    coords = np.zeros((4, 5))
+    coords[:3, -1] = [-1.0, 0.25, 1.0]
+    exact = _log_pi_grad_rows(POWER4, coords)[2]
+    fd = fd_gradient(lambda rows: _log_pi_rows(POWER4, rows)[1], coords[:3], FdConfig())
+    assert np.all(np.isfinite(exact[:3]))
+    assert np.allclose(exact[:3], fd, rtol=1e-7, atol=1e-9)
+    assert np.all(np.isnan(exact[3]))
+
+
 # -- analytic conditions --------------------------------------------------------
 
 
