@@ -12,7 +12,6 @@ radial Gibbs measures built on the norm.
 """
 
 from .bgg import (
-    QuadratureConfig,
     compare_cloud,
     fundamental_solution_closed,
     fundamental_solution_quad,
@@ -28,8 +27,8 @@ from .coercive import (
     poincare_ratio,
     ubound_terms,
 )
-from .fd import FdConfig, fd_gradient, infinity_laplacian_witness
-from .group import GroupParams, Point, compose, dilate, field_coefficients, inverse, origin
+from .fd import fd_gradient, infinity_laplacian_witness
+from .group import GroupParams, Point, compose, dilate, field_coefficients, inverse
 from .inequalities import (
     InequalityReport,
     alpha_opt,
@@ -56,13 +55,11 @@ from .norm import exact_partials, norm_N, norm_batch, partials_batch
 __version__ = "0.1.0"
 
 __all__ = [
-    "FdConfig",
     "FeasibilityResult",
     "GroupParams",
     "InequalityReport",
     "MeasureSpec",
     "Point",
-    "QuadratureConfig",
     "SampleBatch",
     "SamplerConfig",
     "TestFunction",
@@ -91,7 +88,6 @@ __all__ = [
     "inverse",
     "norm_N",
     "norm_batch",
-    "origin",
     "partials_batch",
     "poincare_ratio",
     "run_chain",

@@ -33,17 +33,17 @@ The oracle integrates the representation directly, with numpy alone.  The
 head s in [0, 1] and the tail s = 1/v, v in [0, 1], share one integrand on
 [0, 1], and a tanh-sinh rule (Takahasi & Mori, 1974) integrates it for every
 row of a cloud at once.  Each level halves the step and reuses the earlier
-nodes; a row is done when two successive levels agree to rel_tol.  A row
-that misses rel_tol at the finest level raises QuadratureError instead of
-returning a value.  That happens where Re I_n cancels: where the integral of
-|integrand| exceeds |Re I_n| by about 10^6 or more (small |x| against |t|,
-and large n), rounding alone exceeds the tolerance.
+nodes; a row is done when two successive levels agree to REL_TOL, the one
+fixed tolerance.  A row that misses REL_TOL at the finest level raises
+QuadratureError instead of returning a value.  That happens where Re I_n
+cancels: where the integral of |integrand| exceeds |Re I_n| by about 10^6 or
+more (small |x| against |t|, and large n), rounding alone exceeds the
+tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,7 +53,6 @@ from .inequalities import draw_rows
 from .norm import ab_batch, wed
 
 __all__ = [
-    "QuadratureConfig",
     "solution_constant",
     "fundamental_solution_quad",
     "fundamental_solution_closed",
@@ -65,19 +64,11 @@ __all__ = [
 U_MAX = 4
 MIN_LEVEL = 3  # first level whose error estimate is trusted (h = 1/8)
 MAX_LEVEL = 9  # finest level (h = 1/512); a row not converged by then raises
+REL_TOL = 1e-11  # a row is done when two successive levels agree to this
 # compare_cloud's cloud: x in [-5, 5]^{2n} with |x| >= 0.1, t in [-25, 25]
 CLOUD_BOX = 5.0
 CLOUD_T_MAX = 25.0
 CLOUD_MIN_RADIUS = 0.1
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-11
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
-            raise ValueError(f"Quadrature tolerance must be finite and positive: {self.rel_tol!r}.")
 
 
 class QuadratureError(RuntimeError):
@@ -99,16 +90,14 @@ def _level(k: int) -> tuple[np.ndarray, np.ndarray]:
 _LEVELS = tuple(_level(k) for k in range(MAX_LEVEL + 1))
 
 
-def _integrate(
-    f: Callable[..., np.ndarray], rows: tuple[np.ndarray, ...], cfg: QuadratureConfig
-) -> np.ndarray:
+def _integrate(f: Callable[..., np.ndarray], rows: tuple[np.ndarray, ...]) -> np.ndarray:
     """int_0^1 f dv for every row at once, by the tanh-sinh rule.
 
     rows holds equal-length 1-D parameter arrays; f(v, *cols) gets them as
     (k, 1) columns of the k rows still running and returns their (k, nodes)
     values at the nodes v.  Each level halves the step and adds only the new
     nodes.  A row stops at the first level from MIN_LEVEL on where
-    |I_k - I_(k-1)| <= rel_tol |I_k|; a row still running after MAX_LEVEL
+    |I_k - I_(k-1)| <= REL_TOL |I_k|; a row still running after MAX_LEVEL
     raises QuadratureError.  Rows never mix, so a row's value does not depend
     on the other rows.
     """
@@ -122,12 +111,12 @@ def _integrate(
         prev = est[live]
         est[live] = sums[live] * 2.0**-k
         if k >= MIN_LEVEL:
-            live = live[~(np.abs(est[live] - prev) <= cfg.rel_tol * np.abs(est[live]))]
+            live = live[~(np.abs(est[live] - prev) <= REL_TOL * np.abs(est[live]))]
         if live.size == 0:
             return est
     i = live[0]
     raise QuadratureError(
-        f"Quadrature missed rel_tol={cfg.rel_tol:g} on {live.size} of {m} rows at step "
+        f"Quadrature missed REL_TOL={REL_TOL:g} on {live.size} of {m} rows at step "
         f"2^-{MAX_LEVEL}; first such row's parameters: {', '.join(f'{c[i, 0]:.17g}' for c in cols)}"
     )
 
@@ -169,12 +158,10 @@ def _phase_integrand(v, a, b, t):
     return 2.0 * t2 * v2 * (1.0 / (head * head) + 1.0 / (tail * tail))
 
 
-def _solution_rows(
-    a: np.ndarray, b: np.ndarray, t: np.ndarray, n: int, cfg: QuadratureConfig
-) -> np.ndarray:
+def _solution_rows(a: np.ndarray, b: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
     """Quadrature of u = Gamma(n)/(2 pi)^n Re I_n for every row of (A, B, t)."""
     pref = math.factorial(n - 1) / (2.0 * math.pi) ** n
-    return pref * _integrate(_re_integrand(n), (a, b, t), cfg)
+    return pref * _integrate(_re_integrand(n), (a, b, t))
 
 
 def _closed(a, b, t, n: int):
@@ -183,9 +170,7 @@ def _closed(a, b, t, n: int):
     return solution_constant(n) * np.exp(n * np.log(e) - np.log(w) - (n - 0.5) * np.log(d))
 
 
-def _identities(
-    a: np.ndarray, b: np.ndarray, t: np.ndarray, cfg: QuadratureConfig
-) -> dict[str, float]:
+def _identities(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> dict[str, float]:
     """Largest deviation over the rows of each step of the n = 2 derivation.
 
     modulus_closed  |I_modulus / quadrature - 1|
@@ -200,7 +185,7 @@ def _identities(
     w, _, d = wed(a, b, t)
     modulus = math.pi / (4.0 * a * np.sqrt(d))
     minus_t_ddt = math.pi * t * (a * t / w + 2.0 * t) / (8.0 * a * d**1.5)
-    phase = _integrate(_phase_integrand, rows, cfg)
+    phase = _integrate(_phase_integrand, rows)
     # z^4 + c2 z^2 + c0, the quartic divided by A^2
     companion = np.zeros((a.size, 4, 4))
     companion[:, 0, 1] = -(4.0 * a * b + 4.0 * t * t) / (a * a)
@@ -208,9 +193,9 @@ def _identities(
     companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
     mean_imag = np.sort(np.linalg.eigvals(companion).imag, axis=1)[:, 2:].mean(axis=1)
     deviations = {
-        "modulus_closed": modulus / _integrate(_modulus_integrand, rows, cfg) - 1.0,
+        "modulus_closed": modulus / _integrate(_modulus_integrand, rows) - 1.0,
         "t_derivative": (phase - minus_t_ddt) / modulus,
-        "split": _integrate(_re_integrand(2), rows, cfg) / (modulus - phase) - 1.0,
+        "split": _integrate(_re_integrand(2), rows) / (modulus - phase) - 1.0,
         "pole_roots": d / (a * a) / (mean_imag * mean_imag) - 1.0,
     }
     return {name: float(np.max(np.abs(dev))) for name, dev in deviations.items()}
@@ -224,13 +209,13 @@ def solution_constant(n: int) -> float:
     return odd / (2.0 * math.pi ** (n - 1) * 2.0 ** (2 * n))
 
 
-def fundamental_solution_quad(p: Point, params: GroupParams, cfg: QuadratureConfig) -> float:
+def fundamental_solution_quad(p: Point, params: GroupParams) -> float:
     """Direct quadrature of the integral representation: the one-row case of
     the vectorised rule that compare_cloud applies to a whole cloud."""
     if not np.any(p.x):
         raise ValueError("Integral representation needs x != 0.")
     a, b = ab_batch(p.x[None, :])
-    return float(_solution_rows(a, b, np.array([p.t]), params.n, cfg)[0])
+    return float(_solution_rows(a, b, np.array([p.t]), params.n)[0])
 
 
 def fundamental_solution_closed(p: Point, params: GroupParams) -> float:
@@ -241,12 +226,7 @@ def fundamental_solution_closed(p: Point, params: GroupParams) -> float:
     return float(_closed(a, b, p.t, params.n)[0])
 
 
-def compare_cloud(
-    params: GroupParams,
-    n_points: int,
-    seed: int,
-    cfg: QuadratureConfig,
-) -> dict:
+def compare_cloud(params: GroupParams, n_points: int, seed: int) -> dict:
     """Quadrature vs closed form on a seeded cloud; returns an error summary.
 
     The whole cloud is integrated in one vectorised pass, row for row the
@@ -263,7 +243,7 @@ def compare_cloud(
     a, b = ab_batch(coords[:, :-1])
     t = coords[:, -1]
     closed = _closed(a, b, t, params.n)
-    rel_errs = np.abs(_solution_rows(a, b, t, params.n, cfg) - closed) / closed
+    rel_errs = np.abs(_solution_rows(a, b, t, params.n) - closed) / closed
     return {
         "n": params.n,
         "points": n_points,
@@ -271,5 +251,5 @@ def compare_cloud(
         "max_rel_err": float(np.max(rel_errs)),
         "mean_rel_err": float(np.mean(rel_errs)),
         "worst_point": [float(v) for v in coords[np.argmax(rel_errs)]],
-        "identities": _identities(a, b, t, cfg),
+        "identities": _identities(a, b, t),
     }

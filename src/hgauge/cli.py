@@ -14,11 +14,15 @@ Subcommands:
     verify ubound|poincare|lsi   empirical functional inequalities
 
 Reports embed the full run configuration; identical configurations give
-byte-identical reports once --no-timestamp is passed.  Reports are strict
-JSON.  Exit status: 0 all checks passed, 1 a check failed, 2 invalid
-configuration (an output path that cannot be written included), 3 numerical
-breakdown (a mis-tuned chain, a quadrature that did not converge, a report
-that holds a non-finite number).
+byte-identical reports once --no-timestamp is passed.  The numerical
+settings are fixed, not flags, so a pass means the same on every run: the
+quadrature tolerance bgg.REL_TOL, the bgg compare gate BGG_GATE, the FD
+steps fd.H_FIRST and fd.HARMONICITY_STEP, and the bound tolerance
+inequalities.TOLERANCE.  Reports are strict JSON.  Exit status: 0 all
+checks passed, 1 a check failed, 2 invalid configuration (an output path
+that cannot be written included), 3 numerical breakdown (a mis-tuned
+chain, a quadrature that did not converge, a report that holds a
+non-finite number).
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -42,6 +45,8 @@ from .norm import exact_partials, norm_N
 __all__ = ["RunConfig", "build_parser", "run", "main"]
 
 SCHEMA_VERSION = 1
+# bgg compare passes when max_rel_err and each n = 2 identity are at most this
+BGG_GATE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -131,8 +136,7 @@ def _cmd_check_cloud(cfg: RunConfig, which: str) -> tuple[dict, bool]:
         o["points"],
         o["seed"],
         box=o["box"],
-        tolerance=o["tolerance"],
-        threads=cfg.threads if cfg.threads is not None else os.cpu_count(),
+        threads=cfg.threads,
     )
     return {"reports": [r.as_dict() for r in reports]}, all(r.passed for r in reports)
 
@@ -142,11 +146,10 @@ def _cmd_check_fundamental(cfg: RunConfig) -> tuple[dict, bool]:
     o = cfg.options
     params = GroupParams(o["n"])
     coords = inequalities.shell_cloud(params, o["points"], o["seed"])
-    h = o["h_base"]
-    check = fd.harmonicity_check(coords, params, h)
+    check = fd.harmonicity_check(coords, params, fd.HARMONICITY_STEP)
     return {
         "points": o["points"],
-        "h_base": h,
+        "h_base": fd.HARMONICITY_STEP,
         "max_abs_residual": float(np.max(np.abs(check.residual))),
         "mean_abs_residual": float(np.mean(np.abs(check.residual))),
         "mean_truncation_estimate": float(np.mean(check.estimate)),
@@ -165,7 +168,7 @@ def _cmd_check_infinity(cfg: RunConfig) -> tuple[dict, bool]:
         x[0] = 1.0
         x[1] = 1.0
     p = Point(x, o["t"])
-    value, floor = fd.infinity_laplacian_witness(p, params, fd.FdConfig())
+    value, floor = fd.infinity_laplacian_witness(p, params)
     # floor = 0 only where grad_H N = 0 (x = 0), and there the value is exactly 0
     ratio = abs(value) / floor if floor > 0 else 0.0
     passed = bool(ratio > 10.0)
@@ -211,14 +214,10 @@ def _cmd_check_constants(cfg: RunConfig) -> tuple[dict, bool]:
 
 def _cmd_bgg_compare(cfg: RunConfig) -> tuple[dict, bool]:
     o = cfg.options
-    if not math.isfinite(o["max_rel_err"]):
-        raise ValueError(f"Need a finite --max-rel-err, got {o['max_rel_err']}.")
-    params = GroupParams(o["n"])
-    qcfg = bgg.QuadratureConfig(rel_tol=o["rel_tol"])
-    summary = bgg.compare_cloud(params, o["points"], o["seed"], qcfg)
+    summary = bgg.compare_cloud(GroupParams(o["n"]), o["points"], o["seed"])
     errors = [summary["max_rel_err"], *summary["identities"].values()]
-    passed = all(err <= o["max_rel_err"] for err in errors)
-    summary["pass_threshold"] = o["max_rel_err"]
+    passed = all(err <= BGG_GATE for err in errors)
+    summary["pass_threshold"] = BGG_GATE
     return summary, passed
 
 
@@ -333,12 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
         pc.add_argument("--points", type=int, default=100_000)
         pc.add_argument("--seed", type=int, required=True)
         pc.add_argument("--box", type=float, default=inequalities.DEFAULT_BOX)
-        pc.add_argument("--tolerance", type=float, default=inequalities.DEFAULT_TOLERANCE)
     pf = check_sub.add_parser("fundamental")
     pf.add_argument("--n", type=int, required=True)
     pf.add_argument("--points", type=int, default=100)
     pf.add_argument("--seed", type=int, required=True)
-    pf.add_argument("--h-base", dest="h_base", type=float, default=1.6e-3)
     pi = check_sub.add_parser("infinity-harmonic")
     pi.add_argument("--n", type=int, default=2)
     pi.add_argument("--x", default=None)
@@ -352,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--n", type=int, required=True)
     pb.add_argument("--points", type=int, default=200)
     pb.add_argument("--seed", type=int, required=True)
-    pb.add_argument("--rel-tol", dest="rel_tol", type=float, default=bgg.QuadratureConfig.rel_tol)
-    pb.add_argument("--max-rel-err", dest="max_rel_err", type=float, default=1e-8)
 
     p_meas = sub.add_parser("measure", help="measure families and samplers")
     meas_sub = p_meas.add_subparsers(dest="subcommand", required=True)

@@ -7,7 +7,10 @@ The sub-Laplacian in coordinates is
 with the central coefficients c_j from the group layer.  Second derivatives
 use 3-point central stencils, mixed ones 4-point cross stencils.  Steps scale
 with 1 + ||p||_inf.  Every stencil is one matrix of step multiples, and the
-field is evaluated once on all of its shifted copies.
+field is evaluated once on all of its shifted copies.  Every operator takes
+its base step; two are fixed here: H_FIRST for the first differences of the
+infinity-Laplacian witness and HARMONICITY_STEP for the Richardson check of
+N^(2-Q) that `check fundamental` runs.
 
 Only the identity is singular: the gauge is smooth everywhere else, the
 central line x = 0 included.  A stencil that meets the identity raises
@@ -18,7 +21,6 @@ numerical breakdown rather than bad input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -27,7 +29,6 @@ from .group import GroupParams, Point, field_coefficients_batch
 from .norm import npow_field, partials_batch
 
 __all__ = [
-    "FdConfig",
     "HarmonicityCheck",
     "sub_laplacian_batch",
     "harmonicity_check",
@@ -37,15 +38,8 @@ __all__ = [
 
 Field = Callable[[np.ndarray], np.ndarray]
 
-
-@dataclass(frozen=True)
-class FdConfig:
-    h_base: float = 1e-4        # second differences
-    h_first: float = 1e-6       # first differences
-
-    def __post_init__(self) -> None:
-        _check_step(self.h_base)
-        _check_step(self.h_first)
+H_FIRST = 1e-6  # the witness's first differences, at H_FIRST and H_FIRST / 2
+HARMONICITY_STEP = 1.6e-3  # check fundamental's Richardson pair, h and h / 2
 
 
 def _check_step(base: float) -> None:
@@ -129,10 +123,11 @@ def _sub_laplacian_h(
     return out, mag
 
 
-def sub_laplacian_batch(field: Field, coords: np.ndarray, cfg: FdConfig) -> np.ndarray:
-    """Finite-difference sub-Laplacian of field on (m, 2n+1) coordinate rows."""
+def sub_laplacian_batch(field: Field, coords: np.ndarray, h: float) -> np.ndarray:
+    """Finite-difference sub-Laplacian of field on (m, 2n+1) coordinate rows, base step h."""
+    _check_step(h)
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    return _sub_laplacian_h(field, coords, _step(coords, cfg.h_base))[0]
+    return _sub_laplacian_h(field, coords, _step(coords, h))[0]
 
 
 class HarmonicityCheck(NamedTuple):
@@ -168,24 +163,23 @@ def harmonicity_check(
     return HarmonicityCheck((4.0 * half - plain) / 3.0, np.abs(plain - half), floor)
 
 
-def fd_gradient(field: Field, coords: np.ndarray, cfg: FdConfig) -> np.ndarray:
-    """Central first differences of field; returns (m, 2n+1) Euclidean gradients."""
+def fd_gradient(field: Field, coords: np.ndarray, h: float) -> np.ndarray:
+    """Central first differences of field at base step h; returns (m, 2n+1) Euclidean gradients."""
+    _check_step(h)
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     dim = coords.shape[1]
-    h = _step(coords, cfg.h_first)
+    steps = _step(coords, h)
     eye = np.eye(dim, dtype=int)
-    vals = _stencil(field, coords, np.vstack([eye, -eye]), h)
-    return ((vals[:dim] - vals[dim:]) / (2.0 * h)).T
+    vals = _stencil(field, coords, np.vstack([eye, -eye]), steps)
+    return ((vals[:dim] - vals[dim:]) / (2.0 * steps)).T
 
 
-def infinity_laplacian_witness(
-    p: Point, params: GroupParams, cfg: FdConfig
-) -> tuple[float, float]:
+def infinity_laplacian_witness(p: Point, params: GroupParams) -> tuple[float, float]:
     """(value, noise floor) for the infinity-Laplacian of N at p.
 
     The value is 0.5 <grad_H |grad_H N|^2, grad_H N>, with the exact inner
     gradient and the outer gradient of |grad_H N|^2 by first differences at
-    h_first and h_first/2; the finer one is reported.  The floor combines
+    H_FIRST and H_FIRST/2; the finer one is reported.  The floor combines
     the difference of the two with a roundoff estimate; a value exceeding
     the floor by a clear factor certifies a genuinely nonzero
     infinity-Laplacian.  On the central line x = 0, where grad_H N = 0, both
@@ -207,12 +201,12 @@ def infinity_laplacian_witness(
     def grad_sq(rows: np.ndarray) -> np.ndarray:
         return partials_batch(rows[:, :-1], rows[:, -1]).grad_sq
 
-    def value(h_first: float) -> float:
-        egrad = fd_gradient(grad_sq, coords, FdConfig(cfg.h_base, h_first))[0]
+    def value(h: float) -> float:
+        egrad = fd_gradient(grad_sq, coords, h)[0]
         return float(0.5 * (egrad[:-1] + c * egrad[-1]) @ horizontal)
 
-    coarse, fine = value(cfg.h_first), value(cfg.h_first * 0.5)
-    h = _step(coords, cfg.h_first)[0]
+    coarse, fine = value(H_FIRST), value(H_FIRST * 0.5)
+    h = _step(coords, H_FIRST)[0]
     scale = float(pb.grad_sq[0]) * np.sqrt(float(pb.grad_sq[0]))
     roundoff = np.finfo(float).eps * (p.x.size + 1) * scale / h
     floor = abs(coarse - fine) / 3.0 + roundoff

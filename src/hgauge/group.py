@@ -10,14 +10,12 @@ homogeneous dimension is Q = 2n + 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "GroupParams",
     "Point",
-    "origin",
     "compose",
     "inverse",
     "dilate",
@@ -83,16 +81,6 @@ class Point:
     def coords(self) -> np.ndarray:
         """Flat coordinate vector (x_1, ..., x_{2n}, t)."""
         return np.concatenate([self.x, [self.t]])
-
-    @staticmethod
-    def from_coords(coords: Iterable[float]) -> "Point":
-        arr = np.asarray(list(coords), dtype=float)
-        return Point(arr[:-1], float(arr[-1]))
-
-
-def origin(params: GroupParams) -> Point:
-    """The group identity."""
-    return Point(np.zeros(params.horizontal_dim), 0.0)
 
 
 def _check_match(p: Point, q: Point) -> None:

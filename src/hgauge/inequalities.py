@@ -4,8 +4,8 @@ Every bound is checked in a scale-free normalised form.  Because the first
 derivatives factor as dN/dx_j = x_j * slope(A, B, t), each per-coordinate
 bound reduces to a bound on N * slope, which is homogeneous of degree zero
 and well defined even where the coordinate vanishes.  The normalised margins
-are therefore uniform over dilations, and a single tolerance (default
--1e-12) covers the whole cloud.
+are therefore uniform over dilations, and one fixed tolerance, TOLERANCE =
+-1e-12, covers the whole cloud.
 
 Checked bounds, with s_p = N * pair_slope, s_b = N * block_slope and
 T = N * |dN/dt|:
@@ -60,7 +60,7 @@ __all__ = [
     "coercivity_margin",
 ]
 
-DEFAULT_TOLERANCE = -1e-12
+TOLERANCE = -1e-12  # a margin at or above this passes
 DEFAULT_BOX = 5.0
 EXCLUSION = 1e-3
 
@@ -226,7 +226,6 @@ def _cloud_reports(
     n_points: int,
     seed: int,
     box: float,
-    tolerance: float,
     threads: Optional[int],
 ) -> list[InequalityReport]:
     """One report per named column of margin_fn over sample_cloud, streamed.
@@ -235,13 +234,12 @@ def _cloud_reports(
     is never built: each of sample_cloud's spans of _CHUNK rows draws its own
     rows and keeps only its per-column minima, so time grows linearly and
     memory stays flat in n_points.  Spans run on a pool of
-    min(threads, os.cpu_count()) workers.  The reports are those of the
-    whole sample_cloud.
+    min(threads, os.cpu_count()) workers, one per CPU when threads is None.
+    The reports are those of the whole sample_cloud.
     """
-    if not math.isfinite(tolerance):
-        raise ValueError(f"The tolerance {tolerance!r} must be finite.")
     spans = _spans(n_points)
-    workers = min(threads or 1, os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
+    workers = cpus if threads is None else min(threads, cpus)
 
     def span_minima(span):
         """(per-column minimum of margin_fn over the span, the first row attaining each)."""
@@ -267,8 +265,8 @@ def _cloud_reports(
                 n_points=n_points,
                 min_margin=float(value),
                 worst_point=Point(row[:-1], float(row[-1])),
-                tolerance=tolerance,
-                passed=bool(value >= tolerance),
+                tolerance=TOLERANCE,
+                passed=bool(value >= TOLERANCE),
                 seed=seed,
             )
         )
@@ -283,7 +281,6 @@ def check_gradient_bounds(
     n_points: int,
     seed: int,
     box: float = DEFAULT_BOX,
-    tolerance: float = DEFAULT_TOLERANCE,
     threads: Optional[int] = None,
 ) -> list[InequalityReport]:
     """Radial and two-sided gradient bounds on a random cloud."""
@@ -301,7 +298,7 @@ def check_gradient_bounds(
         m3 = upper_const - ratio
         return np.column_stack([m1, m2, m3])
 
-    return _cloud_reports(_GRADIENT_NAMES, margins, params, n_points, seed, box, tolerance, threads)
+    return _cloud_reports(_GRADIENT_NAMES, margins, params, n_points, seed, box, threads)
 
 
 _PARTIAL_NAMES = (
@@ -320,7 +317,6 @@ def check_partial_bounds(
     n_points: int,
     seed: int,
     box: float = DEFAULT_BOX,
-    tolerance: float = DEFAULT_TOLERANCE,
     threads: Optional[int] = None,
 ) -> list[InequalityReport]:
     """Per-coordinate slope bounds on a random cloud."""
@@ -346,7 +342,7 @@ def check_partial_bounds(
             ]
         )
 
-    return _cloud_reports(_PARTIAL_NAMES, margins, params, n_points, seed, box, tolerance, threads)
+    return _cloud_reports(_PARTIAL_NAMES, margins, params, n_points, seed, box, threads)
 
 
 def split_objective(alpha: float, n: int) -> float:

@@ -364,7 +364,7 @@ def run_chain(
     cfg: SamplerConfig,
     chain_index: int,
 ) -> SampleBatch:
-    """Run one chain; deterministic given (cfg.seed, chain_index).
+    """Run one chain; deterministic given (cfg.seed, chain_index), for any cfg.n_chains.
 
     The proposal scale is tuned toward 25% acceptance during burn-in and
     frozen afterwards.  A post-burn-in acceptance rate outside [0.02, 0.98]
@@ -388,7 +388,8 @@ def run_chain(
     """
     if not 0 <= chain_index < cfg.n_chains:
         raise ValueError(f"chain_index {chain_index} outside 0..{cfg.n_chains - 1}.")
-    stream = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chains)[chain_index]
+    # the stream spawn(n_chains)[chain_index] would give, without spawning the others
+    stream = np.random.SeedSequence(cfg.seed, spawn_key=(chain_index,))
     rng = np.random.default_rng(stream)
     dim = params.ambient_dim
 

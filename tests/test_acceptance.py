@@ -21,7 +21,6 @@ from hgauge.inequalities import check_gradient_bounds, check_partial_bounds, she
 from hgauge.measures import MeasureSpec, batch_means_se
 from hgauge.norm import ab_batch, norm_batch, norm_field, npow_field, partials_batch
 
-QCFG = bgg.QuadratureConfig()
 TOL_MARGIN = -1e-12
 
 
@@ -35,7 +34,7 @@ def test_01_closed_form_matches_quadrature():
     t0 = time.perf_counter()
     worst = 0.0
     for n in (2, 3, 6, 8):
-        out = bgg.compare_cloud(GroupParams(n), 200, seed=1000 + n, cfg=QCFG)
+        out = bgg.compare_cloud(GroupParams(n), 200, seed=1000 + n)
         worst = max(worst, out["max_rel_err"])
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed <= 30.0
@@ -80,12 +79,12 @@ def test_03_harmonicity_within_truncation():
     means = []
     field = npow_field(params, 2 - params.homogeneous_dim)
     for h in ladder:
-        res = fd.sub_laplacian_batch(field, coords, fd.FdConfig(h_base=h))
+        res = fd.sub_laplacian_batch(field, coords, h)
         means.append(float(np.mean(np.abs(res))))
     slope = np.polyfit(np.log(ladder), np.log(means), 1)[0]
     h = 1.6e-3
-    plain = fd.sub_laplacian_batch(field, coords, fd.FdConfig(h_base=h))
-    half = fd.sub_laplacian_batch(field, coords, fd.FdConfig(h_base=h / 2))
+    plain = fd.sub_laplacian_batch(field, coords, h)
+    half = fd.sub_laplacian_batch(field, coords, h / 2)
     rich = fd.harmonicity_check(coords, params, h).residual
     estimate = np.abs(plain - half)
     bounded = bool(np.all(np.abs(rich) <= estimate))
@@ -104,7 +103,7 @@ def test_04_laplacian_gradient_ratio():
         params = GroupParams(n)
         coords = shell_cloud(params, 1000, seed=40 + n)
         q_hom = params.homogeneous_dim
-        lap = fd.sub_laplacian_batch(norm_field(params), coords, fd.FdConfig())
+        lap = fd.sub_laplacian_batch(norm_field(params), coords, 1e-4)
         pb = partials_batch(coords[:, :-1], coords[:, -1])
         ratio = lap * pb.N / ((q_hom - 1) * pb.grad_sq)
         worst = max(worst, float(np.max(np.abs(ratio - 1.0))))
@@ -169,7 +168,7 @@ def test_07_coercivity_constants():
 def test_08_infinity_laplacian_witness():
     params = GroupParams(2)
     p = Point(np.array([1.0, 1.0, 0.0, 0.0]), 0.3)
-    value, floor = fd.infinity_laplacian_witness(p, params, fd.FdConfig())
+    value, floor = fd.infinity_laplacian_witness(p, params)
     ratio = abs(value) / floor
     ok = ratio > 10.0
     _check(
@@ -190,7 +189,7 @@ def test_09_exact_gradients_vs_fd():
     ]
     coords = shell_cloud(params, 1000, seed=99)
     # gauge gradient
-    fd_n = fd.fd_gradient(norm_field(params), coords, fd.FdConfig())
+    fd_n = fd.fd_gradient(norm_field(params), coords, fd.H_FIRST)
     pb = partials_batch(coords[:, :-1], coords[:, -1])
     exact_n = np.column_stack([pb.dN_dx, pb.dN_dt])
     scale = np.maximum(np.abs(exact_n), 1.0)
@@ -201,7 +200,7 @@ def test_09_exact_gradients_vs_fd():
     central[:, -1] = [-3.0, -1.0, -0.3, 0.3, 1.0, 3.0]
     sub = np.vstack([coords[:100], central])
     for spec in specs:
-        fd_g = fd.fd_gradient(lambda rows: measures._log_pi_rows(spec, rows)[1], sub, fd.FdConfig())
+        fd_g = fd.fd_gradient(lambda rows: measures._log_pi_rows(spec, rows)[1], sub, fd.H_FIRST)
         exact_g = measures._log_pi_grad_rows(spec, sub)[2]
         scale = np.maximum(np.abs(exact_g), 1.0)
         worst = max(worst, float(np.max(np.abs(fd_g - exact_g) / scale)))
@@ -329,7 +328,7 @@ def test_14_beta_lsi_feasibility(alpha_chain, params6):
 
 
 def test_15_integral_identities():
-    ids = bgg.compare_cloud(GroupParams(2), 200, seed=15, cfg=QCFG)["identities"]
+    ids = bgg.compare_cloud(GroupParams(2), 200, seed=15)["identities"]
     ok = (
         ids["split"] <= 1e-6
         and ids["t_derivative"] <= 1e-6

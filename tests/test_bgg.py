@@ -8,7 +8,6 @@ import pytest
 
 from hgauge import bgg
 from hgauge.bgg import (
-    QuadratureConfig,
     QuadratureError,
     compare_cloud,
     fundamental_solution_closed,
@@ -19,9 +18,6 @@ from hgauge.cli import main
 from hgauge.group import GroupParams, Point, dilate
 from hgauge.inequalities import draw_rows
 from hgauge.norm import norm_N
-
-CFG = QuadratureConfig()
-
 
 # -- fundamental solution ------------------------------------------------------
 
@@ -44,7 +40,7 @@ def test_quadrature_matches_closed_form(n):
         x = rng.uniform(-2, 2, 2 * n)
         t = rng.uniform(-4, 4)
         p = Point(x, t)
-        u_quad = fundamental_solution_quad(p, params, CFG)
+        u_quad = fundamental_solution_quad(p, params)
         u_closed = fundamental_solution_closed(p, params)
         assert u_quad == pytest.approx(u_closed, rel=1e-10)
 
@@ -72,7 +68,7 @@ def test_solution_homogeneity():
 
 def test_compare_cloud_summary():
     params = GroupParams(2)
-    out = compare_cloud(params, 30, seed=4, cfg=CFG)
+    out = compare_cloud(params, 30, seed=4)
     assert out["points"] == 30
     assert out["max_rel_err"] < 1e-8
     assert out["mean_rel_err"] <= out["max_rel_err"]
@@ -85,8 +81,8 @@ def test_compare_cloud_rows_equal_scalar_quadrature(monkeypatch):
     seen = []
     rows = bgg._solution_rows
 
-    def spy(a, b, t, n, cfg):
-        out = rows(a, b, t, n, cfg)
+    def spy(a, b, t, n):
+        out = rows(a, b, t, n)
         seen.append((t.copy(), out))
         return out
 
@@ -94,14 +90,14 @@ def test_compare_cloud_rows_equal_scalar_quadrature(monkeypatch):
     for n in (2, 6):
         params = GroupParams(n)
         seen.clear()
-        compare_cloud(params, 30, seed=5, cfg=CFG)
+        compare_cloud(params, 30, seed=5)
         coords = draw_rows(
             params, 5, 0, 30, bgg.CLOUD_BOX, bgg.CLOUD_T_MAX, bgg.CLOUD_MIN_RADIUS, None, (0, 30)
         )
         (t, vals), = seen
         assert t.tobytes() == coords[:, -1].tobytes()
         seen.clear()
-        scalar = [fundamental_solution_quad(Point(r[:-1], r[-1]), params, CFG) for r in coords]
+        scalar = [fundamental_solution_quad(Point(r[:-1], r[-1]), params) for r in coords]
         assert np.array(scalar).tobytes() == vals.tobytes()
 
 
@@ -113,7 +109,7 @@ IDENTITY_NS = (2, 3, 6, 8)
 @functools.cache
 def _identities(n):
     """compare_cloud's identities on a 200-point cloud at n (seed 1000 + n)."""
-    return compare_cloud(GroupParams(n), 200, seed=1000 + n, cfg=CFG)["identities"]
+    return compare_cloud(GroupParams(n), 200, seed=1000 + n)["identities"]
 
 
 def test_modulus_integral_closed_vs_quad():
@@ -173,13 +169,13 @@ def test_compare_cloud_digests(n, monkeypatch):
         h.update(x.tobytes())
         return ab(x)
 
-    def rows_spy(a, b, t, n, cfg):
+    def rows_spy(a, b, t, n):
         h.update(t.tobytes())
-        return rows(a, b, t, n, cfg)
+        return rows(a, b, t, n)
 
     monkeypatch.setattr(bgg, "ab_batch", ab_spy)
     monkeypatch.setattr(bgg, "_solution_rows", rows_spy)
-    compare_cloud(GroupParams(n), 200, seed=1000 + n, cfg=CFG)
+    compare_cloud(GroupParams(n), 200, seed=1000 + n)
     assert h.hexdigest()[:32] == COMPARE_DIGESTS[n]
 
 
@@ -192,7 +188,7 @@ def test_cancelling_points_raise(n, x2, t):
     x = np.zeros(2 * n)
     x[1] = x2
     with pytest.raises(QuadratureError):
-        fundamental_solution_quad(Point(x, t), GroupParams(n), CFG)
+        fundamental_solution_quad(Point(x, t), GroupParams(n))
 
 
 def test_log_sweep_returns_only_accurate_values():
@@ -209,7 +205,7 @@ def test_log_sweep_returns_only_accurate_values():
                 p = Point(r * d / np.linalg.norm(d), float(t))
                 total += 1
                 try:
-                    u = fundamental_solution_quad(p, params, CFG)
+                    u = fundamental_solution_quad(p, params)
                 except QuadratureError:
                     continue
                 returned += 1

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import pkgutil
@@ -88,16 +89,65 @@ def test_option_count_is_pinned():
     # justify it in review; one that removes an option lowers this count.
     src = Path(hgauge.__file__).resolve().parent
     total = sum(_count_options(ast.parse(p.read_text())) for p in sorted(src.glob("*.py")))
-    assert total == 27
+    assert total == 22
+
+
+def _count_flags(parser):
+    """Option flags of parser and of every subcommand below it, help excluded."""
+    count = 0
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            count += sum(_count_flags(sub) for sub in action.choices.values())
+        elif action.option_strings and not isinstance(action, argparse._HelpAction):
+            count += 1
+    return count
+
+
+def test_cli_flag_count_is_pinned():
+    # each flag is an option of a run, so a new one needs review just as a
+    # new library option does; one that removes a flag lowers this count
+    assert _count_flags(build_parser()) == 72
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _locals(fn):
+    """fn's parameters and the names its own body binds (nested scopes excluded)."""
+    a = fn.args
+    names = {arg.arg for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if arg}
+    stack = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (*_SCOPES, ast.ClassDef)):
+            names.add(getattr(node, "name", None))
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
 
 
 def _references(tree):
-    """Names and attributes a module uses, outside the definition they name."""
+    """Names and attributes a module uses, outside the definition they name.
+
+    Inside a function its parameters and the names it assigns are locals, not
+    references: draw_rows's parameter `origin` uses no public `origin`.
+    """
+
+    def refs(node, local):
+        if isinstance(node, _SCOPES):
+            local = local | _locals(node)
+        out = {node.attr} if isinstance(node, ast.Attribute) else set()
+        if isinstance(node, ast.Name) and node.id not in local:
+            out.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            out |= refs(child, local)
+        return out
+
     used = set()
     for node in tree.body:
-        refs = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
-        refs |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
-        used |= refs - {getattr(node, "name", None)}
+        used |= refs(node, frozenset()) - {getattr(node, "name", None)}
     return used
 
 

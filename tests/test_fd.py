@@ -3,7 +3,7 @@ import pytest
 
 from hgauge import fd, norm
 from hgauge.fd import (
-    FdConfig,
+    H_FIRST,
     fd_gradient,
     harmonicity_check,
     infinity_laplacian_witness,
@@ -27,11 +27,13 @@ def _exact_quadratic_sublap(coords, n):
 
 
 def test_config_validation():
+    coords = np.array([[1.0, 0.5, -0.3, 0.2, 0.4]])
+    field = _quadratic_field(2)
     for h in (-1.6e-3, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and positive"):
-            FdConfig(h_base=h)
+            sub_laplacian_batch(field, coords, h)
         with pytest.raises(ValueError, match="finite and positive"):
-            FdConfig(h_first=h)
+            fd_gradient(field, coords, h)
 
 
 @pytest.mark.parametrize("h", [-1.6e-3, 0.0, float("nan"), float("inf")])
@@ -46,7 +48,7 @@ def test_sub_laplacian_quadratic():
     params = GroupParams(n)
     rng = np.random.default_rng(0)
     coords = rng.uniform(-2, 2, (50, 2 * n + 1))
-    got = sub_laplacian_batch(_quadratic_field(n), coords, FdConfig())
+    got = sub_laplacian_batch(_quadratic_field(n), coords, 1e-4)
     want = _exact_quadratic_sublap(coords, n)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-6
 
@@ -56,7 +58,7 @@ def test_sub_laplacian_kills_linear_and_central():
     rng = np.random.default_rng(1)
     coords = rng.uniform(-2, 2, (30, 5))
     for field in (lambda c: c[:, 0].copy(), lambda c: c[:, -1].copy()):
-        got = sub_laplacian_batch(field, coords, FdConfig())
+        got = sub_laplacian_batch(field, coords, 1e-4)
         assert np.max(np.abs(got)) < 1e-8
 
 
@@ -68,7 +70,7 @@ def test_harmonicity_residual_small():
     t = rng.uniform(-3, 3, 40)
     keep = np.linalg.norm(x, axis=1) > 0.7
     coords = np.column_stack([x, t])[keep]
-    res = sub_laplacian_batch(npow_field(params, 2 - params.homogeneous_dim), coords, FdConfig())
+    res = sub_laplacian_batch(npow_field(params, 2 - params.homogeneous_dim), coords, 1e-4)
     nn = norm_batch(coords[:, :-1], coords[:, -1])
     q_hom = 2 * 2 + 2
     # scale-free residual: the raw one decays like N^(-Q-2)
@@ -80,23 +82,23 @@ def test_harmonicity_rejects_only_identity():
     # raises as invalid input, and an overflowing field as a numerical breakdown
     params = GroupParams(2)
     field = npow_field(params, 2 - params.homogeneous_dim)
-    res = sub_laplacian_batch(field, np.array([[0.0, 0.0, 0.0, 0.0, 1.0]]), FdConfig())
+    res = sub_laplacian_batch(field, np.array([[0.0, 0.0, 0.0, 0.0, 1.0]]), 1e-4)
     assert np.all(np.isfinite(res))
     with pytest.raises(ValueError, match="identity"):
-        sub_laplacian_batch(field, np.zeros((1, 5)), FdConfig())
+        sub_laplacian_batch(field, np.zeros((1, 5)), 1e-4)
     with pytest.raises(ValueError, match="identity"):
         harmonicity_check(np.zeros((1, 5)), params, 1e-4)
     with pytest.raises(RuntimeError, match="overflows"):
-        sub_laplacian_batch(field, np.array([[1e-200, 0.0, 0.0, 0.0, 0.0]]), FdConfig())
+        sub_laplacian_batch(field, np.array([[1e-200, 0.0, 0.0, 0.0, 0.0]]), 1e-4)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 10])
 def test_harmonicity_check_passes_on_central_line(n):
-    # at the CLI's default step the residual sits far inside its bound
+    # at check fundamental's step the residual sits far inside its bound
     t = np.geomspace(0.3, 25.0, 6)
     coords = np.zeros((12, 2 * n + 1))
     coords[:, -1] = np.concatenate([t, -t])
-    check = harmonicity_check(coords, GroupParams(n), 1.6e-3)
+    check = harmonicity_check(coords, GroupParams(n), fd.HARMONICITY_STEP)
     assert check.passed
     assert np.max(np.abs(check.residual) / (check.estimate + check.floor)) < 1e-3
 
@@ -106,7 +108,7 @@ def test_fd_gradient_polynomial():
         return c[:, 0] ** 2 + 3.0 * c[:, 1] * c[:, -1]
 
     coords = np.array([[0.7, -0.2, 0.1, 0.4, 1.2]])
-    g = fd_gradient(field, coords, FdConfig())[0]
+    g = fd_gradient(field, coords, H_FIRST)[0]
     want = np.array([1.4, 3.6, 0.0, 0.0, -0.6])
     assert np.allclose(g, want, atol=1e-7)
 
@@ -116,8 +118,8 @@ def test_infinity_laplacian_scaling():
     params = GroupParams(2)
     p = Point(np.array([1.0, 1.0, 0.0, 0.0]), 0.3)
     lam = 2.0
-    v1, _ = infinity_laplacian_witness(p, params, FdConfig())
-    v2, _ = infinity_laplacian_witness(dilate(lam, p), params, FdConfig())
+    v1, _ = infinity_laplacian_witness(p, params)
+    v2, _ = infinity_laplacian_witness(dilate(lam, p), params)
     assert v2 == pytest.approx(v1 / lam, rel=1e-4)
 
 
@@ -131,16 +133,16 @@ def test_witness_makes_three_gauge_passes(monkeypatch):
 
     monkeypatch.setattr(fd, "partials_batch", counted)
     params = GroupParams(2)
-    infinity_laplacian_witness(Point(np.array([1.0, 1.0, 0.0, 0.0]), 0.3), params, FdConfig())
+    infinity_laplacian_witness(Point(np.array([1.0, 1.0, 0.0, 0.0]), 0.3), params)
     assert calls == [1, 10, 10]
     with pytest.raises(ValueError):
-        infinity_laplacian_witness(Point(np.zeros(4), 0.0), params, FdConfig())
+        infinity_laplacian_witness(Point(np.zeros(4), 0.0), params)
 
 
 def test_witness_clears_noise_floor():
     params = GroupParams(2)
     p = Point(np.array([1.0, 1.0, 0.0, 0.0]), 0.3)
-    value, floor = infinity_laplacian_witness(p, params, FdConfig())
+    value, floor = infinity_laplacian_witness(p, params)
     assert floor > 0
     assert abs(value) > 10 * floor
 
@@ -151,5 +153,5 @@ def test_abelian_slice_is_infinity_harmonic():
     # vanishes along generic directions
     params = GroupParams(2)
     p = Point(np.array([1.0, 0.0, 1.0, 0.0]), 0.0)
-    value, floor = infinity_laplacian_witness(p, params, FdConfig())
+    value, floor = infinity_laplacian_witness(p, params)
     assert abs(value) <= max(10 * floor, 1e-8)

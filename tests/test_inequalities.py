@@ -11,8 +11,8 @@ from hgauge import bgg, inequalities
 from hgauge.group import GroupParams
 from hgauge.norm import norm_batch
 from hgauge.inequalities import (
-    DEFAULT_TOLERANCE,
     EXCLUSION,
+    TOLERANCE,
     alpha_opt,
     check_gradient_bounds,
     check_partial_bounds,
@@ -66,7 +66,7 @@ def test_gradient_bounds_hold(n):
     assert [r.name for r in reports] == ["radial-lower", "gradient-lower", "gradient-upper"]
     for r in reports:
         assert r.passed, f"{r.name}: {r.min_margin}"
-        assert r.min_margin >= DEFAULT_TOLERANCE
+        assert r.min_margin >= TOLERANCE
 
 
 def test_partial_bounds_hold_n6():
@@ -88,9 +88,13 @@ def test_threading_does_not_change_results():
         assert np.array_equal(np.asarray(a.worst_point), np.asarray(b.worst_point))
 
 
-def test_thread_pool_is_capped_at_cpu_count(monkeypatch):
-    # a stand-in executor records the pool size and maps in this thread, so a
-    # huge thread count starts no threads even if the cap were missing
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """[max_workers, spans] of each pool the cloud checks open.
+
+    A stand-in executor records them and maps in this thread, so a huge
+    thread count starts no threads even if the cap were missing.
+    """
     seen = []
 
     class Recorder:
@@ -109,11 +113,24 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch):
             return map(fn, chunks)
 
     monkeypatch.setattr(inequalities, "ThreadPoolExecutor", Recorder)
+    return seen
+
+
+def test_thread_pool_is_capped_at_cpu_count(monkeypatch, pool_sizes):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     params = GroupParams(2)
     capped = check_gradient_bounds(params, 20_000, seed=3, threads=10**6)
-    assert seen == [3, 2]  # one box span of 15000 rows, one radial span of 5000
+    assert pool_sizes == [3, 2]  # one box span of 15000 rows, one radial span of 5000
     assert capped == check_gradient_bounds(params, 20_000, seed=3, threads=1)
+
+
+def test_default_threads_are_one_per_cpu(monkeypatch, pool_sizes):
+    # threads=None means one worker per CPU, in the library as in the CLI
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    params = GroupParams(2)
+    default = check_partial_bounds(params, 20_000, seed=3)
+    assert pool_sizes == [2, 2]
+    assert default == check_partial_bounds(params, 20_000, seed=3, threads=1)
 
 
 CHUNK = inequalities._CHUNK
@@ -244,7 +261,7 @@ def test_clouds_need_a_point(m):
         lambda: check_partial_bounds(params, m, seed=1),
         lambda: sample_cloud(params, m, seed=1),
         lambda: shell_cloud(params, m, seed=1),
-        lambda: bgg.compare_cloud(params, m, 1, bgg.QuadratureConfig()),
+        lambda: bgg.compare_cloud(params, m, 1),
     ):
         with pytest.raises(ValueError, match="at least 1 point"):
             call()

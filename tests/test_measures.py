@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hgauge import measures
-from hgauge.fd import FdConfig, fd_gradient
+from hgauge.fd import H_FIRST, fd_gradient
 from hgauge.group import GroupParams
 from hgauge.measures import (
     FAMILIES,
@@ -104,7 +104,7 @@ def test_grad_log_density_matches_fd(spec):
     central[:, -1] = [-2.0, -0.5, 0.5, 1.0]
     coords = np.vstack([coords, central])
     exact = _log_pi_grad_rows(spec, coords)[2]
-    fd = fd_gradient(lambda rows: _log_pi_rows(spec, rows)[1], coords, FdConfig())
+    fd = fd_gradient(lambda rows: _log_pi_rows(spec, rows)[1], coords, H_FIRST)
     assert np.all(np.isfinite(exact))
     assert np.allclose(exact, fd, rtol=1e-5, atol=1e-7)
     assert np.allclose(exact[-4:], fd[-4:], rtol=1e-7, atol=1e-9)
@@ -116,7 +116,7 @@ def test_grad_log_density_rejects_only_identity():
     coords = np.zeros((4, 5))
     coords[:3, -1] = [-1.0, 0.25, 1.0]
     exact = _log_pi_grad_rows(POWER4, coords)[2]
-    fd = fd_gradient(lambda rows: _log_pi_rows(POWER4, rows)[1], coords[:3], FdConfig())
+    fd = fd_gradient(lambda rows: _log_pi_rows(POWER4, rows)[1], coords[:3], H_FIRST)
     assert np.all(np.isfinite(exact[:3]))
     assert np.allclose(exact[:3], fd, rtol=1e-7, atol=1e-9)
     assert np.all(np.isnan(exact[3]))
@@ -371,6 +371,16 @@ REFERENCE_CONFIGS = {
 def _chain_fields(spec, params, cfg, chain_index):
     b = run_chain(spec, params, cfg, chain_index)
     return b.coords, b.log_densities, b.acceptance_rate, b.step_final
+
+
+def test_chain_does_not_depend_on_chain_count():
+    # chain i's stream is keyed by (seed, i) alone: chain 1 of 2 is chain 1 of 10^5
+    cfg = SamplerConfig(n_steps=1000, burn_in=0, step=0.5, seed=11, n_chains=2)
+    want = _chain_fields(POWER4, PARAMS2, cfg, 1)
+    got = _chain_fields(POWER4, PARAMS2, dataclasses.replace(cfg, n_chains=10**5), 1)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2:] == want[2:]
 
 
 def _outcome(run, *args):
