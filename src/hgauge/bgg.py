@@ -24,10 +24,11 @@ the general closed form
     u = K_n * E^n / (W * D^(n - 1/2)),
     K_n = (prod_{k=3}^{n} (2k-3)) / (2 * pi^(n-1) * 2^(2n)),
 
-so that u * N^(2n) = K_n identically.  compare_cloud reports how far each
-of these n = 2 steps (the closed modulus piece, the phase correction as
--t d/dt I_modulus, the split of Re I_2, and the pole locations) is from
-holding on its cloud.
+so that u * N^(2n) = K_n identically.  The one-point forms
+fundamental_solution_closed and fundamental_solution_quad read n off the
+point, n = p.n.  compare_cloud reports how far each of these n = 2 steps
+(the closed modulus piece, the phase correction as -t d/dt I_modulus, the
+split of Re I_2, and the pole locations) is from holding on its cloud.
 
 The oracle integrates the representation directly, with numpy alone.  The
 head s in [0, 1] and the tail s = 1/v, v in [0, 1], share one integrand on
@@ -209,21 +210,21 @@ def solution_constant(n: int) -> float:
     return odd / (2.0 * math.pi ** (n - 1) * 2.0 ** (2 * n))
 
 
-def fundamental_solution_quad(p: Point, params: GroupParams) -> float:
+def fundamental_solution_quad(p: Point) -> float:
     """Direct quadrature of the integral representation: the one-row case of
     the vectorised rule that compare_cloud applies to a whole cloud."""
     if not np.any(p.x):
         raise ValueError("Integral representation needs x != 0.")
     a, b = ab_batch(p.x[None, :])
-    return float(_solution_rows(a, b, np.array([p.t]), params.n)[0])
+    return float(_solution_rows(a, b, np.array([p.t]), p.n)[0])
 
 
-def fundamental_solution_closed(p: Point, params: GroupParams) -> float:
-    """Closed form K_n E^n / (W D^(n-1/2))."""
+def fundamental_solution_closed(p: Point) -> float:
+    """Closed form K_n E^n / (W D^(n-1/2)), with n = p.n."""
     if not np.any(p.x) and p.t == 0.0:
         raise ValueError("Fundamental solution is singular at the identity.")
     a, b = ab_batch(p.x[None, :])
-    return float(_closed(a, b, p.t, params.n)[0])
+    return float(_closed(a, b, p.t, p.n)[0])
 
 
 def compare_cloud(params: GroupParams, n_points: int, seed: int) -> dict:

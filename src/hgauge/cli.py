@@ -109,9 +109,9 @@ def _cmd_norm_eval(cfg: RunConfig) -> tuple[dict, Optional[bool]]:
     params = GroupParams(o["n"])
     x = _parse_xlist(o["x"], params.horizontal_dim)
     p = Point(x, o["t"])
-    out = {"N": norm_N(p, params)}
+    out = {"N": norm_N(p)}
     if p.t != 0 or np.any(x):  # the identity has no derivatives
-        pb = exact_partials(p, params)
+        pb = exact_partials(p)
         out.update(
             A=float(pb.A),
             B=float(pb.B),
@@ -146,7 +146,7 @@ def _cmd_check_fundamental(cfg: RunConfig) -> tuple[dict, bool]:
     o = cfg.options
     params = GroupParams(o["n"])
     coords = inequalities.shell_cloud(params, o["points"], o["seed"])
-    check = fd.harmonicity_check(coords, params, fd.HARMONICITY_STEP)
+    check = fd.harmonicity_check(coords, fd.HARMONICITY_STEP)
     return {
         "points": o["points"],
         "h_base": fd.HARMONICITY_STEP,
@@ -168,7 +168,7 @@ def _cmd_check_infinity(cfg: RunConfig) -> tuple[dict, bool]:
         x[0] = 1.0
         x[1] = 1.0
     p = Point(x, o["t"])
-    value, floor = fd.infinity_laplacian_witness(p, params)
+    value, floor = fd.infinity_laplacian_witness(p)
     # floor = 0 only where grad_H N = 0 (x = 0), and there the value is exactly 0
     ratio = abs(value) / floor if floor > 0 else 0.0
     passed = bool(ratio > 10.0)

@@ -10,7 +10,8 @@ with 1 + ||p||_inf.  Every stencil is one matrix of step multiples, and the
 field is evaluated once on all of its shifted copies.  Every operator takes
 its base step; two are fixed here: H_FIRST for the first differences of the
 infinity-Laplacian witness and HARMONICITY_STEP for the Richardson check of
-N^(2-Q) that `check fundamental` runs.
+N^(2-Q) that `check fundamental` runs.  The group is read off the input:
+(m, 2n+1) coordinate rows, or the Point, fix n and Q = 2n + 2.
 
 Only the identity is singular: the gauge is smooth everywhere else, the
 central line x = 0 included.  A stencil that meets the identity raises
@@ -25,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .group import GroupParams, Point, field_coefficients_batch
+from .group import Point, field_coefficients_batch
 from .norm import npow_field, partials_batch
 
 __all__ = [
@@ -94,9 +95,9 @@ def _sub_laplacian_h(
     """
     m, dim = coords.shape
     k = dim - 1  # horizontal dimension 2n
+    vals = _stencil(field, coords, _sub_laplacian_shifts(dim), h)
     c = field_coefficients_batch(coords[:, :-1])
     csq = np.sum(c * c, axis=-1)
-    vals = _stencil(field, coords, _sub_laplacian_shifts(dim), h)
 
     h2 = h * h
     center = vals[0]
@@ -142,10 +143,10 @@ class HarmonicityCheck(NamedTuple):
         return bool(np.all(np.abs(self.residual) <= self.estimate + self.floor))
 
 
-def harmonicity_check(
-    coords: np.ndarray, params: GroupParams, h_base: float
-) -> HarmonicityCheck:
+def harmonicity_check(coords: np.ndarray, h_base: float) -> HarmonicityCheck:
     """Richardson residual of N^(2-Q) against truncation plus roundoff.
+
+    Q = 2n + 2 is read off the (m, 2n+1) rows: 2 - Q = 1 - their width.
 
     The check passes where |residual| <= estimate + floor at every point.
     The floor eps |2-Q| sum_k |w_k v_k| covers rounding in the stencil sums:
@@ -154,8 +155,8 @@ def harmonicity_check(
     """
     _check_step(h_base)
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    power = 2 - params.homogeneous_dim
-    field = npow_field(params, power)
+    power = 1 - coords.shape[1]
+    field = npow_field(power)
     h = _step(coords, h_base)
     plain, plain_mag = _sub_laplacian_h(field, coords, h)
     half, half_mag = _sub_laplacian_h(field, coords, 0.5 * h)
@@ -174,7 +175,7 @@ def fd_gradient(field: Field, coords: np.ndarray, h: float) -> np.ndarray:
     return ((vals[:dim] - vals[dim:]) / (2.0 * steps)).T
 
 
-def infinity_laplacian_witness(p: Point, params: GroupParams) -> tuple[float, float]:
+def infinity_laplacian_witness(p: Point) -> tuple[float, float]:
     """(value, noise floor) for the infinity-Laplacian of N at p.
 
     The value is 0.5 <grad_H |grad_H N|^2, grad_H N>, with the exact inner

@@ -234,8 +234,9 @@ def _cloud_reports(
     is never built: each of sample_cloud's spans of _CHUNK rows draws its own
     rows and keeps only its per-column minima, so time grows linearly and
     memory stays flat in n_points.  Spans run on a pool of
-    min(threads, os.cpu_count()) workers, one per CPU when threads is None.
-    The reports are those of the whole sample_cloud.
+    min(threads, os.cpu_count()) workers, one per CPU when threads is None;
+    threads below 1 raise ValueError.  The reports are those of the whole
+    sample_cloud.
     """
     spans = _spans(n_points)
     cpus = os.cpu_count() or 1
@@ -248,11 +249,8 @@ def _cloud_reports(
         worst = np.argmin(margins, axis=0)
         return margins[worst, np.arange(margins.shape[1])], rows[worst]
 
-    if workers <= 1:
-        parts = list(map(span_minima, spans))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(span_minima, spans))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(span_minima, spans))
     minima = np.stack([part[0] for part in parts])  # (spans, k)
     rows = np.stack([part[1] for part in parts])  # (spans, k, 2n+1)
     first = np.argmin(minima, axis=0)  # spans run in row order: the first row attaining the minimum

@@ -26,6 +26,10 @@ where the slope depends only on (A, B, t) and on whether j lies in the
 distinguished pair {1, n+1} or in a remaining pair.  The slopes are the
 natural objects for the pointwise inequalities, so the batch evaluator
 exposes them directly.
+
+Every function reads n off its input: a Point's x has length 2n, a batch's
+horizontal part has 2n columns, and norm_field's coordinate rows have width
+2n + 1, which it checks.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .group import GroupParams, Point, field_coefficients_batch
+from .group import Point, field_coefficients_batch
 
 __all__ = [
     "PartialsBatch",
@@ -100,9 +104,8 @@ def norm_batch(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return _gauge(*wed(*ab_batch(x), np.asarray(t, dtype=float)), x.shape[-1] // 2)
 
 
-def norm_N(p: Point, params: GroupParams) -> float:
+def norm_N(p: Point) -> float:
     """Gauge value at a single point."""
-    _check_params(p, params)
     return float(norm_batch(p.x[None, :], np.asarray([p.t]))[0])
 
 
@@ -209,41 +212,30 @@ def partials_batch(x: np.ndarray, t: np.ndarray) -> PartialsBatch:
     )
 
 
-def exact_partials(p: Point, params: GroupParams) -> PartialsBatch:
+def exact_partials(p: Point) -> PartialsBatch:
     """Exact first-order data at p: the batch kernel's record for its one row.
 
     Raises at the identity, the one point where N is not differentiable; the
     central line x = 0 is smooth elsewhere and exact like any other point.
     """
-    _check_params(p, params)
     if p.t == 0 and not np.any(p.x):
         raise ValueError("exact_partials is undefined at the identity.")
     return PartialsBatch._make(f[0] for f in partials_batch(p.x[None, :], np.asarray([p.t])))
 
 
-def _check_params(p: Point, params: GroupParams) -> None:
-    if p.n != params.n:
-        raise ValueError(f"Point has n={p.n}, params have n={params.n}.")
+def norm_field(coords: np.ndarray) -> np.ndarray:
+    """Vectorised N on (m, 2n+1) coordinate rows; n >= 2 is read off their width."""
+    coords = np.asarray(coords, dtype=float)
+    dim = coords.shape[-1]
+    if dim < 5 or dim % 2 == 0:
+        raise ValueError(f"Coordinate rows must have width 2n + 1 with n >= 2, got {dim}.")
+    return norm_batch(coords[..., :-1], coords[..., -1])
 
 
-def norm_field(params: GroupParams) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorised N as a function of (m, 2n+1) coordinate arrays."""
-    dim = params.ambient_dim
-
-    def field(coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape[-1] != dim:
-            raise ValueError(f"Expected trailing dimension {dim}.")
-        return norm_batch(coords[..., :-1], coords[..., -1])
-
-    return field
-
-
-def npow_field(params: GroupParams, power: float) -> Callable[[np.ndarray], np.ndarray]:
+def npow_field(power: float) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorised N^power; power may be negative (singular at the identity)."""
-    base = norm_field(params)
 
     def field(coords: np.ndarray) -> np.ndarray:
-        return base(coords) ** power
+        return norm_field(coords) ** power
 
     return field

@@ -50,11 +50,10 @@ def test_02_solution_gauge_product_and_homogeneity():
     rng = np.random.default_rng(2026)
     worst_prod = 0.0
     for n in (2, 3, 6):
-        params = GroupParams(n)
         k = bgg.solution_constant(n)
         for _ in range(3400 if n == 2 else 3300):
             p = Point(rng.uniform(-3, 3, 2 * n), rng.uniform(-6, 6))
-            u = bgg.fundamental_solution_closed(p, params)
+            u = bgg.fundamental_solution_closed(p)
             nn = norm_batch(p.x[None, :], np.asarray([p.t]))[0]
             worst_prod = max(worst_prod, abs(u * nn ** (2 * n) / k - 1.0))
     x = rng.uniform(-3, 3, (10_000, 4))
@@ -77,7 +76,7 @@ def test_03_harmonicity_within_truncation():
     coords = shell_cloud(params, 100, seed=33)
     ladder = [6.4e-3, 3.2e-3, 1.6e-3, 8e-4]
     means = []
-    field = npow_field(params, 2 - params.homogeneous_dim)
+    field = npow_field(2 - params.homogeneous_dim)
     for h in ladder:
         res = fd.sub_laplacian_batch(field, coords, h)
         means.append(float(np.mean(np.abs(res))))
@@ -85,7 +84,7 @@ def test_03_harmonicity_within_truncation():
     h = 1.6e-3
     plain = fd.sub_laplacian_batch(field, coords, h)
     half = fd.sub_laplacian_batch(field, coords, h / 2)
-    rich = fd.harmonicity_check(coords, params, h).residual
+    rich = fd.harmonicity_check(coords, h).residual
     estimate = np.abs(plain - half)
     bounded = bool(np.all(np.abs(rich) <= estimate))
     ok = bounded and abs(slope - 2.0) <= 0.3
@@ -103,7 +102,7 @@ def test_04_laplacian_gradient_ratio():
         params = GroupParams(n)
         coords = shell_cloud(params, 1000, seed=40 + n)
         q_hom = params.homogeneous_dim
-        lap = fd.sub_laplacian_batch(norm_field(params), coords, 1e-4)
+        lap = fd.sub_laplacian_batch(norm_field, coords, 1e-4)
         pb = partials_batch(coords[:, :-1], coords[:, -1])
         ratio = lap * pb.N / ((q_hom - 1) * pb.grad_sq)
         worst = max(worst, float(np.max(np.abs(ratio - 1.0))))
@@ -166,9 +165,8 @@ def test_07_coercivity_constants():
 
 
 def test_08_infinity_laplacian_witness():
-    params = GroupParams(2)
     p = Point(np.array([1.0, 1.0, 0.0, 0.0]), 0.3)
-    value, floor = fd.infinity_laplacian_witness(p, params)
+    value, floor = fd.infinity_laplacian_witness(p)
     ratio = abs(value) / floor
     ok = ratio > 10.0
     _check(
@@ -189,7 +187,7 @@ def test_09_exact_gradients_vs_fd():
     ]
     coords = shell_cloud(params, 1000, seed=99)
     # gauge gradient
-    fd_n = fd.fd_gradient(norm_field(params), coords, fd.H_FIRST)
+    fd_n = fd.fd_gradient(norm_field, coords, fd.H_FIRST)
     pb = partials_batch(coords[:, :-1], coords[:, -1])
     exact_n = np.column_stack([pb.dN_dx, pb.dN_dt])
     scale = np.maximum(np.abs(exact_n), 1.0)

@@ -34,35 +34,32 @@ def test_solution_constant_values():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_quadrature_matches_closed_form(n):
-    params = GroupParams(n)
     rng = np.random.default_rng(20 + n)
     for _ in range(8):
         x = rng.uniform(-2, 2, 2 * n)
         t = rng.uniform(-4, 4)
         p = Point(x, t)
-        u_quad = fundamental_solution_quad(p, params)
-        u_closed = fundamental_solution_closed(p, params)
+        u_quad = fundamental_solution_quad(p)
+        u_closed = fundamental_solution_closed(p)
         assert u_quad == pytest.approx(u_closed, rel=1e-10)
 
 
 def test_solution_times_gauge_power_is_constant():
     for n in (2, 3, 6):
-        params = GroupParams(n)
         rng = np.random.default_rng(30 + n)
         k = solution_constant(n)
         for _ in range(20):
             p = Point(rng.uniform(-3, 3, 2 * n), rng.uniform(-6, 6))
-            u = fundamental_solution_closed(p, params)
-            nn = norm_N(p, params)
+            u = fundamental_solution_closed(p)
+            nn = norm_N(p)
             assert u * nn ** (2 * n) == pytest.approx(k, rel=1e-13)
 
 
 def test_solution_homogeneity():
-    params = GroupParams(3)
     p = Point(np.array([1.0, -0.5, 0.3, 0.2, 1.1, -0.7]), 0.9)
     lam = 2.5
-    u1 = fundamental_solution_closed(p, params)
-    u2 = fundamental_solution_closed(dilate(lam, p), params)
+    u1 = fundamental_solution_closed(p)
+    u2 = fundamental_solution_closed(dilate(lam, p))
     assert u2 == pytest.approx(u1 * lam ** (-2 * 3), rel=1e-12)
 
 
@@ -97,7 +94,7 @@ def test_compare_cloud_rows_equal_scalar_quadrature(monkeypatch):
         (t, vals), = seen
         assert t.tobytes() == coords[:, -1].tobytes()
         seen.clear()
-        scalar = [fundamental_solution_quad(Point(r[:-1], r[-1]), params) for r in coords]
+        scalar = [fundamental_solution_quad(Point(r[:-1], r[-1])) for r in coords]
         assert np.array(scalar).tobytes() == vals.tobytes()
 
 
@@ -188,7 +185,7 @@ def test_cancelling_points_raise(n, x2, t):
     x = np.zeros(2 * n)
     x[1] = x2
     with pytest.raises(QuadratureError):
-        fundamental_solution_quad(Point(x, t), GroupParams(n))
+        fundamental_solution_quad(Point(x, t))
 
 
 def test_log_sweep_returns_only_accurate_values():
@@ -198,16 +195,15 @@ def test_log_sweep_returns_only_accurate_values():
     rng = np.random.default_rng(0)
     returned = total = 0
     for n in (2, 3, 6, 8):
-        params = GroupParams(n)
         for r in np.logspace(-3, 1, 9):
             for t in np.concatenate([np.logspace(-3, 3, 13), -np.logspace(-3, 3, 13)]):
                 d = rng.normal(size=2 * n)
                 p = Point(r * d / np.linalg.norm(d), float(t))
                 total += 1
                 try:
-                    u = fundamental_solution_quad(p, params)
+                    u = fundamental_solution_quad(p)
                 except QuadratureError:
                     continue
                 returned += 1
-                assert u == pytest.approx(fundamental_solution_closed(p, params), rel=1e-8)
+                assert u == pytest.approx(fundamental_solution_closed(p), rel=1e-8)
     assert returned >= 0.4 * total

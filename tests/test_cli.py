@@ -188,7 +188,7 @@ def test_check_fundamental_roundoff_floor(capsys):
 
 def test_check_fundamental_rejects_non_harmonic_power(capsys, monkeypatch):
     # N^(2-Q+1e-4) is not harmonic: its residual clears estimate and floor
-    monkeypatch.setattr(fd, "npow_field", lambda params, power: npow_field(params, power + 1e-4))
+    monkeypatch.setattr(fd, "npow_field", lambda power: npow_field(power + 1e-4))
     status, report = _run_json(capsys, FUNDAMENTAL)
     assert status == 1
     res = report["results"]

@@ -23,7 +23,7 @@ def test_all_entries_resolve(name):
 
 
 def test_readme_python_blocks_run():
-    # the blocks build on each other (the second uses the first's params)
+    # the blocks run in order in one namespace, as a reader would run them
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", text, re.S)
     assert len(blocks) >= 2
@@ -107,6 +107,24 @@ def test_cli_flag_count_is_pinned():
     # each flag is an option of a run, so a new one needs review just as a
     # new library option does; one that removes a flag lowers this count
     assert _count_flags(build_parser()) == 72
+
+
+def test_no_function_takes_params_beside_a_point_or_rows():
+    # a Point or (m, 2n+1) rows fix n, so a GroupParams beside one could
+    # only disagree with it; functions that draw points take n as input
+    src = Path(hgauge.__file__).resolve().parent
+    both = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+            kinds = [ast.unparse(arg.annotation) for arg in args if arg.annotation]
+            if any(re.search(r"\bGroupParams\b", k) for k in kinds) and any(
+                re.search(r"\bPoint\b|\bnp\.ndarray\b", k) for k in kinds
+            ):
+                both.append(f"{path.stem}.{node.name}")
+    assert both == []
 
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)

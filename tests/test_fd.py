@@ -40,7 +40,17 @@ def test_config_validation():
 def test_harmonicity_check_rejects_bad_step(h):
     coords = np.array([[1.0, 0.5, -0.3, 0.2, 0.4]])
     with pytest.raises(ValueError, match="finite and positive"):
-        harmonicity_check(coords, GroupParams(2), h)
+        harmonicity_check(coords, h)
+
+
+@pytest.mark.parametrize("width", [3, 4, 6])
+def test_rows_of_wrong_width_raise(width):
+    # n is read off the rows, so only widths 2n + 1 with n >= 2 are valid
+    coords = np.full((3, width), 0.5)
+    with pytest.raises(ValueError, match="width 2n \\+ 1"):
+        norm.norm_field(coords)
+    with pytest.raises(ValueError, match="width 2n \\+ 1"):
+        harmonicity_check(coords, fd.HARMONICITY_STEP)
 
 
 def test_sub_laplacian_quadratic():
@@ -70,7 +80,7 @@ def test_harmonicity_residual_small():
     t = rng.uniform(-3, 3, 40)
     keep = np.linalg.norm(x, axis=1) > 0.7
     coords = np.column_stack([x, t])[keep]
-    res = sub_laplacian_batch(npow_field(params, 2 - params.homogeneous_dim), coords, 1e-4)
+    res = sub_laplacian_batch(npow_field(2 - params.homogeneous_dim), coords, 1e-4)
     nn = norm_batch(coords[:, :-1], coords[:, -1])
     q_hom = 2 * 2 + 2
     # scale-free residual: the raw one decays like N^(-Q-2)
@@ -81,13 +91,13 @@ def test_harmonicity_rejects_only_identity():
     # the central line is smooth: a finite residual, no warning; the identity
     # raises as invalid input, and an overflowing field as a numerical breakdown
     params = GroupParams(2)
-    field = npow_field(params, 2 - params.homogeneous_dim)
+    field = npow_field(2 - params.homogeneous_dim)
     res = sub_laplacian_batch(field, np.array([[0.0, 0.0, 0.0, 0.0, 1.0]]), 1e-4)
     assert np.all(np.isfinite(res))
     with pytest.raises(ValueError, match="identity"):
         sub_laplacian_batch(field, np.zeros((1, 5)), 1e-4)
     with pytest.raises(ValueError, match="identity"):
-        harmonicity_check(np.zeros((1, 5)), params, 1e-4)
+        harmonicity_check(np.zeros((1, 5)), 1e-4)
     with pytest.raises(RuntimeError, match="overflows"):
         sub_laplacian_batch(field, np.array([[1e-200, 0.0, 0.0, 0.0, 0.0]]), 1e-4)
 
@@ -98,7 +108,7 @@ def test_harmonicity_check_passes_on_central_line(n):
     t = np.geomspace(0.3, 25.0, 6)
     coords = np.zeros((12, 2 * n + 1))
     coords[:, -1] = np.concatenate([t, -t])
-    check = harmonicity_check(coords, GroupParams(n), fd.HARMONICITY_STEP)
+    check = harmonicity_check(coords, fd.HARMONICITY_STEP)
     assert check.passed
     assert np.max(np.abs(check.residual) / (check.estimate + check.floor)) < 1e-3
 
@@ -115,11 +125,10 @@ def test_fd_gradient_polynomial():
 
 def test_infinity_laplacian_scaling():
     # degree -1 homogeneity under the dilations
-    params = GroupParams(2)
     p = Point(np.array([1.0, 1.0, 0.0, 0.0]), 0.3)
     lam = 2.0
-    v1, _ = infinity_laplacian_witness(p, params)
-    v2, _ = infinity_laplacian_witness(dilate(lam, p), params)
+    v1, _ = infinity_laplacian_witness(p)
+    v2, _ = infinity_laplacian_witness(dilate(lam, p))
     assert v2 == pytest.approx(v1 / lam, rel=1e-4)
 
 
@@ -132,17 +141,15 @@ def test_witness_makes_three_gauge_passes(monkeypatch):
         return norm.partials_batch(*args)
 
     monkeypatch.setattr(fd, "partials_batch", counted)
-    params = GroupParams(2)
-    infinity_laplacian_witness(Point(np.array([1.0, 1.0, 0.0, 0.0]), 0.3), params)
+    infinity_laplacian_witness(Point(np.array([1.0, 1.0, 0.0, 0.0]), 0.3))
     assert calls == [1, 10, 10]
     with pytest.raises(ValueError):
-        infinity_laplacian_witness(Point(np.zeros(4), 0.0), params)
+        infinity_laplacian_witness(Point(np.zeros(4), 0.0))
 
 
 def test_witness_clears_noise_floor():
-    params = GroupParams(2)
     p = Point(np.array([1.0, 1.0, 0.0, 0.0]), 0.3)
-    value, floor = infinity_laplacian_witness(p, params)
+    value, floor = infinity_laplacian_witness(p)
     assert floor > 0
     assert abs(value) > 10 * floor
 
@@ -151,7 +158,6 @@ def test_abelian_slice_is_infinity_harmonic():
     # on t = 0 with only pair coordinates active the gauge is a multiple of
     # |x| there; the infinity-Laplacian of a norm-like radial function
     # vanishes along generic directions
-    params = GroupParams(2)
     p = Point(np.array([1.0, 0.0, 1.0, 0.0]), 0.0)
-    value, floor = infinity_laplacian_witness(p, params)
+    value, floor = infinity_laplacian_witness(p)
     assert abs(value) <= max(10 * floor, 1e-8)

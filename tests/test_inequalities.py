@@ -133,6 +133,14 @@ def test_default_threads_are_one_per_cpu(monkeypatch, pool_sizes):
     assert default == check_partial_bounds(params, 20_000, seed=3, threads=1)
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+@pytest.mark.parametrize("check", [check_gradient_bounds, check_partial_bounds])
+def test_threads_below_one_raise(check, threads):
+    # every run maps its spans through a pool, and a pool needs a worker
+    with pytest.raises(ValueError):
+        check(GroupParams(2), 100, 1, threads=threads)
+
+
 CHUNK = inequalities._CHUNK
 
 

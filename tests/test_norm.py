@@ -29,23 +29,20 @@ def _cloud(rng, n, m, scale=3.0):
 def test_unit_pair_point_n2():
     # N(e_1, 0) = 2^(-3/4) for n = 2: A = 1/2, B = 1/4, D = A*B = 1/8,
     # E = B, so N = B^(1/8) (1/8)^(3/8) / B^(1/2) = 2^(-3/4).
-    params = GroupParams(2)
     p = Point(np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
-    assert norm_N(p, params) == pytest.approx(2.0 ** -0.75, abs=1e-15)
+    assert norm_N(p) == pytest.approx(2.0 ** -0.75, abs=1e-15)
 
 
 def test_central_line_is_sqrt_t():
-    params = GroupParams(3)
     for t in (0.25, 1.0, 7.5, 1e-8, 4e6):
         p = Point(np.zeros(6), t)
-        assert norm_N(p, params) == pytest.approx(np.sqrt(t), rel=1e-14)
+        assert norm_N(p) == pytest.approx(np.sqrt(t), rel=1e-14)
         q = Point(np.zeros(6), -t)
-        assert norm_N(q, params) == pytest.approx(np.sqrt(t), rel=1e-14)
+        assert norm_N(q) == pytest.approx(np.sqrt(t), rel=1e-14)
 
 
 def test_origin_is_zero():
-    params = GroupParams(2)
-    assert norm_N(Point(np.zeros(4), 0.0), params) == 0.0
+    assert norm_N(Point(np.zeros(4), 0.0)) == 0.0
 
 
 def test_ab_identities():
@@ -69,16 +66,14 @@ def test_ab_identities():
     st.floats(0.05, 10.0),
 )
 def test_homogeneity(xs, t, lam):
-    params = GroupParams(2)
     p = Point(np.array(xs), t)
-    n0 = norm_N(p, params)
-    n1 = norm_N(dilate(lam, p), params)
+    n0 = norm_N(p)
+    n1 = norm_N(dilate(lam, p))
     assert n1 == pytest.approx(lam * n0, rel=1e-12, abs=1e-12)
 
 
 def test_symmetry_under_negation():
     rng = np.random.default_rng(9)
-    params = GroupParams(3)
     x, t = _cloud(rng, 3, 100)
     assert np.allclose(norm_batch(x, t), norm_batch(-x, t), rtol=1e-15)
     assert np.allclose(norm_batch(x, t), norm_batch(x, -t), rtol=1e-15)
@@ -86,13 +81,12 @@ def test_symmetry_under_negation():
 
 def test_extreme_scales_stay_finite():
     # quartic intermediates cap the usable coordinate range near 1e75
-    params = GroupParams(2)
     for s in (1e-70, 1e-30, 1e30, 1e70):
         p = Point(np.array([s, 0.0, s, 0.0]), 0.0)
-        v = norm_N(p, params)
+        v = norm_N(p)
         assert np.isfinite(v) and v > 0
         # degree-1 homogeneity pins the value to s * N(unit point)
-        unit = norm_N(Point(np.array([1.0, 0.0, 1.0, 0.0]), 0.0), params)
+        unit = norm_N(Point(np.array([1.0, 0.0, 1.0, 0.0]), 0.0))
         assert v == pytest.approx(s * unit, rel=1e-12)
 
 
@@ -185,12 +179,11 @@ def test_closed_forms_match_horizontal_contraction(n):
 
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_gradient_matches_finite_differences(n):
-    params = GroupParams(n)
     rng = np.random.default_rng(200 + n)
     x, t = _cloud(rng, n, 60)
     keep = np.linalg.norm(x, axis=1) > 0.5
     coords = np.column_stack([x, t])[keep]
-    fd = fd_gradient(norm_field(params), coords, H_FIRST)
+    fd = fd_gradient(norm_field, coords, H_FIRST)
     pb = partials_batch(coords[:, :-1], coords[:, -1])
     exact = np.column_stack([pb.dN_dx, pb.dN_dt])
     scale = np.maximum(np.abs(exact), 1e-3)
@@ -201,22 +194,20 @@ def test_gradient_matches_finite_differences(n):
 @pytest.mark.parametrize("n", [2, 6])
 def test_partials_on_central_line_match_finite_differences(n):
     # away from the identity the central line is smooth: exact, finite, no warning
-    params = GroupParams(n)
     coords = np.zeros((3, 2 * n + 1))
     coords[:, -1] = [0.3, -2.0, 7.5]
     pb = partials_batch(coords[:, :-1], coords[:, -1])
     exact = np.column_stack([pb.dN_dx, pb.dN_dt])
     assert np.all(np.isfinite(exact)) and np.all(np.isfinite(pb.grad_sq))
-    fd = fd_gradient(norm_field(params), coords, H_FIRST)
+    fd = fd_gradient(norm_field, coords, H_FIRST)
     assert np.max(np.abs(fd - exact)) < 1e-9
 
 
 def test_exact_partials_single_point_consistency():
-    params = GroupParams(3)
     rng = np.random.default_rng(4)
     x = rng.uniform(-2, 2, 6)
     p = Point(x, 0.7)
-    ev = exact_partials(p, params)
+    ev = exact_partials(p)
     pb = partials_batch(x[None, :], np.array([0.7]))
     assert ev.N == pytest.approx(float(pb.N[0]), rel=1e-15)
     assert np.allclose(ev.dN_dx, pb.dN_dx[0])
@@ -231,7 +222,6 @@ def test_exact_partials_single_point_consistency():
 def test_exact_partials_is_the_batch_row_bit_for_bit(n):
     # one record type: the single-point record holds the bytes of its
     # one-row batch, derived fields included, over 10^+-100 and on x = 0
-    params = GroupParams(n)
     rng = np.random.default_rng(100 + n)
     names = PartialsBatch._fields + ("grad_sq", "x_dot", "dN_dx", "horizontal")
     for i in range(300):
@@ -240,7 +230,7 @@ def test_exact_partials_is_the_batch_row_bit_for_bit(n):
         t = float(rng.uniform(-3, 3)) * s * s
         # the kernel overflows past about 1e75 (NaN or inf fields, compared too)
         with np.errstate(all="ignore"):
-            ev = exact_partials(Point(x, t), params)
+            ev = exact_partials(Point(x, t))
             pb = partials_batch(x[None, :], np.asarray([t]))
             for name in names:
                 got, want = np.asarray(getattr(ev, name)), getattr(pb, name)[0]
@@ -249,26 +239,24 @@ def test_exact_partials_is_the_batch_row_bit_for_bit(n):
 
 def test_exact_partials_rejects_only_identity():
     # the central line is smooth away from the identity: finite and FD-exact
-    params = GroupParams(2)
     p = Point(np.zeros(4), 1.0)
-    ev = exact_partials(p, params)
+    ev = exact_partials(p)
     exact = np.append(ev.dN_dx, ev.dN_dt)
-    fd = fd_gradient(norm_field(params), p.coords()[None, :], H_FIRST)[0]
+    fd = fd_gradient(norm_field, p.coords()[None, :], H_FIRST)[0]
     assert np.all(np.isfinite(exact))
     assert np.max(np.abs(fd - exact)) < 1e-9
     with pytest.raises(ValueError):
-        exact_partials(Point(np.zeros(4), 0.0), params)
+        exact_partials(Point(np.zeros(4), 0.0))
 
 
 def test_gradient_is_homogeneous_degree_zero():
     # dN/dx is degree 0 under the dilations, dN/dt degree -1
-    params = GroupParams(2)
     rng = np.random.default_rng(8)
     x = rng.uniform(-2, 2, 4)
     p = Point(x, 1.3)
     lam = 3.7
-    ev1 = exact_partials(p, params)
-    ev2 = exact_partials(dilate(lam, p), params)
+    ev1 = exact_partials(p)
+    ev2 = exact_partials(dilate(lam, p))
     assert np.allclose(ev2.dN_dx, ev1.dN_dx, rtol=1e-12)
     assert ev2.dN_dt == pytest.approx(ev1.dN_dt / lam, rel=1e-12)
     assert ev2.grad_sq == pytest.approx(ev1.grad_sq, rel=1e-12)
