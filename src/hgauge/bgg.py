@@ -49,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from .group import GroupParams, Point
+from .group import GroupParams, Point, _check_n
 from .inequalities import draw_rows
 from .norm import ab_batch, wed
 
@@ -204,8 +204,7 @@ def _identities(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> dict[str, float]
 
 def solution_constant(n: int) -> float:
     """K_n with u = K_n E^n / (W D^(n-1/2)); equals 1/(32 pi) at n = 2."""
-    if n < 2:
-        raise ValueError(f"Need n >= 2, got {n}.")
+    _check_n(n)
     odd = math.prod(range(3, 2 * n - 2, 2)) if n >= 3 else 1
     return odd / (2.0 * math.pi ** (n - 1) * 2.0 ** (2 * n))
 

@@ -131,13 +131,7 @@ def _cmd_check_cloud(cfg: RunConfig, which: str) -> tuple[dict, bool]:
         if which == "lemma2"
         else inequalities.check_partial_bounds
     )
-    reports = fn(
-        params,
-        o["points"],
-        o["seed"],
-        box=o["box"],
-        threads=cfg.threads,
-    )
+    reports = fn(params, o["points"], o["seed"], threads=cfg.threads)
     return {"reports": [r.as_dict() for r in reports]}, all(r.passed for r in reports)
 
 
@@ -184,8 +178,6 @@ def _cmd_check_infinity(cfg: RunConfig) -> tuple[dict, bool]:
 def _cmd_check_constants(cfg: RunConfig) -> tuple[dict, bool]:
     o = cfg.options
     lo, hi = _parse_range(o["n_range"])
-    if lo < 2:
-        raise ValueError("Constant arithmetic needs n >= 2.")
     table = []
     ok = True
     for n in range(lo, hi + 1):
@@ -331,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         pc.add_argument("--n", type=int, required=True)
         pc.add_argument("--points", type=int, default=100_000)
         pc.add_argument("--seed", type=int, required=True)
-        pc.add_argument("--box", type=float, default=inequalities.DEFAULT_BOX)
     pf = check_sub.add_parser("fundamental")
     pf.add_argument("--n", type=int, required=True)
     pf.add_argument("--points", type=int, default=100)

@@ -24,6 +24,26 @@ __all__ = [
 ]
 
 
+def _check_n(n: int) -> None:
+    """The one check of the layer parameter: an integer n >= 2."""
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"Need an integer n >= 2, got {n!r}.")
+
+
+def _width_n(x: np.ndarray) -> int:
+    """n read off horizontal parts x of width 2n; the width must be even and at least 4.
+
+    Integer arithmetic on the shape alone: the gauge kernels call this once per batch.
+    """
+    n, odd = divmod(x.shape[-1], 2)
+    if odd or n < 2:
+        raise ValueError(
+            "Coordinate rows must have width 2n + 1, and horizontal parts width 2n, "
+            f"with n >= 2; got a horizontal width of {x.shape[-1]}."
+        )
+    return n
+
+
 @dataclass(frozen=True)
 class GroupParams:
     """Layer parameter n >= 2; the horizontal layer has dimension 2n."""
@@ -31,8 +51,7 @@ class GroupParams:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"GroupParams requires an integer n >= 2, got {self.n!r}.")
+        _check_n(self.n)
 
     @property
     def horizontal_dim(self) -> int:
@@ -41,10 +60,6 @@ class GroupParams:
     @property
     def ambient_dim(self) -> int:
         return 2 * self.n + 1
-
-    @property
-    def homogeneous_dim(self) -> int:
-        return 2 * self.n + 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +138,7 @@ def field_coefficients(p: Point) -> np.ndarray:
 def field_coefficients_batch(x: np.ndarray) -> np.ndarray:
     """Vectorised field_coefficients for an (m, 2n) array of horizontal parts."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[-1] // 2
+    n = _width_n(x)
     c = np.empty_like(x)
     c[..., 0] = -0.5 * x[..., n]
     c[..., n] = 0.5 * x[..., 0]

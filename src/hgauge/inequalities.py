@@ -5,7 +5,9 @@ derivatives factor as dN/dx_j = x_j * slope(A, B, t), each per-coordinate
 bound reduces to a bound on N * slope, which is homogeneous of degree zero
 and well defined even where the coordinate vanishes.  The normalised margins
 are therefore uniform over dilations, and one fixed tolerance, TOLERANCE =
--1e-12, covers the whole cloud.
+-1e-12, covers the whole cloud.  For the same reason sample_cloud's box is
+the constant BOX: its box rows at a box B are, up to rounding, delta_B of its
+rows at box 1, drawn from the same stream positions, and no margin sees delta_B.
 
 Checked bounds, with s_p = N * pair_slope, s_b = N * block_slope and
 T = N * |dN/dt|:
@@ -45,7 +47,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .group import GroupParams, Point
+from .group import GroupParams, Point, _check_n
 from .norm import norm_batch, partials_batch
 
 __all__ = [
@@ -61,7 +63,7 @@ __all__ = [
 ]
 
 TOLERANCE = -1e-12  # a margin at or above this passes
-DEFAULT_BOX = 5.0
+BOX = 5.0  # sample_cloud: x in [-BOX, BOX]^{2n}, t in [-BOX^2, BOX^2]
 EXCLUSION = 1e-3
 
 
@@ -175,13 +177,11 @@ def _spans(n_points: int) -> list[tuple[int, int]]:
     return [(a, min(a + _CHUNK, end)) for lo, end in parts for a in range(lo, end, _CHUNK)]
 
 
-def _span_rows(
-    params: GroupParams, n_points: int, seed: int, box: float, span: tuple[int, int]
-) -> np.ndarray:
+def _span_rows(params: GroupParams, n_points: int, seed: int, span: tuple[int, int]) -> np.ndarray:
     """Rows span[0]:span[1] of sample_cloud: box rows, or radial rows with their dilations."""
     m_box = (3 * n_points) // 4
     if span[0] < m_box:
-        return draw_rows(params, seed, 0, m_box, box, box * box, EXCLUSION, None, span)
+        return draw_rows(params, seed, 0, m_box, BOX, BOX * BOX, EXCLUSION, None, span)
     # the radial part's stream follows the box part's, and its dilations follow its rows
     a, b = span[0] - m_box, span[1] - m_box
     width = params.horizontal_dim + 1  # stream positions per row
@@ -193,21 +193,16 @@ def _span_rows(
     return rows
 
 
-def sample_cloud(
-    params: GroupParams,
-    n_points: int,
-    seed: int,
-    box: float = DEFAULT_BOX,
-) -> np.ndarray:
+def sample_cloud(params: GroupParams, n_points: int, seed: int) -> np.ndarray:
     """Random (m, 2n+1) cloud: 3/4 uniform box, 1/4 log-radial dilates.
 
-    Rows keep |x| >= EXCLUSION, and box rows take t in [-box^2, box^2]; the
-    log-radial part rescales unit-box points by dilation factors 10^U(-2, 2)
-    to stress small and large scales.  The rows are those of the spans that
-    the bound checks stream.
+    Rows keep |x| >= EXCLUSION.  Box rows take x in [-BOX, BOX]^{2n} and t in
+    [-BOX^2, BOX^2]; the log-radial part rescales unit-box points by dilation
+    factors 10^U(-2, 2) to stress small and large scales.  The rows are those
+    of the spans that the bound checks stream.
     """
     spans = _spans(n_points)
-    return np.concatenate([_span_rows(params, n_points, seed, box, span) for span in spans])
+    return np.concatenate([_span_rows(params, n_points, seed, span) for span in spans])
 
 
 def shell_cloud(params: GroupParams, n_points: int, seed: int) -> np.ndarray:
@@ -225,7 +220,6 @@ def _cloud_reports(
     params: GroupParams,
     n_points: int,
     seed: int,
-    box: float,
     threads: Optional[int],
 ) -> list[InequalityReport]:
     """One report per named column of margin_fn over sample_cloud, streamed.
@@ -244,7 +238,7 @@ def _cloud_reports(
 
     def span_minima(span):
         """(per-column minimum of margin_fn over the span, the first row attaining each)."""
-        rows = _span_rows(params, n_points, seed, box, span)
+        rows = _span_rows(params, n_points, seed, span)
         margins = margin_fn(rows)
         worst = np.argmin(margins, axis=0)
         return margins[worst, np.arange(margins.shape[1])], rows[worst]
@@ -278,7 +272,6 @@ def check_gradient_bounds(
     params: GroupParams,
     n_points: int,
     seed: int,
-    box: float = DEFAULT_BOX,
     threads: Optional[int] = None,
 ) -> list[InequalityReport]:
     """Radial and two-sided gradient bounds on a random cloud."""
@@ -296,7 +289,7 @@ def check_gradient_bounds(
         m3 = upper_const - ratio
         return np.column_stack([m1, m2, m3])
 
-    return _cloud_reports(_GRADIENT_NAMES, margins, params, n_points, seed, box, threads)
+    return _cloud_reports(_GRADIENT_NAMES, margins, params, n_points, seed, threads)
 
 
 _PARTIAL_NAMES = (
@@ -314,7 +307,6 @@ def check_partial_bounds(
     params: GroupParams,
     n_points: int,
     seed: int,
-    box: float = DEFAULT_BOX,
     threads: Optional[int] = None,
 ) -> list[InequalityReport]:
     """Per-coordinate slope bounds on a random cloud."""
@@ -340,7 +332,7 @@ def check_partial_bounds(
             ]
         )
 
-    return _cloud_reports(_PARTIAL_NAMES, margins, params, n_points, seed, box, threads)
+    return _cloud_reports(_PARTIAL_NAMES, margins, params, n_points, seed, threads)
 
 
 def split_objective(alpha: float, n: int) -> float:
@@ -372,8 +364,3 @@ def coercivity_margin(n: int) -> float:
     return 1.0 - 2.0 ** (3.0 + 2.0 / n) * ((2 * n + 1) / n ** 2) * math.sqrt(
         n + 1.0
     ) / (n - 1.0) ** 1.5
-
-
-def _check_n(n: int) -> None:
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"Need an integer n >= 2, got {n!r}.")

@@ -29,7 +29,7 @@ exposes them directly.
 
 Every function reads n off its input: a Point's x has length 2n, a batch's
 horizontal part has 2n columns, and norm_field's coordinate rows have width
-2n + 1, which it checks.
+2n + 1.  A horizontal width that is odd or below 4 raises ValueError.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .group import Point, field_coefficients_batch
+from .group import Point, _width_n, field_coefficients_batch
 
 __all__ = [
     "PartialsBatch",
@@ -55,7 +55,7 @@ __all__ = [
 
 def _rs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """R (distinguished pair) and S (remaining coordinates) squared lengths."""
-    n = x.shape[-1] // 2
+    n = _width_n(x)
     r = x[..., 0] ** 2 + x[..., n] ** 2
     return r, np.add.reduce(x * x, axis=-1) - r
 
@@ -226,9 +226,6 @@ def exact_partials(p: Point) -> PartialsBatch:
 def norm_field(coords: np.ndarray) -> np.ndarray:
     """Vectorised N on (m, 2n+1) coordinate rows; n >= 2 is read off their width."""
     coords = np.asarray(coords, dtype=float)
-    dim = coords.shape[-1]
-    if dim < 5 or dim % 2 == 0:
-        raise ValueError(f"Coordinate rows must have width 2n + 1 with n >= 2, got {dim}.")
     return norm_batch(coords[..., :-1], coords[..., -1])
 
 

@@ -76,7 +76,7 @@ def test_03_harmonicity_within_truncation():
     coords = shell_cloud(params, 100, seed=33)
     ladder = [6.4e-3, 3.2e-3, 1.6e-3, 8e-4]
     means = []
-    field = npow_field(2 - params.homogeneous_dim)
+    field = npow_field(2 - (2 * 6 + 2))
     for h in ladder:
         res = fd.sub_laplacian_batch(field, coords, h)
         means.append(float(np.mean(np.abs(res))))
@@ -101,7 +101,7 @@ def test_04_laplacian_gradient_ratio():
     for n in (2, 6):
         params = GroupParams(n)
         coords = shell_cloud(params, 1000, seed=40 + n)
-        q_hom = params.homogeneous_dim
+        q_hom = 2 * n + 2
         lap = fd.sub_laplacian_batch(norm_field, coords, 1e-4)
         pb = partials_batch(coords[:, :-1], coords[:, -1])
         ratio = lap * pb.N / ((q_hom - 1) * pb.grad_sq)

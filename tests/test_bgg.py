@@ -32,6 +32,12 @@ def test_solution_constant_values():
         )
 
 
+@pytest.mark.parametrize("n", [1, 2.5])
+def test_solution_constant_needs_integer_n_from_2(n):
+    with pytest.raises(ValueError, match="integer n >= 2"):
+        solution_constant(n)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_quadrature_matches_closed_form(n):
     rng = np.random.default_rng(20 + n)

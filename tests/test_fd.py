@@ -53,6 +53,22 @@ def test_rows_of_wrong_width_raise(width):
         harmonicity_check(coords, fd.HARMONICITY_STEP)
 
 
+@pytest.mark.parametrize("width", [2, 3, 5, 7])
+def test_kernels_reject_horizontal_width_not_2n(width):
+    # each kernel reads n off the horizontal width, which must be 2n with n >= 2
+    x = np.full((2, width), 0.5)
+    t = np.full(2, 0.5)
+    for call in (
+        lambda: norm.norm_batch(x, t),
+        lambda: norm.partials_batch(x, t),
+        lambda: norm.ab_batch(x),
+        lambda: field_coefficients_batch(x),
+        lambda: sub_laplacian_batch(lambda c: c[:, -1] * c[:, 0], np.column_stack([x, t]), 1e-4),
+    ):
+        with pytest.raises(ValueError, match="width 2n \\+ 1"):
+            call()
+
+
 def test_sub_laplacian_quadratic():
     n = 3
     params = GroupParams(n)
@@ -74,15 +90,14 @@ def test_sub_laplacian_kills_linear_and_central():
 
 def test_harmonicity_residual_small():
     # N^(2-Q) is annihilated by the sub-Laplacian away from the centre
-    params = GroupParams(2)
+    q_hom = 2 * 2 + 2
     rng = np.random.default_rng(2)
     x = rng.uniform(-2, 2, (40, 4))
     t = rng.uniform(-3, 3, 40)
     keep = np.linalg.norm(x, axis=1) > 0.7
     coords = np.column_stack([x, t])[keep]
-    res = sub_laplacian_batch(npow_field(2 - params.homogeneous_dim), coords, 1e-4)
+    res = sub_laplacian_batch(npow_field(2 - q_hom), coords, 1e-4)
     nn = norm_batch(coords[:, :-1], coords[:, -1])
-    q_hom = 2 * 2 + 2
     # scale-free residual: the raw one decays like N^(-Q-2)
     assert np.max(np.abs(res) * nn ** (q_hom + 2)) < 1e-4
 
@@ -90,8 +105,7 @@ def test_harmonicity_residual_small():
 def test_harmonicity_rejects_only_identity():
     # the central line is smooth: a finite residual, no warning; the identity
     # raises as invalid input, and an overflowing field as a numerical breakdown
-    params = GroupParams(2)
-    field = npow_field(2 - params.homogeneous_dim)
+    field = npow_field(2 - (2 * 2 + 2))  # 2 - Q at n = 2
     res = sub_laplacian_batch(field, np.array([[0.0, 0.0, 0.0, 0.0, 1.0]]), 1e-4)
     assert np.all(np.isfinite(res))
     with pytest.raises(ValueError, match="identity"):

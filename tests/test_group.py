@@ -31,7 +31,6 @@ def test_params_validation():
     p = GroupParams(3)
     assert p.horizontal_dim == 6
     assert p.ambient_dim == 7
-    assert p.homogeneous_dim == 8
 
 
 def test_field_coefficients_frozen_example():

@@ -17,6 +17,7 @@ from hgauge.inequalities import (
     check_gradient_bounds,
     check_partial_bounds,
     coercivity_margin,
+    draw_rows,
     sample_cloud,
     shell_cloud,
     split_objective,
@@ -24,7 +25,7 @@ from hgauge.inequalities import (
 
 
 # sha256 prefixes of sample_cloud over m in {1, 7, 500}, seeds {0, 20261017}
-# and box in {5, 0.5}: the benchmark's cloud min_margin references rest on
+# and BOX in {5, 0.5}: the benchmark's cloud min_margin references rest on
 # these bytes, so a change to the sampler must keep them.
 CLOUD_DIGESTS = {
     2: "0d0026b43fd5ac33b5bf935ec005e182",
@@ -33,14 +34,15 @@ CLOUD_DIGESTS = {
 }
 
 
-def test_sample_cloud_shape_and_determinism():
+def test_sample_cloud_shape_and_determinism(monkeypatch):
     assert sample_cloud(GroupParams(3), 500, seed=5).shape == (500, 7)
     for n, digest in CLOUD_DIGESTS.items():
         h = hashlib.sha256()
         for m in (1, 7, 500):
             for seed in (0, 20261017):
                 for box in (5.0, 0.5):
-                    h.update(sample_cloud(GroupParams(n), m, seed, box=box).tobytes())
+                    monkeypatch.setattr(inequalities, "BOX", box)
+                    h.update(sample_cloud(GroupParams(n), m, seed).tobytes())
         assert h.hexdigest()[:32] == digest, n
 
 
@@ -153,7 +155,7 @@ def test_span_rows_concatenate_to_sample_cloud(n, m):
     params, seed, dim = GroupParams(n), 20261017, 2 * n
     spans = inequalities._spans(m)
     assert all(b - a <= CHUNK for a, b in spans)
-    rows = np.concatenate([inequalities._span_rows(params, m, seed, 5.0, span) for span in spans])
+    rows = np.concatenate([inequalities._span_rows(params, m, seed, span) for span in spans])
     m_box = (3 * m) // 4
     x = inequalities._uniform(seed, 0, m_box * dim, -5.0, 5.0).reshape(m_box, dim)
     t = inequalities._uniform(seed, m_box * dim, m_box, -25.0, 25.0)
@@ -167,12 +169,14 @@ def test_span_rows_concatenate_to_sample_cloud(n, m):
     assert rows.tobytes() == sample_cloud(params, m, seed).tobytes()
 
 
-def test_rejection_moves_no_other_row():
-    # box=1e-3 rejects about 1 box row in 3 at n=2; each is redrawn in place
+def test_rejection_moves_no_other_row(monkeypatch):
+    # BOX=1e-3 rejects about 1 box row in 3 at n=2; each is redrawn in place
     params, m, seed = GroupParams(2), 100_003, 9
     m_box = (3 * m) // 4
-    cloud = sample_cloud(params, m, seed, box=1e-3)
-    assert cloud[m_box:].tobytes() == sample_cloud(params, m, seed)[m_box:].tobytes()
+    radial = sample_cloud(params, m, seed)[m_box:]
+    monkeypatch.setattr(inequalities, "BOX", 1e-3)
+    cloud = sample_cloud(params, m, seed)
+    assert cloud[m_box:].tobytes() == radial.tobytes()
     x = inequalities._uniform(seed, 0, m_box * 4, -1e-3, 1e-3).reshape(m_box, 4)
     t = inequalities._uniform(seed, m_box * 4, m_box, -1e-6, 1e-6)
     kept = np.linalg.norm(x, axis=1) >= EXCLUSION
@@ -216,7 +220,7 @@ def test_shell_cloud_redraws_in_place():
     assert hashlib.sha256(cloud.tobytes()).hexdigest()[:32] == "b1c368ee04b9eb0e43c7d4976e4403a2"
 
 
-def _materialised_reports(check, params, m, seed, box, monkeypatch):
+def _materialised_reports(check, params, m, seed, monkeypatch):
     """(min_margin, worst row) per column of margin_fn over the whole sample_cloud."""
     captured = []
     reports = inequalities._cloud_reports
@@ -228,7 +232,7 @@ def _materialised_reports(check, params, m, seed, box, monkeypatch):
     monkeypatch.setattr(inequalities, "_cloud_reports", capture)
     check(params, 1, seed)
     monkeypatch.setattr(inequalities, "_cloud_reports", reports)
-    coords = sample_cloud(params, m, seed, box=box)
+    coords = sample_cloud(params, m, seed)
     margins = captured[0](coords)
     worst = np.argmin(margins, axis=0)
     return [(margins[w, i], coords[w]) for i, w in enumerate(worst)]
@@ -240,12 +244,13 @@ def _materialised_reports(check, params, m, seed, box, monkeypatch):
     + [(2, 5000, 1e-3), (2, 100_003, 1e-3)],
 )
 def test_streamed_reports_equal_materialised_cloud(n, m, box, monkeypatch):
-    # box=1e-3 rejects rows, which the spans redraw in place
+    # BOX=1e-3 rejects rows, which the spans redraw in place
+    monkeypatch.setattr(inequalities, "BOX", box)
     params = GroupParams(n)
     for check in (check_gradient_bounds, check_partial_bounds):
-        want = _materialised_reports(check, params, m, 9, box, monkeypatch)
+        want = _materialised_reports(check, params, m, 9, monkeypatch)
         for threads in (1, 2):
-            got = check(params, m, 9, box=box, threads=threads)
+            got = check(params, m, 9, threads=threads)
             assert [r.n_points for r in got] == [m] * len(want)
             for r, (value, row) in zip(got, want):
                 assert r.min_margin == value, (check.__name__, threads, r.name)
@@ -259,6 +264,18 @@ def test_streamed_check_never_builds_the_cloud(monkeypatch):
     monkeypatch.setattr(inequalities, "sample_cloud", refuse)
     for r in check_gradient_bounds(GroupParams(2), 200_000, seed=5, threads=2):
         assert r.passed and r.n_points == 200_000
+
+
+@pytest.mark.parametrize("text", ["0", "1e-4", "0.0005001", "-1", "inf", "1e200"])
+def test_box_without_admissible_rows_raises(text):
+    # the first four boxes are below EXCLUSION: in the first three no x
+    # reaches |x| >= EXCLUSION, and at 0.0005001 about 1e-26 of the rows
+    # would, so the check comes before any row is drawn.  The last two
+    # overflow a box width: t in [-1e400, 1e400]
+    box = float(text)
+    with pytest.raises(ValueError, match="box") as exc:
+        draw_rows(GroupParams(2), 1, 0, 10, box, box * box, EXCLUSION, None, (0, 10))
+    assert repr(box) in str(exc.value)
 
 
 @pytest.mark.parametrize("m", [0, -3])
