@@ -79,10 +79,9 @@ class Point:
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1 or x.size < 4 or x.size % 2 != 0:
-            raise ValueError(
-                f"Point.x must be a flat array of even length >= 4, got shape {x.shape}."
-            )
+        if x.ndim != 1:
+            raise ValueError(f"Point.x must be a flat array, got shape {x.shape}.")
+        _width_n(x)
         if not np.all(np.isfinite(x)) or not np.isfinite(self.t):
             raise ValueError("Point coordinates must be finite.")
         x.setflags(write=False)

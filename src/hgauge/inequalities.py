@@ -122,6 +122,54 @@ def _uniform(seed: int, position: int, size: int, lo, hi) -> np.ndarray:
     return out
 
 
+def _in_ball(x: np.ndarray, radius: float) -> np.ndarray:
+    """np.linalg.norm(x, axis=1) < radius, bit for bit, on (rows, 2n) x.
+
+    The norm is taken only on rows with |x_1| < 2 radius.  A rounded sum of
+    non-negative squares is at least fl(x_1^2), so every other row has
+    |x| >= radius while radius stays far above the underflow range.
+    """
+    out = np.zeros(x.shape[0], dtype=bool)
+    near = np.flatnonzero(np.abs(x[:, 0]) < 2.0 * radius)
+    out[near] = np.linalg.norm(x[near], axis=1) < radius
+    return out
+
+
+def _draw(
+    params: GroupParams,
+    seed: int,
+    origin: int,
+    m: int,
+    x_box: float,
+    t_box: float,
+    min_radius: float,
+    window: Optional[tuple[float, float]],
+    span: tuple[int, int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """draw_rows as its columns: contiguous x of shape (rows, 2n) and t of shape (rows,)."""
+    _check_points(m)
+    _check_box(x_box, t_box, min_radius)
+    dim = params.horizontal_dim
+    a, b = span
+    x = _uniform(seed, origin + a * dim, (b - a) * dim, -x_box, x_box).reshape(-1, dim)
+    t = _uniform(seed, origin + m * dim + a, b - a, -t_box, t_box)
+
+    def rejected(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        out = _in_ball(x, min_radius)
+        if window is not None:
+            nn = norm_batch(x, t)
+            out |= ~((nn > window[0]) & (nn < window[1]))
+        return out
+
+    redraw = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(origin, a)))
+    bad = np.flatnonzero(rejected(x, t))
+    while bad.size:
+        x[bad] = redraw.uniform(-x_box, x_box, (bad.size, dim))
+        t[bad] = redraw.uniform(-t_box, t_box, bad.size)
+        bad = bad[rejected(x[bad], t[bad])]
+    return x, t
+
+
 def draw_rows(
     params: GroupParams,
     seed: int,
@@ -141,29 +189,10 @@ def draw_rows(
     and N outside (lo, hi), is redrawn in place from a stream keyed by
     (seed, origin, span[0]), so a rejection moves no other row.  Raises
     ValueError when x_box < min_radius or a width 2 x_box or 2 t_box is not
-    a finite float.
+    a finite float.  The rows are drawn as x and t columns and stacked into
+    (rows, 2n+1) coordinate rows on return.
     """
-    _check_points(m)
-    _check_box(x_box, t_box, min_radius)
-    dim = params.horizontal_dim
-    a, b = span
-    x = _uniform(seed, origin + a * dim, (b - a) * dim, -x_box, x_box).reshape(-1, dim)
-    t = _uniform(seed, origin + m * dim + a, b - a, -t_box, t_box)
-
-    def rejected(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        out = np.linalg.norm(x, axis=1) < min_radius
-        if window is not None:
-            nn = norm_batch(x, t)
-            out |= ~((nn > window[0]) & (nn < window[1]))
-        return out
-
-    redraw = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(origin, a)))
-    bad = np.flatnonzero(rejected(x, t))
-    while bad.size:
-        x[bad] = redraw.uniform(-x_box, x_box, (bad.size, dim))
-        t[bad] = redraw.uniform(-t_box, t_box, bad.size)
-        bad = bad[rejected(x[bad], t[bad])]
-    return np.column_stack([x, t])
+    return np.column_stack(_draw(params, seed, origin, m, x_box, t_box, min_radius, window, span))
 
 
 _CHUNK = 1 << 15  # rows per span of sample_cloud
@@ -177,20 +206,23 @@ def _spans(n_points: int) -> list[tuple[int, int]]:
     return [(a, min(a + _CHUNK, end)) for lo, end in parts for a in range(lo, end, _CHUNK)]
 
 
-def _span_rows(params: GroupParams, n_points: int, seed: int, span: tuple[int, int]) -> np.ndarray:
-    """Rows span[0]:span[1] of sample_cloud: box rows, or radial rows with their dilations."""
+def _span_rows(
+    params: GroupParams, n_points: int, seed: int, span: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows span[0]:span[1] of sample_cloud as (x, t) columns: box rows, or
+    radial rows with their dilations applied to x and t in place."""
     m_box = (3 * n_points) // 4
     if span[0] < m_box:
-        return draw_rows(params, seed, 0, m_box, BOX, BOX * BOX, EXCLUSION, None, span)
+        return _draw(params, seed, 0, m_box, BOX, BOX * BOX, EXCLUSION, None, span)
     # the radial part's stream follows the box part's, and its dilations follow its rows
     a, b = span[0] - m_box, span[1] - m_box
     width = params.horizontal_dim + 1  # stream positions per row
     m, origin = n_points - m_box, m_box * width
-    rows = draw_rows(params, seed, origin, m, 1.0, 1.0, EXCLUSION, None, (a, b))
+    x, t = _draw(params, seed, origin, m, 1.0, 1.0, EXCLUSION, None, (a, b))
     lam = 10.0 ** _uniform(seed, origin + m * width + a, b - a, -2.0, 2.0)
-    rows[:, :-1] *= lam[:, None]
-    rows[:, -1] *= lam * lam
-    return rows
+    x *= lam[:, None]
+    t *= lam * lam
+    return x, t
 
 
 def sample_cloud(params: GroupParams, n_points: int, seed: int) -> np.ndarray:
@@ -199,10 +231,12 @@ def sample_cloud(params: GroupParams, n_points: int, seed: int) -> np.ndarray:
     Rows keep |x| >= EXCLUSION.  Box rows take x in [-BOX, BOX]^{2n} and t in
     [-BOX^2, BOX^2]; the log-radial part rescales unit-box points by dilation
     factors 10^U(-2, 2) to stress small and large scales.  The rows are those
-    of the spans that the bound checks stream.
+    of the spans that the bound checks stream, stacked as coordinate rows.
     """
     spans = _spans(n_points)
-    return np.concatenate([_span_rows(params, n_points, seed, span) for span in spans])
+    return np.concatenate(
+        [np.column_stack(_span_rows(params, n_points, seed, span)) for span in spans]
+    )
 
 
 def shell_cloud(params: GroupParams, n_points: int, seed: int) -> np.ndarray:
@@ -224,13 +258,16 @@ def _cloud_reports(
 ) -> list[InequalityReport]:
     """One report per named column of margin_fn over sample_cloud, streamed.
 
-    margin_fn maps a coordinate block to a (rows, k) margin matrix.  The cloud
-    is never built: each of sample_cloud's spans of _CHUNK rows draws its own
-    rows and keeps only its per-column minima, so time grows linearly and
-    memory stays flat in n_points.  Spans run on a pool of
-    min(threads, os.cpu_count()) workers, one per CPU when threads is None;
-    threads below 1 raise ValueError.  The reports are those of the whole
-    sample_cloud.
+    margin_fn maps a span's columns x, of shape (rows, 2n), and t, of shape
+    (rows,), to a (rows, k) margin matrix, best stored column by column (the
+    transpose of a stacked (k, rows) array) so that each column's minimum
+    reads contiguous memory.  The cloud is never built: each of sample_cloud's
+    spans of _CHUNK rows draws its own x and t and keeps only its per-column
+    minima, with a coordinate row built only for the first row attaining
+    each, so time grows linearly and memory stays flat in n_points.  Spans run
+    on a pool of min(threads, os.cpu_count()) workers, one per CPU when
+    threads is None; threads below 1 raise ValueError.  The reports are those
+    of the whole sample_cloud.
     """
     spans = _spans(n_points)
     cpus = os.cpu_count() or 1
@@ -238,10 +275,10 @@ def _cloud_reports(
 
     def span_minima(span):
         """(per-column minimum of margin_fn over the span, the first row attaining each)."""
-        rows = _span_rows(params, n_points, seed, span)
-        margins = margin_fn(rows)
+        x, t = _span_rows(params, n_points, seed, span)
+        margins = margin_fn(x, t)
         worst = np.argmin(margins, axis=0)
-        return margins[worst, np.arange(margins.shape[1])], rows[worst]
+        return margins[worst, np.arange(margins.shape[1])], np.column_stack([x[worst], t[worst]])
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(span_minima, spans))
@@ -280,14 +317,14 @@ def check_gradient_bounds(
     lower_const = 2.0 ** -(5.0 + 2.0 / n)
     upper_const = (2 * n + 1) ** 2 / (2.0 ** 3 * n * n)
 
-    def margins(block: np.ndarray) -> np.ndarray:
-        pb = partials_batch(block[:, :-1], block[:, -1])
-        xsq = np.sum(block[:, :-1] ** 2, axis=1)
+    def margins(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        pb = partials_batch(x, t)
+        xsq = pb.R + pb.S  # |x|^2
         ratio = pb.N * pb.N * pb.grad_sq / xsq
         m1 = pb.N * pb.x_dot / xsq + 1.0 / (4 * n)
         m2 = ratio - lower_const
         m3 = upper_const - ratio
-        return np.column_stack([m1, m2, m3])
+        return np.stack([m1, m2, m3]).T
 
     return _cloud_reports(_GRADIENT_NAMES, margins, params, n_points, seed, threads)
 
@@ -315,12 +352,12 @@ def check_partial_bounds(
     mixed_block_const = (2 * n - 1) / (2.0 ** (1.0 / n + 2.0) * n)
     mixed_pair_const = 2.0 ** -(2.0 + 1.0 / n)
 
-    def margins(block: np.ndarray) -> np.ndarray:
-        pb = partials_batch(block[:, :-1], block[:, -1])
+    def margins(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        pb = partials_batch(x, t)
         sp = pb.N * pb.pair_slope
         sb = pb.N * pb.block_slope
         tt = pb.N * np.abs(pb.dN_dt)
-        return np.column_stack(
+        return np.stack(
             [
                 sp,
                 0.5 - np.abs(sp),
@@ -330,7 +367,7 @@ def check_partial_bounds(
                 (2 * n + 1) / (4.0 * n) - np.abs(sb),
                 (2 * n + 1) / (4.0 * n) - tt,
             ]
-        )
+        ).T
 
     return _cloud_reports(_PARTIAL_NAMES, margins, params, n_points, seed, threads)
 

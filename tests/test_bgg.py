@@ -80,16 +80,17 @@ def test_compare_cloud_summary():
 
 def test_compare_cloud_rows_equal_scalar_quadrature(monkeypatch):
     # one integrator: each row of compare_cloud's vectorised pass is the
-    # one-row call bit for bit (rows never mix, sums run row by row)
+    # one-row call bit for bit (rows never mix, sums run row by row).  Re I_n
+    # is integrated once, and Re I_2 for the identities once more where n != 2
     seen = []
-    rows = bgg._solution_rows
+    rows = bgg._re_rows
 
-    def spy(a, b, t, n):
-        out = rows(a, b, t, n)
-        seen.append((t.copy(), out))
+    def spy(a, b, t, k):
+        out = rows(a, b, t, k)
+        seen.append((k, t.copy(), out))
         return out
 
-    monkeypatch.setattr(bgg, "_solution_rows", spy)
+    monkeypatch.setattr(bgg, "_re_rows", spy)
     for n in (2, 6):
         params = GroupParams(n)
         seen.clear()
@@ -97,11 +98,12 @@ def test_compare_cloud_rows_equal_scalar_quadrature(monkeypatch):
         coords = draw_rows(
             params, 5, 0, 30, bgg.CLOUD_BOX, bgg.CLOUD_T_MAX, bgg.CLOUD_MIN_RADIUS, None, (0, 30)
         )
-        (t, vals), = seen
+        assert [k for k, _, _ in seen] == ([2] if n == 2 else [n, 2])
+        _, t, vals = seen[0]
         assert t.tobytes() == coords[:, -1].tobytes()
         seen.clear()
         scalar = [fundamental_solution_quad(Point(r[:-1], r[-1])) for r in coords]
-        assert np.array(scalar).tobytes() == vals.tobytes()
+        assert np.array(scalar).tobytes() == bgg._solution(vals, n).tobytes()
 
 
 # -- the n = 2 derivation steps, as compare_cloud reports them -----------------
@@ -166,18 +168,19 @@ COMPARE_DIGESTS = {
 @pytest.mark.parametrize("n", sorted(COMPARE_DIGESTS))
 def test_compare_cloud_digests(n, monkeypatch):
     h = hashlib.sha256()
-    ab, rows = bgg.ab_batch, bgg._solution_rows
+    ab, rows = bgg.ab_batch, bgg._re_rows
 
     def ab_spy(x):
         h.update(x.tobytes())
         return ab(x)
 
-    def rows_spy(a, b, t, n):
-        h.update(t.tobytes())
-        return rows(a, b, t, n)
+    def rows_spy(a, b, t, k):
+        if k == n:
+            h.update(t.tobytes())
+        return rows(a, b, t, k)
 
     monkeypatch.setattr(bgg, "ab_batch", ab_spy)
-    monkeypatch.setattr(bgg, "_solution_rows", rows_spy)
+    monkeypatch.setattr(bgg, "_re_rows", rows_spy)
     compare_cloud(GroupParams(n), 200, seed=1000 + n)
     assert h.hexdigest()[:32] == COMPARE_DIGESTS[n]
 

@@ -117,3 +117,22 @@ def test_point_is_immutable():
     p = Point(np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
     with pytest.raises((ValueError, AttributeError)):
         p.x[0] = 5.0
+
+
+@pytest.mark.parametrize("width", [0, 2, 3, 5])
+def test_point_and_batch_share_the_width_message(width):
+    # a Point checks its width with the batch kernels' own check
+    with pytest.raises(ValueError) as single:
+        Point(np.ones(width), 0.0)
+    with pytest.raises(ValueError) as batch:
+        field_coefficients_batch(np.ones((2, width)))
+    assert str(single.value) == str(batch.value)
+
+
+def test_point_needs_flat_finite_coordinates():
+    with pytest.raises(ValueError, match="flat array"):
+        Point(np.ones((2, 2)), 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        Point(np.array([1.0, np.nan, 0.0, 0.0]), 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        Point(np.ones(4), np.inf)

@@ -155,7 +155,9 @@ def test_span_rows_concatenate_to_sample_cloud(n, m):
     params, seed, dim = GroupParams(n), 20261017, 2 * n
     spans = inequalities._spans(m)
     assert all(b - a <= CHUNK for a, b in spans)
-    rows = np.concatenate([inequalities._span_rows(params, m, seed, span) for span in spans])
+    rows = np.concatenate(
+        [np.column_stack(inequalities._span_rows(params, m, seed, span)) for span in spans]
+    )
     m_box = (3 * m) // 4
     x = inequalities._uniform(seed, 0, m_box * dim, -5.0, 5.0).reshape(m_box, dim)
     t = inequalities._uniform(seed, m_box * dim, m_box, -25.0, 25.0)
@@ -185,6 +187,28 @@ def test_rejection_moves_no_other_row(monkeypatch):
     assert np.all(np.linalg.norm(cloud[:, :-1], axis=1) >= EXCLUSION)
     # the redraws come from a stream keyed by (seed, part origin, span start)
     assert hashlib.sha256(cloud.tobytes()).hexdigest()[:32] == "b044c55d928cc641dc2b5d8c97f91d0b"
+
+
+@pytest.mark.parametrize("dim", [4, 12, 20])
+def test_exclusion_prefilter_matches_the_full_norm(dim):
+    # the exclusion takes the norm only where |x_1| < 2 EXCLUSION; its decision
+    # is np.linalg.norm(x, axis=1) < EXCLUSION on rows a few ulp either side
+    # of the sphere |x| = EXCLUSION and of the prefilter bound |x_1| = 2 EXCLUSION
+    rng = np.random.default_rng(dim)
+    ulps = 1.0 + np.arange(-4, 5) * np.finfo(float).eps
+    u = rng.normal(size=(300, dim))
+    u[:100, 1:] *= 1e-3  # |x_1| close to |x|
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    sphere = (u[:, None, :] * (EXCLUSION * ulps)[:, None]).reshape(-1, dim)
+    edge = rng.uniform(-1e-4, 1e-4, (2 * ulps.size, dim))
+    edge[:, 0] = np.concatenate([2.0 * EXCLUSION * ulps, -2.0 * EXCLUSION * ulps])
+    edge[: ulps.size // 2, 1:] = 0.0
+    # rows drawn at BOX = 1e-3 all take the exact norm; at dim 4 about a third is inside
+    box = inequalities._uniform(9, 0, 10_000 * dim, -1e-3, 1e-3).reshape(-1, dim)
+    x = np.vstack([sphere, edge, box])
+    want = np.linalg.norm(x, axis=1) < EXCLUSION
+    assert 0 < np.count_nonzero(want[: len(sphere)]) < len(sphere)
+    assert np.array_equal(inequalities._in_ball(x, EXCLUSION), want)
 
 
 # sha256 prefixes of shell_cloud over m in {1, 20, 100, 1000} and seeds
@@ -233,7 +257,7 @@ def _materialised_reports(check, params, m, seed, monkeypatch):
     check(params, 1, seed)
     monkeypatch.setattr(inequalities, "_cloud_reports", reports)
     coords = sample_cloud(params, m, seed)
-    margins = captured[0](coords)
+    margins = captured[0](coords[:, :-1], coords[:, -1])
     worst = np.argmin(margins, axis=0)
     return [(margins[w, i], coords[w]) for i, w in enumerate(worst)]
 
