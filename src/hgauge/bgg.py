@@ -30,6 +30,13 @@ point, n = p.n.  compare_cloud reports how far each of these n = 2 steps
 (the closed modulus piece, the phase correction as -t d/dt I_modulus, the
 split of Re I_2, and the pole locations) is from holding on its cloud.
 
+The closed form is checked only against the quadrature of its own
+representation (criterion 01, bgg compare).  That quadrature carries the
+same Gamma(n)/(2 pi)^n, so it cannot see an error in the constant.  Which
+equation u solves is measured, not derived: with L = sum_j X_j^2,
+K_n (Q-2) int_{N=1} |grad_H N|^2 dsigma = pi at n = 2, 3, 6 and 10 (ROADMAP
+item 10), that is, L u = -pi delta.
+
 The oracle integrates the representation directly, with numpy alone.  The
 head s in [0, 1] and the tail s = 1/v, v in [0, 1], share one integrand on
 [0, 1], and a tanh-sinh rule (Takahasi & Mori, 1974) integrates it for every

@@ -77,14 +77,9 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _measure_spec(opts: dict) -> measures.MeasureSpec:
-    return measures.MeasureSpec(
-        family=opts["family"],
-        k=opts.get("k"),
-        alpha=opts.get("alpha"),
-        p=opts.get("p"),
-        beta=opts.get("beta"),
-        q=opts["q"],
-    )
+    # measure sample takes no --q, and an unset flag is not in opts
+    names = ("family", "k", "alpha", "p", "q")
+    return measures.MeasureSpec(**{name: opts[name] for name in names if name in opts})
 
 
 # batch_means_se splits the kept steps into batches of at least two
@@ -109,17 +104,19 @@ def _cmd_norm_eval(cfg: RunConfig) -> tuple[dict, Optional[bool]]:
     params = GroupParams(o["n"])
     x = _parse_xlist(o["x"], params.horizontal_dim)
     p = Point(x, o["t"])
-    out = {"N": norm_N(p)}
-    if p.t != 0 or np.any(x):  # the identity has no derivatives
-        pb = exact_partials(p)
-        out.update(
-            A=float(pb.A),
-            B=float(pb.B),
-            dN_dx=[float(v) for v in pb.dN_dx],
-            dN_dt=float(pb.dN_dt),
-            grad_norm_sq=float(pb.grad_sq),
-            x_dot_grad=float(pb.x_dot),
-        )
+    # an overflowing slope can leave a finite but wrong value, so it raises
+    with np.errstate(over="raise"):
+        out = {"N": norm_N(p)}
+        if p.t != 0 or np.any(x):  # the identity has no derivatives
+            pb = exact_partials(p)
+            out.update(
+                A=float(pb.A),
+                B=float(pb.B),
+                dN_dx=[float(v) for v in pb.dN_dx],
+                dN_dt=float(pb.dN_dt),
+                grad_norm_sq=float(pb.grad_sq),
+                x_dot_grad=float(pb.x_dot),
+            )
     return out, None
 
 
@@ -264,7 +261,10 @@ def _cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, bool]:
     o = cfg.options
     params = GroupParams(o["n"])
     spec = _measure_spec(o)
-    batch = measures.run_chain(spec, params, _sampler_config(o), 0)
+    scfg = _sampler_config(o)
+    if which == "lsi":  # a bad beta fails before the chain runs
+        measures._check_beta(spec, o.get("beta"))
+    batch = measures.run_chain(spec, params, scfg, 0)
     family = coercive.default_family(params)
     base = {
         "family": spec.label(),
@@ -288,7 +288,7 @@ def _cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, bool]:
         )
         base["terms"] = [asdict(t) for t in terms]
     else:
-        result = coercive.fit_beta_lsi(family, spec, batch)
+        result = coercive.fit_beta_lsi(family, spec, batch, o["beta"])
     base["fit"] = result.as_dict()
     return base, bool(result.feasible and result.max_violation <= 0.0)
 
@@ -356,8 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("ubound", "poincare", "lsi"):
         pv = verify_sub.add_parser(name)
         _add_measure_flags(pv)
+        pv.add_argument("--q", type=float, default=measures.MeasureSpec.q)
         if name == "ubound":
             pv.add_argument("--restrict-exterior", dest="restrict_exterior", action="store_true")
+        elif name == "lsi":
+            pv.add_argument("--beta", type=float)
     return ap
 
 
@@ -366,8 +369,6 @@ def _add_measure_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--q", type=float, default=measures.MeasureSpec.q)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--steps", type=int, default=measures.SamplerConfig.n_steps)
@@ -464,14 +465,18 @@ def main(argv: Optional[list[str]] = None) -> int:
             with open(cfg.output_path, "w") as fh:
                 fh.write(text + "\n")
         made.clear()
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, FloatingPointError, OSError) as exc:
         # RuntimeError: a mis-tuned chain, a quadrature that did not converge
-        # or a non-finite report; OSError: an --output or --out path that
-        # cannot be written
-        numerical = isinstance(exc, RuntimeError)
+        # or a non-finite report; FloatingPointError: an overflow in norm
+        # eval's kernel; OSError: an --output or --out path that cannot be
+        # written
+        numerical = isinstance(exc, (RuntimeError, FloatingPointError))
+        text = str(exc)
+        if isinstance(exc, FloatingPointError):  # numpy's text names only the operation
+            text = f"The gauge kernel overflowed ({text}); a result is non-finite or wrong."
         err = {
             "schema": SCHEMA_VERSION,
-            "error": str(exc),
+            "error": text,
             "kind": "numerical" if numerical else "invalid",
         }
         print(json.dumps(err, sort_keys=True), file=sys.stderr)

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .group import GroupParams, Point, field_coefficients, inverse
-from .measures import MeasureSpec, SampleBatch, batch_means_se, eta_weight
+from .measures import MeasureSpec, SampleBatch, _check_beta, batch_means_se, eta_weight
 from .norm import partials_batch
 
 __all__ = [
@@ -335,11 +335,10 @@ def poincare_ratio(
 
 
 def beta_lsi_functional(
-    f: TestFunction, spec: MeasureSpec, batch: SampleBatch
+    f: TestFunction, spec: MeasureSpec, batch: SampleBatch, beta: float
 ) -> tuple[float, float, float]:
     """(entropy-like lhs, gradient term, mass term) for the beta-LSI."""
-    if spec.beta is None:
-        raise ValueError("beta-LSI needs a family carrying a beta exponent.")
+    _check_beta(spec, beta)
     q = spec.q
     values, grads = f.evaluate(batch)
     fq = _q_power(values, q)
@@ -347,19 +346,19 @@ def beta_lsi_functional(
     if mean_fq == 0.0:
         raise ValueError(f"{f.name!r} vanishes on the whole sample.")
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(fq > 0.0, np.abs(np.log(fq / mean_fq)) ** spec.beta, 0.0)
+        logs = np.where(fq > 0.0, np.abs(np.log(fq / mean_fq)) ** beta, 0.0)
     lhs = float(np.mean(fq * logs))
     grad = float(np.mean(_q_power(grads, q)))
     return lhs, grad, mean_fq
 
 
 def fit_beta_lsi(
-    functions: Sequence[TestFunction], spec: MeasureSpec, batch: SampleBatch
+    functions: Sequence[TestFunction], spec: MeasureSpec, batch: SampleBatch, beta: float
 ) -> FeasibilityResult:
     """Feasible (C, D) for the beta log-Sobolev form over the family."""
     rows = []
     for f in functions:
-        lhs, grad, mass = beta_lsi_functional(f, spec, batch)
+        lhs, grad, mass = beta_lsi_functional(f, spec, batch, beta)
         rows.append((f.name, lhs, grad, mass))
     anchor = float(np.mean(eta_weight(spec, batch.norms())))
     return _fit_constants(rows, anchor)

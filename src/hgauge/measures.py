@@ -6,7 +6,7 @@ The four families:
     power        g(N) = N^k,               k >= 4
     cosh-power   g(N) = cosh(N^k),         k >= 1
     power-log    g(N) = N^k log(N + 1),    k >= 3
-    alpha-power  g(N) = a N^p,             a > 0, p >= 4, 0 < beta <= (p-3)/p
+    alpha-power  g(N) = a N^p,             a > 0, p >= 4
 
 The carre-du-champ weight eta(N) = g'(N) / N^2 drives the coercive
 inequalities; its empirical mean anchors the feasibility grids.
@@ -15,7 +15,9 @@ Two families of sufficient conditions are exposed as grid checks:
 
     slope condition      g''(N) <= g'(N)^2 on a gauge grid
     lsi conditions       g' nondecreasing, g(N) <= (c g'(N)/N^2)^(1/beta),
-                         and g''(N) < d g'(N)^2, all on {N >= 1}
+                         and g''(N) < d g'(N)^2, all on {N >= 1}, where
+                         beta > 0 is the beta-LSI's own exponent (at most
+                         (p-3)/p for alpha-power), not the measure's
 
 The samplers are plain random-walk Metropolis (default) and MALA on the
 (2n+1)-dimensional coordinate space.  Chains are reproducible: chain i of a
@@ -83,40 +85,30 @@ class MeasureSpec:
     k: Optional[float] = None
     alpha: Optional[float] = None
     p: Optional[float] = None
-    beta: Optional[float] = None
     q: float = 2.0
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"Unknown family {self.family!r}; choose from {FAMILIES}.")
-        for name in ("q", "k", "alpha", "p", "beta"):
+        for name in ("q", "k", "alpha", "p"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"Need a finite {name}, got {value}.")
         if self.q < 2:
             raise ValueError(f"Need q >= 2, got {self.q}.")
-        if self.family == "power":
-            if self.k is None or self.k < 4:
-                raise ValueError(f"power family needs k >= 4, got {self.k}.")
-        elif self.family == "cosh-power":
-            if self.k is None or self.k < 1:
-                raise ValueError(f"cosh-power family needs k >= 1, got {self.k}.")
-        elif self.family == "power-log":
-            if self.k is None or self.k < 3:
-                raise ValueError(f"power-log family needs k >= 3, got {self.k}.")
+        if self.family != "alpha-power":
+            k_min = {"power": 4, "cosh-power": 1, "power-log": 3}[self.family]
+            if self.k is None or self.k < k_min:
+                raise ValueError(f"{self.family} family needs k >= {k_min}, got {self.k}.")
         else:
             if self.alpha is None or self.alpha <= 0:
                 raise ValueError(f"alpha-power family needs alpha > 0, got {self.alpha}.")
             if self.p is None or self.p < 4:
                 raise ValueError(f"alpha-power family needs p >= 4, got {self.p}.")
-            if self.beta is None or not (0 < self.beta <= (self.p - 3) / self.p):
-                raise ValueError(
-                    f"alpha-power family needs 0 < beta <= (p-3)/p, got beta={self.beta}."
-                )
 
     def label(self) -> str:
         if self.family == "alpha-power":
-            return f"alpha-power(alpha={self.alpha}, p={self.p}, beta={self.beta})"
+            return f"alpha-power(alpha={self.alpha}, p={self.p})"
         return f"{self.family}(k={self.k})"
 
 
@@ -238,17 +230,24 @@ def check_slope_condition(spec: MeasureSpec, n_grid: np.ndarray) -> InequalityRe
     return _worst_margin([("slope-condition", 1.0 - slope_ratio(spec, r), r)], r.size, False)
 
 
+def _check_beta(spec: MeasureSpec, beta: float) -> None:
+    """The one check of the beta-LSI exponent; a missing beta fails too."""
+    if beta is None or not 0 < beta < math.inf:
+        raise ValueError(f"Need a finite beta > 0, got {beta}.")
+    if spec.family == "alpha-power" and beta > (spec.p - 3) / spec.p:
+        raise ValueError(f"alpha-power family needs 0 < beta <= (p-3)/p, got beta={beta}.")
+
+
 def check_lsi_conditions(
-    spec: MeasureSpec, n_grid: np.ndarray, c: float, d: float
+    spec: MeasureSpec, n_grid: np.ndarray, c: float, d: float, beta: float
 ) -> InequalityReport:
-    """The three grid conditions behind the q log-Sobolev bound.
+    """The three grid conditions behind the beta log-Sobolev bound.
 
     Margins (all scale-free): relative increments of g', the ratio
     1 - g / (c g'/N^2)^(1/beta), and 1 - g'' / (d g'^2).  The report carries
     the worst of the three; a margin the profile overflows fails.
     """
-    if spec.beta is None:
-        raise ValueError("LSI conditions need a family with a beta exponent.")
+    _check_beta(spec, beta)
     if not (c > 0 and d > 0):
         raise ValueError("Need c > 0 and d > 0.")
     r = np.sort(np.asarray(n_grid, dtype=float))
@@ -257,7 +256,7 @@ def check_lsi_conditions(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         gp = g_prime(spec, r)
         inc = np.diff(gp) / np.abs(gp[:-1])
-        m_grow = 1.0 - g_value(spec, r) / (c * gp / (r * r)) ** (1.0 / spec.beta)
+        m_grow = 1.0 - g_value(spec, r) / (c * gp / (r * r)) ** (1.0 / beta)
         m_curv = 1.0 - slope_ratio(spec, r) / d
     conditions = [
         ("lsi-conditions(monotone-slope)", inc, r[:-1]),

@@ -60,7 +60,7 @@ def family_chains():
 
 @pytest.fixture(scope="session")
 def alpha_chain():
-    spec = MeasureSpec(family="alpha-power", alpha=1.0, p=4.0, beta=0.25, q=2.0)
+    spec = MeasureSpec(family="alpha-power", alpha=1.0, p=4.0, q=2.0)
     cfg = dataclasses.replace(LONG_CFG, seed=13, n_chains=1)
     return spec, run_chain(spec, PARAMS6, cfg, 0)
 

@@ -183,7 +183,7 @@ def test_09_exact_gradients_vs_fd():
         MeasureSpec(family="power", k=4.0),
         MeasureSpec(family="cosh-power", k=1.0),
         MeasureSpec(family="power-log", k=3.0),
-        MeasureSpec(family="alpha-power", alpha=1.0, p=4.0, beta=0.25),
+        MeasureSpec(family="alpha-power", alpha=1.0, p=4.0),
     ]
     coords = shell_cloud(params, 1000, seed=99)
     # gauge gradient
@@ -313,9 +313,9 @@ def test_13_poincare_ratios(power4_chains, stability_chains, params6):
 
 def test_14_beta_lsi_feasibility(alpha_chain, params6):
     spec, batch = alpha_chain
-    res = coercive.fit_beta_lsi(coercive.default_family(params6), spec, batch)
+    res = coercive.fit_beta_lsi(coercive.default_family(params6), spec, batch, beta=0.25)
     grid = np.geomspace(1.0, 1e4, 400)
-    cond = measures.check_lsi_conditions(spec, grid, c=0.5, d=1.0)
+    cond = measures.check_lsi_conditions(spec, grid, c=0.5, d=1.0, beta=0.25)
     ok = res.feasible and res.max_violation <= 0.0 and cond.min_margin >= TOL_MARGIN
     _check(
         14,

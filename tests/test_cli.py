@@ -51,7 +51,7 @@ def test_timestamp_present_by_default(capsys):
 VERIFY_REPORTS = {
     "2c89cbd1ecb4e9d25a47c46662dcf121": "ubound --family cosh-power --k 1",
     "17c50facbe09175420230a4b9cc476f1": "ubound --family power --k 4 --q 3 --restrict-exterior",
-    "5ed47fa29378edfff4f0de4311f82978": "lsi --family alpha-power --alpha 1 --p 4 --beta 0.25",
+    "049000cfd6dd64f722c2b68792fe89eb": "lsi --family alpha-power --alpha 1 --p 4 --beta 0.25",
 }
 
 
@@ -267,6 +267,27 @@ def test_non_finite_report_exits_3(capsys, x):
     assert "non-finite" in err["error"]
 
 
+def _ray_argv(s):
+    # delta_s(e1 + e4/2, t = 0.3) at n = 6
+    x = [0.0] * 12
+    x[0], x[3] = s, 0.5 * s
+    return ["--no-timestamp", "norm", "eval", "--n", "6", "--x=" + ",".join(map(repr, x)), f"--t={0.3 * s * s!r}"]
+
+
+def test_norm_eval_overflow_exits_3(capsys):
+    # from s = 1e52 a slope overflows and grad_norm_sq reads 0.29957, not
+    # 0.35166: the overflow is a numerical breakdown, not a warning
+    status, report = _run_json(capsys, _ray_argv(1e51))
+    assert status == 0
+    assert report["results"]["grad_norm_sq"] == pytest.approx(0.35165659878, rel=1e-10)
+    assert main(_ray_argv(1e60)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["kind"] == "numerical"
+    assert "overflow" in err["error"]
+
+
 def _no_chain(*args):
     raise AssertionError("a chain ran")
 
@@ -308,6 +329,50 @@ def test_short_chain_exits_2_before_any_chain_runs(tmp_path, capsys, monkeypatch
     assert err["kind"] == "invalid"
     assert "--steps - --burn >= 100" in err["error"]
     assert not (tmp_path / "s.csv").exists()
+
+
+ALPHA_POWER = ["--family", "alpha-power", "--alpha", "1", "--p", "4", "--n", "6", "--seed", "1"]
+
+
+@pytest.mark.parametrize("command", ["measure sample", "verify poincare", "verify ubound"])
+def test_alpha_power_runs_without_beta(capsys, command):
+    # beta belongs to the beta-LSI: only verify lsi takes it
+    status = main(["--no-timestamp", *command.split(), *ALPHA_POWER, "--steps", "2000", "--burn", "500"])
+    report = json.loads(capsys.readouterr().out)
+    assert status == 0
+    assert report["results"]["family"] == "alpha-power(alpha=1.0, p=4.0)"
+
+
+@pytest.mark.parametrize("beta", ["-1", "0", "nan", "inf", None])
+def test_bad_beta_exits_2_before_any_chain_runs(capsys, monkeypatch, beta):
+    monkeypatch.setattr(measures, "run_chain", _no_chain)
+    argv = ["verify", "lsi", "--family", "power", "--k", "4", "--n", "6", "--seed", "1"]
+    assert main(argv + (["--beta", beta] if beta else [])) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "invalid"
+    assert "beta > 0" in err["error"]
+
+
+def test_alpha_power_beta_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(measures, "run_chain", _no_chain)
+    assert main(["verify", "lsi", *ALPHA_POWER, "--beta", "0.3"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {
+        "schema": 1,
+        "kind": "invalid",
+        "error": "alpha-power family needs 0 < beta <= (p-3)/p, got beta=0.3.",
+    }
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("verify poincare", "--beta"), ("verify ubound", "--beta"), ("measure sample", "--q")],
+)
+def test_inert_flags_are_refused(capsys, command, flag):
+    # the sampler reads no --q and only verify lsi reads --beta
+    argv = [*command.split(), "--family", "power", "--k", "4", "--n", "6", "--seed", "1"]
+    assert main(argv + [flag, "0.3"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_mis_tuned_chain_exits_3(tmp_path, capsys):

@@ -21,6 +21,7 @@ from hgauge.norm import norm_batch, partials_batch
 
 PARAMS = GroupParams(2)
 POWER4 = MeasureSpec(family="power", k=4.0)
+APOW = MeasureSpec(family="alpha-power", alpha=1.0, p=4.0)
 CFG = SamplerConfig(n_steps=30_000, burn_in=5_000, step=0.3, seed=21, n_chains=1)
 FAMILY = default_family(PARAMS)
 (CONSTANT, COORDINATE, _, _, POWER_CUTOFF, _, BUMP, OFFSET_BUMP) = FAMILY
@@ -233,20 +234,29 @@ def test_poincare_two_seed_stability():
 
 
 def test_beta_lsi_functional_handles_zero_values(batch):
-    spec = MeasureSpec(family="alpha-power", alpha=1.0, p=4.0, beta=0.25)
     # the origin bump vanishes on most samples
-    lhs, grad, mass = beta_lsi_functional(BUMP, spec, batch)
+    lhs, grad, mass = beta_lsi_functional(BUMP, APOW, batch, beta=0.25)
     assert np.isfinite(lhs) and lhs >= 0.0
     assert np.isfinite(grad) and grad >= 0.0
     assert mass > 0.0
 
 
 def test_fit_beta_lsi_feasible():
-    spec = MeasureSpec(family="alpha-power", alpha=1.0, p=4.0, beta=0.25)
-    b = run_chain(spec, PARAMS, CFG, 0)
-    res = fit_beta_lsi(default_family(PARAMS), spec, b)
+    b = run_chain(APOW, PARAMS, CFG, 0)
+    res = fit_beta_lsi(default_family(PARAMS), APOW, b, beta=0.25)
     assert res.feasible
     assert res.max_violation <= 0.0
+
+
+@pytest.mark.parametrize(
+    "spec, beta",
+    [(POWER4, 0.0), (POWER4, -1.0), (POWER4, math.nan), (POWER4, math.inf), (APOW, 0.0),
+     (APOW, 0.2501)],
+)
+def test_fit_beta_lsi_rejects_bad_beta(batch, spec, beta):
+    # beta > 0 for every family, and beta <= (p-3)/p = 1/4 for alpha-power at p = 4
+    with pytest.raises(ValueError, match="beta"):
+        fit_beta_lsi(default_family(PARAMS), spec, batch, beta=beta)
 
 
 def test_feasibility_result_as_dict(batch):

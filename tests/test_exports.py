@@ -89,7 +89,7 @@ def test_option_count_is_pinned():
     # justify it in review; one that removes an option lowers this count.
     src = Path(hgauge.__file__).resolve().parent
     total = sum(_count_options(ast.parse(p.read_text())) for p in sorted(src.glob("*.py")))
-    assert total == 19
+    assert total == 18
 
 
 def _count_flags(parser):
@@ -106,7 +106,7 @@ def _count_flags(parser):
 def test_cli_flag_count_is_pinned():
     # each flag is an option of a run, so a new one needs review just as a
     # new library option does; one that removes a flag lowers this count
-    assert _count_flags(build_parser()) == 70
+    assert _count_flags(build_parser()) == 66
 
 
 def test_no_function_takes_params_beside_a_point_or_rows():

@@ -30,7 +30,7 @@ from hgauge.measures import _log_pi_grad_rows, _log_pi_rows
 POWER4 = MeasureSpec(family="power", k=4.0)
 COSH1 = MeasureSpec(family="cosh-power", k=1.0)
 PLOG3 = MeasureSpec(family="power-log", k=3.0)
-APOW = MeasureSpec(family="alpha-power", alpha=1.0, p=4.0, beta=0.25)
+APOW = MeasureSpec(family="alpha-power", alpha=1.0, p=4.0)
 
 ALL_SPECS = [POWER4, COSH1, PLOG3, APOW]
 
@@ -50,10 +50,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         MeasureSpec(family="power-log", k=2.0)
     with pytest.raises(ValueError):
-        MeasureSpec(family="alpha-power", alpha=1.0, p=3.5, beta=0.1)
-    with pytest.raises(ValueError):
-        # beta above (p-3)/p
-        MeasureSpec(family="alpha-power", alpha=1.0, p=4.0, beta=0.3)
+        MeasureSpec(family="alpha-power", alpha=1.0, p=3.5)
     with pytest.raises(ValueError):
         MeasureSpec(family="unknown", k=4.0)
     with pytest.raises(ValueError):
@@ -164,30 +161,48 @@ def test_power_log_grid_start_covers_larger_k():
 
 def test_lsi_conditions_feasible_point():
     grid = np.geomspace(1.0, 1e4, 400)
-    report = check_lsi_conditions(APOW, grid, c=0.5, d=1.0)
+    report = check_lsi_conditions(APOW, grid, c=0.5, d=1.0, beta=0.25)
     assert report.passed, report.min_margin
+
+
+@pytest.mark.parametrize(
+    "spec, beta",
+    [(APOW, 0.3), (APOW, 0.0), (APOW, -0.1), (POWER4, 0.0), (POWER4, -1.0), (POWER4, math.nan),
+     (POWER4, math.inf), (POWER4, None)],
+)
+def test_lsi_conditions_reject_bad_beta(spec, beta):
+    # beta is the beta-LSI's exponent, checked where it is used: finite and
+    # > 0, and for alpha-power at most (p-3)/p (0.3 > 1/4 at p = 4)
+    with pytest.raises(ValueError, match="beta"):
+        check_lsi_conditions(spec, np.geomspace(1.0, 10.0, 20), c=0.5, d=1.0, beta=beta)
+
+
+def test_lsi_beta_cap_is_alpha_power_only():
+    # (p-3)/p caps alpha-power alone; power takes beta = 0.3
+    report = check_lsi_conditions(POWER4, np.geomspace(1.0, 10.0, 20), c=0.5, d=1.0, beta=0.3)
+    assert report.n_points == 20
 
 
 def test_lsi_conditions_boundary_c():
     # c = 1/4 is the exact boundary for beta = 1/4, p = 4
     grid = np.geomspace(1.0, 1e4, 400)
-    bad = check_lsi_conditions(APOW, grid, c=0.2499, d=1.0)
+    bad = check_lsi_conditions(APOW, grid, c=0.2499, d=1.0, beta=0.25)
     assert not bad.passed
     assert "beta-growth" in bad.name
-    good = check_lsi_conditions(APOW, grid, c=0.2501, d=1.0)
+    good = check_lsi_conditions(APOW, grid, c=0.2501, d=1.0, beta=0.25)
     assert good.passed
 
 
 def test_lsi_conditions_fail_where_the_profile_overflows():
     # sinh(N) overflows past N ~ 710: the slope increments turn non-finite,
     # which fails and is named, not skipped by a NaN comparison
-    spec = MeasureSpec(family="cosh-power", k=1.0, beta=0.5)
-    report = check_lsi_conditions(spec, np.geomspace(1.0, 1e4, 400), c=0.5, d=1.0)
+    spec = MeasureSpec(family="cosh-power", k=1.0)
+    report = check_lsi_conditions(spec, np.geomspace(1.0, 1e4, 400), c=0.5, d=1.0, beta=0.5)
     assert not report.passed
     assert report.name == "lsi-conditions(monotone-slope)"
     assert 700.0 < report.worst_point < 720.0
     # below the overflow the family fails its growth condition, finitely
-    low = check_lsi_conditions(spec, np.geomspace(1.0, 700.0, 400), c=0.5, d=1.0)
+    low = check_lsi_conditions(spec, np.geomspace(1.0, 700.0, 400), c=0.5, d=1.0, beta=0.5)
     assert low.name == "lsi-conditions(beta-growth)" and np.isfinite(low.min_margin)
 
 
