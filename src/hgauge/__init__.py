@@ -28,7 +28,7 @@ from .coercive import (
     ubound_terms,
 )
 from .fd import fd_gradient, infinity_laplacian_witness
-from .group import GroupParams, Point, compose, dilate, field_coefficients, inverse
+from .group import GroupParams, Point, compose, dilate, inverse
 from .inequalities import (
     InequalityReport,
     alpha_opt,
@@ -43,9 +43,6 @@ from .measures import (
     SampleBatch,
     SamplerConfig,
     batch_means_se,
-    check_lsi_conditions,
-    check_slope_condition,
-    condition_grid_start,
     eta_weight,
     run_chain,
     run_chains,
@@ -67,19 +64,15 @@ __all__ = [
     "batch_means_se",
     "beta_lsi_functional",
     "check_gradient_bounds",
-    "check_lsi_conditions",
     "check_partial_bounds",
-    "check_slope_condition",
     "coercivity_margin",
     "compare_cloud",
     "compose",
-    "condition_grid_start",
     "default_family",
     "dilate",
     "eta_weight",
     "exact_partials",
     "fd_gradient",
-    "field_coefficients",
     "fit_beta_lsi",
     "fit_ubound_constants",
     "fundamental_solution_closed",

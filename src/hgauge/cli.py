@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--output", help="write the report to this path instead of stdout")
     ap.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
     ap.add_argument(
-        "--threads", type=int, default=None, help="worker threads for cloud checks, at most one per CPU"
+        "--threads", type=int, default=None, help="worker threads of check lemma2|intermediate, at most one per CPU"
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -389,6 +389,8 @@ _DISPATCH = {
     ("verify", "poincare"): lambda c: _cmd_verify(c, "poincare"),
     ("verify", "lsi"): lambda c: _cmd_verify(c, "lsi"),
 }
+# the commands whose checks run on a thread pool, the only ones --threads sets
+_POOLED = {("check", "lemma2"), ("check", "intermediate")}
 
 
 def config_from_args(argv: Optional[list[str]] = None) -> RunConfig:
@@ -413,6 +415,8 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
     key = tuple(cfg.command.split(" ", 1))
     if key not in _DISPATCH:
         raise ValueError(f"Unknown command {cfg.command!r}.")
+    if cfg.threads is not None and key not in _POOLED:
+        raise ValueError(f"--threads applies only to check lemma2|intermediate, not {cfg.command}.")
     if cfg.threads is not None and cfg.threads < 1:
         raise ValueError(f"Need --threads >= 1, got {cfg.threads}.")
     if cfg.options.get("points", 1) < 1:

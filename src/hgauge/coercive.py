@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .group import GroupParams, Point, field_coefficients, inverse
+from .group import GroupParams, Point, compose, inverse
 from .measures import MeasureSpec, SampleBatch, _check_beta, batch_means_se, eta_weight
 from .norm import partials_batch
 
@@ -75,7 +75,7 @@ class TestFunction:
         elif self.center is None:
             u, grad_u = batch.norms(), batch.grad_norms()
         else:
-            y = _left_translate(inverse(self.center), coords)
+            y = compose(inverse(self.center), coords)
             pb = partials_batch(y[:, :-1], y[:, -1])
             u, grad_u = pb.N, np.sqrt(pb.grad_sq)
         h, dh = self.profile(u)
@@ -83,14 +83,6 @@ class TestFunction:
         grad = np.zeros(h.shape)
         grad[live] = np.abs(dh[live]) * grad_u[live]
         return h, grad
-
-
-def _left_translate(g: Point, coords: np.ndarray) -> np.ndarray:
-    """Rows g * p for (m, 2n+1) rows p."""
-    out = np.empty_like(coords)
-    out[:, :-1] = coords[:, :-1] + g.x
-    out[:, -1] = g.t + coords[:, -1] + coords[:, :-1] @ field_coefficients(g)
-    return out
 
 
 def _smooth_step(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

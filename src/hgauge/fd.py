@@ -197,7 +197,7 @@ def infinity_laplacian_witness(p: Point) -> tuple[float, float]:
         horizontal = pb.horizontal[0]
     if not np.all(np.isfinite(horizontal)):
         raise RuntimeError("The horizontal gradient of N overflows at this point.")
-    c = field_coefficients_batch(p.x[None, :])[0]
+    c = field_coefficients_batch(p.x)
 
     def grad_sq(rows: np.ndarray) -> np.ndarray:
         return partials_batch(rows[:, :-1], rows[:, -1]).grad_sq

@@ -19,7 +19,6 @@ __all__ = [
     "compose",
     "inverse",
     "dilate",
-    "field_coefficients",
     "field_coefficients_batch",
 ]
 
@@ -97,20 +96,22 @@ class Point:
         return np.concatenate([self.x, [self.t]])
 
 
-def _check_match(p: Point, q: Point) -> None:
-    if p.n != q.n:
-        raise ValueError(f"Dimension mismatch: n={p.n} vs n={q.n}.")
+def compose(p: Point, q: Point | np.ndarray) -> Point | np.ndarray:
+    """Group product p * q, for a Point q or for (m, 2n+1) coordinate rows q.
 
-
-def compose(p: Point, q: Point) -> Point:
-    """Group product p * q.
-
-    The central coordinate picks up the twist eta . c(x), where c is the
-    vector of central coefficients of the horizontal fields at x.
+    The central coordinate picks up the twist x_q . c(x_p), where c holds the
+    central coefficients of the horizontal fields (field_coefficients_batch).
+    A Point q gives a Point.  Rows give rows, with every twist from one
+    matrix-vector product, whose sums BLAS may order by a row's place in the
+    batch: a row's t can then differ from its Point product's in the last bits.
     """
-    _check_match(p, q)
-    twist = float(q.x @ field_coefficients(p))
-    return Point(p.x + q.x, p.t + q.t + twist)
+    rows = q.coords() if isinstance(q, Point) else np.asarray(q, dtype=float)
+    if rows.shape[-1] != p.x.size + 1:
+        raise ValueError(f"Dimension mismatch: width {p.x.size + 1} vs {rows.shape[-1]}.")
+    out = np.empty_like(rows)
+    out[..., :-1] = rows[..., :-1] + p.x
+    out[..., -1] = p.t + rows[..., -1] + rows[..., :-1] @ field_coefficients_batch(p.x)
+    return Point(out[:-1], out[-1]) if isinstance(q, Point) else out
 
 
 def inverse(p: Point) -> Point:
@@ -125,17 +126,13 @@ def dilate(lam: float, p: Point) -> Point:
     return Point(lam * p.x, lam * lam * p.t)
 
 
-def field_coefficients(p: Point) -> np.ndarray:
+def field_coefficients_batch(x: np.ndarray) -> np.ndarray:
     """Central coefficients c_j(x) of the horizontal fields X_j = d_j + c_j d_t.
 
+    x is one horizontal part (2n,) or an (m, 2n) array of them.
     c_1 = -x_{n+1}/2 and c_{n+1} = x_1/2 on the distinguished pair;
     c_j = -x_{j+n} and c_{j+n} = x_j on the remaining pairs.
     """
-    return field_coefficients_batch(p.x[None, :])[0]
-
-
-def field_coefficients_batch(x: np.ndarray) -> np.ndarray:
-    """Vectorised field_coefficients for an (m, 2n) array of horizontal parts."""
     x = np.asarray(x, dtype=float)
     n = _width_n(x)
     c = np.empty_like(x)

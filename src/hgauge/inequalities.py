@@ -74,22 +74,17 @@ class InequalityReport:
     name: str
     n_points: int
     min_margin: float
-    worst_point: object  # Point for clouds, a scalar location for grids
+    worst_point: Point  # the first cloud row attaining min_margin
     tolerance: float
     passed: bool
-    seed: Optional[int] = None
+    seed: int
 
     def as_dict(self) -> dict:
-        worst = self.worst_point
-        if isinstance(worst, Point):
-            worst = [float(v) for v in worst.coords()]
-        elif worst is not None:
-            worst = float(worst)
         return {
             "name": self.name,
             "n_points": self.n_points,
             "min_margin": self.min_margin,
-            "worst_point": worst,
+            "worst_point": [float(v) for v in self.worst_point.coords()],
             "tolerance": self.tolerance,
             "pass": self.passed,
             "seed": self.seed,

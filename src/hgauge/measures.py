@@ -9,15 +9,9 @@ The four families:
     alpha-power  g(N) = a N^p,             a > 0, p >= 4
 
 The carre-du-champ weight eta(N) = g'(N) / N^2 drives the coercive
-inequalities; its empirical mean anchors the feasibility grids.
-
-Two families of sufficient conditions are exposed as grid checks:
-
-    slope condition      g''(N) <= g'(N)^2 on a gauge grid
-    lsi conditions       g' nondecreasing, g(N) <= (c g'(N)/N^2)^(1/beta),
-                         and g''(N) < d g'(N)^2, all on {N >= 1}, where
-                         beta > 0 is the beta-LSI's own exponent (at most
-                         (p-3)/p for alpha-power), not the measure's
+inequalities; its empirical mean anchors the fitted constant D.  The
+beta-LSI's exponent beta is not the measure's: it is an argument of the
+LSI functions, checked once here (_check_beta).
 
 The samplers are plain random-walk Metropolis (default) and MALA on the
 (2n+1)-dimensional coordinate space.  Chains are reproducible: chain i of a
@@ -53,7 +47,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .group import GroupParams
-from .inequalities import InequalityReport
 from .norm import norm_batch, partials_batch
 
 __all__ = [
@@ -62,11 +55,7 @@ __all__ = [
     "SampleBatch",
     "g_value",
     "g_prime",
-    "g_second",
     "eta_weight",
-    "check_slope_condition",
-    "check_lsi_conditions",
-    "condition_grid_start",
     "run_chain",
     "run_chains",
     "batch_means_se",
@@ -135,135 +124,28 @@ def g_prime(spec: MeasureSpec, r: np.ndarray) -> np.ndarray:
     return spec.alpha * spec.p * r ** (spec.p - 1)
 
 
-def g_second(spec: MeasureSpec, r: np.ndarray) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    k = spec.k
-    if spec.family == "power":
-        return k * (k - 1) * r ** (k - 2)
-    if spec.family == "cosh-power":
-        rk = r ** k
-        return k * (k - 1) * r ** (k - 2) * np.sinh(rk) + (k * r ** (k - 1)) ** 2 * np.cosh(rk)
-    if spec.family == "power-log":
-        return (
-            k * (k - 1) * r ** (k - 2) * np.log1p(r)
-            + 2.0 * k * r ** (k - 1) / (1.0 + r)
-            - r ** k / (1.0 + r) ** 2
-        )
-    return spec.alpha * spec.p * (spec.p - 1) * r ** (spec.p - 2)
-
-
-def slope_ratio(spec: MeasureSpec, r: np.ndarray) -> np.ndarray:
-    """g''(N) / g'(N)^2 on the grid.
-
-    The cosh family needs a dedicated branch: sinh(N^k) overflows float64
-    near N^k ~ 710 while the ratio itself decays to zero, so it is evaluated
-    through csch and coth in the e^(-z) domain.
-    """
-    r = np.asarray(r, dtype=float)
-    if spec.family == "cosh-power":
-        k = spec.k
-        z = r ** k
-        ez = np.exp(-z)
-        denom = 1.0 - ez * ez
-        csch = 2.0 * ez / denom
-        coth = (1.0 + ez * ez) / denom
-        return ((k - 1.0) / (k * z)) * csch + coth * csch
-    gp = g_prime(spec, r)
-    return g_second(spec, r) / (gp * gp)
-
-
 def eta_weight(spec: MeasureSpec, r: np.ndarray) -> np.ndarray:
     """The carre-du-champ weight eta(N) = g'(N) / N^2."""
     r = np.asarray(r, dtype=float)
     return g_prime(spec, r) / (r * r)
 
 
-# -- condition grids ---------------------------------------------------------
-
-
-def condition_grid_start(spec: MeasureSpec) -> float:
-    """Left endpoint from which the slope condition holds for the family.
-
-    power: from 1.  cosh-power: from 3/2 (cosh N >= golden ratio fails below
-    ~1.0612 for k = 1).  power-log: from 1.05; the condition genuinely fails
-    on a short interval at the left end of {N >= 1} (for k = 3 it crosses
-    near N ~ 1.0103), and 1.05 clears the crossing for k up to 20.
-    alpha-power: from 1.
-    """
-    if spec.family == "cosh-power":
-        return 1.5
-    if spec.family == "power-log":
-        return 1.05
-    return 1.0
-
-
-def _worst_margin(
-    conditions: list[tuple[str, np.ndarray, np.ndarray]], n_points: int, strict: bool
-) -> InequalityReport:
-    """Report the smallest margin over (name, margins, radii) conditions.
-
-    A non-finite margin (an overflowed profile) ranks below every finite one
-    and fails, so the report names that condition and its first such radius.
-    Passing needs margin > 0 when strict, margin >= 0 otherwise.
-    """
-    worst = []
-    for name, margins, radii in conditions:
-        bad = np.flatnonzero(~np.isfinite(margins))
-        i = int(bad[0]) if bad.size else int(np.argmin(margins))
-        worst.append((bad.size == 0, float(margins[i]), name, float(radii[i])))
-    finite, margin, name, radius = min(worst, key=lambda w: w[:2])
-    return InequalityReport(
-        name=name,
-        n_points=n_points,
-        min_margin=margin,
-        worst_point=radius,
-        tolerance=0.0,
-        passed=finite and (margin > 0.0 if strict else margin >= 0.0),
-    )
-
-
-def check_slope_condition(spec: MeasureSpec, n_grid: np.ndarray) -> InequalityReport:
-    """g'(N)^2 - g''(N) >= 0 on the given grid, normalised by g'(N)^2."""
-    r = np.asarray(n_grid, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("Grid radii must be positive.")
-    return _worst_margin([("slope-condition", 1.0 - slope_ratio(spec, r), r)], r.size, False)
-
-
 def _check_beta(spec: MeasureSpec, beta: float) -> None:
-    """The one check of the beta-LSI exponent; a missing beta fails too."""
+    """The one check of the beta-LSI exponent; a missing beta fails too.
+
+    power is alpha-power with alpha = 1 and p = k, so one rule caps both:
+    N^2 g^beta / g' = alpha^(beta-1) N^(3-p+p beta) / p is bounded on
+    {N >= 1} exactly when beta <= (p-3)/p.
+    """
     if beta is None or not 0 < beta < math.inf:
         raise ValueError(f"Need a finite beta > 0, got {beta}.")
-    if spec.family == "alpha-power" and beta > (spec.p - 3) / spec.p:
-        raise ValueError(f"alpha-power family needs 0 < beta <= (p-3)/p, got beta={beta}.")
-
-
-def check_lsi_conditions(
-    spec: MeasureSpec, n_grid: np.ndarray, c: float, d: float, beta: float
-) -> InequalityReport:
-    """The three grid conditions behind the beta log-Sobolev bound.
-
-    Margins (all scale-free): relative increments of g', the ratio
-    1 - g / (c g'/N^2)^(1/beta), and 1 - g'' / (d g'^2).  The report carries
-    the worst of the three; a margin the profile overflows fails.
-    """
-    _check_beta(spec, beta)
-    if not (c > 0 and d > 0):
-        raise ValueError("Need c > 0 and d > 0.")
-    r = np.sort(np.asarray(n_grid, dtype=float))
-    if np.any(r < 1.0):
-        raise ValueError("LSI condition grid lives on {N >= 1}.")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        gp = g_prime(spec, r)
-        inc = np.diff(gp) / np.abs(gp[:-1])
-        m_grow = 1.0 - g_value(spec, r) / (c * gp / (r * r)) ** (1.0 / beta)
-        m_curv = 1.0 - slope_ratio(spec, r) / d
-    conditions = [
-        ("lsi-conditions(monotone-slope)", inc, r[:-1]),
-        ("lsi-conditions(beta-growth)", m_grow, r),
-        ("lsi-conditions(curvature)", m_curv, r),
-    ]
-    return _worst_margin(conditions, r.size, True)
+    name = {"power": "k", "alpha-power": "p"}.get(spec.family)
+    if name is not None:
+        p = getattr(spec, name)
+        if beta > (p - 3) / p:
+            raise ValueError(
+                f"{spec.family} family needs 0 < beta <= ({name}-3)/{name}, got beta={beta}."
+            )
 
 
 # -- samplers -----------------------------------------------------------------

@@ -313,15 +313,21 @@ def test_13_poincare_ratios(power4_chains, stability_chains, params6):
 
 def test_14_beta_lsi_feasibility(alpha_chain, params6):
     spec, batch = alpha_chain
-    res = coercive.fit_beta_lsi(coercive.default_family(params6), spec, batch, beta=0.25)
-    grid = np.geomspace(1.0, 1e4, 400)
-    cond = measures.check_lsi_conditions(spec, grid, c=0.5, d=1.0, beta=0.25)
-    ok = res.feasible and res.max_violation <= 0.0 and cond.min_margin >= TOL_MARGIN
+    beta, c, d = 0.25, 0.5, 1.0
+    res = coercive.fit_beta_lsi(coercive.default_family(params6), spec, batch, beta=beta)
+    # the conditions on {N >= 1} in closed form for g = a N^p: g' = a p N^(p-1)
+    # increases, N^2 g^beta / g' = a^(beta-1) N^(3-p+p beta) / p and
+    # g'' / g'^2 = (p-1) / (a p N^p) both peak at N = 1 when 3 - p + p beta <= 0
+    a, p = spec.alpha, spec.p
+    growth, curvature = a ** (beta - 1) / p, (p - 1) / (a * p)
+    conditions = a > 0 and p > 1 and 3 - p + p * beta <= 0 and growth <= c and curvature <= d
+    ok = res.feasible and res.max_violation <= 0.0 and conditions
     _check(
         14,
-        "beta log-Sobolev feasibility and grid conditions (alpha-power, beta=1/4)",
+        "beta log-Sobolev feasibility and closed-form conditions (alpha-power, beta=1/4)",
         ok,
-        f"fit violation {res.max_violation:.3e}, condition margin {cond.min_margin:.3e}",
+        f"fit violation {res.max_violation:.3e}, sup N^2 g^beta/g' {growth:.3g} (c = {c}), "
+        f"sup g''/g'^2 {curvature:.3g} (d = {d})",
     )
 
 

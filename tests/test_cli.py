@@ -221,6 +221,21 @@ def test_invalid_cloud_option_exits_2(capsys, before, after):
     assert json.loads(capsys.readouterr().err)["kind"] == "invalid"
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["norm eval --n 2 --x 1,0,0,0", "check fundamental --n 2 --points 10 --seed 1", "check constants",
+     "bgg compare --n 2 --points 5 --seed 1", "verify lsi --family power --k 4 --n 2 --seed 1 --beta 0.25"],
+    ids=lambda c: " ".join(c.split()[:2]),
+)
+def test_threads_outside_the_cloud_checks_exits_2(capsys, monkeypatch, command):
+    # only check lemma2|intermediate run a pool; elsewhere --threads would be inert
+    monkeypatch.setattr(measures, "run_chain", _no_chain)
+    assert main(["--no-timestamp", "--threads", "7", *command.split()]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "invalid"
+    assert err["error"] == f"--threads applies only to check lemma2|intermediate, not {' '.join(command.split()[:2])}."
+
+
 @pytest.mark.parametrize("points", ["0", "-2"])
 @pytest.mark.parametrize(
     "command",
@@ -362,6 +377,21 @@ def test_alpha_power_beta_cap_exits_2(capsys, monkeypatch):
         "kind": "invalid",
         "error": "alpha-power family needs 0 < beta <= (p-3)/p, got beta=0.3.",
     }
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [["--family", "power", "--k", "4"], ["--family", "alpha-power", "--alpha", "1", "--p", "4"]],
+    ids=["power", "alpha-power"],
+)
+def test_beta_cap_is_one_rule_for_power_and_alpha_power(capsys, measure):
+    # g = N^4 spelled either way caps beta at (4-3)/4: 0.5 exits 2, 0.25 runs
+    argv = ["--no-timestamp", "verify", "lsi", *measure, "--n", "6", "--seed", "1", "--steps", "2000", "--burn", "500"]
+    assert main(argv + ["--beta", "0.5"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "invalid" and "-3)/" in err["error"]
+    assert main(argv + ["--beta", "0.25"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["options"]["beta"] == 0.25
 
 
 @pytest.mark.parametrize(

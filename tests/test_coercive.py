@@ -251,10 +251,11 @@ def test_fit_beta_lsi_feasible():
 @pytest.mark.parametrize(
     "spec, beta",
     [(POWER4, 0.0), (POWER4, -1.0), (POWER4, math.nan), (POWER4, math.inf), (APOW, 0.0),
-     (APOW, 0.2501)],
+     (APOW, 0.2501), (POWER4, 0.2501)],
 )
 def test_fit_beta_lsi_rejects_bad_beta(batch, spec, beta):
-    # beta > 0 for every family, and beta <= (p-3)/p = 1/4 for alpha-power at p = 4
+    # beta > 0 for every family, and beta <= (p-3)/p = 1/4 for alpha-power at
+    # p = 4 and for power at k = 4, the same measure
     with pytest.raises(ValueError, match="beta"):
         fit_beta_lsi(default_family(PARAMS), spec, batch, beta=beta)
 

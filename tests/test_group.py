@@ -8,7 +8,6 @@ from hgauge.group import (
     Point,
     compose,
     dilate,
-    field_coefficients,
     field_coefficients_batch,
     inverse,
 )
@@ -36,7 +35,7 @@ def test_params_validation():
 def test_field_coefficients_frozen_example():
     # n = 2, x = (1, 2, 3, 4): first pair twists with weight 1/2, the
     # remaining pair with weight 1.
-    c = field_coefficients(Point(np.array([1.0, 2.0, 3.0, 4.0]), 0.0))
+    c = field_coefficients_batch(np.array([1.0, 2.0, 3.0, 4.0]))
     assert np.allclose(c, [-1.5, -4.0, 0.5, 2.0], atol=0, rtol=0)
 
 
@@ -46,7 +45,7 @@ def test_field_coefficients_batch_matches_single():
         x = rng.uniform(-2, 2, (40, 2 * n))
         batch = field_coefficients_batch(x)
         for i in range(40):
-            single = field_coefficients(Point(x[i], 0.0))
+            single = field_coefficients_batch(x[i])
             assert np.array_equal(batch[i], single)
 
 
@@ -54,7 +53,7 @@ def test_field_coefficients_skew_weights():
     for n in (2, 3, 4):
         rng = np.random.default_rng(n)
         x = rng.uniform(-2, 2, 2 * n)
-        c = field_coefficients(Point(x, 0.0))
+        c = field_coefficients_batch(x)
         # skew in each pair: the twist never moves along x itself
         assert abs(x @ c) < 1e-14
         # weight 1/2 on the distinguished pair (1, n+1), weight 1 elsewhere
@@ -74,6 +73,23 @@ def test_identity_and_inverse():
             assert np.allclose(q.x, p.x) and q.t == pytest.approx(p.t)
             r = compose(p, inverse(p))
             assert np.allclose(r.x, 0.0, atol=1e-12) and abs(r.t) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_compose_on_rows_equals_point_products(n):
+    # one group law for a Point and for rows: x bit for bit; t to the rounding
+    # of the twist, whose matrix-vector product BLAS may sum in another order
+    rng = np.random.default_rng(n)
+    p = _point(rng, GroupParams(n))
+    rows = rng.uniform(-3, 3, (50, 2 * n + 1))
+    out = compose(p, rows)
+    each = np.array([compose(p, Point(r[:-1], r[-1])).coords() for r in rows])
+    assert out.shape == rows.shape
+    assert np.array_equal(out[:, :-1], each[:, :-1])
+    scale = np.abs(p.t) + np.abs(rows[:, -1]) + np.abs(rows[:, :-1]) @ np.abs(field_coefficients_batch(p.x))
+    assert np.all(np.abs(out[:, -1] - each[:, -1]) <= 4 * np.finfo(float).eps * scale)
+    with pytest.raises(ValueError, match="Dimension mismatch"):
+        compose(p, rows[:, 1:])
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,12 +15,8 @@ from hgauge.measures import (
     MeasureSpec,
     SamplerConfig,
     batch_means_se,
-    check_lsi_conditions,
-    check_slope_condition,
-    condition_grid_start,
     eta_weight,
     g_prime,
-    g_second,
     g_value,
     run_chain,
     run_chains,
@@ -74,14 +70,6 @@ def test_g_prime_matches_fd(spec):
     assert np.allclose(g_prime(spec, r), fd, rtol=1e-7)
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
-def test_g_second_matches_fd(spec):
-    r = np.geomspace(0.3, 30.0, 40)
-    h = 1e-5 * r
-    fd = (g_prime(spec, r + h) - g_prime(spec, r - h)) / (2 * h)
-    assert np.allclose(g_second(spec, r), fd, rtol=1e-6)
-
-
 def test_eta_weight_definition():
     r = np.geomspace(0.5, 20.0, 30)
     assert np.allclose(eta_weight(POWER4, r), g_prime(POWER4, r) / (r * r), rtol=1e-13)
@@ -119,50 +107,7 @@ def test_grad_log_density_rejects_only_identity():
     assert np.all(np.isnan(exact[3]))
 
 
-# -- analytic conditions --------------------------------------------------------
-
-
-def test_condition_grid_starts():
-    assert condition_grid_start(POWER4) == pytest.approx(1.0)
-    assert condition_grid_start(COSH1) == pytest.approx(1.5)
-    assert condition_grid_start(PLOG3) == pytest.approx(1.05)
-    assert condition_grid_start(APOW) == pytest.approx(1.0)
-
-
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
-def test_slope_condition_on_documented_grid(spec):
-    grid = np.geomspace(condition_grid_start(spec), 1e4, 400)
-    report = check_slope_condition(spec, grid)
-    assert report.passed, report.min_margin
-
-
-def test_slope_condition_fails_at_left_end_for_power_log():
-    # at radius 1 the normalized slope margin is genuinely negative for k = 3;
-    # the documented grid therefore starts at 1.05
-    grid = np.array([1.0])
-    report = check_slope_condition(PLOG3, grid)
-    assert not report.passed
-    assert report.min_margin == pytest.approx(-0.03838035619930524, abs=1e-12)
-
-
-def test_slope_condition_crossing_point():
-    # margin crosses zero near 1.01012 for k = 3
-    lo = check_slope_condition(PLOG3, np.array([1.0101])).min_margin
-    hi = check_slope_condition(PLOG3, np.array([1.0102])).min_margin
-    assert lo < 0 < hi
-
-
-def test_power_log_grid_start_covers_larger_k():
-    for k in (3.0, 5.0, 10.0, 20.0):
-        spec = MeasureSpec(family="power-log", k=k)
-        grid = np.geomspace(1.05, 1e4, 300)
-        assert check_slope_condition(spec, grid).passed
-
-
-def test_lsi_conditions_feasible_point():
-    grid = np.geomspace(1.0, 1e4, 400)
-    report = check_lsi_conditions(APOW, grid, c=0.5, d=1.0, beta=0.25)
-    assert report.passed, report.min_margin
+# -- the beta-LSI exponent -------------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -171,39 +116,10 @@ def test_lsi_conditions_feasible_point():
      (POWER4, math.inf), (POWER4, None)],
 )
 def test_lsi_conditions_reject_bad_beta(spec, beta):
-    # beta is the beta-LSI's exponent, checked where it is used: finite and
-    # > 0, and for alpha-power at most (p-3)/p (0.3 > 1/4 at p = 4)
+    # beta is the beta-LSI's exponent, checked once: finite and > 0, and for
+    # alpha-power (and power, its alpha = 1 case) at most (p-3)/p: 0.3 > 1/4 at p = 4
     with pytest.raises(ValueError, match="beta"):
-        check_lsi_conditions(spec, np.geomspace(1.0, 10.0, 20), c=0.5, d=1.0, beta=beta)
-
-
-def test_lsi_beta_cap_is_alpha_power_only():
-    # (p-3)/p caps alpha-power alone; power takes beta = 0.3
-    report = check_lsi_conditions(POWER4, np.geomspace(1.0, 10.0, 20), c=0.5, d=1.0, beta=0.3)
-    assert report.n_points == 20
-
-
-def test_lsi_conditions_boundary_c():
-    # c = 1/4 is the exact boundary for beta = 1/4, p = 4
-    grid = np.geomspace(1.0, 1e4, 400)
-    bad = check_lsi_conditions(APOW, grid, c=0.2499, d=1.0, beta=0.25)
-    assert not bad.passed
-    assert "beta-growth" in bad.name
-    good = check_lsi_conditions(APOW, grid, c=0.2501, d=1.0, beta=0.25)
-    assert good.passed
-
-
-def test_lsi_conditions_fail_where_the_profile_overflows():
-    # sinh(N) overflows past N ~ 710: the slope increments turn non-finite,
-    # which fails and is named, not skipped by a NaN comparison
-    spec = MeasureSpec(family="cosh-power", k=1.0)
-    report = check_lsi_conditions(spec, np.geomspace(1.0, 1e4, 400), c=0.5, d=1.0, beta=0.5)
-    assert not report.passed
-    assert report.name == "lsi-conditions(monotone-slope)"
-    assert 700.0 < report.worst_point < 720.0
-    # below the overflow the family fails its growth condition, finitely
-    low = check_lsi_conditions(spec, np.geomspace(1.0, 700.0, 400), c=0.5, d=1.0, beta=0.5)
-    assert low.name == "lsi-conditions(beta-growth)" and np.isfinite(low.min_margin)
+        measures._check_beta(spec, beta)
 
 
 # -- sampler --------------------------------------------------------------------
