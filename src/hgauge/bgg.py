@@ -57,7 +57,7 @@ from typing import Callable
 import numpy as np
 
 from .group import GroupParams, Point, _check_n
-from .inequalities import draw_rows
+from .inequalities import BOX, _draw
 from .norm import ab_batch, wed
 
 __all__ = [
@@ -73,10 +73,7 @@ U_MAX = 4
 MIN_LEVEL = 3  # first level whose error estimate is trusted (h = 1/8)
 MAX_LEVEL = 9  # finest level (h = 1/512); a row not converged by then raises
 REL_TOL = 1e-11  # a row is done when two successive levels agree to this
-# compare_cloud's cloud: x in [-5, 5]^{2n} with |x| >= 0.1, t in [-25, 25]
-CLOUD_BOX = 5.0
-CLOUD_T_MAX = 25.0
-CLOUD_MIN_RADIUS = 0.1
+CLOUD_MIN_RADIUS = 0.1  # compare_cloud's cloud keeps |x| >= this in sample_cloud's box
 
 
 class QuadratureError(RuntimeError):
@@ -243,28 +240,28 @@ def compare_cloud(params: GroupParams, n_points: int, seed: int) -> dict:
 
     The whole cloud is integrated in one vectorised pass, row for row the
     same arithmetic as fundamental_solution_quad.  The cloud is one part
-    drawn by inequalities.draw_rows with CLOUD_BOX, CLOUD_T_MAX and
-    CLOUD_MIN_RADIUS: x stays clear of the central line, where the integral
-    representation is singular.  The summary's "identities" holds the n = 2
-    derivation steps (see _identities) checked on the cloud's own (A, B, t)
-    rows; I_2 depends on those alone, so they are checked for every n.  At
-    n = 2 the one quadrature of Re I_2 serves both the solution and the split.
+    drawn by inequalities._draw in sample_cloud's box, x in [-BOX, BOX]^{2n}
+    and t in [-BOX^2, BOX^2], with |x| >= CLOUD_MIN_RADIUS: x stays clear of
+    the central line, where the integral representation is singular.  Only
+    the worst row is stacked into coordinates.  The summary's "identities"
+    holds the n = 2 derivation steps (see _identities) checked on the cloud's
+    own (A, B, t) rows; I_2 depends on those alone, so they are checked for
+    every n.  At n = 2 the one quadrature of Re I_2 serves both the solution
+    and the split.
     """
-    coords = draw_rows(
-        params, seed, 0, n_points, CLOUD_BOX, CLOUD_T_MAX, CLOUD_MIN_RADIUS, None, (0, n_points)
-    )
-    a, b = ab_batch(coords[:, :-1])
-    t = coords[:, -1]
+    x, t = _draw(params, seed, 0, n_points, BOX, BOX * BOX, CLOUD_MIN_RADIUS, None, (0, n_points))
+    a, b = ab_batch(x)
     re_i = _re_rows(a, b, t, params.n)
     re_i2 = re_i if params.n == 2 else _re_rows(a, b, t, 2)
     closed = _closed(a, b, t, params.n)
     rel_errs = np.abs(_solution(re_i, params.n) - closed) / closed
+    worst = np.argmax(rel_errs)
     return {
         "n": params.n,
         "points": n_points,
         "seed": seed,
-        "max_rel_err": float(np.max(rel_errs)),
+        "max_rel_err": float(rel_errs[worst]),
         "mean_rel_err": float(np.mean(rel_errs)),
-        "worst_point": [float(v) for v in coords[np.argmax(rel_errs)]],
+        "worst_point": [float(v) for v in (*x[worst], t[worst])],
         "identities": _identities(a, b, t, re_i2),
     }

@@ -74,7 +74,7 @@ class Point:
         return self.t == other.t and np.array_equal(self.x, other.x)
 
     def __hash__(self) -> int:
-        return hash((self.x.tobytes(), self.t))
+        return hash((tuple(self.x.tolist()), self.t))  # -0.0 and 0.0 hash alike, as they compare
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
@@ -101,16 +101,17 @@ def compose(p: Point, q: Point | np.ndarray) -> Point | np.ndarray:
 
     The central coordinate picks up the twist x_q . c(x_p), where c holds the
     central coefficients of the horizontal fields (field_coefficients_batch).
-    A Point q gives a Point.  Rows give rows, with every twist from one
-    matrix-vector product, whose sums BLAS may order by a row's place in the
-    batch: a row's t can then differ from its Point product's in the last bits.
+    A Point q gives a Point.  Rows give rows; each row's twist is summed on
+    its own, so row i of compose(p, rows) equals compose(p, Point(row i)) bit
+    for bit, however the rows are batched.
     """
     rows = q.coords() if isinstance(q, Point) else np.asarray(q, dtype=float)
     if rows.shape[-1] != p.x.size + 1:
         raise ValueError(f"Dimension mismatch: width {p.x.size + 1} vs {rows.shape[-1]}.")
     out = np.empty_like(rows)
     out[..., :-1] = rows[..., :-1] + p.x
-    out[..., -1] = p.t + rows[..., -1] + rows[..., :-1] @ field_coefficients_batch(p.x)
+    twist = np.add.reduce(rows[..., :-1] * field_coefficients_batch(p.x), axis=-1)
+    out[..., -1] = p.t + rows[..., -1] + twist
     return Point(out[:-1], out[-1]) if isinstance(q, Point) else out
 
 

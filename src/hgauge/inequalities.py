@@ -52,7 +52,6 @@ from .norm import norm_batch, partials_batch
 
 __all__ = [
     "InequalityReport",
-    "draw_rows",
     "sample_cloud",
     "shell_cloud",
     "check_gradient_bounds",
@@ -89,15 +88,6 @@ class InequalityReport:
             "pass": self.passed,
             "seed": self.seed,
         }
-
-
-def _check_box(x_box: float, t_box: float, min_radius: float) -> None:
-    # x_box >= min_radius keeps the ball |x| < min_radius inside the box, so at
-    # least 1 - V_2n(1) / 2^2n of the rows (0.69 at 2n = 4) are kept
-    if not x_box >= min_radius:  # NaN fails too
-        raise ValueError(f"The x box {x_box!r} is below the exclusion radius {min_radius!r}.")
-    if not (math.isfinite(2.0 * x_box) and math.isfinite(2.0 * t_box)):
-        raise ValueError(f"The box widths 2*{x_box!r} and 2*{t_box!r} must be finite.")
 
 
 def _check_points(n_points: int) -> None:
@@ -141,9 +131,17 @@ def _draw(
     window: Optional[tuple[float, float]],
     span: tuple[int, int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """draw_rows as its columns: contiguous x of shape (rows, 2n) and t of shape (rows,)."""
+    """The one sampler behind every seeded cloud: rows span[0]:span[1] of an m-row part.
+
+    Row i takes x uniform in [-x_box, x_box]^{2n} from the PCG64 stream of
+    seed at positions origin + i*2n and t uniform in [-t_box, t_box] at
+    origin + m*2n + i.  A row with |x| < min_radius, or with window = (lo, hi)
+    and N outside (lo, hi), is redrawn in place from a stream keyed by
+    (seed, origin, span[0]), so a rejection moves no other row.  Every box is
+    a module constant at least min_radius wide.  Returns the columns: x of
+    shape (rows, 2n) and t of shape (rows,).
+    """
     _check_points(m)
-    _check_box(x_box, t_box, min_radius)
     dim = params.horizontal_dim
     a, b = span
     x = _uniform(seed, origin + a * dim, (b - a) * dim, -x_box, x_box).reshape(-1, dim)
@@ -163,31 +161,6 @@ def _draw(
         t[bad] = redraw.uniform(-t_box, t_box, bad.size)
         bad = bad[rejected(x[bad], t[bad])]
     return x, t
-
-
-def draw_rows(
-    params: GroupParams,
-    seed: int,
-    origin: int,
-    m: int,
-    x_box: float,
-    t_box: float,
-    min_radius: float,
-    window: Optional[tuple[float, float]],
-    span: tuple[int, int],
-) -> np.ndarray:
-    """The one sampler behind every seeded cloud: rows span[0]:span[1] of an m-row part.
-
-    Row i takes x uniform in [-x_box, x_box]^{2n} from the PCG64 stream of
-    seed at positions origin + i*2n and t uniform in [-t_box, t_box] at
-    origin + m*2n + i.  A row with |x| < min_radius, or with window = (lo, hi)
-    and N outside (lo, hi), is redrawn in place from a stream keyed by
-    (seed, origin, span[0]), so a rejection moves no other row.  Raises
-    ValueError when x_box < min_radius or a width 2 x_box or 2 t_box is not
-    a finite float.  The rows are drawn as x and t columns and stacked into
-    (rows, 2n+1) coordinate rows on return.
-    """
-    return np.column_stack(_draw(params, seed, origin, m, x_box, t_box, min_radius, window, span))
 
 
 _CHUNK = 1 << 15  # rows per span of sample_cloud
@@ -239,8 +212,11 @@ def shell_cloud(params: GroupParams, n_points: int, seed: int) -> np.ndarray:
 
     x in [-2, 2]^{2n} with |x| >= 1/2, t in [-3, 3] and 1/2 < N < 5: every
     row keeps its FD stencil clear of the central line and the identity.
+    Its callers take coordinate rows, so _draw's columns are stacked.
     """
-    return draw_rows(params, seed, 0, n_points, 2.0, 3.0, 0.5, (0.5, 5.0), (0, n_points))
+    return np.column_stack(
+        _draw(params, seed, 0, n_points, 2.0, 3.0, 0.5, (0.5, 5.0), (0, n_points))
+    )
 
 
 def _cloud_reports(

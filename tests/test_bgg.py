@@ -16,7 +16,7 @@ from hgauge.bgg import (
 )
 from hgauge.cli import main
 from hgauge.group import GroupParams, Point, dilate
-from hgauge.inequalities import draw_rows
+from hgauge.inequalities import BOX, _draw
 from hgauge.norm import norm_N
 
 # -- fundamental solution ------------------------------------------------------
@@ -95,14 +95,12 @@ def test_compare_cloud_rows_equal_scalar_quadrature(monkeypatch):
         params = GroupParams(n)
         seen.clear()
         compare_cloud(params, 30, seed=5)
-        coords = draw_rows(
-            params, 5, 0, 30, bgg.CLOUD_BOX, bgg.CLOUD_T_MAX, bgg.CLOUD_MIN_RADIUS, None, (0, 30)
-        )
+        x, t = _draw(params, 5, 0, 30, BOX, BOX * BOX, bgg.CLOUD_MIN_RADIUS, None, (0, 30))
         assert [k for k, _, _ in seen] == ([2] if n == 2 else [n, 2])
-        _, t, vals = seen[0]
-        assert t.tobytes() == coords[:, -1].tobytes()
+        _, seen_t, vals = seen[0]
+        assert seen_t.tobytes() == t.tobytes()
         seen.clear()
-        scalar = [fundamental_solution_quad(Point(r[:-1], r[-1])) for r in coords]
+        scalar = [fundamental_solution_quad(Point(xi, ti)) for xi, ti in zip(x, t)]
         assert np.array(scalar).tobytes() == bgg._solution(vals, n).tobytes()
 
 

@@ -151,6 +151,22 @@ def test_offset_bump_is_left_translate():
     assert np.allclose(OFFSET_BUMP.evaluate(_rows(coords))[0], want, atol=1e-12)
 
 
+def test_offset_bump_is_row_independent():
+    # a centre with twelve nonzero twist coefficients: each row's value and
+    # gradient have the same bytes alone as in its chain
+    params = GroupParams(6)
+    x = np.array([0.9, 0.4, -0.6, 0.5, 0.1, 0.7, 0.5, -0.3, 0.2, 0.3, 0.8, 0.4])
+    bump = coercive.TestFunction("bump(r=4)", coercive._bump(4.0), center=Point(x, 0.5))
+    chain = run_chain(POWER4, params, SamplerConfig(n_steps=3000, burn_in=500, seed=6), 0)
+    assert chain.coords.shape == (2500, 13)
+    vals, grad = bump.evaluate(chain)
+    assert np.count_nonzero(vals) > 2000
+    for i, row in enumerate(chain.coords):
+        one_val, one_grad = bump.evaluate(_rows(row[None, :]))
+        assert one_val.tobytes() == vals[i : i + 1].tobytes(), i
+        assert one_grad.tobytes() == grad[i : i + 1].tobytes(), i
+
+
 def test_family_shares_one_gauge_pass(batch, monkeypatch):
     # every origin-centred function reads the sampler's N and the batch's
     # cached |grad N|; only the offset bump makes a gauge pass of its own
