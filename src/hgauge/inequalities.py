@@ -26,6 +26,11 @@ T = N * |dN/dt|:
       block-slope-upper   (2n+1)/(4n) - |s_b|        >= 0
       time-slope-upper    (2n+1)/(4n) - T            >= 0
 
+Every margin is a function of (R, S, t) alone, so the checks build no
+PartialsBatch: R comes from the two pair columns, |x|^2 is one row dot with
+S = |x|^2 - R, and s_p, s_b and T are N^2 times the slopes over N that
+norm's (A, B, t) core returns.
+
 The coercivity side: for the splitting parameter a > 0 the objective
 
     f(a) = 2^-(5+2/n) - a/(2n) - (2n+1)^2/(a 2^5 n^3 (n-1)^2) - a/(n(n-1))
@@ -48,7 +53,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .group import GroupParams, Point, _check_n
-from .norm import norm_batch, partials_batch
+from .norm import _ab, _slopes, norm_batch
 
 __all__ = [
     "InequalityReport",
@@ -232,13 +237,16 @@ def _cloud_reports(
     margin_fn maps a span's columns x, of shape (rows, 2n), and t, of shape
     (rows,), to a (rows, k) margin matrix, best stored column by column (the
     transpose of a stacked (k, rows) array) so that each column's minimum
-    reads contiguous memory.  The cloud is never built: each of sample_cloud's
-    spans of _CHUNK rows draws its own x and t and keeps only its per-column
-    minima, with a coordinate row built only for the first row attaining
-    each, so time grows linearly and memory stays flat in n_points.  Spans run
-    on a pool of min(threads, os.cpu_count()) workers, one per CPU when
-    threads is None; threads below 1 raise ValueError.  The reports are those
-    of the whole sample_cloud.
+    reads contiguous memory.  Each row's margins must depend on that row
+    alone, with the same bits at any row offset and for x strided inside a
+    wider array, so that streamed and materialised clouds report alike; the
+    checks' margins read only (R, S, t), through _scale_free.  The cloud is
+    never built: each of sample_cloud's spans of _CHUNK rows draws its own x
+    and t and keeps only its per-column minima, with a coordinate row built
+    only for the first row attaining each, so time grows linearly and memory
+    stays flat in n_points.  Spans run on a pool of min(threads,
+    os.cpu_count()) workers, one per CPU when threads is None; threads below
+    1 raise ValueError.  The reports are those of the whole sample_cloud.
     """
     spans = _spans(n_points)
     cpus = os.cpu_count() or 1
@@ -273,6 +281,26 @@ def _cloud_reports(
     return out
 
 
+def _scale_free(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(R, S, |x|^2, s_p, s_b, T) of a span's (rows, 2n) x and (rows,) t.
+
+    Every cloud margin is a function of (R, S, t): s_p = N^2 g_pair,
+    s_b = N^2 g_block and T = N^2 |t g_time| come from norm's (A, B, t) core,
+    and no PartialsBatch is built.
+    """
+    n = x.shape[1] // 2
+    # |x|^2 as one row dot.  The samplers, grad_norms, fd and bgg keep _rs's
+    # np.add.reduce(x * x), whose bits the chain and report digests pin; the
+    # cloud margins have no pinned bits (the benchmark reads min_margin to a
+    # 1e-9 share), and _rs can take this line once those digests are re-recorded.
+    xsq = np.einsum("ij,ij->i", x, x)
+    r = x[:, 0] ** 2 + x[:, n] ** 2
+    s = xsq - r
+    nn, g_pair, g_block, g_time = _slopes(*_ab(r, s), t, n)
+    nsq = nn * nn
+    return r, s, xsq, nsq * g_pair, nsq * g_block, nsq * np.abs(t * g_time)
+
+
 _GRADIENT_NAMES = ("radial-lower", "gradient-lower", "gradient-upper")
 
 
@@ -289,10 +317,9 @@ def check_gradient_bounds(
     upper_const = (2 * n + 1) ** 2 / (2.0 ** 3 * n * n)
 
     def margins(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        pb = partials_batch(x, t)
-        xsq = pb.R + pb.S  # |x|^2
-        ratio = pb.N * pb.N * pb.grad_sq / xsq
-        m1 = pb.N * pb.x_dot / xsq + 1.0 / (4 * n)
+        r, s, xsq, sp, sb, tt = _scale_free(x, t)
+        ratio = (r * (sp * sp) + s * (sb * sb) + (0.25 * r + s) * (tt * tt)) / xsq
+        m1 = (r * sp + s * sb) / xsq + 1.0 / (4 * n)
         m2 = ratio - lower_const
         m3 = upper_const - ratio
         return np.stack([m1, m2, m3]).T
@@ -324,10 +351,7 @@ def check_partial_bounds(
     mixed_pair_const = 2.0 ** -(2.0 + 1.0 / n)
 
     def margins(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        pb = partials_batch(x, t)
-        sp = pb.N * pb.pair_slope
-        sb = pb.N * pb.block_slope
-        tt = pb.N * np.abs(pb.dN_dt)
+        sp, sb, tt = _scale_free(x, t)[3:]
         return np.stack(
             [
                 sp,

@@ -25,7 +25,9 @@ Derivatives have the factored form
 where the slope depends only on (A, B, t) and on whether j lies in the
 distinguished pair {1, n+1} or in a remaining pair.  The slopes are the
 natural objects for the pointwise inequalities, so the batch evaluator
-exposes them directly.
+exposes them directly.  Their formulas live in one private core over
+(A, B, t), _slopes, which returns N and each slope divided by N; its callers
+are partials_batch and the cloud margins of hgauge.inequalities.
 
 Every function reads n off its input: a Point's x has length 2n, a batch's
 horizontal part has 2n columns, and norm_field's coordinate rows have width
@@ -161,6 +163,28 @@ class PartialsBatch(NamedTuple):
         return self.dN_dx + field_coefficients_batch(self.x) * self.dN_dt[..., None]
 
 
+def _slopes(a, b, t, n: int):
+    """N and the slopes divided by N, (N, g_pair, g_block, g_time), from (A, B, t).
+
+    pair_slope = N g_pair, block_slope = N g_block and time_slope = N g_time;
+    the scale-free products N * slope of the cloud bounds are N^2 g.  The one
+    home of the slope formulas: partials_batch and the cloud margins share it.
+    """
+    w, e, d = wed(a, b, t)
+    p = w * w
+    fourn = 4.0 * n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mid = ((2 * n - 1) / fourn) * e / d
+        g_pair = b / (fourn * p) + mid * (1.0 + a / (2.0 * w)) - 1.0 / (4.0 * w)
+        g_block = 2.0 * b / (fourn * p) + mid * (1.0 + a / w) - 1.0 / (2.0 * w)
+        g_time = (
+            1.0 / (2.0 * n * p)
+            + ((2 * n - 1) / fourn) * (2.0 * w + a) / (w * d)
+            - 1.0 / (2.0 * w * e)
+        )
+    return _gauge(w, e, d, n), g_pair, g_block, g_time
+
+
 def partials_batch(x: np.ndarray, t: np.ndarray) -> PartialsBatch:
     """Exact gauge derivatives on an (m, 2n) x (m,) batch, in one pass.
 
@@ -175,24 +199,9 @@ def partials_batch(x: np.ndarray, t: np.ndarray) -> PartialsBatch:
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    n = x.shape[-1] // 2
     r, s = _rs(x)
     a, b = _ab(r, s)
-    w, e, d = wed(a, b, t)
-    p = w * w
-    nn = _gauge(w, e, d, n)
-
-    fourn = 4.0 * n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mid = ((2 * n - 1) / fourn) * e / d
-        g_pair = b / (fourn * p) + mid * (1.0 + a / (2.0 * w)) - 1.0 / (4.0 * w)
-        g_block = 2.0 * b / (fourn * p) + mid * (1.0 + a / w) - 1.0 / (2.0 * w)
-        g_time = (
-            1.0 / (2.0 * n * p)
-            + ((2 * n - 1) / fourn) * (2.0 * w + a) / (w * d)
-            - 1.0 / (2.0 * w * e)
-        )
-
+    nn, g_pair, g_block, g_time = _slopes(a, b, t, x.shape[-1] // 2)
     pair_slope = nn * g_pair
     block_slope = nn * g_block
     time_slope = nn * g_time

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hgauge import bgg, inequalities
 from hgauge.group import GroupParams
-from hgauge.norm import norm_batch
+from hgauge.norm import norm_batch, partials_batch
 from hgauge.inequalities import (
     EXCLUSION,
     TOLERANCE,
@@ -243,8 +243,8 @@ def test_shell_cloud_redraws_in_place():
     assert hashlib.sha256(cloud.tobytes()).hexdigest()[:32] == "b1c368ee04b9eb0e43c7d4976e4403a2"
 
 
-def _materialised_reports(check, params, m, seed, monkeypatch):
-    """(min_margin, worst row) per column of margin_fn over the whole sample_cloud."""
+def _margin_fn(check, params, seed, monkeypatch):
+    """The margin_fn that check hands to _cloud_reports."""
     captured = []
     reports = inequalities._cloud_reports
 
@@ -255,8 +255,13 @@ def _materialised_reports(check, params, m, seed, monkeypatch):
     monkeypatch.setattr(inequalities, "_cloud_reports", capture)
     check(params, 1, seed)
     monkeypatch.setattr(inequalities, "_cloud_reports", reports)
+    return captured[0]
+
+
+def _materialised_reports(check, params, m, seed, monkeypatch):
+    """(min_margin, worst row) per column of margin_fn over the whole sample_cloud."""
     coords = sample_cloud(params, m, seed)
-    margins = captured[0](coords[:, :-1], coords[:, -1])
+    margins = _margin_fn(check, params, seed, monkeypatch)(coords[:, :-1], coords[:, -1])
     worst = np.argmin(margins, axis=0)
     return [(margins[w, i], coords[w]) for i, w in enumerate(worst)]
 
@@ -278,6 +283,48 @@ def test_streamed_reports_equal_materialised_cloud(n, m, box, monkeypatch):
             for r, (value, row) in zip(got, want):
                 assert r.min_margin == value, (check.__name__, threads, r.name)
                 assert r.worst_point.coords().tobytes() == row.tobytes(), (check.__name__, threads, r.name)
+
+
+def _reference_margins(check, x, t, n):
+    """The margins as read off partials_batch's record, field by field."""
+    pb = partials_batch(x, t)
+    if check is check_gradient_bounds:
+        xsq = pb.R + pb.S
+        ratio = pb.N * pb.N * pb.grad_sq / xsq
+        m1 = pb.N * pb.x_dot / xsq + 1.0 / (4 * n)
+        return np.stack([m1, ratio - 2.0 ** -(5.0 + 2.0 / n), (2 * n + 1) ** 2 / (8.0 * n * n) - ratio]).T
+    sp, sb = pb.N * pb.pair_slope, pb.N * pb.block_slope
+    tt = pb.N * np.abs(pb.dN_dt)
+    top = (2 * n + 1) / (4.0 * n)
+    return np.stack(
+        [
+            sp,
+            0.5 - np.abs(sp),
+            sb + 1.0 / (4 * n),
+            np.abs(sb) + tt - (2 * n - 1) / (2.0 ** (1.0 / n + 2.0) * n),
+            np.abs(sp) + 0.5 * tt - 2.0 ** -(2.0 + 1.0 / n),
+            top - np.abs(sb),
+            top - tt,
+        ]
+    ).T
+
+
+@pytest.mark.parametrize("n", [2, 6, 10])
+@pytest.mark.parametrize("check", [check_gradient_bounds, check_partial_bounds])
+def test_margins_match_partials_batch_reference(check, n, monkeypatch):
+    # the margins come from (R, S, t) with |x|^2 as one row dot; every
+    # margin is bounded by 1, so rounding leaves each row within a few eps
+    # of the record's formulas, and no column's worst row moves
+    params, m, seed = GroupParams(n), 40_000, 500 + n
+    coords = sample_cloud(params, m, seed)
+    x, t = coords[:, :-1], coords[:, -1]
+    got = _margin_fn(check, params, seed, monkeypatch)(x, t)
+    want = _reference_margins(check, x, t, n)
+    assert got.shape == want.shape == (m, len(want[0]))
+    assert np.max(np.abs(got - want)) <= 64 * np.finfo(float).eps
+    m_box = (3 * m) // 4
+    for rows in (slice(0, m_box), slice(m_box, m), slice(0, m)):  # box, radial, all
+        assert np.array_equal(np.argmin(got[rows], axis=0), np.argmin(want[rows], axis=0)), rows
 
 
 def test_streamed_check_never_builds_the_cloud(monkeypatch):

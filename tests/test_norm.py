@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,31 @@ def test_nan_and_identity_rows(n):
     for v in (pb.pair_slope, pb.block_slope, pb.time_slope, pb.grad_sq, pb.x_dot):
         assert np.all(np.isnan(v[:3])) and np.isfinite(v[3])
     assert pb.grad_sq[3] == partials_batch(x[3:], t[3:]).grad_sq[0]
+
+
+# sha256 prefixes of every PartialsBatch field (NaN canonicalised) on
+# sample_cloud's box and radial rows, nine central-line rows and the identity:
+# the kernel's own bytes, which the chain and report digests cover only
+# through the samplers
+PARTIALS_DIGESTS = {
+    2: "e7c969e34740da15ff50ac1b023aa418",
+    6: "3b025da40419ca39cce864eec1950d5a",
+    10: "00f8a7cb2e4ebb5c17b259ebd50d581f",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PARTIALS_DIGESTS))
+def test_partials_batch_digests(n):
+    coords = sample_cloud(GroupParams(n), 2000, seed=400 + n)  # 1500 box rows, 500 radial
+    x = np.vstack([coords[:, :-1], np.zeros((9, 2 * n))])
+    t = np.concatenate([coords[:, -1], np.linspace(-25.0, 25.0, 9)])  # t = 0 is the identity
+    pb = partials_batch(x, t)
+    assert np.isnan(pb.pair_slope[2004]) and pb.N[2004] == 0.0
+    h = hashlib.sha256()
+    for name in ("N", "A", "B", "R", "S", "pair_slope", "block_slope", "time_slope", "dN_dt"):
+        field = getattr(pb, name)
+        h.update(np.where(np.isnan(field), np.nan, field).tobytes())
+    assert h.hexdigest()[:32] == PARTIALS_DIGESTS[n]
 
 
 # -- derivatives --------------------------------------------------------------
