@@ -28,7 +28,7 @@ from .coercive import (
     ubound_terms,
 )
 from .fd import fd_gradient, infinity_laplacian_witness
-from .group import GroupParams, Point, compose, dilate, inverse
+from .group import GroupParams, Point, compose, inverse
 from .inequalities import (
     InequalityReport,
     alpha_opt,
@@ -69,7 +69,6 @@ __all__ = [
     "compare_cloud",
     "compose",
     "default_family",
-    "dilate",
     "eta_weight",
     "exact_partials",
     "fd_gradient",

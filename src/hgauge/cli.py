@@ -5,8 +5,8 @@ Subcommands:
     norm eval               gauge value and exact derivatives at one point
     check lemma2            gradient bounds over a seeded cloud
     check intermediate      per-coordinate slope bounds over a seeded cloud
-    check fundamental       FD harmonicity of N^(2-Q) vs truncation + roundoff
-    check infinity-harmonic infinity-Laplacian witness vs FD noise floor
+    check fundamental       exact harmonicity residual of N^(2-Q) vs rounding
+    check infinity-harmonic exact infinity-Laplacian of N vs its rounding floor
     check constants         coercivity margins and stationarity over a range of n
     bgg compare             quadrature vs closed-form fundamental solution,
                             and the n = 2 integral identities behind it
@@ -16,11 +16,12 @@ Subcommands:
 Reports embed the full run configuration; identical configurations give
 byte-identical reports once --no-timestamp is passed.  The numerical
 settings are fixed, not flags, so a pass means the same on every run: the
-quadrature tolerance bgg.REL_TOL, the bgg compare gate BGG_GATE, the FD
-steps fd.H_FIRST and fd.HARMONICITY_STEP, and the bound tolerance
-inequalities.TOLERANCE.  Reports are strict JSON.  Exit status: 0 all
-checks passed, 1 a check failed, 2 invalid configuration (an output path
-that cannot be written included), 3 numerical breakdown (a mis-tuned
+quadrature tolerance bgg.REL_TOL, the bgg compare gate BGG_GATE, the
+check fundamental gate FUNDAMENTAL_GATE, the witness floor fd.FLOOR_EPS,
+and the bound tolerance inequalities.TOLERANCE.  Reports are strict JSON.
+Exit status: 0 all checks passed, 1 a check failed, 2 invalid
+configuration (an output path that cannot be written, or --output and
+--out naming one file, included), 3 numerical breakdown (a mis-tuned
 chain, a quadrature that did not converge, a report that holds a
 non-finite number).
 """
@@ -38,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import bgg, coercive, fd, inequalities, measures
+from . import bgg, coercive, fd, inequalities, measures, norm
 from .group import GroupParams, Point
 from .norm import exact_partials, norm_N
 
@@ -47,6 +48,9 @@ __all__ = ["RunConfig", "build_parser", "run", "main"]
 SCHEMA_VERSION = 1
 # bgg compare passes when max_rel_err and each n = 2 identity are at most this
 BGG_GATE = 1e-8
+# check fundamental passes when every |residual| <= FUNDAMENTAL_GATE eps
+# sum |terms|; on shell clouds the ratio stays below 5
+FUNDAMENTAL_GATE = 32.0
 
 
 @dataclass(frozen=True)
@@ -133,20 +137,21 @@ def _cmd_check_cloud(cfg: RunConfig, which: str) -> tuple[dict, bool]:
 
 
 def _cmd_check_fundamental(cfg: RunConfig) -> tuple[dict, bool]:
-    """FD harmonicity of N^(2-Q) on inequalities.shell_cloud (1/2 < N < 5)."""
+    """Exact harmonicity residual of N^(2-Q) on inequalities.shell_cloud (1/2 < N < 5)."""
     o = cfg.options
     params = GroupParams(o["n"])
     coords = inequalities.shell_cloud(params, o["points"], o["seed"])
-    check = fd.harmonicity_check(coords, fd.HARMONICITY_STEP)
+    # the exponent 2 - Q of the fundamental solution, Q = 2n + 2
+    residual, scale = norm._harmonicity_residual(coords[:, :-1], coords[:, -1], -2 * params.n)
+    ratio = np.abs(residual) / (np.finfo(float).eps * scale)
+    passed = bool(np.all(ratio <= FUNDAMENTAL_GATE))
     return {
         "points": o["points"],
-        "h_base": fd.HARMONICITY_STEP,
-        "max_abs_residual": float(np.max(np.abs(check.residual))),
-        "mean_abs_residual": float(np.mean(np.abs(check.residual))),
-        "mean_truncation_estimate": float(np.mean(check.estimate)),
-        "mean_roundoff_floor": float(np.mean(check.floor)),
-        "bounded_by_truncation": check.passed,
-    }, check.passed
+        "max_abs_residual": float(np.max(np.abs(residual))),
+        "max_rounding_ratio": float(np.max(ratio)),
+        "rounding_gate": FUNDAMENTAL_GATE,
+        "within_rounding": passed,
+    }, passed
 
 
 def _cmd_check_infinity(cfg: RunConfig) -> tuple[dict, bool]:
@@ -458,8 +463,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     made = []  # the files this run created; a run that fails leaves none behind
     try:
+        out = cfg.options.get("out")
+        if cfg.output_path and out and os.path.realpath(cfg.output_path) == os.path.realpath(out):
+            raise ValueError(f"--output and --out name the same file, {out!r}.")
         # each output path is created before the run, so an unwritable one fails at once
-        for path in (cfg.output_path, cfg.options.get("out")):
+        for path in (cfg.output_path, out):
             if path:
                 open(path, "w").close()
                 made.append(path)

@@ -18,7 +18,6 @@ __all__ = [
     "Point",
     "compose",
     "inverse",
-    "dilate",
     "field_coefficients_batch",
 ]
 
@@ -118,13 +117,6 @@ def compose(p: Point, q: Point | np.ndarray) -> Point | np.ndarray:
 def inverse(p: Point) -> Point:
     """Group inverse; coordinate negation."""
     return Point(-p.x, -p.t)
-
-
-def dilate(lam: float, p: Point) -> Point:
-    """Anisotropic dilation delta_lam(x, t) = (lam x, lam^2 t), lam > 0."""
-    if not lam > 0:
-        raise ValueError(f"Dilation factor must be positive, got {lam}.")
-    return Point(lam * p.x, lam * lam * p.t)
 
 
 def field_coefficients_batch(x: np.ndarray) -> np.ndarray:

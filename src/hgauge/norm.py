@@ -1,4 +1,4 @@
-"""Closed-form homogeneous gauge N and its exact first derivatives.
+"""Closed-form homogeneous gauge N and its exact first and second derivatives.
 
 Writing R = x_1^2 + x_{n+1}^2 for the distinguished pair and S for the sum of
 the remaining squared horizontal coordinates, the gauge is built from the two
@@ -29,14 +29,23 @@ exposes them directly.  Their formulas live in one private core over
 (A, B, t), _slopes, which returns N and each slope divided by N; its callers
 are partials_batch and the cloud margins of hgauge.inequalities.
 
-Every function reads n off its input: a Point's x has length 2n, a batch's
-horizontal part has 2n columns, and norm_field's coordinate rows have width
-2n + 1.  A horizontal width that is odd or below 4 raises ValueError.
+Second derivatives come from a second private kernel, _second_order: N with
+its gradient and Hessian in (R, S, t).  As x_j c_j + x_{j+n} c_{j+n} = 0 in
+every pair, d_j c_j = 0 and sum_j c_j^2 = R/4 + S, functions of (R, S, t)
+satisfy the reduced formulas that _harmonicity_residual and
+_infinity_laplacian evaluate:
+
+    L F = 4R F_RR + 4F_R + 4S F_SS + 4(n-1) F_S + (R/4 + S) F_tt,
+    <grad_H F, grad_H G> = 4R F_R G_R + 4S F_S G_S + (R/4 + S) F_t G_t.
+
+Every function reads n off its input: a Point's x has length 2n and a
+batch's horizontal part has 2n columns.  A horizontal width that is odd or
+below 4 raises ValueError.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +59,6 @@ __all__ = [
     "norm_batch",
     "exact_partials",
     "partials_batch",
-    "norm_field",
-    "npow_field",
 ]
 
 
@@ -232,16 +239,80 @@ def exact_partials(p: Point) -> PartialsBatch:
     return PartialsBatch._make(f[0] for f in partials_batch(p.x[None, :], np.asarray([p.t])))
 
 
-def norm_field(coords: np.ndarray) -> np.ndarray:
-    """Vectorised N on (m, 2n+1) coordinate rows; n >= 2 is read off their width."""
-    coords = np.asarray(coords, dtype=float)
-    return norm_batch(coords[..., :-1], coords[..., -1])
+# d(A, B, t) / d(R, S, t), from A = R/2 + S/2 and B = R/4 + S/2
+_JAC = np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.0], [0.0, 0.0, 1.0]])
 
 
-def npow_field(power: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorised N^power; power may be negative (singular at the identity)."""
+def _second_order(x: np.ndarray, t: np.ndarray):
+    """R, S, N, and N's gradient (3, m) and Hessian (3, 3, m) in (R, S, t).
 
-    def field(coords: np.ndarray) -> np.ndarray:
-        return norm_field(coords) ** power
+    log N = log P / 4n + (1/2 - 1/4n) log D - log E / 2 is differentiated
+    twice in (A, B, t) and carried to (R, S, t) by _JAC; N_i = N u_i and
+    N_ij = N (u_ij + u_i u_j) for u = log N.  N has norm_batch's bits.
+    Products such as W^3 D have degree 10 under the dilations, so they
+    overflow above a scale of about 1e30 and underflow below 1e-30.
+    """
+    r, s = _rs(x)
+    a, b = _ab(r, s)
+    n = x.shape[-1] // 2
+    w, e, d = wed(a, b, t)
+    p, we, wd = w * w, w * e, w * d
+    w3 = w * p
+    alpha, beta = 0.25 / n, 0.5 - 0.25 / n
+    # first derivatives of log P, log E and log D in (A, B, t); P and E miss A
+    p_b, p_t = 2.0 * b / p, 2.0 * t / p
+    e_b, e_t = 1.0 / w, t / we
+    d_a, d_b, d_t = e / d, a * e / wd, (a * t / w + 2.0 * t) / d
+    u_a = beta * d_a
+    u_b = alpha * p_b + beta * d_b - 0.5 * e_b
+    u_t = alpha * p_t + beta * d_t - 0.5 * e_t
+    # second derivatives: (log F)_ij = F_ij / F - (F_i / F)(F_j / F)
+    u_aa = -beta * d_a * d_a
+    u_ab = beta * (e / wd - d_a * d_b)
+    u_at = beta * (t / wd - d_a * d_t)
+    u_bb = alpha * (2.0 / p - p_b * p_b) + beta * (a * t * t / (w3 * d) - d_b * d_b) + 0.5 * b / w3
+    u_bt = -alpha * p_b * p_t - beta * (a * b * t / (w3 * d) + d_b * d_t) + 0.5 * t / w3
+    u_tt = (
+        alpha * (2.0 / p - p_t * p_t)
+        + beta * ((a * b * b / w3 + 2.0) / d - d_t * d_t)
+        - 0.5 * (1.0 / we - e_t * e_t * (1.0 + e / w))
+    )
+    g = np.einsum("ai,am->im", _JAC, np.stack([u_a, u_b, u_t]))
+    h = np.stack([u_aa, u_ab, u_at, u_ab, u_bb, u_bt, u_at, u_bt, u_tt]).reshape(3, 3, -1)
+    h = np.einsum("ai,abm,bj->ijm", _JAC, h, _JAC)
+    nn = _gauge(w, e, d, n)
+    return r, s, nn, nn * g, nn * (h + g[:, None] * g[None, :])
 
-    return field
+
+def _horizontal_dot(r, s, f, g):
+    """<grad_H F, grad_H G> from (R, S, t) gradients f and g; g may be a Hessian."""
+    return 4.0 * r * f[0] * g[0] + 4.0 * s * f[1] * g[1] + (0.25 * r + s) * f[2] * g[2]
+
+
+def _harmonicity_residual(x: np.ndarray, t: np.ndarray, power: float):
+    """L N + (power - 1) |grad_H N|^2 / N, and the sum of its terms' magnitudes.
+
+    L N^p = p N^(p-1) (L N + (p - 1) |grad_H N|^2 / N), so the residual is
+    zero exactly where N^power is L-harmonic; power = 2 - Q is the
+    fundamental solution's, and power = 1 gives L N itself.  The magnitude
+    sum sets the scale of the residual's rounding error.
+    """
+    r, s, nn, grad, hess = _second_order(x, t)
+    k = 4.0 * (x.shape[-1] // 2 - 1)  # 4(n - 1)
+    terms = (4.0 * r * hess[0, 0], 4.0 * grad[0], 4.0 * s * hess[1, 1], k * grad[1])
+    terms += ((0.25 * r + s) * hess[2, 2], (power - 1) * _horizontal_dot(r, s, grad, grad) / nn)
+    return sum(terms), sum(np.abs(term) for term in terms)
+
+
+def _infinity_laplacian(x: np.ndarray, t: np.ndarray):
+    """Delta_inf N = 1/2 <grad_H G, grad_H N> with G = |grad_H N|^2; returns (value, G, N).
+
+    G's coefficients 4R, 4S and R/4 + S add 4 N_R^2 + N_t^2 / 4 to G_R and
+    4 N_S^2 + N_t^2 to G_S; the rest of grad G is 2 <grad_H N, grad_H N_i>.
+    """
+    r, s, nn, grad, hess = _second_order(x, t)
+    g_sq = _horizontal_dot(r, s, grad, grad)
+    grad_g = 2.0 * _horizontal_dot(r, s, grad, hess)
+    grad_g[0] += 4.0 * grad[0] * grad[0] + 0.25 * grad[2] * grad[2]
+    grad_g[1] += 4.0 * grad[1] * grad[1] + grad[2] * grad[2]
+    return 0.5 * _horizontal_dot(r, s, grad_g, grad), g_sq, nn

@@ -9,16 +9,33 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from hgauge.group import GroupParams
+from hgauge.group import GroupParams, Point
 from hgauge.measures import MeasureSpec, SamplerConfig, run_chain, run_chains
+from hgauge.norm import norm_batch
 
 ACCEPTANCE_LINES: list[str] = []
 
 
 def record_line(line: str) -> None:
     ACCEPTANCE_LINES.append(line)
+
+
+# the first-difference step of the fd_gradient cross-checks
+FD_STEP = 1e-6
+
+
+def dilate(lam: float, p: Point) -> Point:
+    """The dilation delta_lam(x, t) = (lam x, lam^2 t)."""
+    return Point(lam * p.x, lam * lam * p.t)
+
+
+def norm_field(coords: np.ndarray) -> np.ndarray:
+    """N on (m, 2n+1) coordinate rows, the form the stencils of hgauge.fd take."""
+    coords = np.asarray(coords, dtype=float)
+    return norm_batch(coords[..., :-1], coords[..., -1])
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dilate
+
 from hgauge import bgg
 from hgauge.bgg import (
     QuadratureError,
@@ -15,7 +17,7 @@ from hgauge.bgg import (
     solution_constant,
 )
 from hgauge.cli import main
-from hgauge.group import GroupParams, Point, dilate
+from hgauge.group import GroupParams, Point
 from hgauge.inequalities import BOX, _draw
 from hgauge.norm import norm_N
 

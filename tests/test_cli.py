@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 import hgauge
-from hgauge import fd, measures
-from hgauge.cli import RunConfig, _write_csv_rows, build_parser, config_from_args, main, run
+from hgauge import measures, norm
+from hgauge.cli import FUNDAMENTAL_GATE, RunConfig, _write_csv_rows, build_parser, config_from_args, main, run
 from hgauge.group import GroupParams
-from hgauge.norm import npow_field
 
 
 def _run_json(capsys, argv):
@@ -69,12 +68,12 @@ def test_reports_are_byte_identical(capsys):
 
 
 # sha256 prefixes of `check infinity-harmonic` reports and their exit
-# status: the witness value, noise floor and verdict are pinned byte for byte
+# status: the exact value, rounding floor and verdict are pinned byte for byte
 INFINITY_REPORTS = {
-    "16b86a3e7cda825d808a0e78b571ce5f": ("--n 2", 0),
-    "ab173c441e113db407cb9a0712ad0d62": ("--n 3", 0),
-    "814100ea22c1345692bf63924f47ad70": ("--n 6", 0),
-    "01ba249315622c2210c2a1ad6b8c0c0c": ("--n 2 --x 1,0,1,0 --t 0", 1),
+    "cf59820d15e9d89f1d28d7131c33a42c": ("--n 2", 0),
+    "de3abf657ed8d5e4c02d36fb328449f0": ("--n 3", 0),
+    "e1c098244ed9c892680bfbd64c6c1338": ("--n 6", 0),
+    "793cf181686b731c4e794889c614c483": ("--n 2 --x 1,0,1,0 --t 0", 1),
 }
 
 
@@ -114,8 +113,9 @@ def test_central_line_reports(capsys):
 
 @pytest.mark.parametrize("x, t", [("1e200,0,0,0", "0.3"), ("1e42,0,0,0", "1e84")])
 def test_overflowing_witness_exits_3(capsys, x, t):
-    # valid input whose gradient (first case) or stencil (second) overflows:
-    # a numerical breakdown, reported without a RuntimeWarning
+    # valid input whose squared coordinates (first case) or second-order
+    # kernel (second) overflow: a numerical breakdown, reported without a
+    # RuntimeWarning
     argv = ["--no-timestamp", "check", "infinity-harmonic", "--n", "2", "--x", x, "--t", t]
     assert main(argv) == 3
     captured = capsys.readouterr()
@@ -186,21 +186,24 @@ FUNDAMENTAL = [
 
 
 def test_check_fundamental_roundoff_floor(capsys):
-    # one point of this cloud has a roundoff residual (~2e-12) above its
-    # truncation estimate; the roundoff floor admits it
+    # the exact residual is rounding alone: nonzero, and at every point
+    # within FUNDAMENTAL_GATE eps times the sum of its terms' magnitudes
     status, report = _run_json(capsys, FUNDAMENTAL)
-    assert status == 0
-    assert report["results"]["bounded_by_truncation"] is True
+    res = report["results"]
+    assert status == 0 and res["within_rounding"] is True
+    assert 0 < res["max_abs_residual"] < 1e-13
+    assert 0 < res["max_rounding_ratio"] <= res["rounding_gate"] == FUNDAMENTAL_GATE
 
 
 def test_check_fundamental_rejects_non_harmonic_power(capsys, monkeypatch):
-    # N^(2-Q+1e-4) is not harmonic: its residual clears estimate and floor
-    monkeypatch.setattr(fd, "npow_field", lambda power: npow_field(power + 1e-4))
+    # N^(2-Q+1e-4) is not harmonic: its residual is ~1e10 rounding units
+    residual = norm._harmonicity_residual
+    monkeypatch.setattr(norm, "_harmonicity_residual", lambda x, t, power: residual(x, t, power + 1e-4))
     status, report = _run_json(capsys, FUNDAMENTAL)
     assert status == 1
     res = report["results"]
-    assert res["bounded_by_truncation"] is False
-    assert res["max_abs_residual"] > 1e3 * res["mean_roundoff_floor"]
+    assert res["within_rounding"] is False
+    assert res["max_rounding_ratio"] > 1e8 * res["rounding_gate"]
 
 
 def test_invalid_n_exits_2(capsys):
@@ -328,6 +331,21 @@ def test_unwritable_path_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert err["kind"] == "invalid"
     assert str(missing) in err["error"]
     assert not missing.exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--step", "1e-9"]], ids=["run", "mis-tuned"])
+def test_output_and_out_naming_one_file_exits_2(tmp_path, capsys, monkeypatch, extra):
+    # the report would overwrite the samples, and a failed run would remove
+    # the file twice; the paths are compared once resolved, before any chain
+    monkeypatch.setattr(measures, "run_chain", _no_chain)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--no-timestamp", "--output", "f", "measure", "sample", "--family", "power", "--k", "4", "--n", "2"]
+    argv += ["--seed", "1", "--steps", "600", "--burn", "100", "--out", str(tmp_path / "f"), *extra]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "invalid"
+    assert "same file" in err["error"]
+    assert not (tmp_path / "f").exists()
 
 
 @pytest.mark.parametrize(

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dilate
+
 from hgauge.group import (
     GroupParams,
     Point,
     compose,
-    dilate,
     field_coefficients_batch,
     inverse,
 )
@@ -112,13 +113,6 @@ def test_dilation_is_homomorphism(xa, xb, lam, ta, tb):
     right = compose(dilate(lam, a), dilate(lam, b))
     assert np.allclose(left.x, right.x, rtol=1e-12, atol=1e-12)
     assert left.t == pytest.approx(right.t, rel=1e-12, abs=1e-12)
-
-
-def test_dilation_scales_coordinates():
-    p = Point(np.array([1.0, -2.0, 0.5, 3.0]), 4.0)
-    q = dilate(2.0, p)
-    assert np.array_equal(q.x, 2.0 * p.x)
-    assert q.t == 16.0
 
 
 def test_point_coords_roundtrip():

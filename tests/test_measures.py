@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import FD_STEP
+
 from hgauge import measures
-from hgauge.fd import H_FIRST, fd_gradient
+from hgauge.fd import fd_gradient
 from hgauge.group import GroupParams
 from hgauge.measures import (
     FAMILIES,
@@ -89,7 +91,7 @@ def test_grad_log_density_matches_fd(spec):
     central[:, -1] = [-2.0, -0.5, 0.5, 1.0]
     coords = np.vstack([coords, central])
     exact = _log_pi_grad_rows(spec, coords)[2]
-    fd = fd_gradient(lambda rows: _log_pi_rows(spec, rows)[1], coords, H_FIRST)
+    fd = fd_gradient(lambda rows: _log_pi_rows(spec, rows)[1], coords, FD_STEP)
     assert np.all(np.isfinite(exact))
     assert np.allclose(exact, fd, rtol=1e-5, atol=1e-7)
     assert np.allclose(exact[-4:], fd[-4:], rtol=1e-7, atol=1e-9)
@@ -101,7 +103,7 @@ def test_grad_log_density_rejects_only_identity():
     coords = np.zeros((4, 5))
     coords[:3, -1] = [-1.0, 0.25, 1.0]
     exact = _log_pi_grad_rows(POWER4, coords)[2]
-    fd = fd_gradient(lambda rows: _log_pi_rows(POWER4, rows)[1], coords[:3], H_FIRST)
+    fd = fd_gradient(lambda rows: _log_pi_rows(POWER4, rows)[1], coords[:3], FD_STEP)
     assert np.all(np.isfinite(exact[:3]))
     assert np.allclose(exact[:3], fd, rtol=1e-7, atol=1e-9)
     assert np.all(np.isnan(exact[3]))

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgauge.fd import H_FIRST, fd_gradient
-from hgauge.group import GroupParams, Point, dilate
+from conftest import FD_STEP, dilate, norm_field
+
+from hgauge.fd import fd_gradient
+from hgauge.group import GroupParams, Point
 from hgauge.inequalities import sample_cloud
 from hgauge.norm import (
     PartialsBatch,
@@ -14,7 +16,6 @@ from hgauge.norm import (
     exact_partials,
     norm_N,
     norm_batch,
-    norm_field,
     partials_batch,
 )
 
@@ -210,7 +211,7 @@ def test_gradient_matches_finite_differences(n):
     x, t = _cloud(rng, n, 60)
     keep = np.linalg.norm(x, axis=1) > 0.5
     coords = np.column_stack([x, t])[keep]
-    fd = fd_gradient(norm_field, coords, H_FIRST)
+    fd = fd_gradient(norm_field, coords, FD_STEP)
     pb = partials_batch(coords[:, :-1], coords[:, -1])
     exact = np.column_stack([pb.dN_dx, pb.dN_dt])
     scale = np.maximum(np.abs(exact), 1e-3)
@@ -226,7 +227,7 @@ def test_partials_on_central_line_match_finite_differences(n):
     pb = partials_batch(coords[:, :-1], coords[:, -1])
     exact = np.column_stack([pb.dN_dx, pb.dN_dt])
     assert np.all(np.isfinite(exact)) and np.all(np.isfinite(pb.grad_sq))
-    fd = fd_gradient(norm_field, coords, H_FIRST)
+    fd = fd_gradient(norm_field, coords, FD_STEP)
     assert np.max(np.abs(fd - exact)) < 1e-9
 
 
@@ -269,7 +270,7 @@ def test_exact_partials_rejects_only_identity():
     p = Point(np.zeros(4), 1.0)
     ev = exact_partials(p)
     exact = np.append(ev.dN_dx, ev.dN_dt)
-    fd = fd_gradient(norm_field, p.coords()[None, :], H_FIRST)[0]
+    fd = fd_gradient(norm_field, p.coords()[None, :], FD_STEP)[0]
     assert np.all(np.isfinite(exact))
     assert np.max(np.abs(fd - exact)) < 1e-9
     with pytest.raises(ValueError):
