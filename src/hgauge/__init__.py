@@ -4,11 +4,11 @@ The group carries the usual grading (2n horizontal directions, one central
 direction) but an anisotropic bracket: the first pair of horizontal fields
 twists with weight 1/2, the remaining pairs with weight 1.  The package
 provides the closed-form homogeneous norm attached to the fundamental
-solution of the sub-Laplacian, exact first derivatives, finite-difference
-cross checks, an independent quadrature oracle for the fundamental solution,
-pointwise gradient bounds, coercivity-constant arithmetic, and empirical
-verification of U-bounds, q-Poincare, and beta-log-Sobolev inequalities for
-radial Gibbs measures built on the norm.
+solution of the sub-Laplacian, its exact first and second derivatives, the
+infinity-Laplacian witness, an independent quadrature oracle for the
+fundamental solution, pointwise gradient bounds, coercivity-constant
+arithmetic, and empirical verification of U-bounds, q-Poincare, and
+beta-log-Sobolev inequalities for radial Gibbs measures built on the norm.
 """
 
 from .bgg import (
@@ -27,7 +27,7 @@ from .coercive import (
     poincare_ratio,
     ubound_terms,
 )
-from .fd import fd_gradient, infinity_laplacian_witness
+from .fd import infinity_laplacian_witness
 from .group import GroupParams, Point, compose, inverse
 from .inequalities import (
     InequalityReport,
@@ -71,7 +71,6 @@ __all__ = [
     "default_family",
     "eta_weight",
     "exact_partials",
-    "fd_gradient",
     "fit_beta_lsi",
     "fit_ubound_constants",
     "fundamental_solution_closed",

@@ -24,18 +24,21 @@ the general closed form
     u = K_n * E^n / (W * D^(n - 1/2)),
     K_n = (prod_{k=3}^{n} (2k-3)) / (2 * pi^(n-1) * 2^(2n)),
 
-so that u * N^(2n) = K_n identically.  The one-point forms
-fundamental_solution_closed and fundamental_solution_quad read n off the
-point, n = p.n.  compare_cloud reports how far each of these n = 2 steps
-(the closed modulus piece, the phase correction as -t d/dt I_modulus, the
-split of Re I_2, and the pole locations) is from holding on its cloud.
+and since N^(2n) = W D^(n - 1/2) / E^n, u = K_n N^(2-Q): the paper's
+fundamental solution.  The module evaluates u that way, from the gauge
+kernel of hgauge.norm, so the quadrature oracle is measured against the
+gauge itself.  The one-point forms fundamental_solution_closed and
+fundamental_solution_quad read n off the point, n = p.n.  compare_cloud
+reports how far each of these n = 2 steps (the closed modulus piece, the
+phase correction as -t d/dt I_modulus, the split of Re I_2, and the pole
+locations) is from holding on its cloud.
 
-The closed form is checked only against the quadrature of its own
+The gauge form is checked only against the quadrature of its own
 representation (criterion 01, bgg compare).  That quadrature carries the
 same Gamma(n)/(2 pi)^n, so it cannot see an error in the constant.  Which
 equation u solves is measured, not derived: with L = sum_j X_j^2,
 K_n (Q-2) int_{N=1} |grad_H N|^2 dsigma = pi at n = 2, 3, 6 and 10 (ROADMAP
-item 10), that is, L u = -pi delta.
+item 4), that is, L u = -pi delta.
 
 The oracle integrates the representation directly, with numpy alone.  The
 head s in [0, 1] and the tail s = 1/v, v in [0, 1], share one integrand on
@@ -58,7 +61,7 @@ import numpy as np
 
 from .group import GroupParams, Point, _check_n
 from .inequalities import BOX, _draw
-from .norm import ab_batch, wed
+from .norm import _gauge, ab_batch, norm_N, wed
 
 __all__ = [
     "solution_constant",
@@ -173,12 +176,6 @@ def _solution(re_i: np.ndarray, n: int) -> np.ndarray:
     return math.factorial(n - 1) / (2.0 * math.pi) ** n * re_i
 
 
-def _closed(a, b, t, n: int):
-    """K_n E^n / (W D^(n-1/2)) on floats or arrays."""
-    w, e, d = wed(a, b, t)
-    return solution_constant(n) * np.exp(n * np.log(e) - np.log(w) - (n - 0.5) * np.log(d))
-
-
 def _identities(a: np.ndarray, b: np.ndarray, t: np.ndarray, re_i2: np.ndarray) -> dict[str, float]:
     """Largest deviation over the rows of each step of the n = 2 derivation,
     given the rows' quadrature re_i2 of Re I_2.
@@ -212,7 +209,7 @@ def _identities(a: np.ndarray, b: np.ndarray, t: np.ndarray, re_i2: np.ndarray) 
 
 
 def solution_constant(n: int) -> float:
-    """K_n with u = K_n E^n / (W D^(n-1/2)); equals 1/(32 pi) at n = 2."""
+    """K_n with u = K_n N^(-2n); equals 1/(32 pi) at n = 2."""
     _check_n(n)
     odd = math.prod(range(3, 2 * n - 2, 2)) if n >= 3 else 1
     return odd / (2.0 * math.pi ** (n - 1) * 2.0 ** (2 * n))
@@ -228,15 +225,14 @@ def fundamental_solution_quad(p: Point) -> float:
 
 
 def fundamental_solution_closed(p: Point) -> float:
-    """Closed form K_n E^n / (W D^(n-1/2)), with n = p.n."""
+    """Closed form K_n N^(-2n), with n = p.n."""
     if not np.any(p.x) and p.t == 0.0:
         raise ValueError("Fundamental solution is singular at the identity.")
-    a, b = ab_batch(p.x[None, :])
-    return float(_closed(a, b, p.t, p.n)[0])
+    return solution_constant(p.n) * norm_N(p) ** (-2 * p.n)
 
 
 def compare_cloud(params: GroupParams, n_points: int, seed: int) -> dict:
-    """Quadrature vs closed form on a seeded cloud; returns an error summary.
+    """Quadrature vs the gauge form K_n N^(-2n) on a seeded cloud: an error summary.
 
     The whole cloud is integrated in one vectorised pass, row for row the
     same arithmetic as fundamental_solution_quad.  The cloud is one part
@@ -253,7 +249,7 @@ def compare_cloud(params: GroupParams, n_points: int, seed: int) -> dict:
     a, b = ab_batch(x)
     re_i = _re_rows(a, b, t, params.n)
     re_i2 = re_i if params.n == 2 else _re_rows(a, b, t, 2)
-    closed = _closed(a, b, t, params.n)
+    closed = solution_constant(params.n) * _gauge(*wed(a, b, t), params.n) ** (-2 * params.n)
     rel_errs = np.abs(_solution(re_i, params.n) - closed) / closed
     worst = np.argmax(rel_errs)
     return {

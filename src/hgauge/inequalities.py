@@ -232,19 +232,18 @@ def _cloud_reports(
     seed: int,
     threads: Optional[int],
 ) -> list[InequalityReport]:
-    """One report per named column of margin_fn over sample_cloud, streamed.
+    """One report per named margin column of margin_fn over sample_cloud, streamed.
 
     margin_fn maps a span's columns x, of shape (rows, 2n), and t, of shape
-    (rows,), to a (rows, k) margin matrix, best stored column by column (the
-    transpose of a stacked (k, rows) array) so that each column's minimum
-    reads contiguous memory.  Each row's margins must depend on that row
-    alone, with the same bits at any row offset and for x strided inside a
-    wider array, so that streamed and materialised clouds report alike; the
-    checks' margins read only (R, S, t), through _scale_free.  The cloud is
-    never built: each of sample_cloud's spans of _CHUNK rows draws its own x
-    and t and keeps only its per-column minima, with a coordinate row built
-    only for the first row attaining each, so time grows linearly and memory
-    stays flat in n_points.  Spans run on a pool of min(threads,
+    (rows,), to a sequence of k margin columns, each of shape (rows,).  Each
+    row's margins must depend on that row alone, with the same bits at any
+    row offset and for x strided inside a wider array, so that streamed and
+    materialised clouds report alike; the checks' margins read only
+    (R, S, t), through _scale_free.  The cloud is never built: each of
+    sample_cloud's spans of _CHUNK rows draws its own x and t and keeps only
+    the minimum of each column, with a coordinate row built only for the
+    first row attaining each, so time grows linearly and memory stays flat
+    in n_points.  Spans run on a pool of min(threads,
     os.cpu_count()) workers, one per CPU when threads is None; threads below
     1 raise ValueError.  The reports are those of the whole sample_cloud.
     """
@@ -255,9 +254,9 @@ def _cloud_reports(
     def span_minima(span):
         """(per-column minimum of margin_fn over the span, the first row attaining each)."""
         x, t = _span_rows(params, n_points, seed, span)
-        margins = margin_fn(x, t)
-        worst = np.argmin(margins, axis=0)
-        return margins[worst, np.arange(margins.shape[1])], np.column_stack([x[worst], t[worst]])
+        columns = margin_fn(x, t)
+        worst = [np.argmin(col) for col in columns]
+        return [col[i] for col, i in zip(columns, worst)], np.column_stack([x[worst], t[worst]])
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(span_minima, spans))
@@ -289,7 +288,7 @@ def _scale_free(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
     and no PartialsBatch is built.
     """
     n = x.shape[1] // 2
-    # |x|^2 as one row dot.  The samplers, grad_norms, fd and bgg keep _rs's
+    # |x|^2 as one row dot.  The samplers, grad_norms and bgg keep _rs's
     # np.add.reduce(x * x), whose bits the chain and report digests pin; the
     # cloud margins have no pinned bits (the benchmark reads min_margin to a
     # 1e-9 share), and _rs can take this line once those digests are re-recorded.
@@ -316,13 +315,10 @@ def check_gradient_bounds(
     lower_const = 2.0 ** -(5.0 + 2.0 / n)
     upper_const = (2 * n + 1) ** 2 / (2.0 ** 3 * n * n)
 
-    def margins(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def margins(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
         r, s, xsq, sp, sb, tt = _scale_free(x, t)
         ratio = (r * (sp * sp) + s * (sb * sb) + (0.25 * r + s) * (tt * tt)) / xsq
-        m1 = (r * sp + s * sb) / xsq + 1.0 / (4 * n)
-        m2 = ratio - lower_const
-        m3 = upper_const - ratio
-        return np.stack([m1, m2, m3]).T
+        return (r * sp + s * sb) / xsq + 1.0 / (4 * n), ratio - lower_const, upper_const - ratio
 
     return _cloud_reports(_GRADIENT_NAMES, margins, params, n_points, seed, threads)
 
@@ -350,19 +346,17 @@ def check_partial_bounds(
     mixed_block_const = (2 * n - 1) / (2.0 ** (1.0 / n + 2.0) * n)
     mixed_pair_const = 2.0 ** -(2.0 + 1.0 / n)
 
-    def margins(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def margins(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
         sp, sb, tt = _scale_free(x, t)[3:]
-        return np.stack(
-            [
-                sp,
-                0.5 - np.abs(sp),
-                sb + 1.0 / (4 * n),
-                np.abs(sb) + tt - mixed_block_const,
-                np.abs(sp) + 0.5 * tt - mixed_pair_const,
-                (2 * n + 1) / (4.0 * n) - np.abs(sb),
-                (2 * n + 1) / (4.0 * n) - tt,
-            ]
-        ).T
+        return (
+            sp,
+            0.5 - np.abs(sp),
+            sb + 1.0 / (4 * n),
+            np.abs(sb) + tt - mixed_block_const,
+            np.abs(sp) + 0.5 * tt - mixed_pair_const,
+            (2 * n + 1) / (4.0 * n) - np.abs(sb),
+            (2 * n + 1) / (4.0 * n) - tt,
+        )
 
     return _cloud_reports(_PARTIAL_NAMES, margins, params, n_points, seed, threads)
 

@@ -29,11 +29,12 @@ exposes them directly.  Their formulas live in one private core over
 (A, B, t), _slopes, which returns N and each slope divided by N; its callers
 are partials_batch and the cloud margins of hgauge.inequalities.
 
-Second derivatives come from a second private kernel, _second_order: N with
-its gradient and Hessian in (R, S, t).  As x_j c_j + x_{j+n} c_{j+n} = 0 in
-every pair, d_j c_j = 0 and sum_j c_j^2 = R/4 + S, functions of (R, S, t)
-satisfy the reduced formulas that _harmonicity_residual and
-_infinity_laplacian evaluate:
+Second derivatives come from _second_order, which reads N and its gradient
+in (R, S, t), (pair_slope / 2, block_slope / 2, dN_dt), off partials_batch
+and adds only the Hessian, so every caller reads one gradient.  As
+x_j c_j + x_{j+n} c_{j+n} = 0 in every pair, d_j c_j = 0 and
+sum_j c_j^2 = R/4 + S, functions of (R, S, t) satisfy the reduced formulas
+that _harmonicity_residual and _infinity_laplacian evaluate:
 
     L F = 4R F_RR + 4F_R + 4S F_SS + 4(n-1) F_S + (R/4 + S) F_tt,
     <grad_H F, grad_H G> = 4R F_R G_R + 4S F_S G_S + (R/4 + S) F_t G_t.
@@ -246,14 +247,16 @@ _JAC = np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.0], [0.0, 0.0, 1.0]])
 def _second_order(x: np.ndarray, t: np.ndarray):
     """R, S, N, and N's gradient (3, m) and Hessian (3, 3, m) in (R, S, t).
 
-    log N = log P / 4n + (1/2 - 1/4n) log D - log E / 2 is differentiated
-    twice in (A, B, t) and carried to (R, S, t) by _JAC; N_i = N u_i and
-    N_ij = N (u_ij + u_i u_j) for u = log N.  N has norm_batch's bits.
+    N and the gradient (pair_slope / 2, block_slope / 2, dN_dt) are
+    partials_batch's, bit for bit.  Only the Hessian is new: the second
+    derivatives u_ij of log N = log P / 4n + (1/2 - 1/4n) log D - log E / 2
+    in (A, B, t), carried to (R, S, t) by _JAC, give
+    N_ij = N u_ij + N_i N_j / N.
     Products such as W^3 D have degree 10 under the dilations, so they
     overflow above a scale of about 1e30 and underflow below 1e-30.
     """
-    r, s = _rs(x)
-    a, b = _ab(r, s)
+    pb = partials_batch(x, t)
+    a, b, nn = pb.A, pb.B, pb.N
     n = x.shape[-1] // 2
     w, e, d = wed(a, b, t)
     p, we, wd = w * w, w * e, w * d
@@ -261,11 +264,8 @@ def _second_order(x: np.ndarray, t: np.ndarray):
     alpha, beta = 0.25 / n, 0.5 - 0.25 / n
     # first derivatives of log P, log E and log D in (A, B, t); P and E miss A
     p_b, p_t = 2.0 * b / p, 2.0 * t / p
-    e_b, e_t = 1.0 / w, t / we
+    e_t = t / we
     d_a, d_b, d_t = e / d, a * e / wd, (a * t / w + 2.0 * t) / d
-    u_a = beta * d_a
-    u_b = alpha * p_b + beta * d_b - 0.5 * e_b
-    u_t = alpha * p_t + beta * d_t - 0.5 * e_t
     # second derivatives: (log F)_ij = F_ij / F - (F_i / F)(F_j / F)
     u_aa = -beta * d_a * d_a
     u_ab = beta * (e / wd - d_a * d_b)
@@ -277,11 +277,10 @@ def _second_order(x: np.ndarray, t: np.ndarray):
         + beta * ((a * b * b / w3 + 2.0) / d - d_t * d_t)
         - 0.5 * (1.0 / we - e_t * e_t * (1.0 + e / w))
     )
-    g = np.einsum("ai,am->im", _JAC, np.stack([u_a, u_b, u_t]))
     h = np.stack([u_aa, u_ab, u_at, u_ab, u_bb, u_bt, u_at, u_bt, u_tt]).reshape(3, 3, -1)
     h = np.einsum("ai,abm,bj->ijm", _JAC, h, _JAC)
-    nn = _gauge(w, e, d, n)
-    return r, s, nn, nn * g, nn * (h + g[:, None] * g[None, :])
+    grad = np.stack([0.5 * pb.pair_slope, 0.5 * pb.block_slope, pb.dN_dt])
+    return pb.R, pb.S, nn, grad, nn * h + grad[:, None] * grad[None, :] / nn
 
 
 def _horizontal_dot(r, s, f, g):

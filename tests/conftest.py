@@ -33,7 +33,7 @@ def dilate(lam: float, p: Point) -> Point:
 
 
 def norm_field(coords: np.ndarray) -> np.ndarray:
-    """N on (m, 2n+1) coordinate rows, the form the stencils of hgauge.fd take."""
+    """N on (m, 2n+1) coordinate rows, the form the stencils of reference take."""
     coords = np.asarray(coords, dtype=float)
     return norm_batch(coords[..., :-1], coords[..., -1])
 

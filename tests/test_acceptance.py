@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from conftest import FD_STEP, norm_field, record_line
+from reference import closed_form_solution, fd_gradient, sub_laplacian_batch
 
 from hgauge import bgg, coercive, fd, inequalities, measures
 from hgauge.group import GroupParams, Point, field_coefficients_batch
@@ -53,7 +54,7 @@ def test_02_solution_gauge_product_and_homogeneity():
         k = bgg.solution_constant(n)
         for _ in range(3400 if n == 2 else 3300):
             p = Point(rng.uniform(-3, 3, 2 * n), rng.uniform(-6, 6))
-            u = bgg.fundamental_solution_closed(p)
+            u = closed_form_solution(p)
             nn = norm_batch(p.x[None, :], np.asarray([p.t]))[0]
             worst_prod = max(worst_prod, abs(u * nn ** (2 * n) / k - 1.0))
     x = rng.uniform(-3, 3, (10_000, 4))
@@ -81,12 +82,12 @@ def test_03_harmonicity_within_truncation():
     ladder = [6.4e-3, 3.2e-3, 1.6e-3, 8e-4]
     means = []
     for h in ladder:
-        res = fd.sub_laplacian_batch(field, coords, h)
+        res = sub_laplacian_batch(field, coords, h)
         means.append(float(np.mean(np.abs(res))))
     slope = np.polyfit(np.log(ladder), np.log(means), 1)[0]
     h = 1.6e-3
-    plain = fd.sub_laplacian_batch(field, coords, h)
-    half = fd.sub_laplacian_batch(field, coords, h / 2)
+    plain = sub_laplacian_batch(field, coords, h)
+    half = sub_laplacian_batch(field, coords, h / 2)
     rich = (4.0 * half - plain) / 3.0
     estimate = np.abs(plain - half)
     bounded = bool(np.all(np.abs(rich) <= estimate))
@@ -105,7 +106,7 @@ def test_04_laplacian_gradient_ratio():
         params = GroupParams(n)
         coords = shell_cloud(params, 1000, seed=40 + n)
         q_hom = 2 * n + 2
-        lap = fd.sub_laplacian_batch(norm_field, coords, 1e-4)
+        lap = sub_laplacian_batch(norm_field, coords, 1e-4)
         pb = partials_batch(coords[:, :-1], coords[:, -1])
         ratio = lap * pb.N / ((q_hom - 1) * pb.grad_sq)
         worst = max(worst, float(np.max(np.abs(ratio - 1.0))))
@@ -190,7 +191,7 @@ def test_09_exact_gradients_vs_fd():
     ]
     coords = shell_cloud(params, 1000, seed=99)
     # gauge gradient
-    fd_n = fd.fd_gradient(norm_field, coords, FD_STEP)
+    fd_n = fd_gradient(norm_field, coords, FD_STEP)
     pb = partials_batch(coords[:, :-1], coords[:, -1])
     exact_n = np.column_stack([pb.dN_dx, pb.dN_dt])
     scale = np.maximum(np.abs(exact_n), 1.0)
@@ -201,7 +202,7 @@ def test_09_exact_gradients_vs_fd():
     central[:, -1] = [-3.0, -1.0, -0.3, 0.3, 1.0, 3.0]
     sub = np.vstack([coords[:100], central])
     for spec in specs:
-        fd_g = fd.fd_gradient(lambda rows: measures._log_pi_rows(spec, rows)[1], sub, FD_STEP)
+        fd_g = fd_gradient(lambda rows: measures._log_pi_rows(spec, rows)[1], sub, FD_STEP)
         exact_g = measures._log_pi_grad_rows(spec, sub)[2]
         scale = np.maximum(np.abs(exact_g), 1.0)
         worst = max(worst, float(np.max(np.abs(fd_g - exact_g) / scale)))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import dilate
+from reference import closed_form_solution
 
 from hgauge import bgg
 from hgauge.bgg import (
@@ -58,9 +59,12 @@ def test_solution_times_gauge_power_is_constant():
         k = solution_constant(n)
         for _ in range(20):
             p = Point(rng.uniform(-3, 3, 2 * n), rng.uniform(-6, 6))
-            u = fundamental_solution_closed(p)
+            # u from the E^n / (W D^(n-1/2)) form, not from N; bgg's own
+            # u = K_n N^(-2n) agrees with it too
+            u = closed_form_solution(p)
             nn = norm_N(p)
             assert u * nn ** (2 * n) == pytest.approx(k, rel=1e-13)
+            assert fundamental_solution_closed(p) == pytest.approx(u, rel=1e-13)
 
 
 def test_solution_homogeneity():

@@ -1,0 +1,84 @@
+"""An exact reference for norm's second-order calculus.
+
+N is written in mpmath as a function of (R, S, t) and differentiated there
+with mp.diff, which evaluates at raised precision with a step far below
+float64 resolution, so the reference's derivatives are exact to well past
+float64.  It shares no formula with the kernels beyond the gauge itself and
+the reduced (R, S, t) forms of L and <grad_H ., grad_H .>; the infinity-
+Laplacian's grad |grad_H N|^2 is differentiated too, not derived by hand.
+The finite-difference criteria stay as the full-space cross-checks.
+"""
+
+import numpy as np
+import pytest
+from mpmath import mp
+
+from hgauge import norm
+from hgauge.group import GroupParams
+from hgauge.inequalities import shell_cloud
+
+DIGITS = 40
+TOL = 1e-13
+# unit orders of differentiation in (R, S, t)
+_UNIT = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+
+
+def _gauge(n):
+    """N(R, S, t) in mpmath."""
+    alpha = mp.mpf(1) / (4 * n)
+
+    def f(r, s, t):
+        a, b = (r + s) / 2, r / 4 + s / 2
+        p = b * b + t * t
+        e = b + mp.sqrt(p)
+        return p**alpha * (a * e + t * t) ** (mp.mpf(1) / 2 - alpha) / mp.sqrt(e)
+
+    return f
+
+
+def _dot(r, s, f, g):
+    """<grad_H F, grad_H G> from (R, S, t) gradients."""
+    return 4 * r * f[0] * g[0] + 4 * s * f[1] * g[1] + (r / 4 + s) * f[2] * g[2]
+
+
+def _reference(n, r, s, t):
+    """N, its gradient and Hessian, L N, the residual of N^(2-Q) and
+    Delta_inf N with its scale |grad_H N|^3 / N, at one (R, S, t) row."""
+    f = _gauge(n)
+
+    def g_sq(*z):
+        grad = [mp.diff(f, z, o) for o in _UNIT]
+        return _dot(z[0], z[1], grad, grad)
+
+    with mp.workdps(DIGITS):
+        z = tuple(mp.mpf(float(v)) for v in (r, s, t))
+        r, s, _ = z
+        nn = f(*z)
+        grad = [mp.diff(f, z, o) for o in _UNIT]
+        hess = [[mp.diff(f, z, tuple(map(sum, zip(oi, oj)))) for oj in _UNIT] for oi in _UNIT]
+        lap = 4 * r * hess[0][0] + 4 * grad[0] + 4 * s * hess[1][1] + 4 * (n - 1) * grad[1]
+        lap += (r / 4 + s) * hess[2][2]
+        # L N^p = p N^(p-1) (L N + (p - 1) |grad_H N|^2 / N), p = 2 - Q = -2n
+        g2 = _dot(r, s, grad, grad)
+        residual = lap - (2 * n + 1) * g2 / nn
+        inf_lap = _dot(r, s, [mp.diff(g_sq, z, o) for o in _UNIT], grad) / 2
+        scalars = [float(v) for v in (nn, lap, residual, inf_lap, g2 * mp.sqrt(g2) / nn)]
+    return scalars, np.array(grad, dtype=float), np.array(hess, dtype=float)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 10])
+def test_second_order_matches_exact_reference(n):
+    coords = shell_cloud(GroupParams(n), 12, seed=70 + n)
+    x, t = coords[:, :-1], coords[:, -1]
+    r, s, nn, grad, hess = norm._second_order(x, t)
+    lap, lap_scale = norm._harmonicity_residual(x, t, 1.0)
+    residual, res_scale = norm._harmonicity_residual(x, t, -2.0 * n)
+    inf_lap = norm._infinity_laplacian(x, t)[0]
+    for i in range(len(t)):
+        (n_ref, lap_ref, res_ref, inf_ref, inf_scale), grad_ref, hess_ref = _reference(n, r[i], s[i], t[i])
+        assert abs(nn[i] - n_ref) <= TOL * n_ref
+        assert np.max(np.abs(grad[:, i] - grad_ref)) <= TOL * np.max(np.abs(grad_ref))
+        assert np.max(np.abs(hess[:, :, i] - hess_ref)) <= TOL * np.max(np.abs(hess_ref))
+        assert abs(lap[i] - lap_ref) <= TOL * lap_scale[i]
+        assert abs(residual[i] - res_ref) <= TOL * res_scale[i]
+        assert abs(inf_lap[i] - inf_ref) <= TOL * inf_scale

@@ -261,7 +261,7 @@ def _margin_fn(check, params, seed, monkeypatch):
 def _materialised_reports(check, params, m, seed, monkeypatch):
     """(min_margin, worst row) per column of margin_fn over the whole sample_cloud."""
     coords = sample_cloud(params, m, seed)
-    margins = _margin_fn(check, params, seed, monkeypatch)(coords[:, :-1], coords[:, -1])
+    margins = np.column_stack(_margin_fn(check, params, seed, monkeypatch)(coords[:, :-1], coords[:, -1]))
     worst = np.argmin(margins, axis=0)
     return [(margins[w, i], coords[w]) for i, w in enumerate(worst)]
 
@@ -318,7 +318,7 @@ def test_margins_match_partials_batch_reference(check, n, monkeypatch):
     params, m, seed = GroupParams(n), 40_000, 500 + n
     coords = sample_cloud(params, m, seed)
     x, t = coords[:, :-1], coords[:, -1]
-    got = _margin_fn(check, params, seed, monkeypatch)(x, t)
+    got = np.column_stack(_margin_fn(check, params, seed, monkeypatch)(x, t))
     want = _reference_margins(check, x, t, n)
     assert got.shape == want.shape == (m, len(want[0]))
     assert np.max(np.abs(got - want)) <= 64 * np.finfo(float).eps

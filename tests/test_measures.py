@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import FD_STEP
+from reference import fd_gradient
 
 from hgauge import measures
-from hgauge.fd import fd_gradient
 from hgauge.group import GroupParams
 from hgauge.measures import (
     FAMILIES,

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FD_STEP, dilate, norm_field
+from reference import fd_gradient
 
-from hgauge.fd import fd_gradient
 from hgauge.group import GroupParams, Point
 from hgauge.inequalities import sample_cloud
 from hgauge.norm import (
