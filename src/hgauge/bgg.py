@@ -235,15 +235,15 @@ def compare_cloud(params: GroupParams, n_points: int, seed: int) -> dict:
     """Quadrature vs the gauge form K_n N^(-2n) on a seeded cloud: an error summary.
 
     The whole cloud is integrated in one vectorised pass, row for row the
-    same arithmetic as fundamental_solution_quad.  The cloud is one part
-    drawn by inequalities._draw in sample_cloud's box, x in [-BOX, BOX]^{2n}
-    and t in [-BOX^2, BOX^2], with |x| >= CLOUD_MIN_RADIUS: x stays clear of
-    the central line, where the integral representation is singular.  Only
-    the worst row is stacked into coordinates.  The summary's "identities"
-    holds the n = 2 derivation steps (see _identities) checked on the cloud's
-    own (A, B, t) rows; I_2 depends on those alone, so they are checked for
-    every n.  At n = 2 the one quadrature of Re I_2 serves both the solution
-    and the split.
+    same arithmetic as fundamental_solution_quad, on one part drawn by
+    inequalities._draw in sample_cloud's box (x in [-BOX, BOX]^{2n}, t in
+    [-BOX^2, BOX^2]) with |x| >= CLOUD_MIN_RADIUS, clear of the central line,
+    where the representation is singular.  Only the worst row is stacked into
+    coordinates; at a max_rel_err of 1e-15 to 1e-14 it marks where rounding
+    peaked, not where the oracle is weakest.  "identities" holds the n = 2
+    derivation steps (see _identities) on the cloud's own (A, B, t) rows;
+    I_2 depends on those alone, so they are checked for every n.  At n = 2
+    one quadrature of Re I_2 serves both the solution and the split.
     """
     x, t = _draw(params, seed, 0, n_points, BOX, BOX * BOX, CLOUD_MIN_RADIUS, None, (0, n_points))
     a, b = ab_batch(x)

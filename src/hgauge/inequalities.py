@@ -213,10 +213,10 @@ def sample_cloud(params: GroupParams, n_points: int, seed: int) -> np.ndarray:
 
 
 def shell_cloud(params: GroupParams, n_points: int, seed: int) -> np.ndarray:
-    """Random (m, 2n+1) cloud on a gauge shell, for finite-difference checks.
+    """Random (m, 2n+1) cloud on a gauge shell, the rows of check fundamental.
 
-    x in [-2, 2]^{2n} with |x| >= 1/2, t in [-3, 3] and 1/2 < N < 5: every
-    row keeps its FD stencil clear of the central line and the identity.
+    x in [-2, 2]^{2n} with |x| >= 1/2, t in [-3, 3] and 1/2 < N < 5: clear of
+    the central line and the identity, as the tests' FD stencils need too.
     Its callers take coordinate rows, so _draw's columns are stacked.
     """
     return np.column_stack(
@@ -361,17 +361,32 @@ def check_partial_bounds(
     return _cloud_reports(_PARTIAL_NAMES, margins, params, n_points, seed, threads)
 
 
-def split_objective(alpha: float, n: int) -> float:
-    """Coefficient left on the coercive term after the splitting with weight alpha."""
+def _split_terms(alpha: float, n: int) -> tuple[float, ...]:
+    """The four terms of the split objective, the one home of its formula."""
     if alpha <= 0:
         raise ValueError(f"Need alpha > 0, got {alpha}.")
     _check_n(n)
     return (
-        2.0 ** -(5.0 + 2.0 / n)
-        - alpha / (2 * n)
-        - (2 * n + 1) ** 2 / (alpha * 2 ** 5 * n ** 3 * (n - 1) ** 2)
-        - alpha / (n * (n - 1))
+        2.0 ** -(5.0 + 2.0 / n),
+        -alpha / (2 * n),
+        -(2 * n + 1) ** 2 / (alpha * 2 ** 5 * n ** 3 * (n - 1) ** 2),
+        -alpha / (n * (n - 1)),
     )
+
+
+def split_objective(alpha: float, n: int) -> float:
+    """Coefficient left on the coercive term after the splitting with weight alpha."""
+    return sum(_split_terms(alpha, n))
+
+
+def _split_slope(alpha: float, n: int) -> tuple[float, float]:
+    """f'(alpha) and the sum of its terms' magnitudes, which sets its rounding.
+
+    alpha f'(alpha) is the sum of f's alpha terms with the 1/alpha one negated.
+    """
+    _, lin, inv, lin2 = _split_terms(alpha, n)
+    terms = (lin / alpha, -inv / alpha, lin2 / alpha)
+    return sum(terms), sum(abs(term) for term in terms)
 
 
 def alpha_opt(n: int) -> float:

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .group import Point, _width_n, field_coefficients_batch
+from .group import Point, _width_n
 
 __all__ = [
     "PartialsBatch",
@@ -125,8 +125,8 @@ class PartialsBatch(NamedTuple):
     pair_slope and block_slope satisfy dN/dx_j = x_j * slope on the
     distinguished pair {1, n+1} and on the remaining coordinates
     respectively; dN/dt = t * time_slope.  R and S are the squared lengths
-    of the pair and of the rest.  The (m, 2n) arrays dN_dx and horizontal,
-    and the per-row grad_sq and x_dot, are built only when read.  The same
+    of the pair and of the rest.  The (m, 2n) array dN_dx, and the per-row
+    grad_sq and x_dot, are built only when read.  The same
     record holds one point with a (2n,) x and scalar fields (exact_partials).
     Only the identity is singular: its row has N = 0 and NaN slopes.
     """
@@ -164,11 +164,6 @@ class PartialsBatch(NamedTuple):
         dn_dx[..., 0] = self.x[..., 0] * self.pair_slope
         dn_dx[..., n] = self.x[..., n] * self.pair_slope
         return dn_dx
-
-    @property
-    def horizontal(self) -> np.ndarray:
-        """X_j N = dN/dx_j + c_j(x) dN/dt."""
-        return self.dN_dx + field_coefficients_batch(self.x) * self.dN_dt[..., None]
 
 
 def _slopes(a, b, t, n: int):

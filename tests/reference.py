@@ -1,5 +1,6 @@
-"""Independent references for the tests: finite-difference stencils and the
-closed form of the fundamental solution in (A, B, t).
+"""Independent references for the tests: finite-difference stencils, the
+horizontal gradient X_j N and the closed form of the fundamental solution in
+(A, B, t).
 
 The sub-Laplacian in coordinates is
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from hgauge.bgg import solution_constant
 from hgauge.group import Point, field_coefficients_batch
-from hgauge.norm import ab_batch, wed
+from hgauge.norm import PartialsBatch, ab_batch, wed
 
 Field = Callable[[np.ndarray], np.ndarray]
 
@@ -98,6 +99,27 @@ def sub_laplacian_batch(field: Field, coords: np.ndarray, h: float) -> np.ndarra
     return out
 
 
+def sub_laplacian_scale(field: Field, coords: np.ndarray, h: float) -> np.ndarray:
+    """sum_k |w_k f_k| over sub_laplacian_batch's stencil terms at base step h.
+
+    The terms are the stencil's weighted field values (weights 1, -2 and 1
+    over h^2, 2 c_j / (4 h^2) on the cross stencils, sum_j c_j^2 times 1, -2
+    and 1 over h^2 on the t stencil), so eps times this sum sets the scale of
+    the stencil's rounding error.
+    """
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    h = _step(coords, h)
+    m, dim = coords.shape
+    k = dim - 1
+    vals = np.abs(_stencil(field, coords, _sub_laplacian_shifts(dim), h))
+    c = np.abs(field_coefficients_batch(coords[:, :-1]))
+    center = 2.0 * vals[0]
+    axial = np.sum(vals[1 : 2 * k + 1], axis=0) + k * center
+    cross = 0.5 * np.sum(c.T * np.sum(vals[2 * k + 1 : 6 * k + 1].reshape(k, 4, m), axis=1), axis=0)
+    central = np.sum(c * c, axis=-1) * (vals[-2] + vals[-1] + center)
+    return (axial + cross + central) / (h * h)
+
+
 def fd_gradient(field: Field, coords: np.ndarray, h: float) -> np.ndarray:
     """Central first differences of field at base step h; returns (m, 2n+1) Euclidean gradients."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
@@ -106,6 +128,11 @@ def fd_gradient(field: Field, coords: np.ndarray, h: float) -> np.ndarray:
     eye = np.eye(dim, dtype=int)
     vals = _stencil(field, coords, np.vstack([eye, -eye]), steps)
     return ((vals[:dim] - vals[dim:]) / (2.0 * steps)).T
+
+
+def horizontal(pb: PartialsBatch) -> np.ndarray:
+    """X_j N = dN/dx_j + c_j(x) dN/dt, from a batch's or a point's record."""
+    return pb.dN_dx + field_coefficients_batch(pb.x) * pb.dN_dt[..., None]
 
 
 def closed_form_solution(p: Point) -> float:

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import hgauge
-from hgauge import measures, norm
-from hgauge.cli import FUNDAMENTAL_GATE, RunConfig, _write_csv_rows, build_parser, config_from_args, main, run
+from hgauge import inequalities, measures, norm
+from hgauge.cli import ROUNDING_GATE, RunConfig, _write_csv_rows, build_parser, config_from_args, main, run
 from hgauge.group import GroupParams
 
 
@@ -150,6 +150,7 @@ def test_check_constants_range(capsys):
     rows = report["results"]["table"]
     assert [r["n"] for r in rows] == list(range(2, 9))
     assert all(r["sign_expected"] for r in rows)
+    assert report["results"]["rounding_gate"] == ROUNDING_GATE
 
 
 def test_check_constants_below_two_exits_2(capsys):
@@ -160,15 +161,27 @@ def test_check_constants_below_two_exits_2(capsys):
 
 
 def test_check_constants_roundoff_floor(capsys):
-    # from n ~ 290 on, rounding in split_objective(alpha_opt +- h) alone
-    # exceeds 1e-10; the floor eps (|f(a+h)| + |f(a-h)|) / (2h) admits it
+    # f'(alpha_opt) is exact calculus: rounding alone, within ROUNDING_GATE
+    # eps times the sum of its terms' magnitudes, where the central
+    # difference needed an eps floor from n ~ 290 on
     status, report = _run_json(
         capsys, ["--no-timestamp", "check", "constants", "--n-range", "280..300"]
     )
     assert status == 0
     rows = report["results"]["table"]
-    assert any(r["stationarity_fd"] > 1e-10 for r in rows)
-    assert all(r["stationarity_fd"] <= 1e-10 + r["stationarity_floor"] for r in rows)
+    assert all(abs(r["stationarity"]) < 1e-15 for r in rows)
+    assert all(r["stationarity_ratio"] <= report["results"]["rounding_gate"] for r in rows)
+
+
+def test_check_constants_rejects_a_point_off_alpha_opt(capsys, monkeypatch):
+    # 1e-6 off the stationary point, f' is ~1e9 rounding units
+    alpha_opt = inequalities.alpha_opt
+    monkeypatch.setattr(inequalities, "alpha_opt", lambda n: alpha_opt(n) * (1 + 1e-6))
+    status, report = _run_json(capsys, ["--no-timestamp", "check", "constants"])
+    assert status == 1
+    rows = report["results"]["table"]
+    assert all(r["sign_expected"] for r in rows)
+    assert min(r["stationarity_ratio"] for r in rows) > 1e6 * ROUNDING_GATE
 
 
 def test_bgg_compare(capsys):
@@ -187,12 +200,12 @@ FUNDAMENTAL = [
 
 def test_check_fundamental_roundoff_floor(capsys):
     # the exact residual is rounding alone: nonzero, and at every point
-    # within FUNDAMENTAL_GATE eps times the sum of its terms' magnitudes
+    # within ROUNDING_GATE eps times the sum of its terms' magnitudes
     status, report = _run_json(capsys, FUNDAMENTAL)
     res = report["results"]
     assert status == 0 and res["within_rounding"] is True
     assert 0 < res["max_abs_residual"] < 1e-13
-    assert 0 < res["max_rounding_ratio"] <= res["rounding_gate"] == FUNDAMENTAL_GATE
+    assert 0 < res["max_rounding_ratio"] <= res["rounding_gate"] == ROUNDING_GATE
 
 
 def test_check_fundamental_rejects_non_harmonic_power(capsys, monkeypatch):

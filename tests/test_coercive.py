@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from reference import horizontal
+
 from hgauge import coercive, measures, norm
 from hgauge.coercive import (
     _fit_constants,
@@ -78,7 +80,7 @@ def test_grad_norm_consistent(f):
             y = np.array([compose(inverse(f.center), Point(r[:-1], r[-1])).coords() for r in coords])
         pb = partials_batch(y[:, :-1], y[:, -1])
         _, dh = f.profile(pb.N)
-        want = np.linalg.norm(dh[:, None] * pb.horizontal, axis=1)
+        want = np.linalg.norm(dh[:, None] * horizontal(pb), axis=1)
     else:
         want = np.abs(f.profile(coords[:, 0])[1])
     assert np.allclose(grad, want, rtol=1e-12, atol=0.0)

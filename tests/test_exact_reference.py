@@ -1,4 +1,5 @@
-"""An exact reference for norm's second-order calculus.
+"""An exact reference for norm's second-order calculus and for the split
+objective's derivative.
 
 N is written in mpmath as a function of (R, S, t) and differentiated there
 with mp.diff, which evaluates at raised precision with a step far below
@@ -6,7 +7,9 @@ float64 resolution, so the reference's derivatives are exact to well past
 float64.  It shares no formula with the kernels beyond the gauge itself and
 the reduced (R, S, t) forms of L and <grad_H ., grad_H .>; the infinity-
 Laplacian's grad |grad_H N|^2 is differentiated too, not derived by hand.
-The finite-difference criteria stay as the full-space cross-checks.
+The finite-difference criteria stay as the full-space cross-checks.  The
+split objective f(alpha) is written here from the module docstring of
+hgauge.inequalities, not from its code, and differentiated the same way.
 """
 
 import numpy as np
@@ -14,8 +17,9 @@ import pytest
 from mpmath import mp
 
 from hgauge import norm
+from hgauge.cli import ROUNDING_GATE
 from hgauge.group import GroupParams
-from hgauge.inequalities import shell_cloud
+from hgauge.inequalities import _split_slope, _split_terms, alpha_opt, shell_cloud, split_objective
 
 DIGITS = 40
 TOL = 1e-13
@@ -82,3 +86,39 @@ def test_second_order_matches_exact_reference(n):
         assert abs(lap[i] - lap_ref) <= TOL * lap_scale[i]
         assert abs(residual[i] - res_ref) <= TOL * res_scale[i]
         assert abs(inf_lap[i] - inf_ref) <= TOL * inf_scale
+
+
+def _objective(n):
+    """f(alpha) = 2^-(5+2/n) - a/(2n) - (2n+1)^2/(a 2^5 n^3 (n-1)^2) - a/(n(n-1)) in mpmath."""
+
+    def f(a):
+        inverse = (2 * n + 1) ** 2 / (a * 32 * mp.mpf(n) ** 3 * (n - 1) ** 2)
+        return 2 ** -(5 + mp.mpf(2) / n) - a / (2 * n) - inverse - a / (n * (n - 1))
+
+    return f
+
+
+def test_split_slope_matches_exact_reference():
+    # f and f' at 240 random (n, alpha), alpha within two decades of alpha_opt,
+    # each within 4 eps times the sum of its terms' magnitudes
+    rng = np.random.default_rng(28)
+    eps = np.finfo(float).eps
+    for _ in range(240):
+        n = int(rng.integers(2, 1001))
+        alpha = alpha_opt(n) * 10.0 ** rng.uniform(-2, 2)
+        slope, scale = _split_slope(alpha, n)
+        with mp.workdps(DIGITS):
+            f = _objective(n)
+            f_ref, slope_ref = f(mp.mpf(alpha)), mp.diff(f, mp.mpf(alpha))
+        assert abs(split_objective(alpha, n) - float(f_ref)) <= 4 * eps * sum(map(abs, _split_terms(alpha, n)))
+        assert abs(slope - float(slope_ref)) <= 4 * eps * scale
+
+
+def test_split_slope_vanishes_at_alpha_opt_within_rounding():
+    # the exact f'(alpha_opt) is rounding alone for every n up to 1000
+    eps = np.finfo(float).eps
+    ratios = []
+    for n in range(2, 1001):
+        slope, scale = _split_slope(alpha_opt(n), n)
+        ratios.append(abs(slope) / (eps * scale))
+    assert max(ratios) <= ROUNDING_GATE

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import FD_STEP, dilate, norm_field
-from reference import fd_gradient, sub_laplacian_batch
+from reference import fd_gradient, horizontal, sub_laplacian_batch
 
 from hgauge import fd, norm
-from hgauge.cli import FUNDAMENTAL_GATE
+from hgauge.cli import ROUNDING_GATE
 from hgauge.fd import infinity_laplacian_witness
 from hgauge.group import GroupParams, Point, field_coefficients_batch
 from hgauge.inequalities import sample_cloud, shell_cloud
@@ -130,7 +130,7 @@ def test_harmonicity_check_passes_on_central_line(n):
     t = np.concatenate([t, -t])
     residual, scale = norm._harmonicity_residual(np.zeros((12, 2 * n)), t, -2.0 * n)
     assert np.all(scale > 0)
-    assert np.all(np.abs(residual) <= FUNDAMENTAL_GATE * EPS * scale)
+    assert np.all(np.abs(residual) <= ROUNDING_GATE * EPS * scale)
 
 
 def _shell(n):
@@ -174,7 +174,7 @@ def _fd_witness(x, t):
 
     def value(h):
         egrad = fd_gradient(grad_sq, coords, h)
-        return 0.5 * np.sum((egrad[:, :-1] + c * egrad[:, -1:]) * pb.horizontal, axis=1)
+        return 0.5 * np.sum((egrad[:, :-1] + c * egrad[:, -1:]) * horizontal(pb), axis=1)
 
     coarse, fine = value(FD_STEP), value(FD_STEP / 2)
     h = FD_STEP * (1.0 + np.max(np.abs(coords), axis=1))
