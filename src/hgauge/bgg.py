@@ -61,7 +61,7 @@ import numpy as np
 
 from .group import GroupParams, Point, _check_n
 from .inequalities import BOX, _draw
-from .norm import _gauge, ab_batch, norm_N, wed
+from .norm import ab_batch, norm_N, norm_batch, wed
 
 __all__ = [
     "solution_constant",
@@ -249,7 +249,7 @@ def compare_cloud(params: GroupParams, n_points: int, seed: int) -> dict:
     a, b = ab_batch(x)
     re_i = _re_rows(a, b, t, params.n)
     re_i2 = re_i if params.n == 2 else _re_rows(a, b, t, 2)
-    closed = solution_constant(params.n) * _gauge(*wed(a, b, t), params.n) ** (-2 * params.n)
+    closed = solution_constant(params.n) * norm_batch(x, t) ** (-2 * params.n)
     rel_errs = np.abs(_solution(re_i, params.n) - closed) / closed
     worst = np.argmax(rel_errs)
     return {

@@ -62,6 +62,10 @@ __all__ = [
     "partials_batch",
 ]
 
+# the gate of every exact check, in eps sum |terms|; the worst rounding seen is 5 for check
+# fundamental, 1.5 for check constants and 9.7 for Delta_inf N on infinity-harmonic slices
+ROUNDING_GATE = 32.0
+
 
 def _rs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """R (distinguished pair) and S (remaining coordinates) squared lengths."""
@@ -108,7 +112,8 @@ def _gauge(w: np.ndarray, e: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
 def norm_batch(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Gauge values for (m, 2n) horizontal parts and (m,) central parts.
 
-    Log-domain evaluation; exact zero at the identity.
+    Log-domain evaluation; exact zero at the identity.  Trusted at scales
+    max(||x||_inf, sqrt|t|) of about 1e-75 to 1e75, where D is a normal float.
     """
     x = np.asarray(x, dtype=float)
     return _gauge(*wed(*ab_batch(x), np.asarray(t, dtype=float)), x.shape[-1] // 2)
@@ -178,8 +183,10 @@ def _slopes(a, b, t, n: int):
     fourn = 4.0 * n
     with np.errstate(divide="ignore", invalid="ignore"):
         mid = ((2 * n - 1) / fourn) * e / d
-        g_pair = b / (fourn * p) + mid * (1.0 + a / (2.0 * w)) - 1.0 / (4.0 * w)
-        g_block = 2.0 * b / (fourn * p) + mid * (1.0 + a / w) - 1.0 / (2.0 * w)
+        # 2b/x = 2 (b/x), 1/(2W) = 2 / (4W) and A/(2W) = (A/W) / 2 hold bit for bit
+        b_p, inv_4w, a_w = b / (fourn * p), 1.0 / (4.0 * w), a / w
+        g_pair = b_p + mid * (1.0 + 0.5 * a_w) - inv_4w
+        g_block = 2.0 * b_p + mid * (1.0 + a_w) - 2.0 * inv_4w
         g_time = (
             1.0 / (2.0 * n * p)
             + ((2 * n - 1) / fourn) * (2.0 * w + a) / (w * d)
@@ -199,6 +206,8 @@ def partials_batch(x: np.ndarray, t: np.ndarray) -> PartialsBatch:
 
     N is smooth on the central line x = 0, and its rows are exact like any
     other; the identity row gives N = 0 and NaN slopes, a NaN row NaN.
+    Trusted at scales of about 1e-50 to 1e50; past them degree-6 products
+    such as W D over- or underflow and the slopes go wrong (ROADMAP item 2).
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -229,6 +238,7 @@ def exact_partials(p: Point) -> PartialsBatch:
 
     Raises at the identity, the one point where N is not differentiable; the
     central line x = 0 is smooth elsewhere and exact like any other point.
+    Trusted over partials_batch's range of scales, about 1e-50 to 1e50.
     """
     if p.t == 0 and not np.any(p.x):
         raise ValueError("exact_partials is undefined at the identity.")
@@ -247,8 +257,8 @@ def _second_order(x: np.ndarray, t: np.ndarray):
     derivatives u_ij of log N = log P / 4n + (1/2 - 1/4n) log D - log E / 2
     in (A, B, t), carried to (R, S, t) by _JAC, give
     N_ij = N u_ij + N_i N_j / N.
-    Products such as W^3 D have degree 10 under the dilations, so they
-    overflow above a scale of about 1e30 and underflow below 1e-30.
+    Products such as W^3 D have degree 10 under the dilations, so callers
+    evaluate it at unit scale: on shell rows, or through _unit_scale.
     """
     pb = partials_batch(x, t)
     a, b, nn = pb.A, pb.B, pb.N
@@ -278,6 +288,13 @@ def _second_order(x: np.ndarray, t: np.ndarray):
     return pb.R, pb.S, nn, grad, nn * h + grad[:, None] * grad[None, :] / nn
 
 
+def _unit_scale(p: Point) -> tuple[int, Point]:
+    """(k, delta_{2^-k} p) with max(||x||_inf, sqrt|t|) / 2^k in [1, 2): an output of
+    degree d at p is its value there times 2^(d k), an exact ldexp where it is normal."""
+    k = int(np.frexp(max(np.max(np.abs(p.x)), np.sqrt(abs(p.t))))[1]) - 1
+    return k, Point(np.ldexp(p.x, -k), np.ldexp(p.t, -2 * k))
+
+
 def _horizontal_dot(r, s, f, g):
     """<grad_H F, grad_H G> from (R, S, t) gradients f and g; g may be a Hessian."""
     return 4.0 * r * f[0] * g[0] + 4.0 * s * f[1] * g[1] + (0.25 * r + s) * f[2] * g[2]
@@ -299,14 +316,17 @@ def _harmonicity_residual(x: np.ndarray, t: np.ndarray, power: float):
 
 
 def _infinity_laplacian(x: np.ndarray, t: np.ndarray):
-    """Delta_inf N = 1/2 <grad_H G, grad_H N> with G = |grad_H N|^2; returns (value, G, N).
+    """Delta_inf N = 1/2 <grad_H G, grad_H N>, G = |grad_H N|^2, and its terms' magnitude sum.
 
     G's coefficients 4R, 4S and R/4 + S add 4 N_R^2 + N_t^2 / 4 to G_R and
     4 N_S^2 + N_t^2 to G_S; the rest of grad G is 2 <grad_H N, grad_H N_i>.
-    """
-    r, s, nn, grad, hess = _second_order(x, t)
-    g_sq = _horizontal_dot(r, s, grad, grad)
-    grad_g = 2.0 * _horizontal_dot(r, s, grad, hess)
-    grad_g[0] += 4.0 * grad[0] * grad[0] + 0.25 * grad[2] * grad[2]
-    grad_g[1] += 4.0 * grad[1] * grad[1] + grad[2] * grad[2]
-    return 0.5 * _horizontal_dot(r, s, grad_g, grad), g_sq, nn
+    The magnitude sum is the same contraction of |grad| and |hess|."""
+    r, s, _, grad, hess = _second_order(x, t)
+
+    def contract(grad, hess):
+        grad_g = 2.0 * _horizontal_dot(r, s, grad, hess)
+        grad_g[0] += 4.0 * grad[0] * grad[0] + 0.25 * grad[2] * grad[2]
+        grad_g[1] += 4.0 * grad[1] * grad[1] + grad[2] * grad[2]
+        return 0.5 * _horizontal_dot(r, s, grad_g, grad)
+
+    return contract(grad, hess), contract(np.abs(grad), np.abs(hess))

@@ -17,12 +17,13 @@ import pytest
 from mpmath import mp
 
 from hgauge import norm
-from hgauge.cli import ROUNDING_GATE
+from hgauge.norm import ROUNDING_GATE
 from hgauge.group import GroupParams
 from hgauge.inequalities import _split_slope, _split_terms, alpha_opt, shell_cloud, split_objective
 
 DIGITS = 40
 TOL = 1e-13
+EPS = np.finfo(float).eps
 # unit orders of differentiation in (R, S, t)
 _UNIT = [tuple(int(i == j) for j in range(3)) for i in range(3)]
 
@@ -47,7 +48,7 @@ def _dot(r, s, f, g):
 
 def _reference(n, r, s, t):
     """N, its gradient and Hessian, L N, the residual of N^(2-Q) and
-    Delta_inf N with its scale |grad_H N|^3 / N, at one (R, S, t) row."""
+    Delta_inf N, at one (R, S, t) row."""
     f = _gauge(n)
 
     def g_sq(*z):
@@ -66,7 +67,7 @@ def _reference(n, r, s, t):
         g2 = _dot(r, s, grad, grad)
         residual = lap - (2 * n + 1) * g2 / nn
         inf_lap = _dot(r, s, [mp.diff(g_sq, z, o) for o in _UNIT], grad) / 2
-        scalars = [float(v) for v in (nn, lap, residual, inf_lap, g2 * mp.sqrt(g2) / nn)]
+        scalars = [float(v) for v in (nn, lap, residual, inf_lap)]
     return scalars, np.array(grad, dtype=float), np.array(hess, dtype=float)
 
 
@@ -77,15 +78,16 @@ def test_second_order_matches_exact_reference(n):
     r, s, nn, grad, hess = norm._second_order(x, t)
     lap, lap_scale = norm._harmonicity_residual(x, t, 1.0)
     residual, res_scale = norm._harmonicity_residual(x, t, -2.0 * n)
-    inf_lap = norm._infinity_laplacian(x, t)[0]
+    inf_lap, inf_scale = norm._infinity_laplacian(x, t)
     for i in range(len(t)):
-        (n_ref, lap_ref, res_ref, inf_ref, inf_scale), grad_ref, hess_ref = _reference(n, r[i], s[i], t[i])
+        (n_ref, lap_ref, res_ref, inf_ref), grad_ref, hess_ref = _reference(n, r[i], s[i], t[i])
         assert abs(nn[i] - n_ref) <= TOL * n_ref
         assert np.max(np.abs(grad[:, i] - grad_ref)) <= TOL * np.max(np.abs(grad_ref))
         assert np.max(np.abs(hess[:, :, i] - hess_ref)) <= TOL * np.max(np.abs(hess_ref))
         assert abs(lap[i] - lap_ref) <= TOL * lap_scale[i]
         assert abs(residual[i] - res_ref) <= TOL * res_scale[i]
-        assert abs(inf_lap[i] - inf_ref) <= TOL * inf_scale
+        # the witness's value is within its own floor of the exact one
+        assert abs(inf_lap[i] - inf_ref) <= ROUNDING_GATE * EPS * inf_scale[i]
 
 
 def _objective(n):
@@ -102,7 +104,6 @@ def test_split_slope_matches_exact_reference():
     # f and f' at 240 random (n, alpha), alpha within two decades of alpha_opt,
     # each within 4 eps times the sum of its terms' magnitudes
     rng = np.random.default_rng(28)
-    eps = np.finfo(float).eps
     for _ in range(240):
         n = int(rng.integers(2, 1001))
         alpha = alpha_opt(n) * 10.0 ** rng.uniform(-2, 2)
@@ -110,15 +111,14 @@ def test_split_slope_matches_exact_reference():
         with mp.workdps(DIGITS):
             f = _objective(n)
             f_ref, slope_ref = f(mp.mpf(alpha)), mp.diff(f, mp.mpf(alpha))
-        assert abs(split_objective(alpha, n) - float(f_ref)) <= 4 * eps * sum(map(abs, _split_terms(alpha, n)))
-        assert abs(slope - float(slope_ref)) <= 4 * eps * scale
+        assert abs(split_objective(alpha, n) - float(f_ref)) <= 4 * EPS * sum(map(abs, _split_terms(alpha, n)))
+        assert abs(slope - float(slope_ref)) <= 4 * EPS * scale
 
 
 def test_split_slope_vanishes_at_alpha_opt_within_rounding():
     # the exact f'(alpha_opt) is rounding alone for every n up to 1000
-    eps = np.finfo(float).eps
     ratios = []
     for n in range(2, 1001):
         slope, scale = _split_slope(alpha_opt(n), n)
-        ratios.append(abs(slope) / (eps * scale))
+        ratios.append(abs(slope) / (EPS * scale))
     assert max(ratios) <= ROUNDING_GATE

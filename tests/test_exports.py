@@ -105,6 +105,31 @@ def test_option_count_is_pinned():
     assert total == 17
 
 
+# Public module-level int and float settings, by module and name.  Each
+# fixes what a pass means, so a new one needs review just as a new option
+# does; one that a change retires leaves this set.
+NUMERIC_SETTINGS = {
+    "bgg": {"U_MAX", "MIN_LEVEL", "MAX_LEVEL", "REL_TOL", "CLOUD_MIN_RADIUS"},
+    "cli": {"SCHEMA_VERSION", "BGG_GATE"},
+    "inequalities": {"TOLERANCE", "BOX", "EXCLUSION"},
+    "measures": {"N_BATCHES", "TUNE_INTERVAL", "TARGET_ACCEPT"},
+    "norm": {"ROUNDING_GATE"},
+}
+
+
+def test_numeric_settings_are_pinned():
+    # the UPPER_CASE names each module assigns itself (an imported name
+    # counts in its home module only) whose value is an int or a float
+    found = {}
+    for module in map(importlib.import_module, MODULES):
+        for node in ast.parse(inspect.getsource(module)).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for name in (getattr(target, "id", "") for target in targets):
+                if re.fullmatch(r"[A-Z][A-Z0-9_]*", name) and type(getattr(module, name)) in (int, float):
+                    found.setdefault(module.__name__.split(".")[-1], set()).add(name)
+    assert found == NUMERIC_SETTINGS
+
+
 def test_public_name_count_is_pinned():
     # distinct names across the package's __all__ lists: each is API to keep,
     # so a new one needs review; one that retires a name lowers this count

@@ -5,11 +5,10 @@ from conftest import FD_STEP, dilate, norm_field
 from reference import fd_gradient, horizontal, sub_laplacian_batch
 
 from hgauge import fd, norm
-from hgauge.cli import ROUNDING_GATE
 from hgauge.fd import infinity_laplacian_witness
 from hgauge.group import GroupParams, Point, field_coefficients_batch
 from hgauge.inequalities import sample_cloud, shell_cloud
-from hgauge.norm import norm_batch, partials_batch
+from hgauge.norm import ROUNDING_GATE, norm_batch, partials_batch
 
 EPS = np.finfo(float).eps
 
@@ -205,29 +204,27 @@ def test_fd_gradient_polynomial():
 
 
 def test_infinity_laplacian_scaling():
-    # degree -1 homogeneity under the dilations, up to the ends of the
-    # kernel's range; beyond them its degree-10 products over- or underflow
-    # (at 1e-32 the value is off by 0.24% and at 1e-40 NaN), so it raises
+    # degree -1 homogeneity under the dilations at every scale: the witness
+    # evaluates at unit scale, so its kernel's degree-10 products, which
+    # over- or underflow beyond about 1e+-30, never leave the unit range
     p = Point(np.array([1.0, 1.0, 0.0, 0.0]), 0.3)
-    v1, _ = infinity_laplacian_witness(p)
-    for lam in (2.0, 10.0, 1e-3, 1e5, 1e-28, 1e28):
-        v2, _ = infinity_laplacian_witness(dilate(lam, p))
+    v1, f1 = infinity_laplacian_witness(p)
+    for lam in (2.0, 10.0, 1e-3, 1e5, 1e-28, 1e28, 1e-32, 1e31, 1e-150, 1e150):
+        v2, f2 = infinity_laplacian_witness(dilate(lam, p))
         assert v2 == pytest.approx(v1 / lam, rel=1e-12)
-    for lam in (1e-32, 1e31):
-        with pytest.raises(RuntimeError, match="over- or underflows"):
-            infinity_laplacian_witness(dilate(lam, p))
+        assert f2 == pytest.approx(f1 / lam, rel=1e-12)
 
 
 def test_witness_is_exact_with_a_priori_floor():
-    # hgauge.fd holds no stencil, only the exact witness and its floor
-    # FLOOR_EPS eps |grad_H N|^3 / N
+    # hgauge.fd holds no stencil and no setting of its own, only the exact
+    # witness and its floor ROUNDING_GATE eps sum |terms|, the gate of every
+    # exact check
     defined = {name for name, v in vars(fd).items() if getattr(v, "__module__", None) == fd.__name__}
-    assert defined == {"infinity_laplacian_witness"} and fd.FLOOR_EPS == 64.0
+    assert defined == {"infinity_laplacian_witness"} and not hasattr(fd, "FLOOR_EPS")
     p = Point(np.array([1.0, 1.0, 0.0, 0.0]), 0.3)
-    _, floor = infinity_laplacian_witness(p)
-    pb = partials_batch(p.x[None, :], np.array([p.t]))
-    want = fd.FLOOR_EPS * EPS * pb.grad_sq[0] ** 1.5 / pb.N[0]
-    assert floor == pytest.approx(want, rel=1e-14)
+    value, floor = infinity_laplacian_witness(p)
+    want, scale = norm._infinity_laplacian(p.x[None, :], np.array([p.t]))
+    assert (value, floor) == (want[0], ROUNDING_GATE * EPS * scale[0])
     with pytest.raises(ValueError):
         infinity_laplacian_witness(Point(np.zeros(4), 0.0))
 
@@ -240,15 +237,17 @@ def test_witness_clears_noise_floor():
 
 
 def test_abelian_slice_is_infinity_harmonic():
-    # on t = 0 with only pair coordinates, or only block coordinates, active
-    # the gauge is a multiple of |x|, whose infinity-Laplacian vanishes: the
-    # exact value stays within the rounding floor
+    # on t = 0 with only the pair coordinates (S = 0), or all the block
+    # coordinates (R = 0), active the gauge is a multiple of |x|, whose
+    # infinity-Laplacian vanishes: the exact value stays within the rounding
+    # floor, at unit scale and at 2^+-900
     rng = np.random.default_rng(12)
     for n in (2, 3, 6, 10):
-        for scale in (1e-3, 1.0, 1e3):
-            for pair in (True, False):
-                x = np.zeros(2 * n)
-                idx = [0, n] if pair else [1, n + 1]
-                x[idx] = scale * rng.uniform(-2.0, 2.0, 2)
-                value, floor = infinity_laplacian_witness(Point(x, 0.0))
-                assert abs(value) <= floor
+        block = [j for j in range(2 * n) if j not in (0, n)]
+        for scale in (2.0**-900, 1.0, 2.0**900):
+            for idx in ([0, n], block):
+                for _ in range(20):
+                    x = np.zeros(2 * n)
+                    x[idx] = scale * rng.uniform(-2.0, 2.0, len(idx))
+                    value, floor = infinity_laplacian_witness(Point(x, 0.0))
+                    assert 0 < floor and abs(value) <= floor
