@@ -289,17 +289,30 @@ def test_non_finite_parameter_exits_2(capsys, argv):
     assert json.loads(capsys.readouterr().err)["kind"] == "invalid"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("x", ["1e200,0,0,0"])
-def test_non_finite_report_exits_3(capsys, x):
-    # at 1e200 A and B, of degree 2, overflow; a report holding NaN or
-    # infinity is not strict JSON and is not printed
-    assert main(["--no-timestamp", "norm", "eval", "--n", "2", "--x", x]) == 3
+def _assert_non_finite_exit(capsys, argv):
+    # a report holding NaN or infinity is not strict JSON and is not printed
+    assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     err = json.loads(captured.err.strip().splitlines()[-1])
     assert err["kind"] == "numerical"
     assert "non-finite" in err["error"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("x", ["1e200,0,0,0", "1e-200,0,0,0"])
+def test_non_finite_report_exits_3(capsys, x):
+    # exit 3 is for a report that holds NaN or infinity, and only for one:
+    # at 1e200 A and B, of degree 2, overflow; at 1e-200 norm eval runs at
+    # unit scale, so its derivatives are finite and the report prints
+    argv = ["--no-timestamp", "norm", "eval", "--n", "2", "--x", x]
+    if x == "1e200,0,0,0":
+        _assert_non_finite_exit(capsys, argv)
+        return
+    status, report = _run_json(capsys, argv)
+    assert status == 0
+    assert report["results"]["N"] == pytest.approx(2.0**-0.75 * 1e-200, rel=1e-15)
+    assert report["results"]["A"] == report["results"]["dN_dt"] == 0.0
 
 
 def _ray_argv(s):
@@ -309,19 +322,18 @@ def _ray_argv(s):
     return ["--no-timestamp", "norm", "eval", "--n", "6", "--x=" + ",".join(map(repr, x)), f"--t={0.3 * s * s!r}"]
 
 
-def test_norm_eval_is_exact_at_every_scale(capsys):
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_norm_eval_overflow_exits_3(capsys):
     # norm eval evaluates at unit scale, so the band where partials_batch's
     # slopes overflow (from about 1e52 on this ray) and the underflow below
-    # 1e-50 never reach it; a point at 1e-200 has finite derivatives
+    # 1e-50 never reach it; it overflows only where an output leaves float64:
+    # at s = 2e154, A = 0.625 s^2 does, while t = 0.3 s^2 is still finite
     for s in (1e-60, 1e51, 1e60, 1e150):
         status, report = _run_json(capsys, _ray_argv(s))
         assert status == 0
         assert report["results"]["N"] / s == pytest.approx(0.81979338990648, rel=1e-13)
         assert report["results"]["grad_norm_sq"] == pytest.approx(0.3516565987833, rel=1e-12)
-    status, report = _run_json(capsys, ["--no-timestamp", "norm", "eval", "--n", "2", "--x", "1e-200,0,0,0"])
-    assert status == 0
-    assert report["results"]["N"] == pytest.approx(2.0**-0.75 * 1e-200, rel=1e-15)
-    assert report["results"]["A"] == report["results"]["dN_dt"] == 0.0
+    _assert_non_finite_exit(capsys, _ray_argv(2e154))
 
 
 # each single-point output's degree under the dilations delta_lam
