@@ -26,10 +26,18 @@ T = N * |dN/dt|:
       block-slope-upper   (2n+1)/(4n) - |s_b|        >= 0
       time-slope-upper    (2n+1)/(4n) - T            >= 0
 
-Every margin is a function of (R, S, t) alone, so the checks build no
-PartialsBatch: R comes from the two pair columns, |x|^2 is one row dot with
-S = |x|^2 - R, and s_p, s_b and T are N^2 times the slopes over N that
-norm's (A, B, t) core returns.
+Every margin has degree 0, so the checks build no PartialsBatch: phi = R/|x|^2,
+s_p, s_b and T come from norm._chart_slopes, which evaluates them on the
+slice B = 1 of the orbit chart, and this module keeps only the margin
+arithmetic.  With |x|^2 = R + S the gradient block reads
+
+    N (x . grad N) / |x|^2   = phi s_p + (1 - phi) s_b,
+    N^2 |grad N|^2 / |x|^2  = phi s_p^2 + (1 - phi) s_b^2 + (phi/4 + 1 - phi) T^2.
+
+norm._slopes, the (A, B, t) home of the same formulas, serves partials_batch,
+whose pinned bits keep it apart.  The margins hold wherever |x|^2 is a normal
+float and |t|/|x|^2 is below about 1e150, far past partials_batch's 1e-50 to
+1e50.
 
 The coercivity side: for the splitting parameter a > 0 the objective
 
@@ -53,7 +61,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .group import GroupParams, Point, _check_n
-from .norm import _ab, _slopes, norm_batch
+from .norm import _chart_slopes, norm_batch
 
 __all__ = [
     "InequalityReport",
@@ -159,12 +167,13 @@ def _draw(
             out |= ~((nn > window[0]) & (nn < window[1]))
         return out
 
-    redraw = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(origin, a)))
     bad = np.flatnonzero(rejected(x, t))
-    while bad.size:
-        x[bad] = redraw.uniform(-x_box, x_box, (bad.size, dim))
-        t[bad] = redraw.uniform(-t_box, t_box, bad.size)
-        bad = bad[rejected(x[bad], t[bad])]
+    if bad.size:  # a SeedSequence costs tens of microseconds: built only for a redraw
+        redraw = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(origin, a)))
+        while bad.size:
+            x[bad] = redraw.uniform(-x_box, x_box, (bad.size, dim))
+            t[bad] = redraw.uniform(-t_box, t_box, bad.size)
+            bad = bad[rejected(x[bad], t[bad])]
     return x, t
 
 
@@ -238,12 +247,12 @@ def _cloud_reports(
     (rows,), to a sequence of k margin columns, each of shape (rows,).  Each
     row's margins must depend on that row alone, with the same bits at any
     row offset and for x strided inside a wider array, so that streamed and
-    materialised clouds report alike; the checks' margins read only
-    (R, S, t), through _scale_free.  The cloud is never built: each of
-    sample_cloud's spans of _CHUNK rows draws its own x and t and keeps only
-    the minimum of each column, with a coordinate row built only for the
-    first row attaining each, so time grows linearly and memory stays flat
-    in n_points.  Spans run on a pool of min(threads,
+    materialised clouds report alike; the checks' margins read only each
+    row's chart point, through norm._chart_slopes.  The cloud is never
+    built: each of sample_cloud's spans of _CHUNK rows draws its own x and t
+    and keeps only the minimum of each column, with a coordinate row built
+    only for the first row attaining each, so time grows linearly and memory
+    stays flat in n_points.  Spans run on a pool of min(threads,
     os.cpu_count()) workers, one per CPU when threads is None; threads below
     1 raise ValueError.  The reports are those of the whole sample_cloud.
     """
@@ -280,26 +289,6 @@ def _cloud_reports(
     return out
 
 
-def _scale_free(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(R, S, |x|^2, s_p, s_b, T) of a span's (rows, 2n) x and (rows,) t.
-
-    Every cloud margin is a function of (R, S, t): s_p = N^2 g_pair,
-    s_b = N^2 g_block and T = N^2 |t g_time| come from norm's (A, B, t) core,
-    and no PartialsBatch is built.
-    """
-    n = x.shape[1] // 2
-    # |x|^2 as one row dot.  The samplers, grad_norms and bgg keep _rs's
-    # np.add.reduce(x * x), whose bits the chain and report digests pin; the
-    # cloud margins have no pinned bits (the benchmark reads min_margin to a
-    # 1e-9 share), and _rs can take this line once those digests are re-recorded.
-    xsq = np.einsum("ij,ij->i", x, x)
-    r = x[:, 0] ** 2 + x[:, n] ** 2
-    s = xsq - r
-    nn, g_pair, g_block, g_time = _slopes(*_ab(r, s), t, n)
-    nsq = nn * nn
-    return r, s, xsq, nsq * g_pair, nsq * g_block, nsq * np.abs(t * g_time)
-
-
 _GRADIENT_NAMES = ("radial-lower", "gradient-lower", "gradient-upper")
 
 
@@ -316,9 +305,22 @@ def check_gradient_bounds(
     upper_const = (2 * n + 1) ** 2 / (2.0 ** 3 * n * n)
 
     def margins(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
-        r, s, xsq, sp, sb, tt = _scale_free(x, t)
-        ratio = (r * (sp * sp) + s * (sb * sb) + (0.25 * r + s) * (tt * tt)) / xsq
-        return (r * sp + s * sb) / xsq + 1.0 / (4 * n), ratio - lower_const, upper_const - ratio
+        phi, sp, sb, tt = _chart_slopes(x, t)
+        radial = np.subtract(sp, sb)  # phi s_p + (1 - phi) s_b + 1/(4n)
+        radial *= phi
+        radial += sb
+        radial += 1.0 / (4 * n)
+        # ratio = s_b^2 + T^2 + phi (s_p^2 - s_b^2 - 3/4 T^2), in sp
+        sp *= sp
+        sb *= sb
+        tt *= tt
+        sp -= sb
+        sb += tt
+        tt *= 0.75
+        sp -= tt
+        sp *= phi
+        sp += sb
+        return radial, np.subtract(sp, lower_const, out=sb), np.subtract(upper_const, sp, out=sp)
 
     return _cloud_reports(_GRADIENT_NAMES, margins, params, n_points, seed, threads)
 
@@ -347,15 +349,22 @@ def check_partial_bounds(
     mixed_pair_const = 2.0 ** -(2.0 + 1.0 / n)
 
     def margins(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
-        sp, sb, tt = _scale_free(x, t)[3:]
+        _, sp, sb, tt = _chart_slopes(x, t)
+        abs_p, abs_b = np.abs(sp), np.abs(sb)
+        mixed_block = abs_b + tt
+        mixed_block -= mixed_block_const
+        mixed_pair = 0.5 * tt
+        mixed_pair += abs_p
+        mixed_pair -= mixed_pair_const
+        top = (2 * n + 1) / (4.0 * n)
         return (
             sp,
-            0.5 - np.abs(sp),
-            sb + 1.0 / (4 * n),
-            np.abs(sb) + tt - mixed_block_const,
-            np.abs(sp) + 0.5 * tt - mixed_pair_const,
-            (2 * n + 1) / (4.0 * n) - np.abs(sb),
-            (2 * n + 1) / (4.0 * n) - tt,
+            np.subtract(0.5, abs_p, out=abs_p),
+            np.add(sb, 1.0 / (4 * n), out=sb),
+            mixed_block,
+            mixed_pair,
+            np.subtract(top, abs_b, out=abs_b),
+            np.subtract(top, tt, out=tt),
         )
 
     return _cloud_reports(_PARTIAL_NAMES, margins, params, n_points, seed, threads)

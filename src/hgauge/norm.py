@@ -25,9 +25,15 @@ Derivatives have the factored form
 where the slope depends only on (A, B, t) and on whether j lies in the
 distinguished pair {1, n+1} or in a remaining pair.  The slopes are the
 natural objects for the pointwise inequalities, so the batch evaluator
-exposes them directly.  Their formulas live in one private core over
-(A, B, t), _slopes, which returns N and each slope divided by N; its callers
-are partials_batch and the cloud margins of hgauge.inequalities.
+exposes them directly.  Their formulas have two private homes.  _slopes, on
+raw (A, B, t), returns N and each slope divided by N for partials_batch.
+_chart_slopes returns the degree-0 products N * slope that the cloud margins
+of hgauge.inequalities read, evaluated on the slice B = 1 of the orbit chart
+(rho = A/B, tau = t/B): no hypot, no product of nonzero degree, one in-place
+pass, and values that hold wherever |x|^2 is a normal float.  partials_batch
+stays on _slopes because its bits are pinned (the chain and partials digests
+and the benchmark's sample-mala-2 reference); re-recording those pins lets
+it move onto the chart as well.
 
 Second derivatives come from _second_order, which reads N and its gradient
 in (R, S, t), (pair_slope / 2, block_slope / 2, dN_dt), off partials_batch
@@ -174,9 +180,9 @@ class PartialsBatch(NamedTuple):
 def _slopes(a, b, t, n: int):
     """N and the slopes divided by N, (N, g_pair, g_block, g_time), from (A, B, t).
 
-    pair_slope = N g_pair, block_slope = N g_block and time_slope = N g_time;
-    the scale-free products N * slope of the cloud bounds are N^2 g.  The one
-    home of the slope formulas: partials_batch and the cloud margins share it.
+    pair_slope = N g_pair, block_slope = N g_block and time_slope = N g_time.
+    partials_batch's home of the slope formulas, on raw (A, B, t); the cloud
+    margins read the same formulas off the orbit chart, in _chart_slopes.
     """
     w, e, d = wed(a, b, t)
     p = w * w
@@ -193,6 +199,73 @@ def _slopes(a, b, t, n: int):
             - 1.0 / (2.0 * w * e)
         )
     return _gauge(w, e, d, n), g_pair, g_block, g_time
+
+
+def _chart_slopes(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(phi, s_p, s_b, T) of (rows, 2n) x and (rows,) t, on the slice B = 1 of the orbit chart.
+
+    phi = R/|x|^2, s_p = N pair_slope, s_b = N block_slope and T = N |dN/dt|
+    have degree 0, so they are _slopes' N^2 g at the chart point
+    rho = A/B = 1/(2b), tau = t/B, with B = b |x|^2 and b = 1/2 - phi/4.
+    There P = 1 + tau^2, W = sqrt(P), E = 1 + W, D = rho E + tau^2, and with
+    f = (P/D)^(1/2n), K = N^2/B = f D/E and c = (2n-1)/(4n):
+
+        s_p = K/(4nP) + c f (1 + rho/(2W)) - K/(4W),
+        s_b = K/(2nP) + c f (1 + rho/W) - K/(2W),
+        T   = |tau| (K/(2nP) + (c f (2 + rho/W) - K/(2W)) / E).
+
+    No hypot and no product of nonzero degree: the values hold wherever |x|^2
+    is a normal float and |t|/|x|^2 is below about 1e150 (tau^2 finite),
+    where _slopes on raw (A, B, t) holds at scales of about 1e-50 to 1e50.
+    One in-place pass; the comments name what a reused array holds.
+    """
+    n = x.shape[1] // 2
+    c = (2 * n - 1) / (4.0 * n)
+    pair = x[:, ::n]
+    tau = np.einsum("ij,ij->i", x, x)  # |x|^2
+    phi = np.einsum("ij,ij->i", pair, pair)
+    phi /= tau
+    rho = np.multiply(phi, -0.25)
+    rho += 0.5  # b
+    np.divide(t, tau, out=tau)
+    tau /= rho  # tau
+    np.divide(0.5, rho, out=rho)  # rho
+    f = np.multiply(tau, tau)  # tau^2
+    p = np.add(f, 1.0)
+    w = np.sqrt(p)
+    e = np.add(w, 1.0)
+    k = np.multiply(rho, e)
+    k += f  # D
+    np.divide(p, k, out=f)  # f, from P/D
+    np.log(f, out=f)
+    f *= 0.5 / n
+    np.exp(f, out=f)
+    k *= f
+    k /= e  # K
+    p *= 4.0 * n
+    np.divide(k, p, out=p)  # K/(4nP)
+    rho /= w  # rho/W
+    np.divide(k, w, out=w)
+    w *= 0.25  # K/(4W)
+    f *= c  # c f
+    sp = np.multiply(rho, 0.5)
+    sp += 1.0
+    sp *= f
+    sp += p
+    sp -= w
+    sb = np.add(rho, 1.0)
+    sb *= f
+    p *= 2.0  # K/(2nP)
+    w *= 2.0  # K/(2W)
+    sb += p
+    sb -= w
+    rho += 2.0  # on to T
+    rho *= f
+    rho -= w
+    rho /= e
+    rho += p
+    rho *= tau
+    return phi, sp, sb, np.abs(rho, out=rho)
 
 
 def partials_batch(x: np.ndarray, t: np.ndarray) -> PartialsBatch:

@@ -8,6 +8,8 @@ float64.  It shares no formula with the kernels beyond the gauge itself and
 the reduced (R, S, t) forms of L and <grad_H ., grad_H .>; the infinity-
 Laplacian's grad |grad_H N|^2 is differentiated too, not derived by hand.
 The finite-difference criteria stay as the full-space cross-checks.  The
+cloud checks' chart core, norm._chart_slopes, is checked against the same
+gradient: s_p = 2 N N_R, s_b = 2 N N_S and T = N |N_t|.  The
 split objective f(alpha) is written here from the module docstring of
 hgauge.inequalities, not from its code, and differentiated the same way.
 """
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from hgauge import norm
+from hgauge import inequalities, norm
 from hgauge.norm import ROUNDING_GATE
 from hgauge.group import GroupParams
 from hgauge.inequalities import _split_slope, _split_terms, alpha_opt, shell_cloud, split_objective
@@ -88,6 +90,51 @@ def test_second_order_matches_exact_reference(n):
         assert abs(residual[i] - res_ref) <= TOL * res_scale[i]
         # the witness's value is within its own floor of the exact one
         assert abs(inf_lap[i] - inf_ref) <= ROUNDING_GATE * EPS * inf_scale[i]
+
+
+def _chart_reference(n, x, t):
+    """s_p, s_b, T, N^2 |grad_H N|^2 / |x|^2 and N (x . grad N) / |x|^2 at one
+    row, from mp.diff of N(R, S, t)."""
+    f = _gauge(n)
+    with mp.workdps(DIGITS):
+        xs = [mp.mpf(float(v)) for v in x]
+        r = xs[0] ** 2 + xs[n] ** 2
+        s = sum(v * v for v in xs) - r
+        z = (r, s, mp.mpf(float(t)))
+        nn = f(*z)
+        grad = [mp.diff(f, z, o) for o in _UNIT]
+        sp, sb = 2 * nn * grad[0], 2 * nn * grad[1]
+        ratio = nn * nn * _dot(r, s, grad, grad) / (r + s)
+        return [float(v) for v in (sp, sb, nn * abs(grad[2]), ratio, (r * sp + s * sb) / (r + s))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 10])
+def test_chart_slopes_match_exact_reference(n, monkeypatch):
+    # random rows with tau = t/B log-uniform up to 1e6, both signs, plus the
+    # edges phi = 0 (pure block), phi = 1 (pure pair), |tau| = 1e6 and t = 0.
+    # Every value is at most 1 in magnitude; each is within 4 eps of the
+    # exact one (0.8 eps is the worst seen), and so are the gradient check's
+    # margins, which read the ratio off the chart's values
+    rng = np.random.default_rng(90 + n)
+    m = 12
+    x = rng.uniform(-2.0, 2.0, (m, 2 * n))
+    x[0, [0, n]] = 0.0
+    x[1, [j for j in range(2 * n) if j not in (0, n)]] = 0.0
+    tau = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-3.0, 6.0, m)
+    tau[1:4] = 1e6, -1e6, 0.0
+    t = tau * norm.ab_batch(x)[1]
+    _, sp, sb, tt = norm._chart_slopes(x.copy(), t.copy())
+    captured = []
+    monkeypatch.setattr(inequalities, "_cloud_reports", lambda names, fn, *rest: captured.append(fn))
+    inequalities.check_gradient_bounds(GroupParams(n), 1, 0)
+    radial, lower, upper = captured[0](x.copy(), t.copy())
+    lower_const, upper_const = 2.0 ** -(5.0 + 2.0 / n), (2 * n + 1) ** 2 / (8.0 * n * n)
+    for i in range(m):
+        sp_ref, sb_ref, tt_ref, ratio_ref, x_dot_ref = _chart_reference(n, x[i], t[i])
+        radial_ref = x_dot_ref + 0.25 / n
+        got = [sp[i], sb[i], tt[i], lower[i], upper[i], radial[i]]
+        want = [sp_ref, sb_ref, tt_ref, ratio_ref - lower_const, upper_const - ratio_ref, radial_ref]
+        assert np.max(np.abs(np.subtract(got, want))) <= 4 * EPS, (i, got, want)
 
 
 def _objective(n):

@@ -327,6 +327,39 @@ def test_margins_match_partials_batch_reference(check, n, monkeypatch):
         assert np.array_equal(np.argmin(got[rows], axis=0), np.argmin(want[rows], axis=0)), rows
 
 
+def _assert_scale_free(check, params, x, t, lam, monkeypatch):
+    """check's margin columns at delta_lam (x, t) equal those at (x, t) to
+    1e-13 of max(1, |margin|); lam is a scalar or one factor per row."""
+    margin_fn = _margin_fn(check, params, 0, monkeypatch)
+    lam = np.broadcast_to(lam, t.shape)
+    want = np.column_stack(margin_fn(x.copy(), t.copy()))
+    got = np.column_stack(margin_fn(x * lam[:, None], t * lam * lam))
+    err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+    assert np.all(err <= 1e-13), (check.__name__, lam[np.argmax(np.max(err, axis=1))], np.max(err))
+
+
+@pytest.mark.parametrize("check", [check_gradient_bounds, check_partial_bounds])
+@pytest.mark.parametrize("s", [1e-155, 1e-153, 1e-100, 1e-60, 1e-51, 1e51, 1e60, 1e100, 1e150])
+def test_margins_hold_along_a_dilation_ray(check, s, monkeypatch):
+    # delta_s(e_1 + e_4 / 2, t = 0.3) at n = 6; the margins have degree 0
+    # and read only the chart point, so no scale in which |x|^2 is a normal
+    # float moves them (at s = 1e-155 it is subnormal, and still holds here)
+    params = GroupParams(6)
+    x = np.zeros((1, 12))
+    x[0, 0], x[0, 3] = 1.0, 0.5
+    _assert_scale_free(check, params, x, np.array([0.3]), s, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [2, 6, 10])
+@pytest.mark.parametrize("check", [check_gradient_bounds, check_partial_bounds])
+def test_margins_hold_at_random_scales(check, n, monkeypatch):
+    # box rows (|x| >= EXCLUSION) dilated by lam = 10^U(-150, 150), row by row
+    params = GroupParams(n)
+    coords = sample_cloud(params, 4000, seed=40 + n)[:3000]
+    lam = 10.0 ** np.random.default_rng(n).uniform(-150.0, 150.0, len(coords))
+    _assert_scale_free(check, params, coords[:, :-1], coords[:, -1], lam, monkeypatch)
+
+
 def test_streamed_check_never_builds_the_cloud(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sample_cloud called")
