@@ -87,25 +87,17 @@ class TestFunction:
 
 def _smooth_step(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """C^inf transition 1 -> 0 on s in [0, 1], with derivative."""
-    s = np.clip(s, 0.0, 1.0)
-    inner = s > 0
-    outer = s < 1
-    mid = inner & outer
-    h0 = np.zeros_like(s)
-    h1 = np.zeros_like(s)
+    mid = (s > 0) & (s < 1)
+    sm = s[mid]
     with np.errstate(over="ignore", divide="ignore"):
-        h0[mid] = np.exp(-1.0 / s[mid])
-        h1[mid] = np.exp(-1.0 / (1.0 - s[mid]))
-    h0[s >= 1] = math.exp(-1.0)
-    h1[s <= 0] = math.exp(-1.0)
-    val = np.where(s <= 0, 1.0, np.where(s >= 1, 0.0, h1 / (h0 + h1)))
-    dval = np.zeros_like(s)
-    if np.any(mid):
-        sm = s[mid]
-        d0 = h0[mid] / sm ** 2
-        d1 = -h1[mid] / (1.0 - sm) ** 2
-        tot = h0[mid] + h1[mid]
-        dval[mid] = (d1 * tot - h1[mid] * (d0 + d1)) / tot ** 2
+        h0 = np.exp(-1.0 / sm)
+        h1 = np.exp(-1.0 / (1.0 - sm))
+    tot = h0 + h1
+    val = np.where(s <= 0, 1.0, 0.0)
+    val[mid] = h1 / tot
+    dval = np.zeros_like(val)
+    d1 = -h1 / (1.0 - sm) ** 2
+    dval[mid] = (d1 * tot - h1 * (h0 / sm ** 2 + d1)) / tot ** 2
     return val, dval
 
 

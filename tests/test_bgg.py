@@ -1,11 +1,11 @@
 import functools
-import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+import pins
 from conftest import dilate
 from reference import closed_form_solution
 
@@ -158,35 +158,9 @@ def test_compare_cloud_identities(n, monkeypatch, capsys):
     assert report["results"]["max_rel_err"] < 1e-8
 
 
-# sha256 prefixes of compare_cloud's rows (x, then t) at criterion 01's
-# points and seeds, recorded from the sequential rejection sampler that the
-# positional one replaced: none of these clouds rejects a row
-COMPARE_DIGESTS = {
-    2: "eb3a8616709926a3eacf574dfbde47f8",
-    3: "0f99f33ffcda0e15719629b086c86079",
-    6: "3d6d30adc159982734c1f6f32390e1e9",
-    8: "fecbd3abab63648d89d9fd39e960fda4",
-}
-
-
-@pytest.mark.parametrize("n", sorted(COMPARE_DIGESTS))
-def test_compare_cloud_digests(n, monkeypatch):
-    h = hashlib.sha256()
-    ab, rows = bgg.ab_batch, bgg._re_rows
-
-    def ab_spy(x):
-        h.update(x.tobytes())
-        return ab(x)
-
-    def rows_spy(a, b, t, k):
-        if k == n:
-            h.update(t.tobytes())
-        return rows(a, b, t, k)
-
-    monkeypatch.setattr(bgg, "ab_batch", ab_spy)
-    monkeypatch.setattr(bgg, "_re_rows", rows_spy)
-    compare_cloud(GroupParams(n), 200, seed=1000 + n)
-    assert h.hexdigest()[:32] == COMPARE_DIGESTS[n]
+@pytest.mark.parametrize("n", sorted(pins.COMPARE_DIGESTS))
+def test_compare_cloud_digests(n):
+    assert pins.digest(pins.compare_parts(n)) == pins.COMPARE_DIGESTS[n]
 
 
 @pytest.mark.parametrize("n, x2, t", [(3, 1e-3, 10.0), (2, 1e-2, -1e3)])

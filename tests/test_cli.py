@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import io
 import json
 import math
@@ -10,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+import pins
 
 import hgauge
 from hgauge import inequalities, measures, norm
@@ -45,15 +46,6 @@ def test_timestamp_present_by_default(capsys):
     assert "timestamp" in report
 
 
-# sha256 prefixes of `verify` reports on 3000-step n=6 chains (seed 3, burn
-# 500): terms, anchor and fit are pinned byte for byte
-VERIFY_REPORTS = {
-    "2c89cbd1ecb4e9d25a47c46662dcf121": "ubound --family cosh-power --k 1",
-    "17c50facbe09175420230a4b9cc476f1": "ubound --family power --k 4 --q 3 --restrict-exterior",
-    "049000cfd6dd64f722c2b68792fe89eb": "lsi --family alpha-power --alpha 1 --p 4 --beta 0.25",
-}
-
-
 def test_reports_are_byte_identical(capsys):
     argv = ["--no-timestamp", "check", "lemma2", "--n", "2", "--points", "4000", "--seed", "3"]
     main(argv)
@@ -61,26 +53,17 @@ def test_reports_are_byte_identical(capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
-    for digest, args in VERIFY_REPORTS.items():
-        argv = ["--no-timestamp", "verify", *args.split(), "--n", "6", "--seed", "3"]
-        assert main(argv + ["--steps", "3000", "--burn", "500"]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:32] == digest, args
+    for digest, args in pins.VERIFY_REPORTS.items():
+        parts, status = pins.verify_report(digest)
+        assert status == 0, args
+        assert pins.digest(parts) == digest, args
 
 
-# sha256 prefixes of `check infinity-harmonic` reports and their exit
-# status: the exact value, rounding floor and verdict are pinned byte for byte
-INFINITY_REPORTS = {
-    "32e795a2900e0f278040698b996f73ac": ("--n 2", 0),
-    "2264999d3afb0bcd1376bb3f644ac2d6": ("--n 3", 0),
-    "76d3a87be35c89b08d5d40496a94e7e0": ("--n 6", 0),
-    "ad1aa0ea317ce615f3a7190c6eb93982": ("--n 2 --x 1,0,1,0 --t 0", 1),
-}
-
-
-def test_infinity_harmonic_reports_are_pinned(capsys):
-    for digest, (args, status) in INFINITY_REPORTS.items():
-        assert main(["--no-timestamp", "check", "infinity-harmonic", *args.split()]) == status
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:32] == digest, args
+def test_infinity_harmonic_reports_are_pinned():
+    for digest, (args, want) in pins.INFINITY_REPORTS.items():
+        parts, status = pins.infinity_report(digest)
+        assert status == want, args
+        assert pins.digest(parts) == digest, args
 
 
 def test_central_line_reports(capsys):

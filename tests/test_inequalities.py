@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 
@@ -6,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import pins
 
 from hgauge import bgg, inequalities
 from hgauge.group import GroupParams
@@ -23,26 +24,10 @@ from hgauge.inequalities import (
 )
 
 
-# sha256 prefixes of sample_cloud over m in {1, 7, 500}, seeds {0, 20261017}
-# and BOX in {5, 0.5}: the benchmark's cloud min_margin references rest on
-# these bytes, so a change to the sampler must keep them.
-CLOUD_DIGESTS = {
-    2: "0d0026b43fd5ac33b5bf935ec005e182",
-    6: "087464c567f3373c9cec099f856ae3cf",
-    10: "3946f4495c6f746c78d58dad116612c8",
-}
-
-
-def test_sample_cloud_shape_and_determinism(monkeypatch):
+def test_sample_cloud_shape_and_determinism():
     assert sample_cloud(GroupParams(3), 500, seed=5).shape == (500, 7)
-    for n, digest in CLOUD_DIGESTS.items():
-        h = hashlib.sha256()
-        for m in (1, 7, 500):
-            for seed in (0, 20261017):
-                for box in (5.0, 0.5):
-                    monkeypatch.setattr(inequalities, "BOX", box)
-                    h.update(sample_cloud(GroupParams(n), m, seed).tobytes())
-        assert h.hexdigest()[:32] == digest, n
+    for n, digest in pins.CLOUD_DIGESTS.items():
+        assert pins.digest(pins.cloud_parts(n)) == digest, n
 
 
 def test_sample_cloud_respects_exclusion():
@@ -170,13 +155,13 @@ def test_span_rows_concatenate_to_sample_cloud(n, m):
     assert rows.tobytes() == sample_cloud(params, m, seed).tobytes()
 
 
-def test_rejection_moves_no_other_row(monkeypatch):
+def test_rejection_moves_no_other_row():
     # BOX=1e-3 rejects about 1 box row in 3 at n=2; each is redrawn in place
     params, m, seed = GroupParams(2), 100_003, 9
     m_box = (3 * m) // 4
     radial = sample_cloud(params, m, seed)[m_box:]
-    monkeypatch.setattr(inequalities, "BOX", 1e-3)
-    cloud = sample_cloud(params, m, seed)
+    parts = pins.redraw_parts("sample_cloud")
+    cloud = parts["cloud"]
     assert cloud[m_box:].tobytes() == radial.tobytes()
     x = inequalities._uniform(seed, 0, m_box * 4, -1e-3, 1e-3).reshape(m_box, 4)
     t = inequalities._uniform(seed, m_box * 4, m_box, -1e-6, 1e-6)
@@ -185,7 +170,7 @@ def test_rejection_moves_no_other_row(monkeypatch):
     assert cloud[:m_box][kept].tobytes() == np.column_stack([x, t])[kept].tobytes()
     assert np.all(np.linalg.norm(cloud[:, :-1], axis=1) >= EXCLUSION)
     # the redraws come from a stream keyed by (seed, part origin, span start)
-    assert hashlib.sha256(cloud.tobytes()).hexdigest()[:32] == "b044c55d928cc641dc2b5d8c97f91d0b"
+    assert pins.digest(parts) == pins.REDRAW_DIGESTS["sample_cloud"]
 
 
 @pytest.mark.parametrize("dim", [4, 12, 20])
@@ -210,28 +195,15 @@ def test_exclusion_prefilter_matches_the_full_norm(dim):
     assert np.array_equal(inequalities._in_ball(x, EXCLUSION), want)
 
 
-# sha256 prefixes of shell_cloud over m in {1, 20, 100, 1000} and seeds
-# {0, 33, 46, 20261017}, recorded from the sequential rejection sampler that
-# the positional one replaced: none of these clouds rejects a row
-SHELL_DIGESTS = {
-    3: "f895c9c9709a21173a5c15eac88c65c4",
-    6: "7b2671b2efcb8dcd994e517503ed93ea",
-}
-
-
-@pytest.mark.parametrize("n", sorted(SHELL_DIGESTS))
+@pytest.mark.parametrize("n", sorted(pins.SHELL_DIGESTS))
 def test_shell_cloud_digests(n):
-    h = hashlib.sha256()
-    for m in (1, 20, 100, 1000):
-        for seed in (0, 33, 46, 20261017):
-            h.update(shell_cloud(GroupParams(n), m, seed).tobytes())
-    assert h.hexdigest()[:32] == SHELL_DIGESTS[n]
+    assert pins.digest(pins.shell_parts(n)) == pins.SHELL_DIGESTS[n]
 
 
 def test_shell_cloud_redraws_in_place():
     # at n=2 a few rows per hundred fall outside |x| >= 1/2, 1/2 < N < 5
-    params = GroupParams(2)
-    cloud = shell_cloud(params, 1000, seed=42)
+    parts = pins.redraw_parts("shell_cloud")
+    cloud = parts["cloud"]
     x = inequalities._uniform(42, 0, 4000, -2.0, 2.0).reshape(1000, 4)
     t = inequalities._uniform(42, 4000, 1000, -3.0, 3.0)
     nn = norm_batch(x, t)
@@ -240,7 +212,7 @@ def test_shell_cloud_redraws_in_place():
     assert cloud[kept].tobytes() == np.column_stack([x, t])[kept].tobytes()
     nn = norm_batch(cloud[:, :-1], cloud[:, -1])
     assert np.all(np.linalg.norm(cloud[:, :-1], axis=1) >= 0.5) and np.all((nn > 0.5) & (nn < 5.0))
-    assert hashlib.sha256(cloud.tobytes()).hexdigest()[:32] == "b1c368ee04b9eb0e43c7d4976e4403a2"
+    assert pins.digest(parts) == pins.REDRAW_DIGESTS["shell_cloud"]
 
 
 def _margin_fn(check, params, seed, monkeypatch):

@@ -1,10 +1,10 @@
 import dataclasses
-import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import pins
 from conftest import FD_STEP
 from reference import fd_gradient
 
@@ -182,30 +182,7 @@ def test_log_densities_recorded_correctly():
     assert np.allclose(b.log_densities[idx], want, rtol=1e-12, atol=0.0)
 
 
-# sha256 prefixes of (coords, log-densities, acceptance, step_final) over both
-# chains, recorded from a sampler that scored one proposal per gauge call: the
-# block sampler must reproduce it bit for bit.  Burn-in 1037 is no multiple of
-# TUNE_INTERVAL, so blocks meet both the tuning boundaries and the end of
-# burn-in.
-CHAIN_DIGESTS = {
-    ("rwm", "power", 2): "2d8bd728698501a3581db05706431808",
-    ("rwm", "power", 6): "27cb58b1e1aa22848ff57983ad55fb7a",
-    ("rwm", "power-log", 2): "393a90220a6d29429fb4b15fb742e64a",
-    ("rwm", "power-log", 6): "16d1a38a490ecf5efb93c31583c3b5ce",
-    ("mala", "cosh-power", 2): "1701d95d647f91c54abe5c80e7e4e354",
-    ("mala", "cosh-power", 6): "c769bd5edd8f3d4722af19e3d9bb8ca8",
-    ("mala", "alpha-power", 2): "010251e58a3a194a2be31a540e09bc41",
-    ("mala", "alpha-power", 6): "d144050a8ca0c788d7511ffba5de815f",
-}
-DIGEST_SPECS = {
-    "power": POWER4,
-    "power-log": PLOG3,
-    "cosh-power": MeasureSpec(family="cosh-power", k=2.0),
-    "alpha-power": APOW,
-}
-
-
-@pytest.mark.parametrize("algorithm, family, n", sorted(CHAIN_DIGESTS))
+@pytest.mark.parametrize("algorithm, family, n", sorted(pins.CHAIN_DIGESTS))
 def test_chain_digests_are_pinned(algorithm, family, n, monkeypatch):
     calls = []
     run_one = measures.run_chain
@@ -216,23 +193,9 @@ def test_chain_digests_are_pinned(algorithm, family, n, monkeypatch):
 
     # run_chains must go through the module-level run_chain, once per chain
     monkeypatch.setattr(measures, "run_chain", counted)
-    cfg = SamplerConfig(
-        n_steps=3000,
-        burn_in=1037,
-        step=0.25 if algorithm == "rwm" else 0.1,
-        seed=3,
-        n_chains=2,
-        algorithm=algorithm,
-    )
-    batches = measures.run_chains(DIGEST_SPECS[family], GroupParams(n), cfg)
+    parts = pins.chain_parts((algorithm, family, n))
     assert calls == [0, 1]
-    h = hashlib.sha256()
-    for b in batches:
-        h.update(np.ascontiguousarray(b.coords).tobytes())
-        h.update(b.log_densities.tobytes())
-        h.update(np.float64(b.acceptance_rate).tobytes())
-        h.update(np.float64(b.step_final).tobytes())
-    assert h.hexdigest()[:32] == CHAIN_DIGESTS[algorithm, family, n]
+    assert pins.digest(parts) == pins.CHAIN_DIGESTS[algorithm, family, n]
 
 
 def _one_step_chain(spec, params, cfg, chain_index):
