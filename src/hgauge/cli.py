@@ -21,10 +21,11 @@ rounding gate norm.ROUNDING_GATE of check fundamental, check constants and
 the witness, and the bound tolerance inequalities.TOLERANCE.
 Reports are strict JSON.
 Exit status: 0 all checks passed, 1 a check failed, 2 invalid
-configuration (an output path that cannot be written, or --output and
---out naming one file, included), 3 numerical breakdown (a mis-tuned
-chain, a quadrature that did not converge, a report that holds a
-non-finite number).
+configuration (an output path that cannot be written, --output and --out
+naming one file, and a measure parameter the family does not read,
+included), 3 numerical breakdown (a mis-tuned chain, a quadrature that did
+not converge, a verify sample on which a test function is constant or
+vanishes, a report that holds a non-finite number).
 """
 
 from __future__ import annotations
@@ -463,8 +464,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                 fh.write(text + "\n")
         made.clear()
     except (ValueError, RuntimeError, OSError) as exc:
-        # RuntimeError: a mis-tuned chain, an unconverged quadrature or a
-        # non-finite report; OSError: an unwritable --output or --out path
+        # RuntimeError: a mis-tuned chain, an unconverged quadrature, a test
+        # function with no mass on the sample or a non-finite report;
+        # OSError: an unwritable --output or --out path
         numerical = isinstance(exc, RuntimeError)
         err = {
             "schema": SCHEMA_VERSION,

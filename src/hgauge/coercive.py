@@ -305,15 +305,15 @@ def poincare_ratio(
 
     The error is the delta-method one, batch_means_se(num - ratio * den) / E den,
     which stays finite when some batches barely touch the support of f.
-    Raises when the gradient mass vanishes (constant f, or a function whose
-    support misses the sample entirely).
+    Raises RuntimeError when the gradient mass vanishes (constant f, or a
+    function whose support misses the sample entirely).
     """
     fv, grads = f.evaluate(batch)
     num_samples = _q_power(fv - fv.mean(), spec.q)
     den_samples = _q_power(grads, spec.q)
     den = float(np.mean(den_samples))
     if den == 0.0:
-        raise ValueError(f"Degenerate denominator for {f.name!r} (constant on the sample).")
+        raise RuntimeError(f"Degenerate denominator for {f.name!r} (constant on the sample).")
     ratio = float(np.mean(num_samples)) / den
     return ratio, batch_means_se(num_samples - ratio * den_samples) / den
 
@@ -321,14 +321,14 @@ def poincare_ratio(
 def beta_lsi_functional(
     f: TestFunction, spec: MeasureSpec, batch: SampleBatch, beta: float
 ) -> tuple[float, float, float]:
-    """(entropy-like lhs, gradient term, mass term) for the beta-LSI."""
+    """(entropy-like lhs, gradient term, mass term) for the beta-LSI; raises if f vanishes."""
     _check_beta(spec, beta)
     q = spec.q
     values, grads = f.evaluate(batch)
     fq = _q_power(values, q)
     mean_fq = float(np.mean(fq))
     if mean_fq == 0.0:
-        raise ValueError(f"{f.name!r} vanishes on the whole sample.")
+        raise RuntimeError(f"{f.name!r} vanishes on the whole sample.")
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.where(fq > 0.0, np.abs(np.log(fq / mean_fq)) ** beta, 0.0)
     lhs = float(np.mean(fq * logs))

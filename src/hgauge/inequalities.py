@@ -34,10 +34,9 @@ arithmetic.  With |x|^2 = R + S the gradient block reads
     N (x . grad N) / |x|^2   = phi s_p + (1 - phi) s_b,
     N^2 |grad N|^2 / |x|^2  = phi s_p^2 + (1 - phi) s_b^2 + (phi/4 + 1 - phi) T^2.
 
-norm._slopes, the (A, B, t) home of the same formulas, serves partials_batch,
-whose pinned bits keep it apart.  The margins hold wherever |x|^2 is a normal
-float and |t|/|x|^2 is below about 1e150, far past partials_batch's 1e-50 to
-1e50.
+norm.partials_batch holds the same formulas on raw (A, B, t), and its pinned
+bits keep it apart.  The margins hold wherever |x|^2 is a normal float and
+|t|/|x|^2 is below about 1e150, far past partials_batch's 1e-50 to 1e50.
 
 The coercivity side: for the splitting parameter a > 0 the objective
 

@@ -79,6 +79,10 @@ class MeasureSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"Unknown family {self.family!r}; choose from {FAMILIES}.")
+        # a parameter that g does not read would be recorded and never used
+        for name in ("k",) if self.family == "alpha-power" else ("alpha", "p"):
+            if getattr(self, name) is not None:
+                raise ValueError(f"{self.family} family does not read {name}.")
         for name in ("q", "k", "alpha", "p"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):

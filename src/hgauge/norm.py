@@ -25,15 +25,15 @@ Derivatives have the factored form
 where the slope depends only on (A, B, t) and on whether j lies in the
 distinguished pair {1, n+1} or in a remaining pair.  The slopes are the
 natural objects for the pointwise inequalities, so the batch evaluator
-exposes them directly.  Their formulas have two private homes.  _slopes, on
-raw (A, B, t), returns N and each slope divided by N for partials_batch.
-_chart_slopes returns the degree-0 products N * slope that the cloud margins
-of hgauge.inequalities read, evaluated on the slice B = 1 of the orbit chart
-(rho = A/B, tau = t/B): no hypot, no product of nonzero degree, one in-place
-pass, and values that hold wherever |x|^2 is a normal float.  partials_batch
-stays on _slopes because its bits are pinned (the chain and partials digests
-and the benchmark's sample-mala-2 reference); re-recording those pins lets
-it move onto the chart as well.
+exposes them directly.  Their formulas have two homes.  partials_batch
+evaluates them on raw (A, B, t), as N times each slope's ratio to N, and its
+bits are pinned (the chain and partials digests and the benchmark's
+sample-mala-2 reference).  The private _chart_slopes returns the
+degree-0 products N * slope that the cloud margins of hgauge.inequalities
+read, evaluated on the slice B = 1 of the orbit chart (rho = A/B,
+tau = t/B): no hypot, no product of nonzero degree, one in-place pass, and
+values that hold wherever |x|^2 is a normal float.  Re-recording the pins
+lets partials_batch move onto the chart as well.
 
 Second derivatives come from _second_order, which reads N and its gradient
 in (R, S, t), (pair_slope / 2, block_slope / 2, dN_dt), off partials_batch
@@ -177,35 +177,11 @@ class PartialsBatch(NamedTuple):
         return dn_dx
 
 
-def _slopes(a, b, t, n: int):
-    """N and the slopes divided by N, (N, g_pair, g_block, g_time), from (A, B, t).
-
-    pair_slope = N g_pair, block_slope = N g_block and time_slope = N g_time.
-    partials_batch's home of the slope formulas, on raw (A, B, t); the cloud
-    margins read the same formulas off the orbit chart, in _chart_slopes.
-    """
-    w, e, d = wed(a, b, t)
-    p = w * w
-    fourn = 4.0 * n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mid = ((2 * n - 1) / fourn) * e / d
-        # 2b/x = 2 (b/x), 1/(2W) = 2 / (4W) and A/(2W) = (A/W) / 2 hold bit for bit
-        b_p, inv_4w, a_w = b / (fourn * p), 1.0 / (4.0 * w), a / w
-        g_pair = b_p + mid * (1.0 + 0.5 * a_w) - inv_4w
-        g_block = 2.0 * b_p + mid * (1.0 + a_w) - 2.0 * inv_4w
-        g_time = (
-            1.0 / (2.0 * n * p)
-            + ((2 * n - 1) / fourn) * (2.0 * w + a) / (w * d)
-            - 1.0 / (2.0 * w * e)
-        )
-    return _gauge(w, e, d, n), g_pair, g_block, g_time
-
-
 def _chart_slopes(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """(phi, s_p, s_b, T) of (rows, 2n) x and (rows,) t, on the slice B = 1 of the orbit chart.
 
     phi = R/|x|^2, s_p = N pair_slope, s_b = N block_slope and T = N |dN/dt|
-    have degree 0, so they are _slopes' N^2 g at the chart point
+    have degree 0, so they are partials_batch's N * slope at the chart point
     rho = A/B = 1/(2b), tau = t/B, with B = b |x|^2 and b = 1/2 - phi/4.
     There P = 1 + tau^2, W = sqrt(P), E = 1 + W, D = rho E + tau^2, and with
     f = (P/D)^(1/2n), K = N^2/B = f D/E and c = (2n-1)/(4n):
@@ -216,7 +192,7 @@ def _chart_slopes(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
 
     No hypot and no product of nonzero degree: the values hold wherever |x|^2
     is a normal float and |t|/|x|^2 is below about 1e150 (tau^2 finite),
-    where _slopes on raw (A, B, t) holds at scales of about 1e-50 to 1e50.
+    where partials_batch on raw (A, B, t) holds at scales of about 1e-50 to 1e50.
     One in-place pass; the comments name what a reused array holds.
     """
     n = x.shape[1] // 2
@@ -277,6 +253,8 @@ def partials_batch(x: np.ndarray, t: np.ndarray) -> PartialsBatch:
         grad_sq = R pair^2 + S block^2 + (R/4 + S) dN_dt^2,
         x_dot   = R pair + S block.
 
+    Each slope is N times its ratio to N (g_pair, g_block, g_time), on raw
+    (A, B, t); _chart_slopes reads the same formulas off the orbit chart.
     N is smooth on the central line x = 0, and its rows are exact like any
     other; the identity row gives N = 0 and NaN slopes, a NaN row NaN.
     Trusted at scales of about 1e-50 to 1e50; past them degree-6 products
@@ -284,14 +262,26 @@ def partials_batch(x: np.ndarray, t: np.ndarray) -> PartialsBatch:
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
+    n = x.shape[-1] // 2
     r, s = _rs(x)
     a, b = _ab(r, s)
-    nn, g_pair, g_block, g_time = _slopes(a, b, t, x.shape[-1] // 2)
-    pair_slope = nn * g_pair
-    block_slope = nn * g_block
+    w, e, d = wed(a, b, t)
+    p = w * w
+    fourn = 4.0 * n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mid = ((2 * n - 1) / fourn) * e / d
+        # 2b/x = 2 (b/x), 1/(2W) = 2 / (4W) and A/(2W) = (A/W) / 2 hold bit for bit
+        b_p, inv_4w, a_w = b / (fourn * p), 1.0 / (4.0 * w), a / w
+        g_pair = b_p + mid * (1.0 + 0.5 * a_w) - inv_4w
+        g_block = 2.0 * b_p + mid * (1.0 + a_w) - 2.0 * inv_4w
+        g_time = (
+            1.0 / (2.0 * n * p)
+            + ((2 * n - 1) / fourn) * (2.0 * w + a) / (w * d)
+            - 1.0 / (2.0 * w * e)
+        )
+    nn = _gauge(w, e, d, n)
+    del w, e, d, p, mid, b_p, inv_4w, a_w  # freed before the products, so they add no peak
     time_slope = nn * g_time
-    dn_dt = t * time_slope
-
     return PartialsBatch(
         x=x,
         N=nn,
@@ -299,10 +289,10 @@ def partials_batch(x: np.ndarray, t: np.ndarray) -> PartialsBatch:
         B=b,
         R=r,
         S=s,
-        pair_slope=pair_slope,
-        block_slope=block_slope,
+        pair_slope=nn * g_pair,
+        block_slope=nn * g_block,
         time_slope=time_slope,
-        dN_dt=dn_dt,
+        dN_dt=t * time_slope,
     )
 
 

@@ -14,7 +14,7 @@ import pins
 
 import hgauge
 from hgauge import inequalities, measures, norm
-from hgauge.cli import ROUNDING_GATE, RunConfig, _write_csv_rows, build_parser, config_from_args, main, run
+from hgauge.cli import ROUNDING_GATE, RunConfig, _write_csv_rows, config_from_args, main, run
 from hgauge.group import GroupParams
 
 
@@ -525,6 +525,27 @@ def test_missing_parameter_exits_2(capsys):
     assert status == 2
     err = capsys.readouterr().err
     assert "k >= 4" in err
+
+
+def test_unread_parameter_exits_2(capsys):
+    # power's g reads only k, so --alpha and --p would be recorded and never used
+    argv = VERIFY_SHORT + ["--family", "power", "--k", "4", "--alpha", "3", "--p", "9"]
+    assert main(["--no-timestamp", *argv]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "invalid"
+    assert "does not read alpha" in err["error"]
+
+
+@pytest.mark.parametrize("command", ["verify lsi --beta 0.5", "verify poincare"], ids=["lsi", "poincare"])
+def test_sample_outside_a_support_exits_3(capsys, command):
+    # at n = 10 this chain never reaches N < 1.5, where bump(origin, r=1.5) lives
+    argv = [*command.split(), "--family", "cosh-power", "--k", "1", "--n", "10", "--seed", "1"]
+    assert main(["--no-timestamp", *argv, "--steps", "3000", "--burn", "500"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err["kind"] == "numerical"
+    assert "bump(origin, r=1.5)" in err["error"]
 
 
 def test_measure_sample_csv(tmp_path, capsys):

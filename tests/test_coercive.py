@@ -190,7 +190,7 @@ def test_family_shares_one_gauge_pass(batch, monkeypatch):
 
 def test_constant_has_zero_gradient(batch):
     assert np.all(CONSTANT.evaluate(batch)[1] == 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError):
         poincare_ratio(CONSTANT, POWER4, batch)
 
 

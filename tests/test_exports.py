@@ -49,15 +49,25 @@ def test_readme_cli_examples_parse():
 
 
 def test_named_module_constants_resolve():
-    # every module.CONSTANT that the README or a module docstring names
-    # exists, so deleting a setting cannot leave a stale reference behind
+    # every module.CONSTANT and module._private name that the README or a
+    # module docstring names exists, and so does every _private name a module's
+    # docstring names bare, so deleting a setting or a private function cannot
+    # leave a stale reference behind
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     text += "".join(importlib.import_module(name).__doc__ or "" for name in MODULES)
     short = "|".join(name.split(".")[-1] for name in MODULES[1:])
-    named = set(re.findall(rf"\b(?:hgauge\.)?({short})\.([A-Z][A-Z0-9_]+)\b", text))
-    assert {("bgg", "REL_TOL"), ("inequalities", "BOX")} <= named
-    missing = [f"{mod}.{name}" for mod, name in named if not hasattr(importlib.import_module(f"hgauge.{mod}"), name)]
-    assert missing == []
+    for pattern, seen in [
+        (r"[A-Z][A-Z0-9_]+", {("bgg", "REL_TOL"), ("inequalities", "BOX")}),
+        (r"_\w+", {("norm", "_chart_slopes"), ("norm", "_unit_scale")}),
+    ]:
+        named = set(re.findall(rf"\b(?:hgauge\.)?({short})\.({pattern})\b", text))
+        assert seen <= named
+        missing = [f"{mod}.{name}" for mod, name in named if not hasattr(importlib.import_module(f"hgauge.{mod}"), name)]
+        assert missing == []
+    for mod in MODULES:
+        module = importlib.import_module(mod)
+        bare = set(re.findall(r"(?<![\w.])(_[a-z]\w*)\b", module.__doc__ or ""))
+        assert [name for name in bare if not hasattr(module, name)] == [], mod
 
 
 def _is_dataclass(node):

@@ -53,6 +53,13 @@ def test_spec_validation():
         MeasureSpec(family="unknown", k=4.0)
     with pytest.raises(ValueError):
         MeasureSpec(family="power", k=4.0, q=1.5)
+    # a parameter the family's g does not read is refused, by name
+    unread = [("alpha-power", "k")]
+    unread += [(family, name) for family in ("power", "cosh-power", "power-log") for name in ("alpha", "p")]
+    for family, name in unread:
+        read = {"alpha": 1.0, "p": 4.0} if family == "alpha-power" else {"k": 4.0}
+        with pytest.raises(ValueError, match=f"does not read {name}"):
+            MeasureSpec(family=family, **read, **{name: 3.0})
 
 
 def test_g_values_frozen():
