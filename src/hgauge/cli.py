@@ -20,12 +20,13 @@ quadrature tolerance bgg.REL_TOL, the bgg compare gate BGG_GATE, the
 rounding gate norm.ROUNDING_GATE of check fundamental, check constants and
 the witness, and the bound tolerance inequalities.TOLERANCE.
 Reports are strict JSON.
-Exit status: 0 all checks passed, 1 a check failed, 2 invalid
-configuration (an output path that cannot be written, --output and --out
-naming one file, and a measure parameter the family does not read,
-included), 3 numerical breakdown (a mis-tuned chain, a quadrature that did
-not converge, a verify sample on which a test function is constant or
-vanishes, a report that holds a non-finite number).
+Exit status: 0 all checks passed or no verdict (measure sample, verify
+poincare), 1 a check failed, 2 invalid configuration (an output path that
+cannot be written, --output and --out naming one file, and a measure
+parameter the family does not read, included), 3 numerical breakdown (a
+mis-tuned chain, a quadrature that did not converge, a verify sample on
+which E|f|^q or E|grad f|^q of a test function is 0, a report that holds a
+non-finite number).
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _measure_spec(opts: dict) -> measures.MeasureSpec:
-    # measure sample takes no --q, and an unset flag is not in opts
-    names = ("family", "k", "alpha", "p", "q")
+    # an unset flag is not in opts
+    names = ("family", "k", "alpha", "p")
     return measures.MeasureSpec(**{name: opts[name] for name in names if name in opts})
 
 
@@ -248,40 +249,36 @@ def _cmd_measure_sample(cfg: RunConfig) -> tuple[dict, Optional[bool]]:
     return summary, None
 
 
-def _cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, bool]:
+def _cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, Optional[bool]]:
     o = cfg.options
     params = GroupParams(o["n"])
     spec = _measure_spec(o)
+    q = o["q"]
+    coercive._check_q(q)  # bad exponents fail before the chain runs
     scfg = _sampler_config(o)
-    if which == "lsi":  # a bad beta fails before the chain runs
-        measures._check_beta(spec, o.get("beta"))
+    if which == "lsi":
+        coercive._check_beta(spec, o.get("beta"))
     batch = measures.run_chain(spec, params, scfg, 0)
     family = coercive.default_family(params)
     base = {
         "family": spec.label(),
-        "q": spec.q,
+        "q": q,
         "samples": int(batch.coords.shape[0]),
         "acceptance_rate": batch.acceptance_rate,
     }
-    if which == "poincare":
-        ratios = []
-        ok = True
+    if which == "poincare":  # no verdict: the ratios are reported, not tested
+        base["ratios"] = []
         for f in family[1:]:
-            ratio, se = coercive.poincare_ratio(f, spec, batch)
-            finite = bool(np.isfinite(ratio))
-            ok = ok and finite
-            ratios.append({"name": f.name, "ratio": ratio, "se": se, "finite": finite})
-        base["ratios"] = ratios
-        return base, ok
+            ratio, se = coercive.poincare_ratio(f, batch, q)
+            base["ratios"].append({"name": f.name, "ratio": ratio, "se": se})
+        return base, None
     if which == "ubound":
-        terms, result = coercive.fit_ubound_constants(
-            family, spec, batch, restrict_exterior=o["restrict_exterior"]
-        )
+        terms, result = coercive.fit_ubound_constants(family, batch, q, o["restrict_exterior"])
         base["terms"] = [asdict(t) for t in terms]
     else:
-        result = coercive.fit_beta_lsi(family, spec, batch, o["beta"])
+        result = coercive.fit_beta_lsi(family, batch, q, o["beta"])
     base["fit"] = result.as_dict()
-    return base, bool(result.feasible and result.max_violation <= 0.0)
+    return base, result.feasible
 
 
 # -- wiring -------------------------------------------------------------------
@@ -347,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("ubound", "poincare", "lsi"):
         pv = verify_sub.add_parser(name)
         _add_measure_flags(pv)
-        pv.add_argument("--q", type=float, default=measures.MeasureSpec.q)
+        pv.add_argument("--q", type=float, default=2.0)
         if name == "ubound":
             pv.add_argument("--restrict-exterior", dest="restrict_exterior", action="store_true")
         elif name == "lsi":
@@ -465,7 +462,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         made.clear()
     except (ValueError, RuntimeError, OSError) as exc:
         # RuntimeError: a mis-tuned chain, an unconverged quadrature, a test
-        # function with no mass on the sample or a non-finite report;
+        # function with E|f|^q or E|grad f|^q = 0 or a non-finite report;
         # OSError: an unwritable --output or --out path
         numerical = isinstance(exc, RuntimeError)
         err = {

@@ -1,7 +1,9 @@
 """Empirical verification of coercive inequalities against sampled measures.
 
 Three functional inequalities are fitted over a family of test functions f,
-with all expectations replaced by Monte Carlo means over a SampleBatch:
+with all expectations replaced by Monte Carlo means over a SampleBatch.  The
+measure is the batch's own (batch.spec); the exponents q and beta are the
+inequalities', taken and checked here (_check_q, _check_beta):
 
     U-bound      E[eta(N) |f|^q]           <= C E[|grad f|^q] + D E[|f|^q]
     q-Poincare   E[|f - E f|^q]            <= C E[|grad f|^q]
@@ -14,7 +16,9 @@ horizontal and exact, |grad f| = |h'(u)| |grad u|.  X_j x_1 = delta_j1 gives
 |grad x_1| = 1; left invariance gives |grad u| = |grad N| at c^{-1} p, which
 partials_batch returns in closed form as sqrt(grad_sq).  The origin-centred
 functions all read N and |grad N| from the batch's one cached gauge pass;
-a function with a centre makes one pass of its own.
+a function with a centre makes one pass of its own.  One pass per function
+(_powers) gives f, |f|^q and |grad f|^q to all three functionals and raises
+RuntimeError when E|f|^q = 0.
 
 The fitter takes D in [a, 10a], a the empirical mean of eta, and returns in
 closed form the smallest C that satisfies every test function and then the
@@ -32,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .group import GroupParams, Point, compose, inverse
-from .measures import MeasureSpec, SampleBatch, _check_beta, batch_means_se, eta_weight
+from .measures import MeasureSpec, SampleBatch, batch_means_se, eta_weight
 from .norm import partials_batch
 
 __all__ = [
@@ -202,29 +206,51 @@ class FeasibilityResult:
         }
 
 
-def _q_power(vals: np.ndarray, q: float) -> np.ndarray:
-    return np.abs(vals) ** q
+def _check_q(q: float) -> None:
+    """The one check of the inequalities' integrability exponent q."""
+    if not 2 <= q < math.inf:
+        raise ValueError(f"Need a finite q >= 2, got {q}.")
 
 
-def ubound_terms(
-    f: TestFunction,
-    spec: MeasureSpec,
-    batch: SampleBatch,
-    restrict_exterior: bool,
-) -> UboundTerms:
+def _check_beta(spec: MeasureSpec, beta: float) -> None:
+    """The one check of the beta-LSI exponent; a missing beta fails too.
+
+    power is alpha-power with alpha = 1 and p = k, so one rule caps both:
+    N^2 g^beta / g' = alpha^(beta-1) N^(3-p+p beta) / p is bounded on
+    {N >= 1} exactly when beta <= (p-3)/p.
+    """
+    if beta is None or not 0 < beta < math.inf:
+        raise ValueError(f"Need a finite beta > 0, got {beta}.")
+    name = {"power": "k", "alpha-power": "p"}.get(spec.family)
+    if name is not None:
+        p = getattr(spec, name)
+        if beta > (p - 3) / p:
+            raise ValueError(
+                f"{spec.family} family needs 0 < beta <= ({name}-3)/{name}, got beta={beta}."
+            )
+
+
+def _powers(f: TestFunction, batch: SampleBatch, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f, |f|^q, |grad f|^q) on every row; raises RuntimeError if E|f|^q = 0."""
+    _check_q(q)
+    values, grads = f.evaluate(batch)
+    fq = np.abs(values) ** q
+    if float(np.mean(fq)) == 0.0:
+        raise RuntimeError(f"E|f|^q = 0 for {f.name!r}: f vanishes on the sample, or |f|^q underflows.")
+    return values, fq, np.abs(grads) ** q
+
+
+def ubound_terms(f: TestFunction, batch: SampleBatch, q: float, restrict_exterior: bool) -> UboundTerms:
     """Per-sample U-bound functionals for one test function.
 
     restrict_exterior keeps only {N >= 1} contributions on the left side,
     matching the exterior form of the bound; the right side is unchanged.
     """
     norms = batch.norms()
-    q = spec.q
-    values, grads = f.evaluate(batch)
-    fv = _q_power(values, q)
-    lhs_samples = eta_weight(spec, norms) * fv
+    _, fv, grad_samples = _powers(f, batch, q)
+    lhs_samples = eta_weight(batch.spec, norms) * fv
     if restrict_exterior:
         lhs_samples = np.where(norms >= 1.0, lhs_samples, 0.0)
-    grad_samples = _q_power(grads, q)
     return UboundTerms(
         name=f.name,
         lhs=float(np.mean(lhs_samples)),
@@ -282,67 +308,59 @@ def _fit_constants(
 
 def fit_ubound_constants(
     functions: Sequence[TestFunction],
-    spec: MeasureSpec,
     batch: SampleBatch,
+    q: float,
     restrict_exterior: bool = False,
 ) -> tuple[list[UboundTerms], FeasibilityResult]:
     """The U-bound terms of each function, and feasible (C, D) over the family."""
-    terms = [ubound_terms(f, spec, batch, restrict_exterior=restrict_exterior) for f in functions]
+    terms = [ubound_terms(f, batch, q, restrict_exterior) for f in functions]
     norms = batch.norms()
-    eta = eta_weight(spec, norms)
+    eta = eta_weight(batch.spec, norms)
     if restrict_exterior:
         eta = np.where(norms >= 1.0, eta, 0.0)
     rows = [(t.name, t.lhs, t.grad_term, t.mass_term) for t in terms]
     return terms, _fit_constants(rows, float(np.mean(eta)))
 
 
-def poincare_ratio(
-    f: TestFunction,
-    spec: MeasureSpec,
-    batch: SampleBatch,
-) -> tuple[float, float]:
+def poincare_ratio(f: TestFunction, batch: SampleBatch, q: float) -> tuple[float, float]:
     """(E|f - Ef|^q / E|grad f|^q, batch-means error of the ratio).
 
     The error is the delta-method one, batch_means_se(num - ratio * den) / E den,
     which stays finite when some batches barely touch the support of f.
-    Raises RuntimeError when the gradient mass vanishes (constant f, or a
-    function whose support misses the sample entirely).
+    Raises RuntimeError when E|f|^q is 0, and when E|grad f|^q is 0: f is
+    constant on the sample, or |grad f|^q underflows.
     """
-    fv, grads = f.evaluate(batch)
-    num_samples = _q_power(fv - fv.mean(), spec.q)
-    den_samples = _q_power(grads, spec.q)
+    fv, _, den_samples = _powers(f, batch, q)
+    num_samples = np.abs(fv - fv.mean()) ** q
     den = float(np.mean(den_samples))
     if den == 0.0:
-        raise RuntimeError(f"Degenerate denominator for {f.name!r} (constant on the sample).")
+        raise RuntimeError(
+            f"E|grad f|^q = 0 for {f.name!r}: f is constant on the sample, or |grad f|^q underflows."
+        )
     ratio = float(np.mean(num_samples)) / den
     return ratio, batch_means_se(num_samples - ratio * den_samples) / den
 
 
 def beta_lsi_functional(
-    f: TestFunction, spec: MeasureSpec, batch: SampleBatch, beta: float
+    f: TestFunction, batch: SampleBatch, q: float, beta: float
 ) -> tuple[float, float, float]:
-    """(entropy-like lhs, gradient term, mass term) for the beta-LSI; raises if f vanishes."""
-    _check_beta(spec, beta)
-    q = spec.q
-    values, grads = f.evaluate(batch)
-    fq = _q_power(values, q)
+    """(entropy-like lhs, gradient term, mass term) for the beta-LSI."""
+    _check_beta(batch.spec, beta)
+    _, fq, grad_samples = _powers(f, batch, q)
     mean_fq = float(np.mean(fq))
-    if mean_fq == 0.0:
-        raise RuntimeError(f"{f.name!r} vanishes on the whole sample.")
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.where(fq > 0.0, np.abs(np.log(fq / mean_fq)) ** beta, 0.0)
     lhs = float(np.mean(fq * logs))
-    grad = float(np.mean(_q_power(grads, q)))
-    return lhs, grad, mean_fq
+    return lhs, float(np.mean(grad_samples)), mean_fq
 
 
 def fit_beta_lsi(
-    functions: Sequence[TestFunction], spec: MeasureSpec, batch: SampleBatch, beta: float
+    functions: Sequence[TestFunction], batch: SampleBatch, q: float, beta: float
 ) -> FeasibilityResult:
     """Feasible (C, D) for the beta log-Sobolev form over the family."""
     rows = []
     for f in functions:
-        lhs, grad, mass = beta_lsi_functional(f, spec, batch, beta)
+        lhs, grad, mass = beta_lsi_functional(f, batch, q, beta)
         rows.append((f.name, lhs, grad, mass))
-    anchor = float(np.mean(eta_weight(spec, batch.norms())))
+    anchor = float(np.mean(eta_weight(batch.spec, batch.norms())))
     return _fit_constants(rows, anchor)

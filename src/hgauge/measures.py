@@ -10,8 +10,8 @@ The four families:
 
 The carre-du-champ weight eta(N) = g'(N) / N^2 drives the coercive
 inequalities; its empirical mean anchors the fitted constant D.  The
-beta-LSI's exponent beta is not the measure's: it is an argument of the
-LSI functions, checked once here (_check_beta).
+inequalities' exponents q and beta are not the measure's: coercive takes
+and checks them.  A SampleBatch records the spec it was drawn from.
 
 The samplers are plain random-walk Metropolis (default) and MALA on the
 (2n+1)-dimensional coordinate space.  Chains are reproducible: chain i of a
@@ -68,13 +68,12 @@ N_BATCHES = 50  # batch_means_se's batches
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """One measure dmu = e^{-g(N)}/Z dlambda with integrability exponent q."""
+    """One measure dmu = e^{-g(N)}/Z dlambda."""
 
     family: str
     k: Optional[float] = None
     alpha: Optional[float] = None
     p: Optional[float] = None
-    q: float = 2.0
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -83,12 +82,10 @@ class MeasureSpec:
         for name in ("k",) if self.family == "alpha-power" else ("alpha", "p"):
             if getattr(self, name) is not None:
                 raise ValueError(f"{self.family} family does not read {name}.")
-        for name in ("q", "k", "alpha", "p"):
+        for name in ("k", "alpha", "p"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"Need a finite {name}, got {value}.")
-        if self.q < 2:
-            raise ValueError(f"Need q >= 2, got {self.q}.")
         if self.family != "alpha-power":
             k_min = {"power": 4, "cosh-power": 1, "power-log": 3}[self.family]
             if self.k is None or self.k < k_min:
@@ -134,24 +131,6 @@ def eta_weight(spec: MeasureSpec, r: np.ndarray) -> np.ndarray:
     return g_prime(spec, r) / (r * r)
 
 
-def _check_beta(spec: MeasureSpec, beta: float) -> None:
-    """The one check of the beta-LSI exponent; a missing beta fails too.
-
-    power is alpha-power with alpha = 1 and p = k, so one rule caps both:
-    N^2 g^beta / g' = alpha^(beta-1) N^(3-p+p beta) / p is bounded on
-    {N >= 1} exactly when beta <= (p-3)/p.
-    """
-    if beta is None or not 0 < beta < math.inf:
-        raise ValueError(f"Need a finite beta > 0, got {beta}.")
-    name = {"power": "k", "alpha-power": "p"}.get(spec.family)
-    if name is not None:
-        p = getattr(spec, name)
-        if beta > (p - 3) / p:
-            raise ValueError(
-                f"{spec.family} family needs 0 < beta <= ({name}-3)/{name}, got beta={beta}."
-            )
-
-
 # -- samplers -----------------------------------------------------------------
 
 
@@ -188,8 +167,9 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Post-burn-in draws of one chain."""
+    """Post-burn-in draws of one chain of spec's measure."""
 
+    spec: MeasureSpec
     coords: np.ndarray        # (m, 2n+1)
     log_densities: np.ndarray  # (m,) unnormalised, -g(N)
     acceptance_rate: float
@@ -385,6 +365,7 @@ def run_chain(
     kept_norms = np.repeat(run_norms[: len(run_starts)], counts)
     kept_norms.flags.writeable = False
     return SampleBatch(
+        spec=spec,
         coords=kept,
         log_densities=-g_value(spec, kept_norms),
         acceptance_rate=rate,

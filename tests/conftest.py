@@ -46,7 +46,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 PARAMS6 = GroupParams(6)
-POWER4 = MeasureSpec(family="power", k=4.0, q=2.0)
+POWER4 = MeasureSpec(family="power", k=4.0)
 LONG_CFG = SamplerConfig(n_steps=110_000, burn_in=10_000, step=0.25, seed=11, n_chains=2)
 
 
@@ -70,16 +70,14 @@ def family_chains():
         "plog3": MeasureSpec(family="power-log", k=3.0),
     }
     cfg = dataclasses.replace(LONG_CFG, seed=12, n_chains=1)
-    chains = {name: run_chain(spec, PARAMS6, cfg, 0) for name, spec in specs.items()}
-    chains["specs"] = specs
-    return chains
+    return {name: run_chain(spec, PARAMS6, cfg, 0) for name, spec in specs.items()}
 
 
 @pytest.fixture(scope="session")
 def alpha_chain():
-    spec = MeasureSpec(family="alpha-power", alpha=1.0, p=4.0, q=2.0)
+    spec = MeasureSpec(family="alpha-power", alpha=1.0, p=4.0)
     cfg = dataclasses.replace(LONG_CFG, seed=13, n_chains=1)
-    return spec, run_chain(spec, PARAMS6, cfg, 0)
+    return run_chain(spec, PARAMS6, cfg, 0)
 
 
 @pytest.fixture(scope="session")

@@ -41,6 +41,17 @@ def test_solution_constant_needs_integer_n_from_2(n):
         solution_constant(n)
 
 
+@pytest.mark.parametrize(
+    "solution, p, match",
+    [(fundamental_solution_quad, Point(np.zeros(4), 0.7), "x != 0"),
+     (fundamental_solution_closed, Point(np.zeros(4), 0.0), "identity")],
+    ids=["quad-on-central-line", "closed-at-identity"],
+)
+def test_singular_points_are_refused(solution, p, match):
+    with pytest.raises(ValueError, match=match):
+        solution(p)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_quadrature_matches_closed_form(n):
     rng = np.random.default_rng(20 + n)

@@ -147,6 +147,18 @@ def test_check_constants_below_two_exits_2(capsys):
     assert "n >= 2" in err["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["norm", "eval", "--n", "2", "--x", "1,0,0"], "Expected 4 horizontal coordinates, got 3."),
+     (["check", "constants", "--n-range", "5..3"], "Empty range '5..3'.")],
+    ids=["x-count", "empty-range"],
+)
+def test_malformed_coordinates_or_range_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"schema": 1, "kind": "invalid", "error": message}
+
+
 def test_check_constants_roundoff_floor(capsys):
     # f'(alpha_opt) is exact calculus: rounding alone, within ROUNDING_GATE
     # eps times the sum of its terms' magnitudes, where the central
@@ -536,7 +548,9 @@ def test_unread_parameter_exits_2(capsys):
     assert "does not read alpha" in err["error"]
 
 
-@pytest.mark.parametrize("command", ["verify lsi --beta 0.5", "verify poincare"], ids=["lsi", "poincare"])
+@pytest.mark.parametrize(
+    "command", ["verify lsi --beta 0.5", "verify poincare", "verify ubound"], ids=["lsi", "poincare", "ubound"]
+)
 def test_sample_outside_a_support_exits_3(capsys, command):
     # at n = 10 this chain never reaches N < 1.5, where bump(origin, r=1.5) lives
     argv = [*command.split(), "--family", "cosh-power", "--k", "1", "--n", "10", "--seed", "1"]
@@ -665,7 +679,7 @@ def test_verify_poincare_short(capsys):
         status = main(argv + run_args)
         report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
         assert status == 0
-        assert report["pass"] is True
+        assert report["pass"] is None
         assert len(report["results"]["ratios"]) == 7
         for r in report["results"]["ratios"]:
             assert math.isfinite(r["ratio"]) and math.isfinite(r["se"]), r

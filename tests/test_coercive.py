@@ -35,9 +35,9 @@ def batch():
 
 
 def _rows(coords):
-    """A SampleBatch holding arbitrary coordinate rows."""
+    """A SampleBatch of POWER4 holding arbitrary coordinate rows."""
     norms = norm_batch(coords[:, :-1], coords[:, -1])
-    return SampleBatch(coords, np.zeros(len(coords)), 1.0, 0, 1.0, norms)
+    return SampleBatch(POWER4, coords, np.zeros(len(coords)), 1.0, 0, 1.0, norms)
 
 
 def _fd_horizontal_grad(f, coords, h=1e-6):
@@ -184,19 +184,36 @@ def test_family_shares_one_gauge_pass(batch, monkeypatch):
             if getattr(module, name, None) is target:
                 monkeypatch.setattr(module, name, counted)
     fresh = dataclasses.replace(batch)  # empty cache
-    fit_ubound_constants(FAMILY, POWER4, fresh)
+    fit_ubound_constants(FAMILY, fresh, 2.0)
     assert calls["norm_batch"] == 0 and calls["partials_batch"] <= 2, calls
 
 
 def test_constant_has_zero_gradient(batch):
     assert np.all(CONSTANT.evaluate(batch)[1] == 0.0)
     with pytest.raises(RuntimeError):
-        poincare_ratio(CONSTANT, POWER4, batch)
+        poincare_ratio(CONSTANT, batch, 2.0)
+
+
+def test_degenerate_means_name_both_causes(batch):
+    # E|f|^q = 0 stops all three functionals; E|grad f|^q = 0 stops the
+    # Poincare ratio.  Either mean is 0 also when its q-th power underflows.
+    far = _rows(np.array([[9.0, 0.0, 0.0, 0.0, 0.0]] * 100))
+    for call in (
+        lambda: ubound_terms(BUMP, far, 2.0, restrict_exterior=False),
+        lambda: poincare_ratio(BUMP, far, 2.0),
+        lambda: beta_lsi_functional(BUMP, far, 2.0, beta=0.25),
+    ):
+        with pytest.raises(RuntimeError, match=r"1.5\)': f vanishes on the sample, or \|f\|\^q underflows"):
+            call()
+    # |grad f|^2 = 1e-400 underflows on every row, while f is not constant
+    flat = coercive.TestFunction("flat", lambda u: (1.0 + 1e-200 * u, np.full_like(u, 1e-200)), radial=False)
+    with pytest.raises(RuntimeError, match=r"'flat': f is constant on the sample, or \|grad f\|\^q underflows"):
+        poincare_ratio(flat, batch, 2.0)
 
 
 def test_ubound_terms_nonnegative(batch):
     for f in default_family(PARAMS):
-        terms = ubound_terms(f, POWER4, batch, restrict_exterior=False)
+        terms = ubound_terms(f, batch, 2.0, restrict_exterior=False)
         assert terms.lhs >= 0.0
         assert terms.grad_term >= 0.0
         assert terms.mass_term > 0.0
@@ -204,10 +221,10 @@ def test_ubound_terms_nonnegative(batch):
 
 def test_fit_ubound_feasible(batch):
     fam = default_family(PARAMS)
-    terms, res = fit_ubound_constants(fam, POWER4, batch)
-    assert terms == [ubound_terms(f, POWER4, batch, restrict_exterior=False) for f in fam]
+    terms, res = fit_ubound_constants(fam, batch, 2.0)
+    assert terms == [ubound_terms(f, batch, 2.0, restrict_exterior=False) for f in fam]
     assert res.feasible
-    assert res.max_violation <= 0.0
+    assert res.feasible == (res.max_violation == 0.0)
     assert res.c >= 0.0 and res.d > 0.0
     assert len(res.per_function_margins) == len(fam)
     assert all(m >= -1e-12 for m in res.per_function_margins)
@@ -215,21 +232,21 @@ def test_fit_ubound_feasible(batch):
 
 def test_fit_ubound_exterior_restriction(batch):
     fam = default_family(PARAMS)
-    _, res = fit_ubound_constants(fam, POWER4, batch, restrict_exterior=True)
+    _, res = fit_ubound_constants(fam, batch, 2.0, restrict_exterior=True)
     assert res.feasible
-    assert res.max_violation <= 0.0
+    assert res.feasible == (res.max_violation == 0.0)
 
 
 def test_fit_is_deterministic(batch):
     fam = default_family(PARAMS)
-    _, r1 = fit_ubound_constants(fam, POWER4, batch)
-    _, r2 = fit_ubound_constants(fam, POWER4, batch)
+    _, r1 = fit_ubound_constants(fam, batch, 2.0)
+    _, r2 = fit_ubound_constants(fam, batch, 2.0)
     assert r1.c == r2.c and r1.d == r2.d
 
 
 def test_poincare_ratio_coordinate_equals_variance(batch):
     # |grad x_1| = 1, so the q = 2 ratio is exactly the sample variance
-    ratio, se = poincare_ratio(COORDINATE, POWER4, batch)
+    ratio, se = poincare_ratio(COORDINATE, batch, 2.0)
     var = float(np.var(batch.coords[:, 0]))
     assert ratio == pytest.approx(var, rel=1e-12)
     assert se > 0.0
@@ -237,7 +254,7 @@ def test_poincare_ratio_coordinate_equals_variance(batch):
 
 def test_poincare_ratios_finite_across_family(batch):
     for f in default_family(PARAMS)[1:]:
-        ratio, se = poincare_ratio(f, POWER4, batch)
+        ratio, se = poincare_ratio(f, batch, 2.0)
         assert np.isfinite(ratio) and ratio > 0
 
 
@@ -247,13 +264,13 @@ def test_poincare_two_seed_stability():
     for seed in (31, 32):
         cfg = dataclasses.replace(CFG, seed=seed)
         b = run_chain(POWER4, PARAMS, cfg, 0)
-        ratios.append(max(poincare_ratio(f, POWER4, b)[0] for f in fam))
+        ratios.append(max(poincare_ratio(f, b, 2.0)[0] for f in fam))
     assert abs(ratios[0] - ratios[1]) / np.mean(ratios) < 0.4
 
 
 def test_beta_lsi_functional_handles_zero_values(batch):
     # the origin bump vanishes on most samples
-    lhs, grad, mass = beta_lsi_functional(BUMP, APOW, batch, beta=0.25)
+    lhs, grad, mass = beta_lsi_functional(BUMP, batch, 2.0, beta=0.25)
     assert np.isfinite(lhs) and lhs >= 0.0
     assert np.isfinite(grad) and grad >= 0.0
     assert mass > 0.0
@@ -261,9 +278,9 @@ def test_beta_lsi_functional_handles_zero_values(batch):
 
 def test_fit_beta_lsi_feasible():
     b = run_chain(APOW, PARAMS, CFG, 0)
-    res = fit_beta_lsi(default_family(PARAMS), APOW, b, beta=0.25)
+    res = fit_beta_lsi(default_family(PARAMS), b, 2.0, beta=0.25)
     assert res.feasible
-    assert res.max_violation <= 0.0
+    assert res.feasible == (res.max_violation == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -275,11 +292,23 @@ def test_fit_beta_lsi_rejects_bad_beta(batch, spec, beta):
     # beta > 0 for every family, and beta <= (p-3)/p = 1/4 for alpha-power at
     # p = 4 and for power at k = 4, the same measure
     with pytest.raises(ValueError, match="beta"):
-        fit_beta_lsi(default_family(PARAMS), spec, batch, beta=beta)
+        fit_beta_lsi(default_family(PARAMS), dataclasses.replace(batch, spec=spec), 2.0, beta=beta)
+
+
+@pytest.mark.parametrize("q", [1.5, math.nan, math.inf])
+def test_functionals_reject_bad_q(batch, q):
+    # q is the inequalities' exponent, not the measure's: finite and >= 2
+    for call in (
+        lambda: ubound_terms(COORDINATE, batch, q, restrict_exterior=False),
+        lambda: poincare_ratio(COORDINATE, batch, q),
+        lambda: beta_lsi_functional(COORDINATE, batch, q, beta=0.25),
+    ):
+        with pytest.raises(ValueError, match="q >= 2"):
+            call()
 
 
 def test_feasibility_result_as_dict(batch):
-    _, res = fit_ubound_constants(default_family(PARAMS), POWER4, batch)
+    _, res = fit_ubound_constants(default_family(PARAMS), batch, 2.0)
     d = res.as_dict()
     assert set(d) == {"C", "D", "max_violation", "per_function", "d_grid", "feasible"}
     assert len(d["per_function"]) == 8
@@ -356,6 +385,7 @@ def test_fit_constants_random_rows():
         assert res.feasible == np.all(10.0 * anchor * mass[zero] - lhs[zero] >= 0.0)
         margins = np.array(res.per_function_margins)
         assert res.max_violation == max(0.0, -margins.min())
+        assert res.feasible == (res.max_violation == 0.0)
         if not res.feasible:
             assert res.d == 10.0 * anchor
             assert np.all(margins[~zero] >= 0.0) and np.any(margins[zero] < 0.0)

@@ -8,7 +8,7 @@ import pins
 from conftest import FD_STEP
 from reference import fd_gradient
 
-from hgauge import measures
+from hgauge import coercive, measures
 from hgauge.group import GroupParams
 from hgauge.measures import (
     FAMILIES,
@@ -52,7 +52,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         MeasureSpec(family="unknown", k=4.0)
     with pytest.raises(ValueError):
-        MeasureSpec(family="power", k=4.0, q=1.5)
+        MeasureSpec(family="alpha-power", alpha=0.0, p=4.0)
     # a parameter the family's g does not read is refused, by name
     unread = [("alpha-power", "k")]
     unread += [(family, name) for family in ("power", "cosh-power", "power-log") for name in ("alpha", "p")]
@@ -116,7 +116,7 @@ def test_grad_log_density_rejects_only_identity():
     assert np.all(np.isnan(exact[3]))
 
 
-# -- the beta-LSI exponent -------------------------------------------------------
+# -- the beta-LSI exponent's cap, set by the measure's growth ------------------
 
 
 @pytest.mark.parametrize(
@@ -125,16 +125,29 @@ def test_grad_log_density_rejects_only_identity():
      (POWER4, math.inf), (POWER4, None)],
 )
 def test_lsi_conditions_reject_bad_beta(spec, beta):
-    # beta is the beta-LSI's exponent, checked once: finite and > 0, and for
-    # alpha-power (and power, its alpha = 1 case) at most (p-3)/p: 0.3 > 1/4 at p = 4
+    # beta is the beta-LSI's exponent, checked once in coercive: finite and > 0,
+    # and for alpha-power (and power, its alpha = 1 case) at most (p-3)/p:
+    # 0.3 > 1/4 at p = 4
     with pytest.raises(ValueError, match="beta"):
-        measures._check_beta(spec, beta)
+        coercive._check_beta(spec, beta)
 
 
 # -- sampler --------------------------------------------------------------------
 
 SHORT = SamplerConfig(n_steps=12_000, burn_in=2_000, step=0.3, seed=5, n_chains=2)
 PARAMS2 = GroupParams(2)
+
+
+@pytest.mark.parametrize(
+    "settings, chain_index",
+    [({"algorithm": "hmc"}, 0), ({"burn_in": -1}, 0), ({"burn_in": 1000}, 0), ({"n_chains": 0}, 0), ({}, -1), ({}, 2)],
+    ids=["algorithm", "burn-negative", "burn-all", "no-chains", "index-negative", "index-past-chains"],
+)
+def test_sampler_inputs_are_refused(settings, chain_index):
+    # SamplerConfig checks its settings, run_chain its chain index, before a step runs
+    with pytest.raises(ValueError):
+        cfg = SamplerConfig(**{"n_steps": 1000, "n_chains": 2, **settings})
+        run_chain(POWER4, PARAMS2, cfg, chain_index)
 
 
 def test_chain_determinism():
