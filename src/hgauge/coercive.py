@@ -215,19 +215,22 @@ def _check_q(q: float) -> None:
 def _check_beta(spec: MeasureSpec, beta: float) -> None:
     """The one check of the beta-LSI exponent; a missing beta fails too.
 
-    power is alpha-power with alpha = 1 and p = k, so one rule caps both:
-    N^2 g^beta / g' = alpha^(beta-1) N^(3-p+p beta) / p is bounded on
-    {N >= 1} exactly when beta <= (p-3)/p.
+    N^2 g^beta / g' must be bounded on {N >= 1}.  For g of degree d (k for
+    power and power-log, p for alpha-power) it grows as N^(3-d+d beta), times
+    alpha^(beta-1) / d or, for power-log, about (log N)^(beta-1) / d, so
+    beta <= (d-3)/d; power-log at k = 3 admits no beta.  For cosh-power it is
+    about N^(3-k) e^((beta-1) N^k) / k: beta < 1, or beta = 1 with k >= 3.
     """
     if beta is None or not 0 < beta < math.inf:
         raise ValueError(f"Need a finite beta > 0, got {beta}.")
-    name = {"power": "k", "alpha-power": "p"}.get(spec.family)
-    if name is not None:
-        p = getattr(spec, name)
-        if beta > (p - 3) / p:
-            raise ValueError(
-                f"{spec.family} family needs 0 < beta <= ({name}-3)/{name}, got beta={beta}."
-            )
+    if spec.family == "cosh-power":
+        if beta > 1 or (beta == 1 and spec.k < 3):
+            raise ValueError(f"cosh-power family needs 0 < beta < 1, or beta = 1 with k >= 3, got beta={beta}.")
+        return
+    name = "p" if spec.family == "alpha-power" else "k"
+    d = getattr(spec, name)
+    if beta > (d - 3) / d:
+        raise ValueError(f"{spec.family} family needs 0 < beta <= ({name}-3)/{name}, got beta={beta}.")
 
 
 def _powers(f: TestFunction, batch: SampleBatch, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

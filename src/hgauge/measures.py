@@ -61,7 +61,9 @@ __all__ = [
     "batch_means_se",
 ]
 
-FAMILIES = ("power", "cosh-power", "power-log", "alpha-power")
+# the parameters each family's g reads, and their least values; alpha's bound is strict
+_FAMILY_PARAMS = {"power": {"k": 4}, "cosh-power": {"k": 1}, "power-log": {"k": 3}, "alpha-power": {"alpha": 0, "p": 4}}
+FAMILIES = tuple(_FAMILY_PARAMS)
 ALGORITHMS = ("rwm", "mala")
 N_BATCHES = 50  # batch_means_se's batches
 
@@ -76,30 +78,20 @@ class MeasureSpec:
     p: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        if self.family not in _FAMILY_PARAMS:
             raise ValueError(f"Unknown family {self.family!r}; choose from {FAMILIES}.")
+        reads = _FAMILY_PARAMS[self.family]
         # a parameter that g does not read would be recorded and never used
-        for name in ("k",) if self.family == "alpha-power" else ("alpha", "p"):
-            if getattr(self, name) is not None:
-                raise ValueError(f"{self.family} family does not read {name}.")
         for name in ("k", "alpha", "p"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"Need a finite {name}, got {value}.")
-        if self.family != "alpha-power":
-            k_min = {"power": 4, "cosh-power": 1, "power-log": 3}[self.family]
-            if self.k is None or self.k < k_min:
-                raise ValueError(f"{self.family} family needs k >= {k_min}, got {self.k}.")
-        else:
-            if self.alpha is None or self.alpha <= 0:
-                raise ValueError(f"alpha-power family needs alpha > 0, got {self.alpha}.")
-            if self.p is None or self.p < 4:
-                raise ValueError(f"alpha-power family needs p >= 4, got {self.p}.")
+            if name not in reads and getattr(self, name) is not None:
+                raise ValueError(f"{self.family} family does not read {name}.")
+        for name, least in reads.items():
+            value, op = getattr(self, name), ">" if name == "alpha" else ">="
+            if value is None or not math.isfinite(value) or value < least or (op == ">" and value == least):
+                raise ValueError(f"{self.family} family needs a finite {name} {op} {least}, got {value}.")
 
     def label(self) -> str:
-        if self.family == "alpha-power":
-            return f"alpha-power(alpha={self.alpha}, p={self.p})"
-        return f"{self.family}(k={self.k})"
+        return f"{self.family}({', '.join(f'{name}={getattr(self, name)}' for name in _FAMILY_PARAMS[self.family])})"
 
 
 def g_value(spec: MeasureSpec, r: np.ndarray) -> np.ndarray:

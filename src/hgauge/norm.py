@@ -68,9 +68,17 @@ __all__ = [
     "partials_batch",
 ]
 
-# the gate of every exact check, in eps sum |terms|; the worst rounding seen is 5 for check
-# fundamental, 1.5 for check constants and 9.7 for Delta_inf N on infinity-harmonic slices
+# the gate of every exact check's _rounding_ratio, in eps sum |terms|; the worst seen is 5 for
+# check fundamental, 1.5 for check constants and 9.7 for Delta_inf N on infinity-harmonic slices
 ROUNDING_GATE = 32.0
+
+
+def _rounding_ratio(value, scale):
+    """|value| / (eps scale) for an exact kernel's value and the sum of its terms' magnitudes:
+    its rounding in eps sum |terms|, judged against ROUNDING_GATE.  0 where scale = 0 (the
+    witness on the central line, where every term is 0); a NaN stays NaN."""
+    scale = np.asarray(scale, dtype=float)
+    return np.abs(value) / np.where(scale == 0.0, np.inf, np.finfo(float).eps * scale)
 
 
 def _rs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -199,9 +199,9 @@ def chain_parts(key: tuple) -> dict:
 # sha256 prefixes of `verify` reports on 3000-step n=6 chains (seed 3, burn
 # 500): terms, anchor and fit are pinned byte for byte
 VERIFY_REPORTS = {
-    "2c89cbd1ecb4e9d25a47c46662dcf121": "ubound --family cosh-power --k 1",
-    "17c50facbe09175420230a4b9cc476f1": "ubound --family power --k 4 --q 3 --restrict-exterior",
-    "049000cfd6dd64f722c2b68792fe89eb": "lsi --family alpha-power --alpha 1 --p 4 --beta 0.25",
+    "98b348ef77c442c62ffacbc4bc3b583a": "ubound --family cosh-power --k 1",
+    "32ac15a57ea61b571a475d2b12750225": "ubound --family power --k 4 --q 3 --restrict-exterior",
+    "391371df877c5f5d9909cee144b034cf": "lsi --family alpha-power --alpha 1 --p 4 --beta 0.25",
 }
 
 
@@ -218,12 +218,12 @@ def verify_report(key: str) -> tuple[dict, int]:
 
 
 # sha256 prefixes of `check infinity-harmonic` reports and their exit
-# status: the exact value, rounding floor and verdict are pinned byte for byte
+# status: the exact value, rounding ratio and verdict are pinned byte for byte
 INFINITY_REPORTS = {
-    "32e795a2900e0f278040698b996f73ac": ("--n 2", 0),
-    "2264999d3afb0bcd1376bb3f644ac2d6": ("--n 3", 0),
-    "76d3a87be35c89b08d5d40496a94e7e0": ("--n 6", 0),
-    "ad1aa0ea317ce615f3a7190c6eb93982": ("--n 2 --x 1,0,1,0 --t 0", 1),
+    "4933f7f7985f4a32ddb160fb48612a3b": ("--n 2", 0),
+    "4b062d574db0d40841122550b5288dbf": ("--n 3", 0),
+    "d72d19fb794df9fcfe43c2c047612a0b": ("--n 6", 0),
+    "d753af64b284021f5174f3f40c81467f": ("--n 2 --x 1,0,1,0 --t 0", 1),
 }
 
 

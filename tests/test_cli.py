@@ -29,7 +29,7 @@ def test_norm_eval_report(capsys):
         capsys, ["--no-timestamp", "norm", "eval", "--n", "2", "--x", "1,0,0,0"]
     )
     assert status == 0
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["command"] == "norm eval"
     assert report["pass"] is None
     assert report["results"]["N"] == pytest.approx(2.0 ** -0.75)
@@ -87,9 +87,8 @@ def test_central_line_reports(capsys):
     status, report = _run_json(capsys, argv + ["--t", "0.3"])
     res = report["results"]
     assert status == 1
-    # grad_H N = 0 on x = 0: the witness and its floor are exactly 0
-    assert res["value"] == res["noise_floor"] == res["ratio"] == 0.0
-    assert res["nonzero_beyond_noise"] is False
+    # grad_H N = 0 on x = 0: the witness and its rounding ratio are exactly 0
+    assert res["value"] == res["rounding_ratio"] == 0.0
     assert main(argv + ["--t", "0"]) == 2
     assert json.loads(capsys.readouterr().err)["kind"] == "invalid"
 
@@ -103,11 +102,11 @@ def test_witness_runs_at_unit_scale(capsys, x, t, status):
     status_got, report = _run_json(capsys, argv)
     assert status_got == status
     res = report["results"]
-    assert res["nonzero_beyond_noise"] is (status == 0)
+    assert res["rounding_gate"] == ROUNDING_GATE
     if status:
-        assert res["ratio"] == pytest.approx(0.018857, rel=1e-4)
+        assert res["rounding_ratio"] == pytest.approx(0.60342, rel=1e-4)
     else:
-        assert res["ratio"] > 1e13
+        assert res["rounding_ratio"] > 32e13
 
 
 def test_check_lemma2_passes(capsys):
@@ -156,7 +155,7 @@ def test_check_constants_below_two_exits_2(capsys):
 def test_malformed_coordinates_or_range_exit_2(capsys, argv, message):
     assert main(argv) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err == {"schema": 1, "kind": "invalid", "error": message}
+    assert err == {"schema": 2, "kind": "invalid", "error": message}
 
 
 def test_check_constants_roundoff_floor(capsys):
@@ -169,7 +168,7 @@ def test_check_constants_roundoff_floor(capsys):
     assert status == 0
     rows = report["results"]["table"]
     assert all(abs(r["stationarity"]) < 1e-15 for r in rows)
-    assert all(r["stationarity_ratio"] <= report["results"]["rounding_gate"] for r in rows)
+    assert all(r["rounding_ratio"] <= report["results"]["rounding_gate"] for r in rows)
 
 
 def test_check_constants_rejects_a_point_off_alpha_opt(capsys, monkeypatch):
@@ -180,7 +179,7 @@ def test_check_constants_rejects_a_point_off_alpha_opt(capsys, monkeypatch):
     assert status == 1
     rows = report["results"]["table"]
     assert all(r["sign_expected"] for r in rows)
-    assert min(r["stationarity_ratio"] for r in rows) > 1e6 * ROUNDING_GATE
+    assert min(r["rounding_ratio"] for r in rows) > 1e6 * ROUNDING_GATE
 
 
 def test_bgg_compare(capsys):
@@ -202,9 +201,9 @@ def test_check_fundamental_roundoff_floor(capsys):
     # within ROUNDING_GATE eps times the sum of its terms' magnitudes
     status, report = _run_json(capsys, FUNDAMENTAL)
     res = report["results"]
-    assert status == 0 and res["within_rounding"] is True
+    assert status == 0 and report["pass"] is True
     assert 0 < res["max_abs_residual"] < 1e-13
-    assert 0 < res["max_rounding_ratio"] <= res["rounding_gate"] == ROUNDING_GATE
+    assert 0 < res["rounding_ratio"] <= res["rounding_gate"] == ROUNDING_GATE
 
 
 def test_check_fundamental_rejects_non_harmonic_power(capsys, monkeypatch):
@@ -214,8 +213,8 @@ def test_check_fundamental_rejects_non_harmonic_power(capsys, monkeypatch):
     status, report = _run_json(capsys, FUNDAMENTAL)
     assert status == 1
     res = report["results"]
-    assert res["within_rounding"] is False
-    assert res["max_rounding_ratio"] > 1e8 * res["rounding_gate"]
+    assert report["pass"] is False
+    assert res["rounding_ratio"] > 1e8 * res["rounding_gate"]
 
 
 def test_invalid_n_exits_2(capsys):
@@ -332,7 +331,7 @@ def test_norm_eval_overflow_exits_3(capsys):
 
 
 # each single-point output's degree under the dilations delta_lam
-DEGREES = {"N": 1, "A": 2, "B": 2, "dN_dt": -1, "grad_norm_sq": 0, "x_dot_grad": 1, "value": -1, "noise_floor": -1}
+DEGREES = {"N": 1, "A": 2, "B": 2, "dN_dt": -1, "grad_norm_sq": 0, "x_dot_grad": 1, "value": -1, "rounding_ratio": 0}
 
 
 def _point_results(n, x, t):
@@ -354,7 +353,8 @@ def test_single_point_outputs_scale_by_their_degrees():
     # norm eval and the witness evaluate at unit scale, so at delta_{2^j} p
     # each output is its value at p times 2^(j degree), bit for bit, over
     # j in [-990, 990]; inputs that a dilation rounds are skipped.  A decimal
-    # dilation agrees to 1e-12, the witness's value to within its floor
+    # dilation agrees to 1e-12, the witness's value and rounding ratio to within
+    # ROUNDING_GATE eps sum |terms|
     rng = np.random.default_rng(29)
     checked = 0
     for i in range(24):
@@ -370,7 +370,6 @@ def test_single_point_outputs_scale_by_their_degrees():
                 continue
             got = _point_results(n, xs, ts)
             assert got["dN_dx"] == base["dN_dx"]
-            assert got["nonzero_beyond_noise"] == base["nonzero_beyond_noise"]
             for name in DEGREES:
                 assert got[name] == want[name], (name, n, j)
             checked += 1
@@ -380,14 +379,21 @@ def test_single_point_outputs_scale_by_their_degrees():
                 continue
             got = _point_results(n, xs, ts)
             assert got["dN_dx"] == pytest.approx(base["dN_dx"], rel=1e-12, abs=0.0)
+            # the witness is exact to ROUNDING_GATE eps sum |terms|, not to 1e-12 of itself: that
+            # is ROUNDING_GATE in its ratio, and |value| ROUNDING_GATE / ratio in its value
+            ratio = got["rounding_ratio"]
+            slack = {"rounding_ratio": ROUNDING_GATE, "value": abs(got["value"]) * ROUNDING_GATE / ratio if ratio else 0.0}
             for name, degree in DEGREES.items():
                 with np.errstate(all="ignore"):
                     want = base[name] * np.power(lam, float(degree))
-                # the witness's value is exact to its rounding floor, not to 1e-12 of itself
-                slack = got["noise_floor"] if name == "value" else 0.0
                 if want == 0 or _normal(want):
-                    assert got[name] == pytest.approx(want, rel=1e-12, abs=slack), (name, n, lam)
+                    assert got[name] == pytest.approx(want, rel=1e-12, abs=slack.get(name, 0.0)), (name, n, lam)
     assert checked > 100
+    # at the top of float64's range as well: the ratio keeps its unit-scale bits
+    x = np.array([1.0, 1.0, 0.0, 0.0])
+    base, got = _point_results(2, x, 0.0), _point_results(2, np.ldexp(x, 1023), 0.0)
+    assert got["rounding_ratio"] == base["rounding_ratio"] > ROUNDING_GATE
+    assert got["value"] == np.ldexp(base["value"], -1023)
 
 
 def _no_chain(*args):
@@ -475,7 +481,7 @@ def test_alpha_power_beta_cap_exits_2(capsys, monkeypatch):
     assert main(["verify", "lsi", *ALPHA_POWER, "--beta", "0.3"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err == {
-        "schema": 1,
+        "schema": 2,
         "kind": "invalid",
         "error": "alpha-power family needs 0 < beta <= (p-3)/p, got beta=0.3.",
     }

@@ -140,6 +140,14 @@ def test_numeric_settings_are_pinned():
     assert found == NUMERIC_SETTINGS
 
 
+def test_rounding_gate_has_one_home():
+    # eps, the unit of every exact check's rounding ratio, is read in norm
+    # alone (norm._rounding_ratio), so no module forms a ratio of its own
+    src = Path(hgauge.__file__).resolve().parent
+    pattern = re.compile(r"finfo\([^)]*\)\.eps|float_info\.epsilon")
+    assert {p.name for p in sorted(src.glob("*.py")) if pattern.search(p.read_text())} == {"norm.py"}
+
+
 def test_public_name_count_is_pinned():
     # distinct names across the package's __all__ lists: each is API to keep,
     # so a new one needs review; one that retires a name lowers this count

@@ -207,40 +207,41 @@ def test_infinity_laplacian_scaling():
     # degree -1 homogeneity under the dilations at every scale: the witness
     # evaluates at unit scale, so its kernel's degree-10 products, which
     # over- or underflow beyond about 1e+-30, never leave the unit range
+    # and its rounding ratio, of degree 0, is formed there
     p = Point(np.array([1.0, 1.0, 0.0, 0.0]), 0.3)
-    v1, f1 = infinity_laplacian_witness(p)
+    v1, r1 = infinity_laplacian_witness(p)
     for lam in (2.0, 10.0, 1e-3, 1e5, 1e-28, 1e28, 1e-32, 1e31, 1e-150, 1e150):
-        v2, f2 = infinity_laplacian_witness(dilate(lam, p))
+        v2, r2 = infinity_laplacian_witness(dilate(lam, p))
         assert v2 == pytest.approx(v1 / lam, rel=1e-12)
-        assert f2 == pytest.approx(f1 / lam, rel=1e-12)
+        assert r2 == pytest.approx(r1, rel=1e-12)
 
 
 def test_witness_is_exact_with_a_priori_floor():
     # hgauge.fd holds no stencil and no setting of its own, only the exact
-    # witness and its floor ROUNDING_GATE eps sum |terms|, the gate of every
-    # exact check
+    # witness and its rounding ratio |value| / (eps sum |terms|), in the unit
+    # of ROUNDING_GATE, the gate of every exact check
     defined = {name for name, v in vars(fd).items() if getattr(v, "__module__", None) == fd.__name__}
     assert defined == {"infinity_laplacian_witness"} and not hasattr(fd, "FLOOR_EPS")
+    assert not hasattr(fd, "ROUNDING_GATE")
     p = Point(np.array([1.0, 1.0, 0.0, 0.0]), 0.3)
-    value, floor = infinity_laplacian_witness(p)
+    value, ratio = infinity_laplacian_witness(p)
     want, scale = norm._infinity_laplacian(p.x[None, :], np.array([p.t]))
-    assert (value, floor) == (want[0], ROUNDING_GATE * EPS * scale[0])
+    assert (value, ratio) == (want[0], abs(want[0]) / (EPS * scale[0]))
     with pytest.raises(ValueError):
         infinity_laplacian_witness(Point(np.zeros(4), 0.0))
 
 
 def test_witness_clears_noise_floor():
     p = Point(np.array([1.0, 1.0, 0.0, 0.0]), 0.3)
-    value, floor = infinity_laplacian_witness(p)
-    assert floor > 0
-    assert abs(value) > 10 * floor
+    _, ratio = infinity_laplacian_witness(p)
+    assert ratio > 10 * ROUNDING_GATE
 
 
 def test_abelian_slice_is_infinity_harmonic():
     # on t = 0 with only the pair coordinates (S = 0), or all the block
     # coordinates (R = 0), active the gauge is a multiple of |x|, whose
     # infinity-Laplacian vanishes: the exact value stays within the rounding
-    # floor, at unit scale and at 2^+-900
+    # gate, at unit scale and at 2^+-900
     rng = np.random.default_rng(12)
     for n in (2, 3, 6, 10):
         block = [j for j in range(2 * n) if j not in (0, n)]
@@ -249,5 +250,5 @@ def test_abelian_slice_is_infinity_harmonic():
                 for _ in range(20):
                     x = np.zeros(2 * n)
                     x[idx] = scale * rng.uniform(-2.0, 2.0, len(idx))
-                    value, floor = infinity_laplacian_witness(Point(x, 0.0))
-                    assert 0 < floor and abs(value) <= floor
+                    _, ratio = infinity_laplacian_witness(Point(x, 0.0))
+                    assert ratio <= ROUNDING_GATE

@@ -29,6 +29,8 @@ POWER4 = MeasureSpec(family="power", k=4.0)
 COSH1 = MeasureSpec(family="cosh-power", k=1.0)
 PLOG3 = MeasureSpec(family="power-log", k=3.0)
 APOW = MeasureSpec(family="alpha-power", alpha=1.0, p=4.0)
+COSH3 = MeasureSpec(family="cosh-power", k=3.0)
+PLOG4 = MeasureSpec(family="power-log", k=4.0)
 
 ALL_SPECS = [POWER4, COSH1, PLOG3, APOW]
 
@@ -122,14 +124,25 @@ def test_grad_log_density_rejects_only_identity():
 @pytest.mark.parametrize(
     "spec, beta",
     [(APOW, 0.3), (APOW, 0.0), (APOW, -0.1), (POWER4, 0.0), (POWER4, -1.0), (POWER4, math.nan),
-     (POWER4, math.inf), (POWER4, None)],
+     (POWER4, math.inf), (POWER4, None), (COSH1, 5.0), (COSH1, 1.0), (COSH3, 1.5), (PLOG3, 0.7),
+     (PLOG3, 1e-9), (PLOG4, 0.3)],
 )
 def test_lsi_conditions_reject_bad_beta(spec, beta):
     # beta is the beta-LSI's exponent, checked once in coercive: finite and > 0,
-    # and for alpha-power (and power, its alpha = 1 case) at most (p-3)/p:
-    # 0.3 > 1/4 at p = 4
+    # and capped for every family so that N^2 g^beta / g' is bounded on {N >= 1}:
+    # at most (d-3)/d for g of degree d (0.3 > 1/4 at d = 4; power-log at k = 3
+    # admits no beta), and for cosh-power below 1, or 1 with k >= 3
     with pytest.raises(ValueError, match="beta"):
         coercive._check_beta(spec, beta)
+
+
+@pytest.mark.parametrize(
+    "spec, beta",
+    [(APOW, 0.25), (POWER4, 0.25), (COSH1, 0.999), (COSH3, 1.0), (PLOG4, 0.25),
+     (MeasureSpec(family="power-log", k=6.0), 0.5)],
+)
+def test_lsi_conditions_accept_beta_within_its_cap(spec, beta):
+    coercive._check_beta(spec, beta)
 
 
 # -- sampler --------------------------------------------------------------------
