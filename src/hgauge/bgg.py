@@ -176,6 +176,22 @@ def _solution(re_i: np.ndarray, n: int) -> np.ndarray:
     return math.factorial(n - 1) / (2.0 * math.pi) ** n * re_i
 
 
+def _pole_mean(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(y_1 + y_2) / 2 for the roots +- i y_1, +- i y_2 of z^4 + c2 z^2 + c0,
+    the modulus quartic divided by A^2, with no appeal to D = A E + t^2.
+
+    y^2 solves y^4 - c2 y^2 + c0 = 0: y_1^2 = (c2 + sqrt(Delta)) / 2 and, by
+    Vieta, y_2^2 = c0 / y_1^2.  Delta = c2^2 - 4 c0 is taken in its factored
+    form 16 t^2 (A S/2 + t^2) / A^4, S/2 = 2B - A >= 0: the plain difference
+    cancels, and can go negative, once |t| is near 1e-8 A.
+    """
+    a2 = a * a
+    c2 = 4.0 * (a * b + t * t) / a2
+    c0 = 4.0 * (b * b + t * t) / a2
+    y1_sq = 0.5 * (c2 + 4.0 * np.abs(t) * np.sqrt(a * (2.0 * b - a) + t * t) / a2)
+    return 0.5 * (np.sqrt(y1_sq) + np.sqrt(c0 / y1_sq))
+
+
 def _identities(a: np.ndarray, b: np.ndarray, t: np.ndarray, re_i2: np.ndarray) -> dict[str, float]:
     """Largest deviation over the rows of each step of the n = 2 derivation,
     given the rows' quadrature re_i2 of Re I_2.
@@ -185,20 +201,14 @@ def _identities(a: np.ndarray, b: np.ndarray, t: np.ndarray, re_i2: np.ndarray) 
                     with d/dt D = A t / W + 2t
     split           |Re I_2 quadrature / (I_modulus - phase quadrature) - 1|
     pole_roots      |(D / A^2) / m^2 - 1|, m the mean imaginary part of the
-                    upper-half-plane roots of the modulus quartic, found as
-                    eigenvalues of its companion matrices
+                    upper-half-plane roots of the modulus quartic (_pole_mean)
     """
     rows = (a, b, t)
     w, _, d = wed(a, b, t)
     modulus = math.pi / (4.0 * a * np.sqrt(d))
     minus_t_ddt = math.pi * t * (a * t / w + 2.0 * t) / (8.0 * a * d**1.5)
     phase = _integrate(_phase_integrand, rows)
-    # z^4 + c2 z^2 + c0, the quartic divided by A^2
-    companion = np.zeros((a.size, 4, 4))
-    companion[:, 0, 1] = -(4.0 * a * b + 4.0 * t * t) / (a * a)
-    companion[:, 0, 3] = -(4.0 * b * b + 4.0 * t * t) / (a * a)
-    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
-    mean_imag = np.sort(np.linalg.eigvals(companion).imag, axis=1)[:, 2:].mean(axis=1)
+    mean_imag = _pole_mean(a, b, t)
     deviations = {
         "modulus_closed": modulus / _integrate(_modulus_integrand, rows) - 1.0,
         "t_derivative": (phase - minus_t_ddt) / modulus,
@@ -245,7 +255,7 @@ def compare_cloud(params: GroupParams, n_points: int, seed: int) -> dict:
     I_2 depends on those alone, so they are checked for every n.  At n = 2
     one quadrature of Re I_2 serves both the solution and the split.
     """
-    x, t = _draw(params, seed, 0, n_points, BOX, BOX * BOX, CLOUD_MIN_RADIUS, None, (0, n_points))
+    x, t = _draw(params, seed, 0, n_points, BOX, BOX * BOX, CLOUD_MIN_RADIUS, (0, n_points))
     a, b = ab_batch(x)
     re_i = _re_rows(a, b, t, params.n)
     re_i2 = re_i if params.n == 2 else _re_rows(a, b, t, 2)

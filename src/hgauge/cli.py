@@ -136,7 +136,7 @@ def _cmd_check_cloud(cfg: RunConfig, which: str) -> tuple[dict, bool]:
 
 
 def _cmd_check_fundamental(cfg: RunConfig) -> tuple[dict, bool]:
-    """Exact harmonicity residual of N^(2-Q) on inequalities.shell_cloud (1/2 < N < 5)."""
+    """Exact harmonicity residual of N^(2-Q) on inequalities.shell_cloud (|x| >= 1/2)."""
     o = cfg.options
     params = GroupParams(o["n"])
     coords = inequalities.shell_cloud(params, o["points"], o["seed"])
@@ -439,16 +439,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = config_from_args(argv)
     except SystemExit as exc:  # argparse already printed a message
         return int(exc.code or 0)
-    made = []  # the files this run created; a run that fails leaves none behind
+    made = []  # the files this run created; a run that fails removes these and no other
     try:
         out = cfg.options.get("out")
         if cfg.output_path and out and os.path.realpath(cfg.output_path) == os.path.realpath(out):
             raise ValueError(f"--output and --out name the same file, {out!r}.")
-        # each output path is created before the run, so an unwritable one fails at once
+        # each output path is opened before the run, so an unwritable one fails at once;
+        # append mode leaves an existing file's bytes alone until the run writes it
         for path in (cfg.output_path, out):
             if path:
-                open(path, "w").close()
-                made.append(path)
+                existed = os.path.exists(path)
+                open(path, "a").close()
+                if not existed:
+                    made.append(path)
         status, report = run(cfg)
         text = _strict_json(report)
         if cfg.output_path:

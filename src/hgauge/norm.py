@@ -32,8 +32,9 @@ sample-mala-2 reference).  The private _chart_slopes returns the
 degree-0 products N * slope that the cloud margins of hgauge.inequalities
 read, evaluated on the slice B = 1 of the orbit chart (rho = A/B,
 tau = t/B): no hypot, no product of nonzero degree, one in-place pass, and
-values that hold wherever |x|^2 is a normal float.  Re-recording the pins
-lets partials_batch move onto the chart as well.
+values that hold wherever |x|^2 is a normal float.  partials_batch can move
+onto the chart only once the sample-mala-2 reference moves too: when the
+benchmark's references are re-recorded or MALA is retired.
 
 Second derivatives come from _second_order, which reads N and its gradient
 in (R, S, t), (pair_slope / 2, block_slope / 2, dN_dt), off partials_batch

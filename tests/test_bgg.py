@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 import pins
 from conftest import dilate
@@ -20,7 +21,7 @@ from hgauge.bgg import (
 from hgauge.cli import main
 from hgauge.group import GroupParams, Point
 from hgauge.inequalities import BOX, _draw
-from hgauge.norm import norm_N
+from hgauge.norm import ab_batch, norm_N, wed
 
 # -- fundamental solution ------------------------------------------------------
 
@@ -112,7 +113,7 @@ def test_compare_cloud_rows_equal_scalar_quadrature(monkeypatch):
         params = GroupParams(n)
         seen.clear()
         compare_cloud(params, 30, seed=5)
-        x, t = _draw(params, 5, 0, 30, BOX, BOX * BOX, bgg.CLOUD_MIN_RADIUS, None, (0, 30))
+        x, t = _draw(params, 5, 0, 30, BOX, BOX * BOX, bgg.CLOUD_MIN_RADIUS, (0, 30))
         assert [k for k, _, _ in seen] == ([2] if n == 2 else [n, 2])
         _, seen_t, vals = seen[0]
         assert seen_t.tobytes() == t.tobytes()
@@ -149,8 +150,35 @@ def test_phase_correction_is_time_derivative():
 
 def test_pole_mean_against_root_oracle():
     # D / A^2 is the squared mean imaginary part of the modulus quartic's
-    # upper-half-plane roots, found as companion-matrix eigenvalues
+    # upper-half-plane roots, found in closed form by bgg._pole_mean
     assert max(_identities(n)["pole_roots"] for n in IDENTITY_NS) < 1e-12
+
+
+# (x, t/A): a double root at t = 0, S = 0 (2B = A), |t| far above A, and |t|
+# near 1e-8 A, where c2^2 - 4 c0 would cancel
+POLE_ROWS = [
+    ((0.7, -1.1, 0.4, 0.9), 0.0),
+    ((1.3, 0.0, -0.6, 0.0), 0.8),
+    ((0.7, -1.1, 0.4, 0.9), 1e6),
+    ((0.7, -1.1, 0.4, 0.9), 1e-8),
+    ((0.3, 0.2, 0.1, 1.7, -0.4, 0.05), -2.5),
+]
+
+
+@pytest.mark.parametrize("x, t_over_a", POLE_ROWS, ids=["t=0", "S=0", "t/A=1e6", "t/A=1e-8", "n=3"])
+def test_pole_mean_matches_polyroots(x, t_over_a):
+    a, b = ab_batch(np.array([x]))
+    t = t_over_a * a
+    with mp.workdps(40):
+        am, bm, tm = (mp.mpf(float(v[0])) for v in (a, b, t))
+        quartic = [am**2, 0, 4 * am * bm + 4 * tm**2, 0, 4 * bm**2 + 4 * tm**2]
+        roots = mp.polyroots(quartic, maxsteps=200, extraprec=80)
+        upper = sorted(mp.im(z) for z in roots)[2:]
+        want = float((upper[0] + upper[1]) / 2)
+    got = bgg._pole_mean(a, b, t)[0]
+    assert got == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0)
+    d = wed(a, b, t)[2][0]
+    assert abs(d / (a[0] * a[0]) / (got * got) - 1.0) < 1e-15
 
 
 @pytest.mark.parametrize("n", IDENTITY_NS)

@@ -217,6 +217,13 @@ def test_check_fundamental_rejects_non_harmonic_power(capsys, monkeypatch):
     assert res["rounding_ratio"] > 1e8 * res["rounding_gate"]
 
 
+def test_check_fundamental_runs_at_large_n(capsys):
+    # shell_cloud's one rejection is |x| < 1/2, which no n makes common: at
+    # n = 40, where N's median is about 7, the run takes as long as at n = 2
+    status, report = _run_json(capsys, ["check", "fundamental", "--n", "40", "--points", "20", "--seed", "0"])
+    assert status == 0 and report["pass"] is True
+
+
 def test_invalid_n_exits_2(capsys):
     status = main(["check", "lemma2", "--n", "1", "--points", "10", "--seed", "1"])
     assert status == 2
@@ -522,6 +529,25 @@ def test_mis_tuned_chain_exits_3(tmp_path, capsys):
     assert err["kind"] == "numerical"
     assert "mis-tuned" in err["error"]
     assert not out.exists()  # a failed run leaves no CSV behind
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["--output", "{dir}/r.json", "check", "lemma2", "--n", "2", "--points", "0", "--seed", "1"], 2),
+        (["--output", "{dir}/r.json", "measure", "sample", "--family", "power", "--k", "4", "--n", "2",
+          "--seed", "1", "--steps", "3000", "--step", "1e6", "--burn", "0", "--out", "{dir}/s.csv"], 3),
+    ],
+    ids=["invalid", "numerical"],
+)
+def test_failed_run_keeps_existing_outputs(tmp_path, capsys, argv, status):
+    # a failed run removes only the files it created, and leaves an existing one's bytes alone
+    for name in ("r.json", "s.csv"):
+        (tmp_path / name).write_text(f"kept {name}\n")
+    assert main([a.format(dir=tmp_path) for a in argv]) == status
+    capsys.readouterr()
+    for name in ("r.json", "s.csv"):
+        assert (tmp_path / name).read_text() == f"kept {name}\n"
 
 
 def test_unwritable_report_leaves_no_csv(tmp_path, capsys):

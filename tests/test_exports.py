@@ -148,6 +148,20 @@ def test_rounding_gate_has_one_home():
     assert {p.name for p in sorted(src.glob("*.py")) if pattern.search(p.read_text())} == {"norm.py"}
 
 
+def test_no_lapack_under_src():
+    # closed forms stand where a LAPACK routine could: linalg is read only in
+    # inequalities._in_ball, whose exclusion test is np.linalg.norm bit for bit
+    src = Path(hgauge.__file__).resolve().parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        defs = [node for node in ast.parse(text).body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if "linalg" in line:  # the file, and the top-level def the line sits in
+                found.add((path.name, *[d.name for d in defs if d.lineno <= lineno <= d.end_lineno]))
+    assert found == {("inequalities.py", "_in_ball")}
+
+
 def test_public_name_count_is_pinned():
     # distinct names across the package's __all__ lists: each is API to keep,
     # so a new one needs review; one that retires a name lowers this count

@@ -201,18 +201,26 @@ def test_shell_cloud_digests(n):
 
 
 def test_shell_cloud_redraws_in_place():
-    # at n=2 a few rows per hundred fall outside |x| >= 1/2, 1/2 < N < 5
+    # at n=2 a few rows per hundred fall inside |x| < 1/2, the one rejection
     parts = pins.redraw_parts("shell_cloud")
     cloud = parts["cloud"]
     x = inequalities._uniform(42, 0, 4000, -2.0, 2.0).reshape(1000, 4)
     t = inequalities._uniform(42, 4000, 1000, -3.0, 3.0)
-    nn = norm_batch(x, t)
-    kept = (np.linalg.norm(x, axis=1) >= 0.5) & (nn > 0.5) & (nn < 5.0)
+    kept = np.linalg.norm(x, axis=1) >= 0.5
     assert 0 < np.count_nonzero(~kept) < 100
     assert cloud[kept].tobytes() == np.column_stack([x, t])[kept].tobytes()
-    nn = norm_batch(cloud[:, :-1], cloud[:, -1])
-    assert np.all(np.linalg.norm(cloud[:, :-1], axis=1) >= 0.5) and np.all((nn > 0.5) & (nn < 5.0))
+    assert np.all(np.linalg.norm(cloud[:, :-1], axis=1) >= 0.5)
     assert pins.digest(parts) == pins.REDRAW_DIGESTS["shell_cloud"]
+
+
+def test_shell_cloud_has_no_gauge_window():
+    # a box draw whose one rejection is |x| < 1/2: at n = 20 N's median is
+    # about 5, and rows past N = 5 are kept
+    cloud = shell_cloud(GroupParams(20), 1000, seed=0)
+    x, t = cloud[:, :-1], cloud[:, -1]
+    assert np.all(np.linalg.norm(x, axis=1) >= 0.5)
+    assert np.all(np.abs(x) <= 2.0) and np.all(np.abs(t) <= 3.0)
+    assert np.any(norm_batch(x, t) >= 5.0)
 
 
 def _margin_fn(check, params, seed, monkeypatch):
