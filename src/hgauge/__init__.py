@@ -45,7 +45,6 @@ from .measures import (
     batch_means_se,
     eta_weight,
     run_chain,
-    run_chains,
 )
 from .norm import exact_partials, norm_N, norm_batch, partials_batch
 
@@ -82,7 +81,6 @@ __all__ = [
     "partials_batch",
     "poincare_ratio",
     "run_chain",
-    "run_chains",
     "sample_cloud",
     "split_objective",
     "ubound_terms",

@@ -91,13 +91,13 @@ def _measure_spec(opts: dict) -> measures.MeasureSpec:
 _MIN_KEPT = 2 * measures.N_BATCHES
 
 
-def _sampler_config(opts: dict, **chains) -> measures.SamplerConfig:
+def _sampler_config(opts: dict, **settings) -> measures.SamplerConfig:
     """Sampler settings shared by `measure sample` and `verify`."""
     kept = opts["steps"] - opts["burn"]
     if kept < _MIN_KEPT:
         raise ValueError(f"Need --steps - --burn >= {_MIN_KEPT} kept steps, got {kept}.")
     return measures.SamplerConfig(
-        n_steps=opts["steps"], burn_in=opts["burn"], step=opts["step"], seed=opts["seed"], **chains
+        n_steps=opts["steps"], burn_in=opts["burn"], step=opts["step"], seed=opts["seed"], **settings
     )
 
 
@@ -217,9 +217,10 @@ def _cmd_measure_sample(cfg: RunConfig) -> tuple[dict, Optional[bool]]:
     o = cfg.options
     params = GroupParams(o["n"])
     spec = _measure_spec(o)
-    scfg = _sampler_config(o, n_chains=o["chains"], algorithm=o["algorithm"])
+    scfg = _sampler_config(o, algorithm=o["algorithm"])
     out_path = o.get("out")
-    batches = measures.run_chains(spec, params, scfg)
+    # looked up per call, so a wrapper of measures.run_chain sees every chain
+    batches = [measures.run_chain(spec, params, scfg, i) for i in range(o["chains"])]
     if out_path:
         with open(out_path, "w", newline="") as fh:
             header = [f"x_{j}" for j in range(1, params.horizontal_dim + 1)] + ["t", "logdens"]
@@ -234,8 +235,8 @@ def _cmd_measure_sample(cfg: RunConfig) -> tuple[dict, Optional[bool]]:
                 "samples": int(b.coords.shape[0]),
                 "acceptance_rate": b.acceptance_rate,
                 "step_final": b.step_final,
-                "mean_norm": float(np.mean(b.norms())),
-                "se_norm": measures.batch_means_se(b.norms()),
+                "mean_norm": float(np.mean(b.gauge)),
+                "se_norm": measures.batch_means_se(b.gauge),
             }
             for b in batches
         ],
@@ -329,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = meas_sub.add_parser("sample")
     _add_measure_flags(pm)
     pm.add_argument("--out", help="CSV path for the samples")
-    pm.add_argument("--chains", type=int, default=measures.SamplerConfig.n_chains)
+    pm.add_argument("--chains", type=int, default=1)
     pm.add_argument(
         "--algorithm", choices=measures.ALGORITHMS, default=measures.SamplerConfig.algorithm
     )
@@ -402,8 +403,9 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
         raise ValueError(f"--threads applies only to check lemma2|intermediate, not {cfg.command}.")
     if cfg.threads is not None and cfg.threads < 1:
         raise ValueError(f"Need --threads >= 1, got {cfg.threads}.")
-    if cfg.options.get("points", 1) < 1:
-        raise ValueError(f"Need --points >= 1, got {cfg.options['points']}.")
+    for flag in ("points", "chains"):
+        if cfg.options.get(flag, 1) < 1:
+            raise ValueError(f"Need --{flag} >= 1, got {cfg.options[flag]}.")
     results, passed = _DISPATCH[key](cfg)
     config = {
         "command": cfg.command,

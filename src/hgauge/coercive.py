@@ -15,7 +15,8 @@ coordinate x_1, or the gauge N(c^{-1} p) about a centre c.  Gradients are
 horizontal and exact, |grad f| = |h'(u)| |grad u|.  X_j x_1 = delta_j1 gives
 |grad x_1| = 1; left invariance gives |grad u| = |grad N| at c^{-1} p, which
 partials_batch returns in closed form as sqrt(grad_sq).  The origin-centred
-functions all read N and |grad N| from the batch's one cached gauge pass;
+functions all read N and |grad N| from the batch (its gauge and its one
+cached grad_norms pass), and every functional reads eta(N) from batch.eta;
 a function with a centre makes one pass of its own.  One pass per function
 (_powers) gives f, |f|^q and |grad f|^q to all three functionals and raises
 RuntimeError when E|f|^q = 0.
@@ -36,7 +37,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .group import GroupParams, Point, compose, inverse
-from .measures import MeasureSpec, SampleBatch, batch_means_se, eta_weight
+from .measures import MeasureSpec, SampleBatch, batch_means_se
 from .norm import partials_batch
 
 __all__ = [
@@ -77,7 +78,7 @@ class TestFunction:
         if not self.radial:
             u, grad_u = coords[:, 0], np.ones(coords.shape[0])
         elif self.center is None:
-            u, grad_u = batch.norms(), batch.grad_norms()
+            u, grad_u = batch.gauge, batch.grad_norms
         else:
             y = compose(inverse(self.center), coords)
             pb = partials_batch(y[:, :-1], y[:, -1])
@@ -249,11 +250,10 @@ def ubound_terms(f: TestFunction, batch: SampleBatch, q: float, restrict_exterio
     restrict_exterior keeps only {N >= 1} contributions on the left side,
     matching the exterior form of the bound; the right side is unchanged.
     """
-    norms = batch.norms()
     _, fv, grad_samples = _powers(f, batch, q)
-    lhs_samples = eta_weight(batch.spec, norms) * fv
+    lhs_samples = batch.eta * fv
     if restrict_exterior:
-        lhs_samples = np.where(norms >= 1.0, lhs_samples, 0.0)
+        lhs_samples = np.where(batch.gauge >= 1.0, lhs_samples, 0.0)
     return UboundTerms(
         name=f.name,
         lhs=float(np.mean(lhs_samples)),
@@ -317,10 +317,9 @@ def fit_ubound_constants(
 ) -> tuple[list[UboundTerms], FeasibilityResult]:
     """The U-bound terms of each function, and feasible (C, D) over the family."""
     terms = [ubound_terms(f, batch, q, restrict_exterior) for f in functions]
-    norms = batch.norms()
-    eta = eta_weight(batch.spec, norms)
+    eta = batch.eta
     if restrict_exterior:
-        eta = np.where(norms >= 1.0, eta, 0.0)
+        eta = np.where(batch.gauge >= 1.0, eta, 0.0)
     rows = [(t.name, t.lhs, t.grad_term, t.mass_term) for t in terms]
     return terms, _fit_constants(rows, float(np.mean(eta)))
 
@@ -365,5 +364,4 @@ def fit_beta_lsi(
     for f in functions:
         lhs, grad, mass = beta_lsi_functional(f, batch, q, beta)
         rows.append((f.name, lhs, grad, mass))
-    anchor = float(np.mean(eta_weight(batch.spec, batch.norms())))
-    return _fit_constants(rows, anchor)
+    return _fit_constants(rows, float(np.mean(batch.eta)))

@@ -15,8 +15,8 @@ and checks them.  A SampleBatch records the spec it was drawn from.
 
 The samplers are plain random-walk Metropolis (default) and MALA on the
 (2n+1)-dimensional coordinate space.  Chains are reproducible: chain i of a
-seeded run always consumes the i-th spawn of the seed sequence, whether run
-alone or as part of run_chains.
+seeded run always consumes the i-th spawn of the seed sequence, however many
+chains the caller runs.
 
 A sampler step on one row costs little more than numpy's per-call overhead,
 so the samplers score many proposals per gauge call.  The increments
@@ -40,7 +40,8 @@ end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -57,7 +58,6 @@ __all__ = [
     "g_prime",
     "eta_weight",
     "run_chain",
-    "run_chains",
     "batch_means_se",
 ]
 
@@ -135,7 +135,6 @@ class SamplerConfig:
         burn_in: steps discarded; the step size is tuned only here.
         step: initial proposal scale.
         seed: seed for the chain seed-sequence.
-        n_chains: number of independent chains (spawned streams).
         algorithm: "rwm" or "mala".
     """
 
@@ -143,7 +142,6 @@ class SamplerConfig:
     burn_in: int = 10_000
     step: float = 0.25
     seed: int = 0
-    n_chains: int = 1
     algorithm: str = "rwm"
 
     def __post_init__(self) -> None:
@@ -153,41 +151,50 @@ class SamplerConfig:
             raise ValueError("Need 0 <= burn_in < n_steps.")
         if not (self.step > 0 and math.isfinite(self.step)):
             raise ValueError(f"Need a finite step > 0, got {self.step}.")
-        if self.n_chains < 1:
-            raise ValueError("Need n_chains >= 1.")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Post-burn-in draws of one chain of spec's measure."""
+    """Post-burn-in draws of one chain of spec's measure; every array is read-only.
+
+    Values that follow from the gauge are derived once, on first read.
+    """
 
     spec: MeasureSpec
-    coords: np.ndarray        # (m, 2n+1)
-    log_densities: np.ndarray  # (m,) unnormalised, -g(N)
+    coords: np.ndarray  # (m, 2n+1)
     acceptance_rate: float
     chain_index: int
     step_final: float
-    gauge: np.ndarray          # (m,) N of every row, read-only
-    _grad_norms: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    gauge: np.ndarray  # (m,) N of every row, the sampler's own values
 
-    def norms(self) -> np.ndarray:
-        """Gauge N of every row, read-only; the sampler's own values."""
-        return self.gauge
+    @cached_property
+    def log_densities(self) -> np.ndarray:
+        """Unnormalised log density -g(N) of every row."""
+        return _read_only(-g_value(self.spec, self.gauge))
 
+    @cached_property
+    def eta(self) -> np.ndarray:
+        """The carre-du-champ weight eta(N) of every row."""
+        return _read_only(eta_weight(self.spec, self.gauge))
+
+    @cached_property
     def grad_norms(self) -> np.ndarray:
-        """|grad_H N| of every row, read-only; one partials_batch call, kept."""
-        if self._grad_norms is None:
-            pb = partials_batch(self.coords[:, :-1], self.coords[:, -1])
-            grad_norms = np.sqrt(pb.grad_sq)
-            grad_norms.flags.writeable = False
-            object.__setattr__(self, "_grad_norms", grad_norms)
-        return self._grad_norms
+        """|grad_H N| of every row, from one partials_batch call."""
+        pb = partials_batch(self.coords[:, :-1], self.coords[:, -1])
+        return _read_only(np.sqrt(pb.grad_sq))
 
 
 def _log_pi_rows(spec: MeasureSpec, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauge and log pi of every row."""
     norms = norm_batch(coords[:, :-1], coords[:, -1])
-    return norms, -g_value(spec, norms)
+    # a far cosh-power proposal's g overflows to inf: log pi = -inf rejects it
+    with np.errstate(over="ignore"):
+        return norms, -g_value(spec, norms)
 
 
 def _log_pi_grad_rows(
@@ -221,7 +228,7 @@ def run_chain(
     cfg: SamplerConfig,
     chain_index: int,
 ) -> SampleBatch:
-    """Run one chain; deterministic given (cfg.seed, chain_index), for any cfg.n_chains.
+    """Run chain chain_index >= 0 of cfg.seed; it is the same however many chains a caller runs.
 
     The proposal scale is tuned toward 25% acceptance during burn-in and
     frozen afterwards.  A post-burn-in acceptance rate outside [0.02, 0.98]
@@ -243,9 +250,9 @@ def run_chain(
     states are copied into one buffer (no kept row is a view of a scored
     tree) and expanded with np.repeat at the end.
     """
-    if not 0 <= chain_index < cfg.n_chains:
-        raise ValueError(f"chain_index {chain_index} outside 0..{cfg.n_chains - 1}.")
-    # the stream spawn(n_chains)[chain_index] would give, without spawning the others
+    if chain_index < 0:
+        raise ValueError(f"Need chain_index >= 0, got {chain_index}.")
+    # the stream spawn(m)[chain_index] gives for any m > chain_index, without spawning
     stream = np.random.SeedSequence(cfg.seed, spawn_key=(chain_index,))
     rng = np.random.default_rng(stream)
     dim = params.ambient_dim
@@ -355,20 +362,14 @@ def run_chain(
     counts = np.diff(run_starts + [n_kept])
     kept = np.repeat(run_rows[: len(run_starts)], counts, axis=0)
     kept_norms = np.repeat(run_norms[: len(run_starts)], counts)
-    kept_norms.flags.writeable = False
     return SampleBatch(
         spec=spec,
-        coords=kept,
-        log_densities=-g_value(spec, kept_norms),
+        coords=_read_only(kept),
         acceptance_rate=rate,
         chain_index=chain_index,
         step_final=step,
-        gauge=kept_norms,
+        gauge=_read_only(kept_norms),
     )
-
-
-def run_chains(spec: MeasureSpec, params: GroupParams, cfg: SamplerConfig) -> list[SampleBatch]:
-    return [run_chain(spec, params, cfg, i) for i in range(cfg.n_chains)]
 
 
 def batch_means_se(values: np.ndarray) -> float:

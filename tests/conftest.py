@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hgauge.group import GroupParams, Point
-from hgauge.measures import MeasureSpec, SamplerConfig, run_chain, run_chains
+from hgauge.measures import MeasureSpec, SamplerConfig, run_chain
 from hgauge.norm import norm_batch
 
 ACCEPTANCE_LINES: list[str] = []
@@ -47,7 +47,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 PARAMS6 = GroupParams(6)
 POWER4 = MeasureSpec(family="power", k=4.0)
-LONG_CFG = SamplerConfig(n_steps=110_000, burn_in=10_000, step=0.25, seed=11, n_chains=2)
+LONG_CFG = SamplerConfig(n_steps=110_000, burn_in=10_000, step=0.25, seed=11)
 
 
 @pytest.fixture(scope="session")
@@ -58,7 +58,7 @@ def params6():
 @pytest.fixture(scope="session")
 def power4_chains():
     """Two independent long chains for the power(k=4) measure, n=6."""
-    return run_chains(POWER4, PARAMS6, LONG_CFG)
+    return [run_chain(POWER4, PARAMS6, LONG_CFG, i) for i in range(2)]
 
 
 @pytest.fixture(scope="session")
@@ -69,14 +69,14 @@ def family_chains():
         "cosh2": MeasureSpec(family="cosh-power", k=2.0),
         "plog3": MeasureSpec(family="power-log", k=3.0),
     }
-    cfg = dataclasses.replace(LONG_CFG, seed=12, n_chains=1)
+    cfg = dataclasses.replace(LONG_CFG, seed=12)
     return {name: run_chain(spec, PARAMS6, cfg, 0) for name, spec in specs.items()}
 
 
 @pytest.fixture(scope="session")
 def alpha_chain():
     spec = MeasureSpec(family="alpha-power", alpha=1.0, p=4.0)
-    cfg = dataclasses.replace(LONG_CFG, seed=13, n_chains=1)
+    cfg = dataclasses.replace(LONG_CFG, seed=13)
     return run_chain(spec, PARAMS6, cfg, 0)
 
 
@@ -85,6 +85,6 @@ def stability_chains():
     """Five seeds of the power(k=4) chain for ratio-stability checks."""
     out = []
     for seed in (101, 102, 103, 104, 105):
-        cfg = dataclasses.replace(LONG_CFG, seed=seed, n_chains=1)
+        cfg = dataclasses.replace(LONG_CFG, seed=seed)
         out.append(run_chain(POWER4, PARAMS6, cfg, 0))
     return out

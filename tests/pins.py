@@ -174,19 +174,19 @@ CHAIN_SPECS = {
 
 
 def chain_parts(key: tuple) -> dict:
-    """Two chains of run_chains, through the module-level measures.run_chain."""
+    """Chains 0 and 1, each through the module-level measures.run_chain."""
     algorithm, family, n = key
     cfg = measures.SamplerConfig(
         n_steps=3000,
         burn_in=1037,
         step=0.25 if algorithm == "rwm" else 0.1,
         seed=3,
-        n_chains=2,
         algorithm=algorithm,
     )
     spec = measures.MeasureSpec(family=family, **CHAIN_SPECS[family])
     parts = {}
-    for i, b in enumerate(measures.run_chains(spec, GroupParams(n), cfg)):
+    for i in range(2):
+        b = measures.run_chain(spec, GroupParams(n), cfg, i)
         parts[f"chain {i} coords"] = b.coords
         parts[f"chain {i} log_densities"] = b.log_densities
         parts[f"chain {i} acceptance"] = np.float64(b.acceptance_rate)

@@ -250,8 +250,8 @@ def test_10_horizontal_gradient_identities():
 
 def test_11_chain_moments(power4_chains):
     b0, b1 = power4_chains
-    m0, m1 = float(np.mean(b0.norms())), float(np.mean(b1.norms()))
-    se = np.hypot(batch_means_se(b0.norms()), batch_means_se(b1.norms()))
+    m0, m1 = float(np.mean(b0.gauge)), float(np.mean(b1.gauge))
+    se = np.hypot(batch_means_se(b0.gauge), batch_means_se(b1.gauge))
     mean_ok = abs(m0 - m1) <= 3.0 * se
     odd_worst = 0.0
     odd_ok = True

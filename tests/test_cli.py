@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +269,26 @@ def test_points_below_one_exits_2(capsys, command, points):
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "invalid"
     assert err["error"] == f"Need --points >= 1, got {points}."
+
+
+@pytest.mark.parametrize("chains", ["0", "-2"])
+def test_chains_below_one_exits_2(capsys, monkeypatch, chains):
+    monkeypatch.setattr(measures, "run_chain", _no_chain)
+    argv = ["measure", "sample", "--family", "power", "--k", "4", "--n", "2", "--seed", "1"]
+    assert main(argv + ["--chains", chains]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "invalid"
+    assert err["error"] == f"Need --chains >= 1, got {chains}."
+
+
+def test_cosh_power_walk_rejects_overflow_silently(capsys):
+    # a far proposal's cosh(N^8) overflows to inf: log pi = -inf rejects it,
+    # with no RuntimeWarning
+    argv = ["--no-timestamp", "verify", "ubound", "--family", "cosh-power", "--k", "8", "--n", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--seed", "1", "--steps", "2000", "--burn", "500"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 VERIFY_SHORT = ["verify", "ubound", "--n", "2", "--seed", "1", "--steps", "600", "--burn", "100"]
@@ -634,8 +655,9 @@ def test_measure_sample_csv_is_exact(tmp_path, capsys, algorithm):
     opts = ["--n", "2", "--seed", "8", "--steps", "1500", "--burn", "300", "--algorithm", algorithm]
     argv = ["measure", "sample", "--family", "power", "--k", "4", "--chains", "3"]
     assert main(argv + opts + ["--out", str(out)]) == 0
-    cfg = measures.SamplerConfig(n_steps=1500, burn_in=300, seed=8, n_chains=3, algorithm=algorithm)
-    batches = measures.run_chains(measures.MeasureSpec(family="power", k=4.0), GroupParams(2), cfg)
+    cfg = measures.SamplerConfig(n_steps=1500, burn_in=300, seed=8, algorithm=algorithm)
+    spec = measures.MeasureSpec(family="power", k=4.0)
+    batches = [measures.run_chain(spec, GroupParams(2), cfg, i) for i in range(3)]
     # the per-value writer the CSV format was defined by
     ref = io.StringIO(newline="")
     writer = csv.writer(ref)

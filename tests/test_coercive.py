@@ -24,7 +24,7 @@ from hgauge.norm import norm_batch, partials_batch
 PARAMS = GroupParams(2)
 POWER4 = MeasureSpec(family="power", k=4.0)
 APOW = MeasureSpec(family="alpha-power", alpha=1.0, p=4.0)
-CFG = SamplerConfig(n_steps=30_000, burn_in=5_000, step=0.3, seed=21, n_chains=1)
+CFG = SamplerConfig(n_steps=30_000, burn_in=5_000, step=0.3, seed=21)
 FAMILY = default_family(PARAMS)
 (CONSTANT, COORDINATE, _, _, POWER_CUTOFF, _, BUMP, OFFSET_BUMP) = FAMILY
 
@@ -37,7 +37,7 @@ def batch():
 def _rows(coords):
     """A SampleBatch of POWER4 holding arbitrary coordinate rows."""
     norms = norm_batch(coords[:, :-1], coords[:, -1])
-    return SampleBatch(POWER4, coords, np.zeros(len(coords)), 1.0, 0, 1.0, norms)
+    return SampleBatch(POWER4, coords, 1.0, 0, 1.0, norms)
 
 
 def _fd_horizontal_grad(f, coords, h=1e-6):

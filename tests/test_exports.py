@@ -5,13 +5,14 @@ import inspect
 import pkgutil
 import re
 import shlex
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 import hgauge
 from hgauge import measures
-from hgauge.cli import build_parser
+from hgauge.cli import build_parser, main
 
 MODULES = ["hgauge"] + [f"hgauge.{m.name}" for m in pkgutil.iter_modules(hgauge.__path__)]
 
@@ -112,7 +113,7 @@ def test_option_count_is_pinned():
     # justify it in review; one that removes an option lowers this count.
     src = Path(hgauge.__file__).resolve().parent
     total = sum(_count_options(ast.parse(p.read_text())) for p in sorted(src.glob("*.py")))
-    assert total == 16
+    assert total == 15
 
 
 # Public module-level int and float settings, by module and name.  Each
@@ -166,7 +167,7 @@ def test_public_name_count_is_pinned():
     # distinct names across the package's __all__ lists: each is API to keep,
     # so a new one needs review; one that retires a name lowers this count
     public = {entry for name in MODULES for entry in importlib.import_module(name).__all__}
-    assert len(public) == 47
+    assert len(public) == 46
 
 
 def _count_flags(parser):
@@ -256,7 +257,7 @@ def _references(tree):
 
 
 def _public_members():
-    """Class.member for each public method and property of the classes in __all__."""
+    """Class.member for each public method and (cached) property of the classes in __all__."""
     out = set()
     for name in MODULES:
         module = importlib.import_module(name)
@@ -265,7 +266,7 @@ def _public_members():
             if not inspect.isclass(cls):
                 continue
             for attr, value in vars(cls).items():
-                member = inspect.isfunction(value) or isinstance(value, (property, classmethod, staticmethod))
+                member = inspect.isfunction(value) or isinstance(value, (property, cached_property, classmethod, staticmethod))
                 if member and not attr.startswith("_"):
                     out.add(f"{cls.__name__}.{attr}")
     return out
@@ -297,10 +298,10 @@ def test_test_only_public_names_are_pinned():
     assert (public - used) | members == TEST_ONLY_PUBLIC
 
 
-def test_traced_benchmark_layers_resolve(monkeypatch):
+def test_traced_benchmark_layers_resolve(monkeypatch, tmp_path):
     # perfbench's tracer wraps each (module, function) of its LAYERS, and its
-    # chain capture replaces measures.run_chain, so run_chains must call the
-    # module-level run_chain once per chain
+    # chain capture replaces measures.run_chain, so `measure sample` must call
+    # the module-level run_chain once per chain
     tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text())
     layers = next(
         node.value
@@ -313,11 +314,13 @@ def test_traced_benchmark_layers_resolve(monkeypatch):
     assert missing == []
 
     calls = []
+    run_one = measures.run_chain
 
-    def run_chain(spec, params, cfg, chain_index):
-        calls.append(chain_index)
-        return chain_index
+    def run_chain(*args):
+        calls.append(args[3])
+        return run_one(*args)
 
     monkeypatch.setattr(measures, "run_chain", run_chain)
-    assert measures.run_chains(None, None, measures.SamplerConfig(n_chains=3)) == [0, 1, 2]
+    argv = ["--output", str(tmp_path / "report.json"), "measure", "sample", "--family", "power", "--k", "4"]
+    assert main(argv + ["--n", "2", "--seed", "1", "--steps", "300", "--burn", "100", "--chains", "3"]) == 0
     assert calls == [0, 1, 2]

@@ -21,7 +21,6 @@ from hgauge.measures import (
     g_prime,
     g_value,
     run_chain,
-    run_chains,
 )
 from hgauge.measures import _log_pi_grad_rows, _log_pi_rows
 
@@ -147,19 +146,19 @@ def test_lsi_conditions_accept_beta_within_its_cap(spec, beta):
 
 # -- sampler --------------------------------------------------------------------
 
-SHORT = SamplerConfig(n_steps=12_000, burn_in=2_000, step=0.3, seed=5, n_chains=2)
+SHORT = SamplerConfig(n_steps=12_000, burn_in=2_000, step=0.3, seed=5)
 PARAMS2 = GroupParams(2)
 
 
 @pytest.mark.parametrize(
     "settings, chain_index",
-    [({"algorithm": "hmc"}, 0), ({"burn_in": -1}, 0), ({"burn_in": 1000}, 0), ({"n_chains": 0}, 0), ({}, -1), ({}, 2)],
-    ids=["algorithm", "burn-negative", "burn-all", "no-chains", "index-negative", "index-past-chains"],
+    [({"algorithm": "hmc"}, 0), ({"burn_in": -1}, 0), ({"burn_in": 1000}, 0), ({}, -1)],
+    ids=["algorithm", "burn-negative", "burn-all", "index-negative"],
 )
 def test_sampler_inputs_are_refused(settings, chain_index):
     # SamplerConfig checks its settings, run_chain its chain index, before a step runs
     with pytest.raises(ValueError):
-        cfg = SamplerConfig(**{"n_steps": 1000, "n_chains": 2, **settings})
+        cfg = SamplerConfig(**{"n_steps": 1000, **settings})
         run_chain(POWER4, PARAMS2, cfg, chain_index)
 
 
@@ -175,7 +174,7 @@ def test_chains_are_stream_independent():
     b1 = run_chain(POWER4, PARAMS2, SHORT, 1)
     assert not np.array_equal(b0.coords, b1.coords)
     # both target the same distribution
-    assert abs(np.mean(b0.norms()) - np.mean(b1.norms())) < 0.1
+    assert abs(np.mean(b0.gauge) - np.mean(b1.gauge)) < 0.1
 
 
 def test_chain_output_shapes():
@@ -186,15 +185,19 @@ def test_chain_output_shapes():
     assert b.chain_index == 0
 
 
-def test_run_chains_returns_all():
-    batches = run_chains(POWER4, PARAMS2, SHORT)
-    assert len(batches) == 2
-    assert batches[0].chain_index == 0
-    assert batches[1].chain_index == 1
+def test_batch_is_read_only_and_derives_once():
+    b = run_chain(POWER4, PARAMS2, SHORT, 0)
+    with pytest.raises(ValueError):
+        b.coords[0, 0] = 1.0
+    for name in ("gauge", "log_densities", "eta", "grad_norms"):
+        values = getattr(b, name)
+        assert values is getattr(b, name) and not values.flags.writeable, name
+    assert b.log_densities.tobytes() == (-g_value(POWER4, b.gauge)).tobytes()
+    assert b.eta.tobytes() == eta_weight(POWER4, b.gauge).tobytes()
 
 
 def test_acceptance_guard_fires():
-    cfg = SamplerConfig(n_steps=3_000, burn_in=0, step=1e6, seed=1, n_chains=1)
+    cfg = SamplerConfig(n_steps=3_000, burn_in=0, step=1e6, seed=1)
     with pytest.raises(RuntimeError):
         run_chain(POWER4, PARAMS2, cfg, 0)
 
@@ -204,8 +207,8 @@ def test_mala_smoke():
     b = run_chain(POWER4, PARAMS2, cfg, 0)
     assert 0.05 < b.acceptance_rate < 0.98
     rwm = run_chain(POWER4, PARAMS2, SHORT, 0)
-    se = batch_means_se(b.norms()) + batch_means_se(rwm.norms())
-    assert abs(np.mean(b.norms()) - np.mean(rwm.norms())) < 6 * se
+    se = batch_means_se(b.gauge) + batch_means_se(rwm.gauge)
+    assert abs(np.mean(b.gauge) - np.mean(rwm.gauge)) < 6 * se
 
 
 def test_log_densities_recorded_correctly():
@@ -224,20 +227,21 @@ def test_chain_digests_are_pinned(algorithm, family, n, monkeypatch):
         calls.append(args[3])
         return run_one(*args, **kwargs)
 
-    # run_chains must go through the module-level run_chain, once per chain
+    # chain_parts must go through the module-level run_chain, once per chain
     monkeypatch.setattr(measures, "run_chain", counted)
     parts = pins.chain_parts((algorithm, family, n))
     assert calls == [0, 1]
     assert pins.digest(parts) == pins.CHAIN_DIGESTS[algorithm, family, n]
 
 
-def _one_step_chain(spec, params, cfg, chain_index):
+def _one_step_chain(spec, params, cfg, chain_index, spawned=2):
     """The reference sampler: a plain loop scoring one proposal per gauge call.
 
-    Returns (coords, log-densities, acceptance, step_final) as run_chain's
-    batch does, and raises as run_chain does on a mis-tuned step.
+    Its stream is chain_index's of `spawned` chains.  Returns (coords,
+    log-densities, acceptance, step_final) as run_chain's batch does, and
+    raises as run_chain does on a mis-tuned step.
     """
-    stream = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chains)[chain_index]
+    stream = np.random.SeedSequence(cfg.seed).spawn(spawned)[chain_index]
     rng = np.random.default_rng(stream)
     dim = params.ambient_dim
     state = rng.standard_normal(dim)[None, :]
@@ -303,10 +307,11 @@ def _chain_fields(spec, params, cfg, chain_index):
 
 
 def test_chain_does_not_depend_on_chain_count():
-    # chain i's stream is keyed by (seed, i) alone: chain 1 of 2 is chain 1 of 10^5
-    cfg = SamplerConfig(n_steps=1000, burn_in=0, step=0.5, seed=11, n_chains=2)
-    want = _chain_fields(POWER4, PARAMS2, cfg, 1)
-    got = _chain_fields(POWER4, PARAMS2, dataclasses.replace(cfg, n_chains=10**5), 1)
+    # chain i's stream is keyed by (seed, i) alone: chain 1 is the second
+    # spawn of the seed whether 2 or 1000 streams are spawned
+    cfg = SamplerConfig(n_steps=1000, burn_in=0, step=0.5, seed=11)
+    want = _one_step_chain(POWER4, PARAMS2, cfg, 1, spawned=1000)
+    got = _chain_fields(POWER4, PARAMS2, cfg, 1)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
     assert got[2:] == want[2:]
@@ -326,7 +331,7 @@ def test_chain_equals_one_step_reference(algorithm, n, config):
     n_steps, burn_in, steps = REFERENCE_CONFIGS[config]
     step = steps.get((algorithm, n), steps.get(algorithm))
     cfg = SamplerConfig(
-        n_steps=n_steps, burn_in=burn_in, step=step, seed=11, n_chains=2, algorithm=algorithm
+        n_steps=n_steps, burn_in=burn_in, step=step, seed=11, algorithm=algorithm
     )
     params = GroupParams(n)
     want = _outcome(_one_step_chain, POWER4, params, cfg, 1)
