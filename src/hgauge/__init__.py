@@ -28,7 +28,7 @@ from .coercive import (
     ubound_terms,
 )
 from .fd import infinity_laplacian_witness
-from .group import GroupParams, Point, compose, inverse
+from .group import Point, compose, inverse
 from .inequalities import (
     InequalityReport,
     alpha_opt,
@@ -52,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FeasibilityResult",
-    "GroupParams",
     "InequalityReport",
     "MeasureSpec",
     "Point",

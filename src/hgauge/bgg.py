@@ -59,7 +59,7 @@ from typing import Callable
 
 import numpy as np
 
-from .group import GroupParams, Point, _check_n
+from .group import Point, _check_n
 from .inequalities import BOX, _draw
 from .norm import ab_batch, norm_N, norm_batch, wed
 
@@ -241,7 +241,7 @@ def fundamental_solution_closed(p: Point) -> float:
     return solution_constant(p.n) * norm_N(p) ** (-2 * p.n)
 
 
-def compare_cloud(params: GroupParams, n_points: int, seed: int) -> dict:
+def compare_cloud(n: int, n_points: int, seed: int) -> dict:
     """Quadrature vs the gauge form K_n N^(-2n) on a seeded cloud: an error summary.
 
     The whole cloud is integrated in one vectorised pass, row for row the
@@ -255,15 +255,16 @@ def compare_cloud(params: GroupParams, n_points: int, seed: int) -> dict:
     I_2 depends on those alone, so they are checked for every n.  At n = 2
     one quadrature of Re I_2 serves both the solution and the split.
     """
-    x, t = _draw(params, seed, 0, n_points, BOX, BOX * BOX, CLOUD_MIN_RADIUS, (0, n_points))
+    _check_n(n)
+    x, t = _draw(n, seed, 0, n_points, BOX, BOX * BOX, CLOUD_MIN_RADIUS, (0, n_points))
     a, b = ab_batch(x)
-    re_i = _re_rows(a, b, t, params.n)
-    re_i2 = re_i if params.n == 2 else _re_rows(a, b, t, 2)
-    closed = solution_constant(params.n) * norm_batch(x, t) ** (-2 * params.n)
-    rel_errs = np.abs(_solution(re_i, params.n) - closed) / closed
+    re_i = _re_rows(a, b, t, n)
+    re_i2 = re_i if n == 2 else _re_rows(a, b, t, 2)
+    closed = solution_constant(n) * norm_batch(x, t) ** (-2 * n)
+    rel_errs = np.abs(_solution(re_i, n) - closed) / closed
     worst = np.argmax(rel_errs)
     return {
-        "n": params.n,
+        "n": n,
         "points": n_points,
         "seed": seed,
         "max_rel_err": float(rel_errs[worst]),

@@ -23,10 +23,12 @@ infinity-harmonic each report a rounding_ratio in eps sum |terms|.
 Reports are strict JSON.
 Exit status: 0 all checks passed or no verdict (measure sample, verify
 poincare), 1 a check failed, 2 invalid configuration (an output path that
-cannot be written, --output and --out naming one file, and a measure
-parameter the family does not read, included), 3 numerical breakdown (a
-mis-tuned chain, a quadrature that did not converge, a verify sample on
-which E|f|^q or E|grad f|^q of a test function is 0, a report that holds a
+cannot be written, --output and --out naming one file, a measure
+parameter the family does not read, and --n, --points, --chains or --seed
+below its floor, included), 3 numerical breakdown (a mis-tuned chain, a
+quadrature that did not converge, a verify sample on which E|f|^q or
+E|grad f|^q of a test function is 0 or a mean overflows, a verify ubound
+--restrict-exterior sample with no row at N >= 1, a report that holds a
 non-finite number).
 """
 
@@ -44,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from . import bgg, coercive, fd, inequalities, measures, norm
-from .group import GroupParams, Point
+from .group import Point, _check_n
 from .norm import ROUNDING_GATE, exact_partials
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
@@ -106,7 +108,7 @@ def _sampler_config(opts: dict, **settings) -> measures.SamplerConfig:
 
 def _cmd_norm_eval(cfg: RunConfig) -> tuple[dict, Optional[bool]]:
     o = cfg.options
-    p = Point(_parse_xlist(o["x"], GroupParams(o["n"]).horizontal_dim), o["t"])
+    p = Point(_parse_xlist(o["x"], 2 * o["n"]), o["t"])
     if p.t == 0 and not np.any(p.x):  # the identity has no derivatives
         return {"N": 0.0}, None
     # exact at unit scale; each output is carried back by its degree under the dilations
@@ -125,23 +127,21 @@ def _cmd_norm_eval(cfg: RunConfig) -> tuple[dict, Optional[bool]]:
 
 def _cmd_check_cloud(cfg: RunConfig, which: str) -> tuple[dict, bool]:
     o = cfg.options
-    params = GroupParams(o["n"])
     fn = (
         inequalities.check_gradient_bounds
         if which == "lemma2"
         else inequalities.check_partial_bounds
     )
-    reports = fn(params, o["points"], o["seed"], threads=cfg.threads)
+    reports = fn(o["n"], o["points"], o["seed"], threads=cfg.threads)
     return {"reports": [r.as_dict() for r in reports]}, all(r.passed for r in reports)
 
 
 def _cmd_check_fundamental(cfg: RunConfig) -> tuple[dict, bool]:
     """Exact harmonicity residual of N^(2-Q) on inequalities.shell_cloud (|x| >= 1/2)."""
     o = cfg.options
-    params = GroupParams(o["n"])
-    coords = inequalities.shell_cloud(params, o["points"], o["seed"])
+    coords = inequalities.shell_cloud(o["n"], o["points"], o["seed"])
     # the exponent 2 - Q of the fundamental solution, Q = 2n + 2
-    residual, scale = norm._harmonicity_residual(coords[:, :-1], coords[:, -1], -2 * params.n)
+    residual, scale = norm._harmonicity_residual(coords[:, :-1], coords[:, -1], -2 * o["n"])
     ratio = norm._rounding_ratio(residual, scale)
     return {
         "points": o["points"],
@@ -153,11 +153,10 @@ def _cmd_check_fundamental(cfg: RunConfig) -> tuple[dict, bool]:
 
 def _cmd_check_infinity(cfg: RunConfig) -> tuple[dict, bool]:
     o = cfg.options
-    params = GroupParams(o["n"])
     if o.get("x") is not None:
-        x = _parse_xlist(o["x"], params.horizontal_dim)
+        x = _parse_xlist(o["x"], 2 * o["n"])
     else:
-        x = np.zeros(params.horizontal_dim)
+        x = np.zeros(2 * o["n"])
         x[0] = 1.0
         x[1] = 1.0
     p = Point(x, o["t"])
@@ -190,7 +189,7 @@ def _cmd_check_constants(cfg: RunConfig) -> tuple[dict, bool]:
 
 def _cmd_bgg_compare(cfg: RunConfig) -> tuple[dict, bool]:
     o = cfg.options
-    summary = bgg.compare_cloud(GroupParams(o["n"]), o["points"], o["seed"])
+    summary = bgg.compare_cloud(o["n"], o["points"], o["seed"])
     errors = [summary["max_rel_err"], *summary["identities"].values()]
     passed = all(err <= BGG_GATE for err in errors)
     summary["pass_threshold"] = BGG_GATE
@@ -215,15 +214,14 @@ def _write_csv_rows(fh, rows: np.ndarray) -> None:
 
 def _cmd_measure_sample(cfg: RunConfig) -> tuple[dict, Optional[bool]]:
     o = cfg.options
-    params = GroupParams(o["n"])
     spec = _measure_spec(o)
     scfg = _sampler_config(o, algorithm=o["algorithm"])
     out_path = o.get("out")
     # looked up per call, so a wrapper of measures.run_chain sees every chain
-    batches = [measures.run_chain(spec, params, scfg, i) for i in range(o["chains"])]
+    batches = [measures.run_chain(spec, o["n"], scfg, i) for i in range(o["chains"])]
     if out_path:
         with open(out_path, "w", newline="") as fh:
-            header = [f"x_{j}" for j in range(1, params.horizontal_dim + 1)] + ["t", "logdens"]
+            header = [f"x_{j}" for j in range(1, 2 * o["n"] + 1)] + ["t", "logdens"]
             fh.write(",".join(header) + "\r\n")
             for b in batches:
                 _write_csv_rows(fh, np.column_stack([b.coords, b.log_densities]))
@@ -247,15 +245,14 @@ def _cmd_measure_sample(cfg: RunConfig) -> tuple[dict, Optional[bool]]:
 
 def _cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, Optional[bool]]:
     o = cfg.options
-    params = GroupParams(o["n"])
     spec = _measure_spec(o)
     q = o["q"]
     coercive._check_q(q)  # bad exponents fail before the chain runs
     scfg = _sampler_config(o)
     if which == "lsi":
         coercive._check_beta(spec, o.get("beta"))
-    batch = measures.run_chain(spec, params, scfg, 0)
-    family = coercive.default_family(params)
+    batch = measures.run_chain(spec, o["n"], scfg, 0)
+    family = coercive.default_family(o["n"])
     base = {
         "family": spec.label(),
         "q": q,
@@ -375,6 +372,8 @@ _DISPATCH = {
 }
 # the commands whose checks run on a thread pool, the only ones --threads sets
 _POOLED = {("check", "lemma2"), ("check", "intermediate")}
+# the least value of each integer flag, checked with --n before any work
+_FLOORS = {"points": 1, "chains": 1, "seed": 0}
 
 
 def config_from_args(argv: Optional[list[str]] = None) -> RunConfig:
@@ -403,9 +402,11 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
         raise ValueError(f"--threads applies only to check lemma2|intermediate, not {cfg.command}.")
     if cfg.threads is not None and cfg.threads < 1:
         raise ValueError(f"Need --threads >= 1, got {cfg.threads}.")
-    for flag in ("points", "chains"):
-        if cfg.options.get(flag, 1) < 1:
-            raise ValueError(f"Need --{flag} >= 1, got {cfg.options[flag]}.")
+    if "n" in cfg.options:
+        _check_n(cfg.options["n"])
+    for flag, least in _FLOORS.items():
+        if cfg.options.get(flag, least) < least:
+            raise ValueError(f"Need --{flag} >= {least}, got {cfg.options[flag]}.")
     results, passed = _DISPATCH[key](cfg)
     config = {
         "command": cfg.command,
@@ -462,7 +463,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         made.clear()
     except (ValueError, RuntimeError, OSError) as exc:
         # RuntimeError: a mis-tuned chain, an unconverged quadrature, a test
-        # function with E|f|^q or E|grad f|^q = 0 or a non-finite report;
+        # function with E|f|^q or E|grad f|^q = 0 or an overflowed mean, an
+        # exterior fit with no exterior sample, or a non-finite report;
         # OSError: an unwritable --output or --out path
         numerical = isinstance(exc, RuntimeError)
         err = {

@@ -19,7 +19,7 @@ functions all read N and |grad N| from the batch (its gauge and its one
 cached grad_norms pass), and every functional reads eta(N) from batch.eta;
 a function with a centre makes one pass of its own.  One pass per function
 (_powers) gives f, |f|^q and |grad f|^q to all three functionals and raises
-RuntimeError when E|f|^q = 0.
+RuntimeError when E|f|^q = 0 or when E|f|^q or E|grad f|^q overflows.
 
 The fitter takes D in [a, 10a], a the empirical mean of eta, and returns in
 closed form the smallest C that satisfies every test function and then the
@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .group import GroupParams, Point, compose, inverse
+from .group import Point, _check_n, compose, inverse
 from .measures import MeasureSpec, SampleBatch, batch_means_se
 from .norm import partials_batch
 
@@ -150,14 +150,15 @@ def _bump(radius: float) -> Profile:
     return profile
 
 
-def default_family(params: GroupParams) -> list[TestFunction]:
+def default_family(n: int) -> list[TestFunction]:
     """The eight standard test functions.
 
     The offset bump is centred at 3 e_1 with a radius wide enough (2.5) that
     its support overlaps the bulk of every default measure; a narrow far bump
     would have no Monte Carlo support at all.
     """
-    center = Point(np.eye(params.horizontal_dim)[0] * 3.0, 0.0)
+    _check_n(n)
+    center = Point(np.eye(2 * n)[0] * 3.0, 0.0)
     return [
         TestFunction("constant", _constant, radial=False),
         TestFunction("coordinate-x1", _coordinate, radial=False),
@@ -234,14 +235,28 @@ def _check_beta(spec: MeasureSpec, beta: float) -> None:
         raise ValueError(f"{spec.family} family needs 0 < beta <= ({name}-3)/{name}, got beta={beta}.")
 
 
+def _check_finite(f: TestFunction, what: str, mean: float) -> None:
+    """Refuse a mean that overflowed: an inf term would make the fitted (C, D) nan."""
+    if not math.isfinite(mean):
+        raise RuntimeError(f"{what} overflows for {f.name!r}: lower q.")
+
+
 def _powers(f: TestFunction, batch: SampleBatch, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(f, |f|^q, |grad f|^q) on every row; raises RuntimeError if E|f|^q = 0."""
+    """(f, |f|^q, |grad f|^q) on every row.
+
+    Raises RuntimeError if E|f|^q = 0, or if E|f|^q or E|grad f|^q overflows.
+    """
     _check_q(q)
     values, grads = f.evaluate(batch)
-    fq = np.abs(values) ** q
-    if float(np.mean(fq)) == 0.0:
+    # a power past the float range is inf, and its mean is refused below
+    with np.errstate(over="ignore"):
+        fq, gq = np.abs(values) ** q, np.abs(grads) ** q
+        mean_fq, mean_gq = float(np.mean(fq)), float(np.mean(gq))
+    if mean_fq == 0.0:
         raise RuntimeError(f"E|f|^q = 0 for {f.name!r}: f vanishes on the sample, or |f|^q underflows.")
-    return values, fq, np.abs(grads) ** q
+    _check_finite(f, "E|f|^q", mean_fq)
+    _check_finite(f, "E|grad f|^q", mean_gq)
+    return values, fq, gq
 
 
 def ubound_terms(f: TestFunction, batch: SampleBatch, q: float, restrict_exterior: bool) -> UboundTerms:
@@ -315,11 +330,18 @@ def fit_ubound_constants(
     q: float,
     restrict_exterior: bool = False,
 ) -> tuple[list[UboundTerms], FeasibilityResult]:
-    """The U-bound terms of each function, and feasible (C, D) over the family."""
-    terms = [ubound_terms(f, batch, q, restrict_exterior) for f in functions]
+    """The U-bound terms of each function, and feasible (C, D) over the family.
+
+    With restrict_exterior, a sample with no row at N >= 1 raises RuntimeError:
+    every left side would be 0 and the fit would hold on no evidence.
+    """
     eta = batch.eta
     if restrict_exterior:
-        eta = np.where(batch.gauge >= 1.0, eta, 0.0)
+        exterior = batch.gauge >= 1.0
+        if not np.any(exterior):
+            raise RuntimeError("No sample has N >= 1: the exterior U-bound has no support on the sample.")
+        eta = np.where(exterior, eta, 0.0)
+    terms = [ubound_terms(f, batch, q, restrict_exterior) for f in functions]
     rows = [(t.name, t.lhs, t.grad_term, t.mass_term) for t in terms]
     return terms, _fit_constants(rows, float(np.mean(eta)))
 
@@ -329,17 +351,21 @@ def poincare_ratio(f: TestFunction, batch: SampleBatch, q: float) -> tuple[float
 
     The error is the delta-method one, batch_means_se(num - ratio * den) / E den,
     which stays finite when some batches barely touch the support of f.
-    Raises RuntimeError when E|f|^q is 0, and when E|grad f|^q is 0: f is
-    constant on the sample, or |grad f|^q underflows.
+    Raises RuntimeError when E|f|^q is 0, when E|grad f|^q is 0 (f is
+    constant on the sample, or |grad f|^q underflows), and when E|f - Ef|^q
+    or a mean of _powers overflows.
     """
     fv, _, den_samples = _powers(f, batch, q)
-    num_samples = np.abs(fv - fv.mean()) ** q
+    with np.errstate(over="ignore"):  # |f - Ef| reaches 2 max|f|, so this power can overflow alone
+        num_samples = np.abs(fv - fv.mean()) ** q
+        num = float(np.mean(num_samples))
+    _check_finite(f, "E|f - Ef|^q", num)
     den = float(np.mean(den_samples))
     if den == 0.0:
         raise RuntimeError(
             f"E|grad f|^q = 0 for {f.name!r}: f is constant on the sample, or |grad f|^q underflows."
         )
-    ratio = float(np.mean(num_samples)) / den
+    ratio = num / den
     return ratio, batch_means_se(num_samples - ratio * den_samples) / den
 
 

@@ -5,6 +5,10 @@ Points live on R^{2n+1} with coordinates (x_1, ..., x_{2n}, t).  The pair
 (x_j, x_{j+n}) carries weight 1, and t is the central coordinate.  The
 dilation delta_lam(x, t) = (lam x, lam^2 t) is a group automorphism, so the
 homogeneous dimension is Q = 2n + 2.
+
+The layer parameter n >= 2 is a plain int.  A function given a Point or
+coordinate rows reads n off their width (_width_n); any other public
+function that needs n takes it and checks it with _check_n before its first use.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "GroupParams",
     "Point",
     "compose",
     "inverse",
@@ -40,24 +43,6 @@ def _width_n(x: np.ndarray) -> int:
             f"with n >= 2; got a horizontal width of {x.shape[-1]}."
         )
     return n
-
-
-@dataclass(frozen=True)
-class GroupParams:
-    """Layer parameter n >= 2; the horizontal layer has dimension 2n."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_n(self.n)
-
-    @property
-    def horizontal_dim(self) -> int:
-        return 2 * self.n
-
-    @property
-    def ambient_dim(self) -> int:
-        return 2 * self.n + 1
 
 
 @dataclass(frozen=True, eq=False)

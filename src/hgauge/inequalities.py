@@ -59,7 +59,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .group import GroupParams, Point, _check_n
+from .group import Point, _check_n
 from .norm import _chart_slopes
 
 __all__ = [
@@ -133,7 +133,7 @@ def _in_ball(x: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _draw(
-    params: GroupParams,
+    n: int,
     seed: int,
     origin: int,
     m: int,
@@ -154,7 +154,7 @@ def _draw(
     box.  Returns the columns: x of shape (rows, 2n) and t of shape (rows,).
     """
     _check_points(m)
-    dim = params.horizontal_dim
+    dim = 2 * n
     a, b = span
     x = _uniform(seed, origin + a * dim, (b - a) * dim, -x_box, x_box).reshape(-1, dim)
     t = _uniform(seed, origin + m * dim + a, b - a, -t_box, t_box)
@@ -179,26 +179,24 @@ def _spans(n_points: int) -> list[tuple[int, int]]:
     return [(a, min(a + _CHUNK, end)) for lo, end in parts for a in range(lo, end, _CHUNK)]
 
 
-def _span_rows(
-    params: GroupParams, n_points: int, seed: int, span: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
+def _span_rows(n: int, n_points: int, seed: int, span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Rows span[0]:span[1] of sample_cloud as (x, t) columns: box rows, or
     radial rows with their dilations applied to x and t in place."""
     m_box = (3 * n_points) // 4
     if span[0] < m_box:
-        return _draw(params, seed, 0, m_box, BOX, BOX * BOX, EXCLUSION, span)
+        return _draw(n, seed, 0, m_box, BOX, BOX * BOX, EXCLUSION, span)
     # the radial part's stream follows the box part's, and its dilations follow its rows
     a, b = span[0] - m_box, span[1] - m_box
-    width = params.horizontal_dim + 1  # stream positions per row
+    width = 2 * n + 1  # stream positions per row
     m, origin = n_points - m_box, m_box * width
-    x, t = _draw(params, seed, origin, m, 1.0, 1.0, EXCLUSION, (a, b))
+    x, t = _draw(n, seed, origin, m, 1.0, 1.0, EXCLUSION, (a, b))
     lam = 10.0 ** _uniform(seed, origin + m * width + a, b - a, -2.0, 2.0)
     x *= lam[:, None]
     t *= lam * lam
     return x, t
 
 
-def sample_cloud(params: GroupParams, n_points: int, seed: int) -> np.ndarray:
+def sample_cloud(n: int, n_points: int, seed: int) -> np.ndarray:
     """Random (m, 2n+1) cloud: 3/4 uniform box, 1/4 log-radial dilates.
 
     Rows keep |x| >= EXCLUSION.  Box rows take x in [-BOX, BOX]^{2n} and t in
@@ -206,13 +204,12 @@ def sample_cloud(params: GroupParams, n_points: int, seed: int) -> np.ndarray:
     factors 10^U(-2, 2) to stress small and large scales.  The rows are those
     of the spans that the bound checks stream, stacked as coordinate rows.
     """
+    _check_n(n)
     spans = _spans(n_points)
-    return np.concatenate(
-        [np.column_stack(_span_rows(params, n_points, seed, span)) for span in spans]
-    )
+    return np.concatenate([np.column_stack(_span_rows(n, n_points, seed, span)) for span in spans])
 
 
-def shell_cloud(params: GroupParams, n_points: int, seed: int) -> np.ndarray:
+def shell_cloud(n: int, n_points: int, seed: int) -> np.ndarray:
     """Random (m, 2n+1) cloud clear of the central line, the rows of check fundamental.
 
     x in [-2, 2]^{2n} with |x| >= 1/2 and t in [-3, 3]: clear of the central
@@ -221,13 +218,14 @@ def shell_cloud(params: GroupParams, n_points: int, seed: int) -> np.ndarray:
     at n = 40) while the rejected share stays that of the ball.
     Its callers take coordinate rows, so _draw's columns are stacked.
     """
-    return np.column_stack(_draw(params, seed, 0, n_points, 2.0, 3.0, 0.5, (0, n_points)))
+    _check_n(n)
+    return np.column_stack(_draw(n, seed, 0, n_points, 2.0, 3.0, 0.5, (0, n_points)))
 
 
 def _cloud_reports(
     names: Sequence[str],
     margin_fn,
-    params: GroupParams,
+    n: int,
     n_points: int,
     seed: int,
     threads: Optional[int],
@@ -253,7 +251,7 @@ def _cloud_reports(
 
     def span_minima(span):
         """(per-column minimum of margin_fn over the span, the first row attaining each)."""
-        x, t = _span_rows(params, n_points, seed, span)
+        x, t = _span_rows(n, n_points, seed, span)
         columns = margin_fn(x, t)
         worst = [np.argmin(col) for col in columns]
         return [col[i] for col, i in zip(columns, worst)], np.column_stack([x[worst], t[worst]])
@@ -284,13 +282,13 @@ _GRADIENT_NAMES = ("radial-lower", "gradient-lower", "gradient-upper")
 
 
 def check_gradient_bounds(
-    params: GroupParams,
+    n: int,
     n_points: int,
     seed: int,
     threads: Optional[int] = None,
 ) -> list[InequalityReport]:
     """Radial and two-sided gradient bounds on a random cloud."""
-    n = params.n
+    _check_n(n)
 
     lower_const = 2.0 ** -(5.0 + 2.0 / n)
     upper_const = (2 * n + 1) ** 2 / (2.0 ** 3 * n * n)
@@ -313,7 +311,7 @@ def check_gradient_bounds(
         sp += sb
         return radial, np.subtract(sp, lower_const, out=sb), np.subtract(upper_const, sp, out=sp)
 
-    return _cloud_reports(_GRADIENT_NAMES, margins, params, n_points, seed, threads)
+    return _cloud_reports(_GRADIENT_NAMES, margins, n, n_points, seed, threads)
 
 
 _PARTIAL_NAMES = (
@@ -328,13 +326,13 @@ _PARTIAL_NAMES = (
 
 
 def check_partial_bounds(
-    params: GroupParams,
+    n: int,
     n_points: int,
     seed: int,
     threads: Optional[int] = None,
 ) -> list[InequalityReport]:
     """Per-coordinate slope bounds on a random cloud."""
-    n = params.n
+    _check_n(n)
 
     mixed_block_const = (2 * n - 1) / (2.0 ** (1.0 / n + 2.0) * n)
     mixed_pair_const = 2.0 ** -(2.0 + 1.0 / n)
@@ -358,7 +356,7 @@ def check_partial_bounds(
             np.subtract(top, tt, out=tt),
         )
 
-    return _cloud_reports(_PARTIAL_NAMES, margins, params, n_points, seed, threads)
+    return _cloud_reports(_PARTIAL_NAMES, margins, n, n_points, seed, threads)
 
 
 def _split_terms(alpha: float, n: int) -> tuple[float, ...]:

@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .group import GroupParams
+from .group import _check_n
 from .norm import norm_batch, partials_batch
 
 __all__ = [
@@ -224,7 +224,7 @@ def _first_accept(
 
 def run_chain(
     spec: MeasureSpec,
-    params: GroupParams,
+    n: int,
     cfg: SamplerConfig,
     chain_index: int,
 ) -> SampleBatch:
@@ -250,12 +250,13 @@ def run_chain(
     states are copied into one buffer (no kept row is a view of a scored
     tree) and expanded with np.repeat at the end.
     """
+    _check_n(n)
     if chain_index < 0:
         raise ValueError(f"Need chain_index >= 0, got {chain_index}.")
     # the stream spawn(m)[chain_index] gives for any m > chain_index, without spawning
     stream = np.random.SeedSequence(cfg.seed, spawn_key=(chain_index,))
     rng = np.random.default_rng(stream)
-    dim = params.ambient_dim
+    dim = 2 * n + 1
 
     state = rng.standard_normal(dim)
     step = cfg.step

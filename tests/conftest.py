@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hgauge.group import GroupParams, Point
+from hgauge.group import Point
 from hgauge.measures import MeasureSpec, SamplerConfig, run_chain
 from hgauge.norm import norm_batch
 
@@ -45,20 +45,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-PARAMS6 = GroupParams(6)
+CHAIN_N = 6  # the layer parameter n of every session chain
 POWER4 = MeasureSpec(family="power", k=4.0)
 LONG_CFG = SamplerConfig(n_steps=110_000, burn_in=10_000, step=0.25, seed=11)
 
 
 @pytest.fixture(scope="session")
-def params6():
-    return PARAMS6
-
-
-@pytest.fixture(scope="session")
 def power4_chains():
     """Two independent long chains for the power(k=4) measure, n=6."""
-    return [run_chain(POWER4, PARAMS6, LONG_CFG, i) for i in range(2)]
+    return [run_chain(POWER4, CHAIN_N, LONG_CFG, i) for i in range(2)]
 
 
 @pytest.fixture(scope="session")
@@ -70,14 +65,14 @@ def family_chains():
         "plog3": MeasureSpec(family="power-log", k=3.0),
     }
     cfg = dataclasses.replace(LONG_CFG, seed=12)
-    return {name: run_chain(spec, PARAMS6, cfg, 0) for name, spec in specs.items()}
+    return {name: run_chain(spec, CHAIN_N, cfg, 0) for name, spec in specs.items()}
 
 
 @pytest.fixture(scope="session")
 def alpha_chain():
     spec = MeasureSpec(family="alpha-power", alpha=1.0, p=4.0)
     cfg = dataclasses.replace(LONG_CFG, seed=13)
-    return run_chain(spec, PARAMS6, cfg, 0)
+    return run_chain(spec, CHAIN_N, cfg, 0)
 
 
 @pytest.fixture(scope="session")
@@ -86,5 +81,5 @@ def stability_chains():
     out = []
     for seed in (101, 102, 103, 104, 105):
         cfg = dataclasses.replace(LONG_CFG, seed=seed)
-        out.append(run_chain(POWER4, PARAMS6, cfg, 0))
+        out.append(run_chain(POWER4, CHAIN_N, cfg, 0))
     return out

@@ -19,7 +19,6 @@ import io
 import numpy as np
 
 from hgauge import bgg, cli, inequalities, measures, norm
-from hgauge.group import GroupParams
 
 
 def digest(parts: dict) -> str:
@@ -45,7 +44,7 @@ PARTIALS_DIGESTS = {
 
 def partials_parts(n: int) -> dict:
     """The nine PartialsBatch fields; row 2004 is the identity."""
-    coords = inequalities.sample_cloud(GroupParams(n), 2000, seed=400 + n)  # 1500 box rows, 500 radial
+    coords = inequalities.sample_cloud(n, 2000, seed=400 + n)  # 1500 box rows, 500 radial
     x = np.vstack([coords[:, :-1], np.zeros((9, 2 * n))])
     t = np.concatenate([coords[:, -1], np.linspace(-25.0, 25.0, 9)])  # t = 0 is the identity
     pb = norm.partials_batch(x, t)
@@ -73,7 +72,7 @@ def cloud_parts(n: int) -> dict:
             for seed in (0, 20261017):
                 for box in (5.0, 0.5):
                     inequalities.BOX = box
-                    parts[f"m={m} seed={seed} box={box}"] = inequalities.sample_cloud(GroupParams(n), m, seed)
+                    parts[f"m={m} seed={seed} box={box}"] = inequalities.sample_cloud(n, m, seed)
     finally:
         inequalities.BOX = box0
     return parts
@@ -90,7 +89,7 @@ SHELL_DIGESTS = {
 
 def shell_parts(n: int) -> dict:
     return {
-        f"m={m} seed={seed}": inequalities.shell_cloud(GroupParams(n), m, seed)
+        f"m={m} seed={seed}": inequalities.shell_cloud(n, m, seed)
         for m in (1, 20, 100, 1000)
         for seed in (0, 33, 46, 20261017)
     }
@@ -108,10 +107,10 @@ REDRAW_DIGESTS = {
 
 def redraw_parts(sampler: str) -> dict:
     if sampler == "shell_cloud":
-        return {"cloud": inequalities.shell_cloud(GroupParams(2), 1000, seed=42)}
+        return {"cloud": inequalities.shell_cloud(2, 1000, seed=42)}
     box0, inequalities.BOX = inequalities.BOX, 1e-3
     try:
-        return {"cloud": inequalities.sample_cloud(GroupParams(2), 100_003, 9)}
+        return {"cloud": inequalities.sample_cloud(2, 100_003, 9)}
     finally:
         inequalities.BOX = box0
 
@@ -142,7 +141,7 @@ def compare_parts(n: int) -> dict:
 
     bgg.ab_batch, bgg._re_rows = ab_spy, rows_spy
     try:
-        bgg.compare_cloud(GroupParams(n), 200, seed=1000 + n)
+        bgg.compare_cloud(n, 200, seed=1000 + n)
     finally:
         bgg.ab_batch, bgg._re_rows = ab, rows
     return parts
@@ -186,7 +185,7 @@ def chain_parts(key: tuple) -> dict:
     spec = measures.MeasureSpec(family=family, **CHAIN_SPECS[family])
     parts = {}
     for i in range(2):
-        b = measures.run_chain(spec, GroupParams(n), cfg, i)
+        b = measures.run_chain(spec, n, cfg, i)
         parts[f"chain {i} coords"] = b.coords
         parts[f"chain {i} log_densities"] = b.log_densities
         parts[f"chain {i} acceptance"] = np.float64(b.acceptance_rate)

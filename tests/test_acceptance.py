@@ -12,11 +12,11 @@ import time
 
 import numpy as np
 
-from conftest import FD_STEP, norm_field, record_line
+from conftest import CHAIN_N, FD_STEP, norm_field, record_line
 from reference import closed_form_solution, fd_gradient, sub_laplacian_batch, sub_laplacian_scale
 
 from hgauge import bgg, coercive, fd, inequalities, measures
-from hgauge.group import GroupParams, Point, field_coefficients_batch
+from hgauge.group import Point, field_coefficients_batch
 from hgauge.inequalities import check_gradient_bounds, check_partial_bounds, shell_cloud
 from hgauge.measures import MeasureSpec, batch_means_se
 from hgauge.norm import ROUNDING_GATE, ab_batch, norm_batch, partials_batch
@@ -37,7 +37,7 @@ def test_01_closed_form_matches_quadrature():
     t0 = time.perf_counter()
     worst = 0.0
     for n in (2, 3, 6, 8):
-        out = bgg.compare_cloud(GroupParams(n), 200, seed=1000 + n)
+        out = bgg.compare_cloud(n, 200, seed=1000 + n)
         worst = max(worst, out["max_rel_err"])
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed <= 30.0
@@ -75,8 +75,7 @@ def test_02_solution_gauge_product_and_homogeneity():
 
 
 def test_03_harmonicity_within_truncation():
-    params = GroupParams(6)
-    coords = shell_cloud(params, 100, seed=33)
+    coords = shell_cloud(6, 100, seed=33)
 
     def field(rows):
         return norm_field(rows) ** (2 - (2 * 6 + 2))
@@ -108,8 +107,7 @@ def test_03_harmonicity_within_truncation():
 def test_04_laplacian_gradient_ratio():
     worst = 0.0
     for n in (2, 6):
-        params = GroupParams(n)
-        coords = shell_cloud(params, 1000, seed=40 + n)
+        coords = shell_cloud(n, 1000, seed=40 + n)
         q_hom = 2 * n + 2
         lap = sub_laplacian_batch(norm_field, coords, 1e-4)
         pb = partials_batch(coords[:, :-1], coords[:, -1])
@@ -128,7 +126,7 @@ def test_05_gradient_bound_margins():
     t0 = time.perf_counter()
     worst = np.inf
     for n in (2, 6, 10):
-        reports = check_gradient_bounds(GroupParams(n), 1_000_000, seed=50 + n, threads=4)
+        reports = check_gradient_bounds(n, 1_000_000, seed=50 + n, threads=4)
         worst = min(worst, min(r.min_margin for r in reports))
         assert all(r.passed for r in reports)
     elapsed = time.perf_counter() - t0
@@ -142,7 +140,7 @@ def test_05_gradient_bound_margins():
 
 
 def test_06_per_coordinate_bound_margins():
-    reports = check_partial_bounds(GroupParams(6), 100_000, seed=66)
+    reports = check_partial_bounds(6, 100_000, seed=66)
     worst = min(r.min_margin for r in reports)
     ok = len(reports) == 7 and worst >= TOL_MARGIN
     _check(
@@ -186,14 +184,13 @@ def test_08_infinity_laplacian_witness():
 
 
 def test_09_exact_gradients_vs_fd():
-    params = GroupParams(2)
     specs = [
         MeasureSpec(family="power", k=4.0),
         MeasureSpec(family="cosh-power", k=1.0),
         MeasureSpec(family="power-log", k=3.0),
         MeasureSpec(family="alpha-power", alpha=1.0, p=4.0),
     ]
-    coords = shell_cloud(params, 1000, seed=99)
+    coords = shell_cloud(2, 1000, seed=99)
     # gauge gradient
     fd_n = fd_gradient(norm_field, coords, FD_STEP)
     pb = partials_batch(coords[:, :-1], coords[:, -1])
@@ -270,8 +267,8 @@ def test_11_chain_moments(power4_chains):
     )
 
 
-def test_12_ubound_feasibility(power4_chains, family_chains, params6):
-    fam = coercive.default_family(params6)
+def test_12_ubound_feasibility(power4_chains, family_chains):
+    fam = coercive.default_family(CHAIN_N)
     cases = [power4_chains[0], family_chains["cosh1"], family_chains["cosh2"], family_chains["plog3"]]
     worst = -np.inf
     all_ok = True
@@ -288,8 +285,8 @@ def test_12_ubound_feasibility(power4_chains, family_chains, params6):
     )
 
 
-def test_13_poincare_ratios(power4_chains, stability_chains, params6):
-    fam = coercive.default_family(params6)[1:]
+def test_13_poincare_ratios(power4_chains, stability_chains):
+    fam = coercive.default_family(CHAIN_N)[1:]
     base = power4_chains[0]
     ratios = [coercive.poincare_ratio(f, base, 2.0)[0] for f in fam]
     finite = all(np.isfinite(r) and r > 0 for r in ratios)
@@ -311,10 +308,10 @@ def test_13_poincare_ratios(power4_chains, stability_chains, params6):
     )
 
 
-def test_14_beta_lsi_feasibility(alpha_chain, params6):
+def test_14_beta_lsi_feasibility(alpha_chain):
     batch = alpha_chain
     beta, c, d = 0.25, 0.5, 1.0
-    res = coercive.fit_beta_lsi(coercive.default_family(params6), batch, 2.0, beta=beta)
+    res = coercive.fit_beta_lsi(coercive.default_family(CHAIN_N), batch, 2.0, beta=beta)
     # the conditions on {N >= 1} in closed form for g = a N^p: g' = a p N^(p-1)
     # increases, N^2 g^beta / g' = a^(beta-1) N^(3-p+p beta) / p and
     # g'' / g'^2 = (p-1) / (a p N^p) both peak at N = 1 when 3 - p + p beta <= 0
@@ -332,7 +329,7 @@ def test_14_beta_lsi_feasibility(alpha_chain, params6):
 
 
 def test_15_integral_identities():
-    ids = bgg.compare_cloud(GroupParams(2), 200, seed=15)["identities"]
+    ids = bgg.compare_cloud(2, 200, seed=15)["identities"]
     ok = (
         ids["split"] <= 1e-6
         and ids["t_derivative"] <= 1e-6

@@ -19,7 +19,7 @@ from hgauge.bgg import (
     solution_constant,
 )
 from hgauge.cli import main
-from hgauge.group import GroupParams, Point
+from hgauge.group import Point
 from hgauge.inequalities import BOX, _draw
 from hgauge.norm import ab_batch, norm_N, wed
 
@@ -88,8 +88,7 @@ def test_solution_homogeneity():
 
 
 def test_compare_cloud_summary():
-    params = GroupParams(2)
-    out = compare_cloud(params, 30, seed=4)
+    out = compare_cloud(2, 30, seed=4)
     assert out["points"] == 30
     assert out["max_rel_err"] < 1e-8
     assert out["mean_rel_err"] <= out["max_rel_err"]
@@ -110,10 +109,9 @@ def test_compare_cloud_rows_equal_scalar_quadrature(monkeypatch):
 
     monkeypatch.setattr(bgg, "_re_rows", spy)
     for n in (2, 6):
-        params = GroupParams(n)
         seen.clear()
-        compare_cloud(params, 30, seed=5)
-        x, t = _draw(params, 5, 0, 30, BOX, BOX * BOX, bgg.CLOUD_MIN_RADIUS, (0, 30))
+        compare_cloud(n, 30, seed=5)
+        x, t = _draw(n, 5, 0, 30, BOX, BOX * BOX, bgg.CLOUD_MIN_RADIUS, (0, 30))
         assert [k for k, _, _ in seen] == ([2] if n == 2 else [n, 2])
         _, seen_t, vals = seen[0]
         assert seen_t.tobytes() == t.tobytes()
@@ -130,7 +128,7 @@ IDENTITY_NS = (2, 3, 6, 8)
 @functools.cache
 def _identities(n):
     """compare_cloud's identities on a 200-point cloud at n (seed 1000 + n)."""
-    return compare_cloud(GroupParams(n), 200, seed=1000 + n)["identities"]
+    return compare_cloud(n, 200, seed=1000 + n)["identities"]
 
 
 def test_modulus_integral_closed_vs_quad():

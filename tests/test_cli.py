@@ -16,7 +16,6 @@ import pins
 import hgauge
 from hgauge import inequalities, measures, norm
 from hgauge.cli import ROUNDING_GATE, RunConfig, _write_csv_rows, config_from_args, main, run
-from hgauge.group import GroupParams
 
 
 def _run_json(capsys, argv):
@@ -233,6 +232,41 @@ def test_invalid_n_exits_2(capsys):
     assert err["kind"] == "invalid"
 
 
+# each subcommand that takes --n, with its other required flags
+N_COMMANDS = [
+    "norm eval --x 1,0",
+    "check lemma2 --points 10 --seed 1",
+    "check intermediate --points 10 --seed 1",
+    "check fundamental --points 10 --seed 1",
+    "check infinity-harmonic",
+    "bgg compare --points 5 --seed 1",
+    "measure sample --family power --k 4 --seed 1",
+    "verify ubound --family power --k 4 --seed 1",
+    "verify poincare --family power --k 4 --seed 1",
+    "verify lsi --family power --k 4 --seed 1 --beta 0.25",
+]
+# the subcommands that take --seed
+SEEDED = [c for c in N_COMMANDS if "--seed" in c]
+
+
+@pytest.mark.parametrize("command", N_COMMANDS, ids=lambda c: " ".join(c.split()[:2]))
+def test_n_below_two_exits_2_in_every_command(capsys, monkeypatch, command):
+    # cli.run checks --n once, before any command body runs
+    monkeypatch.setattr(measures, "run_chain", _no_chain)
+    assert main([*command.split(), "--n", "1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"schema": 2, "error": "Need an integer n >= 2, got 1.", "kind": "invalid"}
+
+
+@pytest.mark.parametrize("command", SEEDED, ids=lambda c: " ".join(c.split()[:2]))
+def test_negative_seed_exits_2_before_any_work(capsys, monkeypatch, command):
+    monkeypatch.setattr(measures, "run_chain", _no_chain)
+    monkeypatch.setattr(inequalities, "_uniform", _no_chain)
+    assert main([*command.replace("--seed 1", "--seed -1").split(), "--n", "2"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"schema": 2, "error": "Need --seed >= 0, got -1.", "kind": "invalid"}
+
+
 @pytest.mark.parametrize(
     "before, after",
     [(["--threads", "0"], []), (["--threads", "-3"], [])],
@@ -289,6 +323,25 @@ def test_cosh_power_walk_rejects_overflow_silently(capsys):
         warnings.simplefilter("error")
         assert main(argv + ["--seed", "1", "--steps", "2000", "--burn", "500"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [(["--k", "4", "--q", "1000"], "E|f|^q overflows for 'coordinate-x1'"),
+     (["--k", "400", "--restrict-exterior"], "No sample has N >= 1")],
+    ids=["overflow", "no-exterior"],
+)
+def test_ubound_fit_without_evidence_exits_3(capsys, extra, message):
+    # an overflowed mean, or an exterior bound with no row at N >= 1, gives no
+    # verdict: exit 3 at the fit, with no RuntimeWarning before it
+    argv = ["--no-timestamp", "verify", "ubound", "--family", "power", "--n", "2", "--seed", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--steps", "2000", "--burn", "500", *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["kind"] == "numerical" and message in err["error"]
 
 
 VERIFY_SHORT = ["verify", "ubound", "--n", "2", "--seed", "1", "--steps", "600", "--burn", "100"]
@@ -425,7 +478,7 @@ def test_single_point_outputs_scale_by_their_degrees():
 
 
 def _no_chain(*args):
-    raise AssertionError("a chain ran")
+    raise AssertionError("a chain or a cloud draw ran")
 
 
 @pytest.mark.parametrize(
@@ -657,7 +710,7 @@ def test_measure_sample_csv_is_exact(tmp_path, capsys, algorithm):
     assert main(argv + opts + ["--out", str(out)]) == 0
     cfg = measures.SamplerConfig(n_steps=1500, burn_in=300, seed=8, algorithm=algorithm)
     spec = measures.MeasureSpec(family="power", k=4.0)
-    batches = [measures.run_chain(spec, GroupParams(2), cfg, i) for i in range(3)]
+    batches = [measures.run_chain(spec, 2, cfg, i) for i in range(3)]
     # the per-value writer the CSV format was defined by
     ref = io.StringIO(newline="")
     writer = csv.writer(ref)

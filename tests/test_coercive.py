@@ -17,21 +17,21 @@ from hgauge.coercive import (
     poincare_ratio,
     ubound_terms,
 )
-from hgauge.group import GroupParams, Point, compose, inverse
+from hgauge.group import Point, compose, inverse
 from hgauge.measures import MeasureSpec, SampleBatch, SamplerConfig, run_chain
 from hgauge.norm import norm_batch, partials_batch
 
-PARAMS = GroupParams(2)
+CHAIN_N = 2
 POWER4 = MeasureSpec(family="power", k=4.0)
 APOW = MeasureSpec(family="alpha-power", alpha=1.0, p=4.0)
 CFG = SamplerConfig(n_steps=30_000, burn_in=5_000, step=0.3, seed=21)
-FAMILY = default_family(PARAMS)
+FAMILY = default_family(CHAIN_N)
 (CONSTANT, COORDINATE, _, _, POWER_CUTOFF, _, BUMP, OFFSET_BUMP) = FAMILY
 
 
 @pytest.fixture(scope="module")
 def batch():
-    return run_chain(POWER4, PARAMS, CFG, 0)
+    return run_chain(POWER4, CHAIN_N, CFG, 0)
 
 
 def _rows(coords):
@@ -156,10 +156,9 @@ def test_offset_bump_is_left_translate():
 def test_offset_bump_is_row_independent():
     # a centre with twelve nonzero twist coefficients: each row's value and
     # gradient have the same bytes alone as in its chain
-    params = GroupParams(6)
     x = np.array([0.9, 0.4, -0.6, 0.5, 0.1, 0.7, 0.5, -0.3, 0.2, 0.3, 0.8, 0.4])
     bump = coercive.TestFunction("bump(r=4)", coercive._bump(4.0), center=Point(x, 0.5))
-    chain = run_chain(POWER4, params, SamplerConfig(n_steps=3000, burn_in=500, seed=6), 0)
+    chain = run_chain(POWER4, 6, SamplerConfig(n_steps=3000, burn_in=500, seed=6), 0)
     assert chain.coords.shape == (2500, 13)
     vals, grad = bump.evaluate(chain)
     assert np.count_nonzero(vals) > 2000
@@ -211,8 +210,42 @@ def test_degenerate_means_name_both_causes(batch):
         poincare_ratio(flat, batch, 2.0)
 
 
+def test_overflowing_means_name_the_function():
+    # at q = 1000, |x_1|^q passes the float range on this chain (max |x_1| is
+    # about 2); the fits refuse it where they once reported C = nan as feasible
+    b = run_chain(POWER4, CHAIN_N, SamplerConfig(n_steps=2000, burn_in=500, seed=1), 0)
+    fam = default_family(CHAIN_N)
+    for call in (
+        lambda: fit_ubound_constants(fam, b, 1000.0),
+        lambda: fit_beta_lsi(fam, b, 1000.0, beta=0.25),
+        lambda: poincare_ratio(COORDINATE, b, 1000.0),
+    ):
+        with pytest.raises(RuntimeError, match=r"E\|f\|\^q overflows for 'coordinate-x1'"):
+            call()
+    # E|grad f|^q alone, and |f - Ef|^q, which reaches (2 max|f|)^q, alone
+    steep = coercive.TestFunction("steep", lambda u: (np.ones_like(u), np.full_like(u, 1e200)), radial=False)
+    with pytest.raises(RuntimeError, match=r"E\|grad f\|\^q overflows for 'steep'"):
+        ubound_terms(steep, b, 2.0, restrict_exterior=False)
+    # f = 1.5 but -1.5 on one row: 1.5^1000 stays in range, 3^1000 does not
+    spread = coercive.TestFunction(
+        "spread", lambda u: (np.where(u > u.min(), 1.5, -1.5), np.ones_like(u)), radial=False
+    )
+    with pytest.raises(RuntimeError, match=r"E\|f - Ef\|\^q overflows for 'spread'"):
+        poincare_ratio(spread, b, 1000.0)
+
+
+def test_exterior_fit_needs_an_exterior_sample():
+    # every row of this chain has N < 1, so each exterior left side would be 0
+    b = run_chain(MeasureSpec(family="power", k=400.0), CHAIN_N, SamplerConfig(n_steps=2000, burn_in=500, seed=1), 0)
+    assert np.all(b.gauge < 1.0)
+    with pytest.raises(RuntimeError, match="No sample has N >= 1"):
+        fit_ubound_constants(FAMILY, b, 2.0, restrict_exterior=True)
+    _, res = fit_ubound_constants(FAMILY, b, 2.0)  # the whole-space fit has support
+    assert res.feasible
+
+
 def test_ubound_terms_nonnegative(batch):
-    for f in default_family(PARAMS):
+    for f in default_family(CHAIN_N):
         terms = ubound_terms(f, batch, 2.0, restrict_exterior=False)
         assert terms.lhs >= 0.0
         assert terms.grad_term >= 0.0
@@ -220,7 +253,7 @@ def test_ubound_terms_nonnegative(batch):
 
 
 def test_fit_ubound_feasible(batch):
-    fam = default_family(PARAMS)
+    fam = default_family(CHAIN_N)
     terms, res = fit_ubound_constants(fam, batch, 2.0)
     assert terms == [ubound_terms(f, batch, 2.0, restrict_exterior=False) for f in fam]
     assert res.feasible
@@ -231,14 +264,14 @@ def test_fit_ubound_feasible(batch):
 
 
 def test_fit_ubound_exterior_restriction(batch):
-    fam = default_family(PARAMS)
+    fam = default_family(CHAIN_N)
     _, res = fit_ubound_constants(fam, batch, 2.0, restrict_exterior=True)
     assert res.feasible
     assert res.feasible == (res.max_violation == 0.0)
 
 
 def test_fit_is_deterministic(batch):
-    fam = default_family(PARAMS)
+    fam = default_family(CHAIN_N)
     _, r1 = fit_ubound_constants(fam, batch, 2.0)
     _, r2 = fit_ubound_constants(fam, batch, 2.0)
     assert r1.c == r2.c and r1.d == r2.d
@@ -253,17 +286,17 @@ def test_poincare_ratio_coordinate_equals_variance(batch):
 
 
 def test_poincare_ratios_finite_across_family(batch):
-    for f in default_family(PARAMS)[1:]:
+    for f in default_family(CHAIN_N)[1:]:
         ratio, se = poincare_ratio(f, batch, 2.0)
         assert np.isfinite(ratio) and ratio > 0
 
 
 def test_poincare_two_seed_stability():
-    fam = default_family(PARAMS)[1:]
+    fam = default_family(CHAIN_N)[1:]
     ratios = []
     for seed in (31, 32):
         cfg = dataclasses.replace(CFG, seed=seed)
-        b = run_chain(POWER4, PARAMS, cfg, 0)
+        b = run_chain(POWER4, CHAIN_N, cfg, 0)
         ratios.append(max(poincare_ratio(f, b, 2.0)[0] for f in fam))
     assert abs(ratios[0] - ratios[1]) / np.mean(ratios) < 0.4
 
@@ -277,8 +310,8 @@ def test_beta_lsi_functional_handles_zero_values(batch):
 
 
 def test_fit_beta_lsi_feasible():
-    b = run_chain(APOW, PARAMS, CFG, 0)
-    res = fit_beta_lsi(default_family(PARAMS), b, 2.0, beta=0.25)
+    b = run_chain(APOW, CHAIN_N, CFG, 0)
+    res = fit_beta_lsi(default_family(CHAIN_N), b, 2.0, beta=0.25)
     assert res.feasible
     assert res.feasible == (res.max_violation == 0.0)
 
@@ -292,7 +325,7 @@ def test_fit_beta_lsi_rejects_bad_beta(batch, spec, beta):
     # beta > 0 for every family, and beta <= (p-3)/p = 1/4 for alpha-power at
     # p = 4 and for power at k = 4, the same measure
     with pytest.raises(ValueError, match="beta"):
-        fit_beta_lsi(default_family(PARAMS), dataclasses.replace(batch, spec=spec), 2.0, beta=beta)
+        fit_beta_lsi(default_family(CHAIN_N), dataclasses.replace(batch, spec=spec), 2.0, beta=beta)
 
 
 @pytest.mark.parametrize("q", [1.5, math.nan, math.inf])
@@ -308,7 +341,7 @@ def test_functionals_reject_bad_q(batch, q):
 
 
 def test_feasibility_result_as_dict(batch):
-    _, res = fit_ubound_constants(default_family(PARAMS), batch, 2.0)
+    _, res = fit_ubound_constants(default_family(CHAIN_N), batch, 2.0)
     d = res.as_dict()
     assert set(d) == {"C", "D", "max_violation", "per_function", "d_grid", "feasible"}
     assert len(d["per_function"]) == 8

@@ -20,7 +20,6 @@ from mpmath import mp
 
 from hgauge import inequalities, norm
 from hgauge.norm import ROUNDING_GATE
-from hgauge.group import GroupParams
 from hgauge.inequalities import _split_slope, _split_terms, alpha_opt, shell_cloud, split_objective
 
 DIGITS = 40
@@ -75,7 +74,7 @@ def _reference(n, r, s, t):
 
 @pytest.mark.parametrize("n", [2, 3, 6, 10])
 def test_second_order_matches_exact_reference(n):
-    coords = shell_cloud(GroupParams(n), 12, seed=70 + n)
+    coords = shell_cloud(n, 12, seed=70 + n)
     x, t = coords[:, :-1], coords[:, -1]
     r, s, nn, grad, hess = norm._second_order(x, t)
     lap, lap_scale = norm._harmonicity_residual(x, t, 1.0)
@@ -126,7 +125,7 @@ def test_chart_slopes_match_exact_reference(n, monkeypatch):
     _, sp, sb, tt = norm._chart_slopes(x.copy(), t.copy())
     captured = []
     monkeypatch.setattr(inequalities, "_cloud_reports", lambda names, fn, *rest: captured.append(fn))
-    inequalities.check_gradient_bounds(GroupParams(n), 1, 0)
+    inequalities.check_gradient_bounds(n, 1, 0)
     radial, lower, upper = captured[0](x.copy(), t.copy())
     lower_const, upper_const = 2.0 ** -(5.0 + 2.0 / n), (2 * n + 1) ** 2 / (8.0 * n * n)
     for i in range(m):

@@ -167,7 +167,7 @@ def test_public_name_count_is_pinned():
     # distinct names across the package's __all__ lists: each is API to keep,
     # so a new one needs review; one that retires a name lowers this count
     public = {entry for name in MODULES for entry in importlib.import_module(name).__all__}
-    assert len(public) == 46
+    assert len(public) == 45
 
 
 def _count_flags(parser):
@@ -187,13 +187,13 @@ def test_cli_flag_count_is_pinned():
     assert _count_flags(build_parser()) == 66
 
 
-# (setting, carrier) annotation patterns: the carrier already fixes the
-# setting, so a public function that takes both could only be handed two that
-# disagree.  A Point or (m, 2n+1) rows fix n, and a SampleBatch records the
-# MeasureSpec it was drawn from.
+# (setting, carrier) patterns over a parameter's "name: annotation": the
+# carrier already fixes the setting, so a public function that takes both
+# could only be handed two that disagree.  A Point or (m, 2n+1) rows fix the
+# layer parameter n, and a SampleBatch records the MeasureSpec it was drawn from.
 REDUNDANT_PAIRS = [
-    (r"\bGroupParams\b", r"\bPoint\b|\bnp\.ndarray\b"),
-    (r"\bMeasureSpec\b", r"\bSampleBatch\b"),
+    (r"^n\b", r":.*(\bPoint\b|\bnp\.ndarray\b)"),
+    (r":.*\bMeasureSpec\b", r":.*\bSampleBatch\b"),
 ]
 
 
@@ -207,7 +207,7 @@ def test_no_function_takes_params_beside_a_point_or_rows():
             if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
                 continue
             args = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
-            kinds = [ast.unparse(arg.annotation) for arg in args if arg.annotation]
+            kinds = [f"{arg.arg}: {ast.unparse(arg.annotation) if arg.annotation else ''}" for arg in args]
             for setting, carrier in REDUNDANT_PAIRS:
                 if any(re.search(setting, k) for k in kinds) and any(re.search(carrier, k) for k in kinds):
                     both.append(f"{path.stem}.{node.name}")

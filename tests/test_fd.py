@@ -6,7 +6,7 @@ from reference import fd_gradient, horizontal, sub_laplacian_batch
 
 from hgauge import fd, norm
 from hgauge.fd import infinity_laplacian_witness
-from hgauge.group import GroupParams, Point, field_coefficients_batch
+from hgauge.group import Point, field_coefficients_batch
 from hgauge.inequalities import sample_cloud, shell_cloud
 from hgauge.norm import ROUNDING_GATE, norm_batch, partials_batch
 
@@ -78,7 +78,6 @@ def test_kernels_reject_horizontal_width_not_2n(width):
 
 def test_sub_laplacian_quadratic():
     n = 3
-    params = GroupParams(n)
     rng = np.random.default_rng(0)
     coords = rng.uniform(-2, 2, (50, 2 * n + 1))
     got = sub_laplacian_batch(_quadratic_field(n), coords, 1e-4)
@@ -133,7 +132,7 @@ def test_harmonicity_check_passes_on_central_line(n):
 
 
 def _shell(n):
-    coords = shell_cloud(GroupParams(n), 400, seed=n)
+    coords = shell_cloud(n, 400, seed=n)
     return coords, coords[:, :-1], coords[:, -1]
 
 
@@ -142,7 +141,7 @@ def test_second_order_kernel_matches_first_order(n):
     # one gradient: N and (N_R, N_S, N_t) are partials_batch's N and
     # (pair_slope / 2, block_slope / 2, dN_dt) bit for bit, on shell rows and
     # on sample_cloud rows, whose dilations span 10^(+-2)
-    cloud = sample_cloud(GroupParams(n), 4000, seed=n)
+    cloud = sample_cloud(n, 4000, seed=n)
     for x, t in (_shell(n)[1:], (cloud[:, :-1], cloud[:, -1])):
         r, s, nn, grad, _ = norm._second_order(x, t)
         pb = partials_batch(x, t)

@@ -1,3 +1,6 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import dilate
 
+from hgauge import bgg, cli, coercive, fd, group, inequalities, measures, norm
 from hgauge.group import (
-    GroupParams,
     Point,
     compose,
     field_coefficients_batch,
@@ -14,8 +17,8 @@ from hgauge.group import (
 )
 
 
-def _point(rng, params, scale=3.0):
-    return Point(rng.uniform(-scale, scale, params.horizontal_dim), rng.uniform(-scale, scale))
+def _point(rng, n, scale=3.0):
+    return Point(rng.uniform(-scale, scale, 2 * n), rng.uniform(-scale, scale))
 
 
 coords_strategy = st.lists(
@@ -23,14 +26,40 @@ coords_strategy = st.lists(
 )
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        GroupParams(1)
-    with pytest.raises(ValueError):
-        GroupParams(0)
-    p = GroupParams(3)
-    assert p.horizontal_dim == 6
-    assert p.ambient_dim == 7
+# every public function that takes the layer parameter n, called with valid other arguments
+TAKES_N = {
+    "run_chain": lambda n: measures.run_chain(
+        measures.MeasureSpec("power", k=4.0), n, measures.SamplerConfig(n_steps=100, burn_in=50), 0
+    ),
+    "sample_cloud": lambda n: inequalities.sample_cloud(n, 10, 0),
+    "shell_cloud": lambda n: inequalities.shell_cloud(n, 10, 0),
+    "check_gradient_bounds": lambda n: inequalities.check_gradient_bounds(n, 10, 0),
+    "check_partial_bounds": lambda n: inequalities.check_partial_bounds(n, 10, 0),
+    "compare_cloud": lambda n: bgg.compare_cloud(n, 10, 0),
+    "default_family": coercive.default_family,
+    "split_objective": lambda n: inequalities.split_objective(0.1, n),
+    "alpha_opt": inequalities.alpha_opt,
+    "coercivity_margin": inequalities.coercivity_margin,
+    "solution_constant": bgg.solution_constant,
+}
+
+
+def test_takes_n_lists_every_public_function_with_an_n():
+    found = set()
+    for module in (bgg, cli, coercive, fd, group, inequalities, measures, norm):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) and "n" in inspect.signature(obj).parameters:
+                found.add(name)
+    assert found == set(TAKES_N)
+
+
+@pytest.mark.parametrize("n", [1, 2.0])
+@pytest.mark.parametrize("name", sorted(TAKES_N))
+def test_every_function_taking_n_refuses_a_bad_one(name, n):
+    # one check, group._check_n, before any other use of n
+    with pytest.raises(ValueError, match=re.escape(f"Need an integer n >= 2, got {n!r}.")):
+        TAKES_N[name](n)
 
 
 def test_field_coefficients_frozen_example():
@@ -66,10 +95,9 @@ def test_field_coefficients_skew_weights():
 def test_identity_and_inverse():
     rng = np.random.default_rng(1)
     for n in (2, 3):
-        params = GroupParams(n)
-        e = Point(np.zeros(params.horizontal_dim), 0.0)
+        e = Point(np.zeros(2 * n), 0.0)
         for _ in range(20):
-            p = _point(rng, params)
+            p = _point(rng, n)
             q = compose(p, e)
             assert np.allclose(q.x, p.x) and q.t == pytest.approx(p.t)
             r = compose(p, inverse(p))
@@ -81,7 +109,7 @@ def test_compose_on_rows_equals_point_products(n):
     # one group law for a Point and for rows, bit for bit: each row's twist
     # is summed on its own, whatever its place in the batch
     rng = np.random.default_rng(n)
-    p = _point(rng, GroupParams(n))
+    p = _point(rng, n)
     assert np.all(field_coefficients_batch(p.x) != 0.0)  # every twist term counts
     rows = rng.uniform(-3, 3, (1000, 2 * n + 1))
     out = compose(p, rows)

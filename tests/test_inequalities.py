@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import pins
 
 from hgauge import bgg, inequalities
-from hgauge.group import GroupParams
 from hgauge.norm import norm_batch, partials_batch
 from hgauge.inequalities import (
     EXCLUSION,
@@ -25,21 +24,19 @@ from hgauge.inequalities import (
 
 
 def test_sample_cloud_shape_and_determinism():
-    assert sample_cloud(GroupParams(3), 500, seed=5).shape == (500, 7)
+    assert sample_cloud(3, 500, seed=5).shape == (500, 7)
     for n, digest in pins.CLOUD_DIGESTS.items():
         assert pins.digest(pins.cloud_parts(n)) == digest, n
 
 
 def test_sample_cloud_respects_exclusion():
-    params = GroupParams(2)
-    c = sample_cloud(params, 2000, seed=1)
+    c = sample_cloud(2, 2000, seed=1)
     assert np.min(np.linalg.norm(c[:, :-1], axis=1)) >= EXCLUSION
 
 
 def test_sample_cloud_covers_scales():
     # a quarter of the points are log-radial rescales spanning ~1e-2..1e2
-    params = GroupParams(2)
-    c = sample_cloud(params, 4000, seed=2)
+    c = sample_cloud(2, 4000, seed=2)
     radii = np.linalg.norm(c[:, :-1], axis=1)
     assert radii.min() < 0.05
     assert radii.max() > 50.0
@@ -47,8 +44,7 @@ def test_sample_cloud_covers_scales():
 
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_gradient_bounds_hold(n):
-    params = GroupParams(n)
-    reports = check_gradient_bounds(params, 40_000, seed=10 + n)
+    reports = check_gradient_bounds(n, 40_000, seed=10 + n)
     assert [r.name for r in reports] == ["radial-lower", "gradient-lower", "gradient-upper"]
     for r in reports:
         assert r.passed, f"{r.name}: {r.min_margin}"
@@ -56,8 +52,7 @@ def test_gradient_bounds_hold(n):
 
 
 def test_partial_bounds_hold_n6():
-    params = GroupParams(6)
-    reports = check_partial_bounds(params, 40_000, seed=16)
+    reports = check_partial_bounds(6, 40_000, seed=16)
     assert len(reports) == 7
     names = {r.name for r in reports}
     assert "pair-slope-nonneg" in names
@@ -66,9 +61,8 @@ def test_partial_bounds_hold_n6():
 
 
 def test_threading_does_not_change_results():
-    params = GroupParams(2)
-    serial = check_gradient_bounds(params, 30_000, seed=3, threads=1)
-    parallel = check_gradient_bounds(params, 30_000, seed=3, threads=4)
+    serial = check_gradient_bounds(2, 30_000, seed=3, threads=1)
+    parallel = check_gradient_bounds(2, 30_000, seed=3, threads=4)
     for a, b in zip(serial, parallel):
         assert a.min_margin == b.min_margin
         assert np.array_equal(np.asarray(a.worst_point), np.asarray(b.worst_point))
@@ -104,19 +98,17 @@ def pool_sizes(monkeypatch):
 
 def test_thread_pool_is_capped_at_cpu_count(monkeypatch, pool_sizes):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    params = GroupParams(2)
-    capped = check_gradient_bounds(params, 20_000, seed=3, threads=10**6)
+    capped = check_gradient_bounds(2, 20_000, seed=3, threads=10**6)
     assert pool_sizes == [3, 2]  # one box span of 15000 rows, one radial span of 5000
-    assert capped == check_gradient_bounds(params, 20_000, seed=3, threads=1)
+    assert capped == check_gradient_bounds(2, 20_000, seed=3, threads=1)
 
 
 def test_default_threads_are_one_per_cpu(monkeypatch, pool_sizes):
     # threads=None means one worker per CPU, in the library as in the CLI
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    params = GroupParams(2)
-    default = check_partial_bounds(params, 20_000, seed=3)
+    default = check_partial_bounds(2, 20_000, seed=3)
     assert pool_sizes == [2, 2]
-    assert default == check_partial_bounds(params, 20_000, seed=3, threads=1)
+    assert default == check_partial_bounds(2, 20_000, seed=3, threads=1)
 
 
 @pytest.mark.parametrize("threads", [0, -1])
@@ -124,7 +116,7 @@ def test_default_threads_are_one_per_cpu(monkeypatch, pool_sizes):
 def test_threads_below_one_raise(check, threads):
     # every run maps its spans through a pool, and a pool needs a worker
     with pytest.raises(ValueError):
-        check(GroupParams(2), 100, 1, threads=threads)
+        check(2, 100, 1, threads=threads)
 
 
 CHUNK = inequalities._CHUNK
@@ -136,11 +128,11 @@ def test_span_rows_concatenate_to_sample_cloud(n, m):
     # the spans, each drawn at its own stream positions, concatenate to the
     # layout drawn whole: box x, box t, then radial x, t and dilations.  At
     # 4 * CHUNK + 8 points the radial part has two spans
-    params, seed, dim = GroupParams(n), 20261017, 2 * n
+    seed, dim = 20261017, 2 * n
     spans = inequalities._spans(m)
     assert all(b - a <= CHUNK for a, b in spans)
     rows = np.concatenate(
-        [np.column_stack(inequalities._span_rows(params, m, seed, span)) for span in spans]
+        [np.column_stack(inequalities._span_rows(n, m, seed, span)) for span in spans]
     )
     m_box = (3 * m) // 4
     x = inequalities._uniform(seed, 0, m_box * dim, -5.0, 5.0).reshape(m_box, dim)
@@ -152,14 +144,14 @@ def test_span_rows_concatenate_to_sample_cloud(n, m):
     radial = np.column_stack([rx * lam[:, None], rt * (lam * lam)])
     whole = np.vstack([np.column_stack([x, t]), radial])
     assert rows.tobytes() == whole.tobytes()
-    assert rows.tobytes() == sample_cloud(params, m, seed).tobytes()
+    assert rows.tobytes() == sample_cloud(n, m, seed).tobytes()
 
 
 def test_rejection_moves_no_other_row():
     # BOX=1e-3 rejects about 1 box row in 3 at n=2; each is redrawn in place
-    params, m, seed = GroupParams(2), 100_003, 9
+    n, m, seed = 2, 100_003, 9
     m_box = (3 * m) // 4
-    radial = sample_cloud(params, m, seed)[m_box:]
+    radial = sample_cloud(n, m, seed)[m_box:]
     parts = pins.redraw_parts("sample_cloud")
     cloud = parts["cloud"]
     assert cloud[m_box:].tobytes() == radial.tobytes()
@@ -216,14 +208,14 @@ def test_shell_cloud_redraws_in_place():
 def test_shell_cloud_has_no_gauge_window():
     # a box draw whose one rejection is |x| < 1/2: at n = 20 N's median is
     # about 5, and rows past N = 5 are kept
-    cloud = shell_cloud(GroupParams(20), 1000, seed=0)
+    cloud = shell_cloud(20, 1000, seed=0)
     x, t = cloud[:, :-1], cloud[:, -1]
     assert np.all(np.linalg.norm(x, axis=1) >= 0.5)
     assert np.all(np.abs(x) <= 2.0) and np.all(np.abs(t) <= 3.0)
     assert np.any(norm_batch(x, t) >= 5.0)
 
 
-def _margin_fn(check, params, seed, monkeypatch):
+def _margin_fn(check, n, seed, monkeypatch):
     """The margin_fn that check hands to _cloud_reports."""
     captured = []
     reports = inequalities._cloud_reports
@@ -233,15 +225,15 @@ def _margin_fn(check, params, seed, monkeypatch):
         return reports(names, margin_fn, *args)
 
     monkeypatch.setattr(inequalities, "_cloud_reports", capture)
-    check(params, 1, seed)
+    check(n, 1, seed)
     monkeypatch.setattr(inequalities, "_cloud_reports", reports)
     return captured[0]
 
 
-def _materialised_reports(check, params, m, seed, monkeypatch):
+def _materialised_reports(check, n, m, seed, monkeypatch):
     """(min_margin, worst row) per column of margin_fn over the whole sample_cloud."""
-    coords = sample_cloud(params, m, seed)
-    margins = np.column_stack(_margin_fn(check, params, seed, monkeypatch)(coords[:, :-1], coords[:, -1]))
+    coords = sample_cloud(n, m, seed)
+    margins = np.column_stack(_margin_fn(check, n, seed, monkeypatch)(coords[:, :-1], coords[:, -1]))
     worst = np.argmin(margins, axis=0)
     return [(margins[w, i], coords[w]) for i, w in enumerate(worst)]
 
@@ -254,11 +246,10 @@ def _materialised_reports(check, params, m, seed, monkeypatch):
 def test_streamed_reports_equal_materialised_cloud(n, m, box, monkeypatch):
     # BOX=1e-3 rejects rows, which the spans redraw in place
     monkeypatch.setattr(inequalities, "BOX", box)
-    params = GroupParams(n)
     for check in (check_gradient_bounds, check_partial_bounds):
-        want = _materialised_reports(check, params, m, 9, monkeypatch)
+        want = _materialised_reports(check, n, m, 9, monkeypatch)
         for threads in (1, 2):
-            got = check(params, m, 9, threads=threads)
+            got = check(n, m, 9, threads=threads)
             assert [r.n_points for r in got] == [m] * len(want)
             for r, (value, row) in zip(got, want):
                 assert r.min_margin == value, (check.__name__, threads, r.name)
@@ -295,10 +286,10 @@ def test_margins_match_partials_batch_reference(check, n, monkeypatch):
     # the margins come from (R, S, t) with |x|^2 as one row dot; every
     # margin is bounded by 1, so rounding leaves each row within a few eps
     # of the record's formulas, and no column's worst row moves
-    params, m, seed = GroupParams(n), 40_000, 500 + n
-    coords = sample_cloud(params, m, seed)
+    m, seed = 40_000, 500 + n
+    coords = sample_cloud(n, m, seed)
     x, t = coords[:, :-1], coords[:, -1]
-    got = np.column_stack(_margin_fn(check, params, seed, monkeypatch)(x, t))
+    got = np.column_stack(_margin_fn(check, n, seed, monkeypatch)(x, t))
     want = _reference_margins(check, x, t, n)
     assert got.shape == want.shape == (m, len(want[0]))
     assert np.max(np.abs(got - want)) <= 64 * np.finfo(float).eps
@@ -307,10 +298,10 @@ def test_margins_match_partials_batch_reference(check, n, monkeypatch):
         assert np.array_equal(np.argmin(got[rows], axis=0), np.argmin(want[rows], axis=0)), rows
 
 
-def _assert_scale_free(check, params, x, t, lam, monkeypatch):
+def _assert_scale_free(check, n, x, t, lam, monkeypatch):
     """check's margin columns at delta_lam (x, t) equal those at (x, t) to
     1e-13 of max(1, |margin|); lam is a scalar or one factor per row."""
-    margin_fn = _margin_fn(check, params, 0, monkeypatch)
+    margin_fn = _margin_fn(check, n, 0, monkeypatch)
     lam = np.broadcast_to(lam, t.shape)
     want = np.column_stack(margin_fn(x.copy(), t.copy()))
     got = np.column_stack(margin_fn(x * lam[:, None], t * lam * lam))
@@ -324,20 +315,18 @@ def test_margins_hold_along_a_dilation_ray(check, s, monkeypatch):
     # delta_s(e_1 + e_4 / 2, t = 0.3) at n = 6; the margins have degree 0
     # and read only the chart point, so no scale in which |x|^2 is a normal
     # float moves them (at s = 1e-155 it is subnormal, and still holds here)
-    params = GroupParams(6)
     x = np.zeros((1, 12))
     x[0, 0], x[0, 3] = 1.0, 0.5
-    _assert_scale_free(check, params, x, np.array([0.3]), s, monkeypatch)
+    _assert_scale_free(check, 6, x, np.array([0.3]), s, monkeypatch)
 
 
 @pytest.mark.parametrize("n", [2, 6, 10])
 @pytest.mark.parametrize("check", [check_gradient_bounds, check_partial_bounds])
 def test_margins_hold_at_random_scales(check, n, monkeypatch):
     # box rows (|x| >= EXCLUSION) dilated by lam = 10^U(-150, 150), row by row
-    params = GroupParams(n)
-    coords = sample_cloud(params, 4000, seed=40 + n)[:3000]
+    coords = sample_cloud(n, 4000, seed=40 + n)[:3000]
     lam = 10.0 ** np.random.default_rng(n).uniform(-150.0, 150.0, len(coords))
-    _assert_scale_free(check, params, coords[:, :-1], coords[:, -1], lam, monkeypatch)
+    _assert_scale_free(check, n, coords[:, :-1], coords[:, -1], lam, monkeypatch)
 
 
 def test_streamed_check_never_builds_the_cloud(monkeypatch):
@@ -345,27 +334,25 @@ def test_streamed_check_never_builds_the_cloud(monkeypatch):
         raise AssertionError("sample_cloud called")
 
     monkeypatch.setattr(inequalities, "sample_cloud", refuse)
-    for r in check_gradient_bounds(GroupParams(2), 200_000, seed=5, threads=2):
+    for r in check_gradient_bounds(2, 200_000, seed=5, threads=2):
         assert r.passed and r.n_points == 200_000
 
 
 @pytest.mark.parametrize("m", [0, -3])
 def test_clouds_need_a_point(m):
-    params = GroupParams(2)
     for call in (
-        lambda: check_gradient_bounds(params, m, seed=1),
-        lambda: check_partial_bounds(params, m, seed=1),
-        lambda: sample_cloud(params, m, seed=1),
-        lambda: shell_cloud(params, m, seed=1),
-        lambda: bgg.compare_cloud(params, m, 1),
+        lambda: check_gradient_bounds(2, m, seed=1),
+        lambda: check_partial_bounds(2, m, seed=1),
+        lambda: sample_cloud(2, m, seed=1),
+        lambda: shell_cloud(2, m, seed=1),
+        lambda: bgg.compare_cloud(2, m, 1),
     ):
         with pytest.raises(ValueError, match="at least 1 point"):
             call()
 
 
 def test_report_as_dict_roundtrips_through_json():
-    params = GroupParams(2)
-    (r, *_rest) = check_gradient_bounds(params, 1000, seed=4)
+    (r, *_rest) = check_gradient_bounds(2, 1000, seed=4)
     d = r.as_dict()
     s = json.dumps(d)
     back = json.loads(s)

@@ -9,7 +9,6 @@ from conftest import FD_STEP
 from reference import fd_gradient
 
 from hgauge import coercive, measures
-from hgauge.group import GroupParams
 from hgauge.measures import (
     FAMILIES,
     TARGET_ACCEPT,
@@ -147,7 +146,7 @@ def test_lsi_conditions_accept_beta_within_its_cap(spec, beta):
 # -- sampler --------------------------------------------------------------------
 
 SHORT = SamplerConfig(n_steps=12_000, burn_in=2_000, step=0.3, seed=5)
-PARAMS2 = GroupParams(2)
+CHAIN_N = 2
 
 
 @pytest.mark.parametrize(
@@ -159,26 +158,26 @@ def test_sampler_inputs_are_refused(settings, chain_index):
     # SamplerConfig checks its settings, run_chain its chain index, before a step runs
     with pytest.raises(ValueError):
         cfg = SamplerConfig(**{"n_steps": 1000, **settings})
-        run_chain(POWER4, PARAMS2, cfg, chain_index)
+        run_chain(POWER4, CHAIN_N, cfg, chain_index)
 
 
 def test_chain_determinism():
-    b1 = run_chain(POWER4, PARAMS2, SHORT, 0)
-    b2 = run_chain(POWER4, PARAMS2, SHORT, 0)
+    b1 = run_chain(POWER4, CHAIN_N, SHORT, 0)
+    b2 = run_chain(POWER4, CHAIN_N, SHORT, 0)
     assert np.array_equal(b1.coords, b2.coords)
     assert b1.acceptance_rate == b2.acceptance_rate
 
 
 def test_chains_are_stream_independent():
-    b0 = run_chain(POWER4, PARAMS2, SHORT, 0)
-    b1 = run_chain(POWER4, PARAMS2, SHORT, 1)
+    b0 = run_chain(POWER4, CHAIN_N, SHORT, 0)
+    b1 = run_chain(POWER4, CHAIN_N, SHORT, 1)
     assert not np.array_equal(b0.coords, b1.coords)
     # both target the same distribution
     assert abs(np.mean(b0.gauge) - np.mean(b1.gauge)) < 0.1
 
 
 def test_chain_output_shapes():
-    b = run_chain(POWER4, PARAMS2, SHORT, 0)
+    b = run_chain(POWER4, CHAIN_N, SHORT, 0)
     assert b.coords.shape == (10_000, 5)
     assert b.log_densities.shape == (10_000,)
     assert 0.1 < b.acceptance_rate < 0.6
@@ -186,7 +185,7 @@ def test_chain_output_shapes():
 
 
 def test_batch_is_read_only_and_derives_once():
-    b = run_chain(POWER4, PARAMS2, SHORT, 0)
+    b = run_chain(POWER4, CHAIN_N, SHORT, 0)
     with pytest.raises(ValueError):
         b.coords[0, 0] = 1.0
     for name in ("gauge", "log_densities", "eta", "grad_norms"):
@@ -199,20 +198,20 @@ def test_batch_is_read_only_and_derives_once():
 def test_acceptance_guard_fires():
     cfg = SamplerConfig(n_steps=3_000, burn_in=0, step=1e6, seed=1)
     with pytest.raises(RuntimeError):
-        run_chain(POWER4, PARAMS2, cfg, 0)
+        run_chain(POWER4, CHAIN_N, cfg, 0)
 
 
 def test_mala_smoke():
     cfg = dataclasses.replace(SHORT, algorithm="mala", step=0.4)
-    b = run_chain(POWER4, PARAMS2, cfg, 0)
+    b = run_chain(POWER4, CHAIN_N, cfg, 0)
     assert 0.05 < b.acceptance_rate < 0.98
-    rwm = run_chain(POWER4, PARAMS2, SHORT, 0)
+    rwm = run_chain(POWER4, CHAIN_N, SHORT, 0)
     se = batch_means_se(b.gauge) + batch_means_se(rwm.gauge)
     assert abs(np.mean(b.gauge) - np.mean(rwm.gauge)) < 6 * se
 
 
 def test_log_densities_recorded_correctly():
-    b = run_chain(POWER4, PARAMS2, SHORT, 0)
+    b = run_chain(POWER4, CHAIN_N, SHORT, 0)
     idx = [0, 1234, 9999]
     want = _log_pi_rows(POWER4, b.coords[idx])[1]
     assert np.allclose(b.log_densities[idx], want, rtol=1e-12, atol=0.0)
@@ -234,7 +233,7 @@ def test_chain_digests_are_pinned(algorithm, family, n, monkeypatch):
     assert pins.digest(parts) == pins.CHAIN_DIGESTS[algorithm, family, n]
 
 
-def _one_step_chain(spec, params, cfg, chain_index, spawned=2):
+def _one_step_chain(spec, n, cfg, chain_index, spawned=2):
     """The reference sampler: a plain loop scoring one proposal per gauge call.
 
     Its stream is chain_index's of `spawned` chains.  Returns (coords,
@@ -243,7 +242,7 @@ def _one_step_chain(spec, params, cfg, chain_index, spawned=2):
     """
     stream = np.random.SeedSequence(cfg.seed).spawn(spawned)[chain_index]
     rng = np.random.default_rng(stream)
-    dim = params.ambient_dim
+    dim = 2 * n + 1
     state = rng.standard_normal(dim)[None, :]
     normals = rng.standard_normal((cfg.n_steps, dim))
     log_us = np.log(rng.random(cfg.n_steps))
@@ -301,8 +300,8 @@ REFERENCE_CONFIGS = {
 }
 
 
-def _chain_fields(spec, params, cfg, chain_index):
-    b = run_chain(spec, params, cfg, chain_index)
+def _chain_fields(spec, n, cfg, chain_index):
+    b = run_chain(spec, n, cfg, chain_index)
     return b.coords, b.log_densities, b.acceptance_rate, b.step_final
 
 
@@ -310,8 +309,8 @@ def test_chain_does_not_depend_on_chain_count():
     # chain i's stream is keyed by (seed, i) alone: chain 1 is the second
     # spawn of the seed whether 2 or 1000 streams are spawned
     cfg = SamplerConfig(n_steps=1000, burn_in=0, step=0.5, seed=11)
-    want = _one_step_chain(POWER4, PARAMS2, cfg, 1, spawned=1000)
-    got = _chain_fields(POWER4, PARAMS2, cfg, 1)
+    want = _one_step_chain(POWER4, CHAIN_N, cfg, 1, spawned=1000)
+    got = _chain_fields(POWER4, CHAIN_N, cfg, 1)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
     assert got[2:] == want[2:]
@@ -333,9 +332,8 @@ def test_chain_equals_one_step_reference(algorithm, n, config):
     cfg = SamplerConfig(
         n_steps=n_steps, burn_in=burn_in, step=step, seed=11, algorithm=algorithm
     )
-    params = GroupParams(n)
-    want = _outcome(_one_step_chain, POWER4, params, cfg, 1)
-    got = _outcome(_chain_fields, POWER4, params, cfg, 1)
+    want = _outcome(_one_step_chain, POWER4, n, cfg, 1)
+    got = _outcome(_chain_fields, POWER4, n, cfg, 1)
     if config == "mis-tuned":
         assert want.startswith("Acceptance rate 0.000") and got == want
         return

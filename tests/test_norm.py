@@ -7,7 +7,7 @@ import pins
 from conftest import FD_STEP, dilate, norm_field
 from reference import fd_gradient, horizontal
 
-from hgauge.group import GroupParams, Point
+from hgauge.group import Point
 from hgauge.inequalities import sample_cloud
 from hgauge.norm import (
     PartialsBatch,
@@ -172,7 +172,7 @@ def test_slopes_match_rational_forms(n):
 def test_closed_forms_match_horizontal_contraction(n):
     # grad_sq and x_dot come from per-row scalars; contract the horizontal
     # gradient itself as the reference
-    coords = sample_cloud(GroupParams(n), 20_000, seed=300 + n)
+    coords = sample_cloud(n, 20_000, seed=300 + n)
     x = coords[:, :-1]
     pb = partials_batch(x, coords[:, -1])
     horiz = horizontal(pb)
