@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,20 @@ def test_overflowing_means_name_the_function():
     )
     with pytest.raises(RuntimeError, match=r"E\|f - Ef\|\^q overflows for 'spread'"):
         poincare_ratio(spread, b, 1000.0)
+
+
+def test_standard_errors_stay_finite_where_the_means_do():
+    # at q = 1000, E eta |f|^q of N^1*cutoff is finite (1.2e190) on this chain,
+    # but its batch means' squared deviations pass the float range, and those
+    # of E|grad f|^q (1e-191) fall below it
+    b = run_chain(POWER4, CHAIN_N, SamplerConfig(n_steps=2000, burn_in=500, seed=1), 0)
+    assert POWER_CUTOFF.name == "N^1*cutoff"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        terms = ubound_terms(POWER_CUTOFF, b, 1000.0, restrict_exterior=False)
+    assert 1e189 < terms.lhs < 1e191 and 1e-192 < terms.grad_term < 1e-190
+    for mean, se in ((terms.lhs, terms.lhs_se), (terms.grad_term, terms.grad_se), (terms.mass_term, terms.mass_se)):
+        assert 0.0 < se <= mean  # one row carries nearly all of each mean
 
 
 def test_exterior_fit_needs_an_exterior_sample():

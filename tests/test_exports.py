@@ -324,3 +324,17 @@ def test_traced_benchmark_layers_resolve(monkeypatch, tmp_path):
     argv = ["--output", str(tmp_path / "report.json"), "measure", "sample", "--family", "power", "--k", "4"]
     assert main(argv + ["--n", "2", "--seed", "1", "--steps", "300", "--burn", "100", "--chains", "3"]) == 0
     assert calls == [0, 1, 2]
+
+    # the samplers call the kernels through the names the tracer wraps, so the
+    # norm.*_batch layers cannot read 0 on a chain
+    for algorithm, kernel in (("rwm", "norm_batch"), ("mala", "partials_batch")):
+        rows = []
+
+        def counted(x, t, kernel=getattr(measures, kernel)):
+            rows.append(len(t))
+            return kernel(x, t)
+
+        monkeypatch.setattr(measures, kernel, counted)
+        cfg = measures.SamplerConfig(n_steps=300, burn_in=100, seed=1, algorithm=algorithm)
+        run_one(measures.MeasureSpec("power", k=4), 2, cfg, 0)
+        assert sum(rows) > 300, algorithm  # every step's proposal was scored here

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,22 @@ def test_acceptance_guard_fires():
         run_chain(POWER4, CHAIN_N, cfg, 0)
 
 
+@pytest.mark.parametrize("algorithm", ["rwm", "mala"])
+def test_chain_restores_the_error_state(algorithm):
+    # the random walk ignores overflow for the whole chain; numpy's error state
+    # is the caller's again after a chain that returns and after one that raises
+    ok = SamplerConfig(n_steps=600, burn_in=200, step=0.4, seed=1, algorithm=algorithm)
+    mis_tuned = dataclasses.replace(ok, step=1e6)
+    for state in ({}, {"all": "raise", "under": "ignore"}):
+        with np.errstate(**state):
+            before = np.geterr()
+            run_chain(POWER4, CHAIN_N, ok, 0)
+            assert np.geterr() == before
+            with pytest.raises(RuntimeError, match="mis-tuned"):
+                run_chain(POWER4, CHAIN_N, mis_tuned, 0)
+            assert np.geterr() == before
+
+
 def test_mala_smoke():
     cfg = dataclasses.replace(SHORT, algorithm="mala", step=0.4)
     b = run_chain(POWER4, CHAIN_N, cfg, 0)
@@ -354,6 +371,18 @@ def test_batch_means_se_iid():
     se = batch_means_se(vals)
     want = vals.std() / np.sqrt(vals.size)
     assert 0.5 * want < se < 2.0 * want
+
+
+def test_batch_means_se_scales_exactly():
+    # scaling the values by 2^k scales the error by 2^k bit for bit, also where
+    # the means' squared deviations would overflow or underflow
+    vals = np.random.default_rng(12).standard_normal(5_000)
+    se = batch_means_se(vals)
+    for k in (-1000, -600, 600, 1000):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert batch_means_se(np.ldexp(vals, k)) == np.ldexp(se, k), k
+    assert batch_means_se(np.full(200, 3.0)) == 0.0
 
 
 def test_batch_means_se_needs_enough_data():

@@ -124,6 +124,18 @@ def test_partials_batch_digests(n):
     parts = pins.partials_parts(n)
     assert np.isnan(parts["pair_slope"][2004]) and parts["N"][2004] == 0.0
     assert pins.digest(parts) == pins.PARTIALS_DIGESTS[n]
+    # the samplers pass coords[:, :-1] and coords[:, -1], strided views of
+    # their rows: both kernels must give the bytes of contiguous copies
+    for m in (1, 8, 72, 1000):
+        coords = sample_cloud(n, m, seed=500 + m)
+        if m > 1:
+            coords[m // 2] = 0.0  # the identity, whose slopes are NaN
+        x, t = coords[:, :-1], coords[:, -1]
+        xc, tc = np.ascontiguousarray(x), t.copy()
+        assert m == 1 or not (x.flags.c_contiguous or t.flags.c_contiguous)
+        assert norm_batch(x, t).tobytes() == norm_batch(xc, tc).tobytes(), m
+        for got, want in zip(partials_batch(x, t)[1:], partials_batch(xc, tc)[1:]):
+            assert got.tobytes() == want.tobytes(), m
 
 
 # -- derivatives --------------------------------------------------------------
