@@ -60,7 +60,7 @@ from typing import Callable
 import numpy as np
 
 from .group import Point, _check_n
-from .inequalities import BOX, _draw
+from .inequalities import BOX, _part
 from .norm import ab_batch, norm_N, norm_batch, wed
 
 __all__ = [
@@ -246,7 +246,7 @@ def compare_cloud(n: int, n_points: int, seed: int) -> dict:
 
     The whole cloud is integrated in one vectorised pass, row for row the
     same arithmetic as fundamental_solution_quad, on one part drawn by
-    inequalities._draw in sample_cloud's box (x in [-BOX, BOX]^{2n}, t in
+    inequalities._part in sample_cloud's box (x in [-BOX, BOX]^{2n}, t in
     [-BOX^2, BOX^2]) with |x| >= CLOUD_MIN_RADIUS, clear of the central line,
     where the representation is singular.  Only the worst row is stacked into
     coordinates; at a max_rel_err of 1e-15 to 1e-14 it marks where rounding
@@ -256,7 +256,7 @@ def compare_cloud(n: int, n_points: int, seed: int) -> dict:
     one quadrature of Re I_2 serves both the solution and the split.
     """
     _check_n(n)
-    x, t = _draw(n, seed, 0, n_points, BOX, BOX * BOX, CLOUD_MIN_RADIUS, (0, n_points))
+    x, t = _part(n, seed, n_points, BOX, BOX * BOX, CLOUD_MIN_RADIUS)
     a, b = ab_batch(x)
     re_i = _re_rows(a, b, t, n)
     re_i2 = re_i if n == 2 else _re_rows(a, b, t, 2)

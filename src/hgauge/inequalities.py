@@ -29,7 +29,11 @@ T = N * |dN/dt|:
 Every margin has degree 0, so the checks build no PartialsBatch: phi = R/|x|^2,
 s_p, s_b and T come from norm._chart_slopes, which evaluates them on the
 slice B = 1 of the orbit chart, and this module keeps only the margin
-arithmetic.  With |x|^2 = R + S the gradient block reads
+arithmetic.  The chart reads a row only through |x|^2, R and t, so the
+checks never hold a cloud's coordinates: each span of _CHUNK rows is drawn
+in blocks of _BLOCK rows through one reused buffer, which keeps those three
+numbers per row, and only each column's worst row is drawn again as a point.
+With |x|^2 = R + S the gradient block reads
 
     N (x . grad N) / |x|^2   = phi s_p + (1 - phi) s_b,
     N^2 |grad N|^2 / |x|^2  = phi s_p^2 + (1 - phi) s_b^2 + (phi/4 + 1 - phi) T^2.
@@ -53,14 +57,13 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .group import Point, _check_n
-from .norm import _chart_slopes
+from .norm import _chart_slopes, _row_dots
 
 __all__ = [
     "InequalityReport",
@@ -107,16 +110,25 @@ def _check_points(n_points: int) -> None:
         raise ValueError(f"Need at least 1 point, got {n_points!r}.")
 
 
+def _stream(seed: int, position: int) -> np.random.Generator:
+    """default_rng(seed) with its PCG64 stream advanced to position."""
+    return np.random.Generator(np.random.PCG64(seed).advance(position))
+
+
+def _scaled(out: np.ndarray, lo, hi) -> np.ndarray:
+    """random()'s doubles in out, scaled in place as Generator.uniform(lo, hi) scales them."""
+    lo, hi = float(lo), float(hi)
+    out *= hi - lo
+    out += lo
+    return out
+
+
 def _uniform(seed: int, position: int, size: int, lo, hi) -> np.ndarray:
     """default_rng(seed).uniform(lo, hi, size) with the stream advanced to position.
 
     Generator.uniform is lo + (hi - lo) * random(), one PCG64 output per double.
     """
-    lo, hi = float(lo), float(hi)
-    out = np.random.Generator(np.random.PCG64(seed).advance(position)).random(size)
-    out *= hi - lo
-    out += lo
-    return out
+    return _scaled(_stream(seed, position).random(size), lo, hi)
 
 
 def _in_ball(x: np.ndarray, radius: float) -> np.ndarray:
@@ -132,6 +144,9 @@ def _in_ball(x: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
+_BLOCK = 1 << 13  # rows of x that _draw holds at once
+
+
 def _draw(
     n: int,
     seed: int,
@@ -141,31 +156,60 @@ def _draw(
     t_box: float,
     min_radius: float,
     span: tuple[int, int],
-) -> tuple[np.ndarray, np.ndarray]:
+    keep,
+    dilate: bool = False,
+) -> np.ndarray:
     """The one sampler behind every seeded cloud: rows span[0]:span[1] of an m-row part.
 
     Row i takes x uniform in [-x_box, x_box]^{2n} from the PCG64 stream of
     seed at positions origin + i*2n and t uniform in [-t_box, t_box] at
-    origin + m*2n + i.  A row with |x| < min_radius, the one rejection, is
-    redrawn in place from a stream keyed by (seed, origin, span[0]), so a
-    rejection moves no other row.  Every caller's ball excludes under a third
-    of its box, which keeps the redraw loop short: the worst case is the
-    tests' BOX = 1e-3 at n = 2, where the ball is pi^2/32, about 31%, of the
-    box.  Returns the columns: x of shape (rows, 2n) and t of shape (rows,).
+    origin + m*2n + i; with dilate, a factor lam = 10^U(-2, 2) at
+    origin + m*(2n+1) + i then scales x by lam and t by lam^2.  A row with
+    |x| < min_radius, the one rejection, is redrawn in place from a stream
+    keyed by (seed, origin, span[0]), so a rejection moves no other row.
+    Every caller's ball excludes under a third of its box, which keeps the
+    redraw loop short: the worst case is the tests' BOX = 1e-3 at n = 2,
+    where the ball is pi^2/32, about 31%, of the box.
+
+    x is drawn in blocks of _BLOCK rows into one reused buffer, and only the
+    caller keeps what it needs of them: keep(rows, x) receives each block's
+    final x with rows the slice of span rows it holds, then, if any row was
+    rejected, the redrawn rows' final x with rows their sorted index array.
+    A block's rejected rows reach keep before their redraw.  Returns the t
+    column of the span.
     """
-    _check_points(m)
     dim = 2 * n
     a, b = span
-    x = _uniform(seed, origin + a * dim, (b - a) * dim, -x_box, x_box).reshape(-1, dim)
     t = _uniform(seed, origin + m * dim + a, b - a, -t_box, t_box)
-    bad = np.flatnonzero(_in_ball(x, min_radius))
-    if bad.size:  # a SeedSequence costs tens of microseconds: built only for a redraw
+    lam = 10.0 ** _uniform(seed, origin + m * (dim + 1) + a, b - a, -2.0, 2.0) if dilate else None
+    stream = _stream(seed, origin + a * dim)
+    buffer = np.empty((min(_BLOCK, b - a), dim))
+    rejected = []
+    for lo in range(0, b - a, _BLOCK):
+        hi = min(lo + _BLOCK, b - a)
+        x = buffer[: hi - lo]
+        _scaled(stream.random(out=x), -x_box, x_box)
+        bad = np.flatnonzero(_in_ball(x, min_radius))
+        if bad.size:
+            rejected.append(bad + lo)
+        if dilate:
+            x *= lam[lo:hi, None]
+        keep(slice(lo, hi), x)
+    if rejected:  # a SeedSequence costs tens of microseconds: built only for a redraw
+        bad = np.concatenate(rejected)
+        x = np.empty((bad.size, dim))
         redraw = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(origin, a)))
-        while bad.size:
-            x[bad] = redraw.uniform(-x_box, x_box, (bad.size, dim))
-            t[bad] = redraw.uniform(-t_box, t_box, bad.size)
-            bad = bad[_in_ball(x[bad], min_radius)]
-    return x, t
+        live = np.arange(bad.size)
+        while live.size:
+            x[live] = redraw.uniform(-x_box, x_box, (live.size, dim))
+            t[bad[live]] = redraw.uniform(-t_box, t_box, live.size)
+            live = live[_in_ball(x[live], min_radius)]
+        if dilate:
+            x *= lam[bad, None]
+        keep(bad, x)
+    if dilate:
+        t *= lam * lam
+    return t
 
 
 _CHUNK = 1 << 15  # rows per span of sample_cloud
@@ -179,21 +223,35 @@ def _spans(n_points: int) -> list[tuple[int, int]]:
     return [(a, min(a + _CHUNK, end)) for lo, end in parts for a in range(lo, end, _CHUNK)]
 
 
-def _span_rows(n: int, n_points: int, seed: int, span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Rows span[0]:span[1] of sample_cloud as (x, t) columns: box rows, or
-    radial rows with their dilations applied to x and t in place."""
+def _span_rows(n: int, n_points: int, seed: int, span: tuple[int, int], keep) -> np.ndarray:
+    """Rows span[0]:span[1] of sample_cloud through _draw's keep; returns their t.
+
+    Box rows, or radial rows, whose part's stream follows the box part's.
+    """
     m_box = (3 * n_points) // 4
     if span[0] < m_box:
-        return _draw(n, seed, 0, m_box, BOX, BOX * BOX, EXCLUSION, span)
-    # the radial part's stream follows the box part's, and its dilations follow its rows
-    a, b = span[0] - m_box, span[1] - m_box
-    width = 2 * n + 1  # stream positions per row
-    m, origin = n_points - m_box, m_box * width
-    x, t = _draw(n, seed, origin, m, 1.0, 1.0, EXCLUSION, (a, b))
-    lam = 10.0 ** _uniform(seed, origin + m * width + a, b - a, -2.0, 2.0)
-    x *= lam[:, None]
-    t *= lam * lam
-    return x, t
+        return _draw(n, seed, 0, m_box, BOX, BOX * BOX, EXCLUSION, span, keep)
+    m = n_points - m_box
+    span = (span[0] - m_box, span[1] - m_box)
+    return _draw(n, seed, m_box * (2 * n + 1), m, 1.0, 1.0, EXCLUSION, span, keep, dilate=True)
+
+
+def _into(out: np.ndarray):
+    """The keep that writes _draw's x rows into out's first 2n columns."""
+
+    def keep(rows, x):
+        out[rows, : x.shape[1]] = x
+
+    return keep
+
+
+def _part(
+    n: int, seed: int, m: int, x_box: float, t_box: float, min_radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """x of shape (m, 2n) and t of shape (m,) of a whole m-row part of _draw at origin 0."""
+    _check_points(m)
+    x = np.empty((m, 2 * n))
+    return x, _draw(n, seed, 0, m, x_box, t_box, min_radius, (0, m), _into(x))
 
 
 def sample_cloud(n: int, n_points: int, seed: int) -> np.ndarray:
@@ -202,11 +260,14 @@ def sample_cloud(n: int, n_points: int, seed: int) -> np.ndarray:
     Rows keep |x| >= EXCLUSION.  Box rows take x in [-BOX, BOX]^{2n} and t in
     [-BOX^2, BOX^2]; the log-radial part rescales unit-box points by dilation
     factors 10^U(-2, 2) to stress small and large scales.  The rows are those
-    of the spans that the bound checks stream, stacked as coordinate rows.
+    of the spans that the bound checks stream, written as coordinate rows.
     """
     _check_n(n)
     spans = _spans(n_points)
-    return np.concatenate([np.column_stack(_span_rows(n, n_points, seed, span)) for span in spans])
+    cloud = np.empty((n_points, 2 * n + 1))
+    for a, b in spans:
+        cloud[a:b, -1] = _span_rows(n, n_points, seed, (a, b), _into(cloud[a:b]))
+    return cloud
 
 
 def shell_cloud(n: int, n_points: int, seed: int) -> np.ndarray:
@@ -216,10 +277,10 @@ def shell_cloud(n: int, n_points: int, seed: int) -> np.ndarray:
     line and the identity, as the tests' FD stencils need too.  The draw
     never reads the gauge, so N's median grows with n (5.1 at n = 20, 7.2
     at n = 40) while the rejected share stays that of the ball.
-    Its callers take coordinate rows, so _draw's columns are stacked.
+    Its callers take coordinate rows, so _part's columns are stacked.
     """
     _check_n(n)
-    return np.column_stack(_draw(n, seed, 0, n_points, 2.0, 3.0, 0.5, (0, n_points)))
+    return np.column_stack(_part(n, seed, n_points, 2.0, 3.0, 0.5))
 
 
 def _cloud_reports(
@@ -232,38 +293,54 @@ def _cloud_reports(
 ) -> list[InequalityReport]:
     """One report per named margin column of margin_fn over sample_cloud, streamed.
 
-    margin_fn maps a span's columns x, of shape (rows, 2n), and t, of shape
-    (rows,), to a sequence of k margin columns, each of shape (rows,).  Each
-    row's margins must depend on that row alone, with the same bits at any
-    row offset and for x strided inside a wider array, so that streamed and
-    materialised clouds report alike; the checks' margins read only each
-    row's chart point, through norm._chart_slopes.  The cloud is never
-    built: each of sample_cloud's spans of _CHUNK rows draws its own x and t
-    and keeps only the minimum of each column, with a coordinate row built
-    only for the first row attaining each, so time grows linearly and memory
-    stays flat in n_points.  Spans run on a pool of min(threads,
-    os.cpu_count()) workers, one per CPU when threads is None; threads below
-    1 raise ValueError.  The reports are those of the whole sample_cloud.
+    margin_fn maps a span's chart values (phi, s_p, s_b, T), each of shape
+    (rows,), from norm._chart_slopes, to a sequence of k margin columns of
+    the same shape, and may overwrite its arguments.  A row's margins then
+    depend on its chart point alone, that is on |x|^2, R and t, so streamed
+    and materialised clouds report alike.  The cloud is never built: each
+    of sample_cloud's spans of _CHUNK rows draws its x in blocks of _BLOCK
+    rows through _draw and keeps only the two row dots of norm._row_dots
+    and t, then the minimum of each column and the first row attaining it.
+    Only the first worst row of each column over the whole cloud is drawn
+    again as coordinates, from its own stream positions, or from its span's
+    redrawn rows if it was rejected once.  Time grows linearly in n_points,
+    and memory per pool thread is one block of x plus a span's row sums.
+    Spans run on a pool of min(threads, os.cpu_count()) workers, one per CPU
+    when threads is None; threads below 1 raise ValueError.  The reports are
+    those of the whole sample_cloud.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here, not at import: only this pool needs it
+
     spans = _spans(n_points)
     cpus = os.cpu_count() or 1
     workers = cpus if threads is None else min(threads, cpus)
 
     def span_minima(span):
-        """(per-column minimum of margin_fn over the span, the first row attaining each)."""
-        x, t = _span_rows(n, n_points, seed, span)
-        columns = margin_fn(x, t)
-        worst = [np.argmin(col) for col in columns]
-        return [col[i] for col, i in zip(columns, worst)], np.column_stack([x[worst], t[worst]])
+        """(per-column minimum over the span, the cloud row of the first attaining
+        each, {cloud row: coordinates} of those among them that were redrawn)."""
+        xsq, r = np.empty(span[1] - span[0]), np.empty(span[1] - span[0])
+        redrawn = {}  # span row: final x of a row rejected once
+
+        def keep(i, x):
+            xsq[i], r[i] = _row_dots(x)
+            if not isinstance(i, slice):
+                redrawn.update(zip(i.tolist(), x))
+
+        t = _span_rows(n, n_points, seed, span, keep)
+        columns = margin_fn(*_chart_slopes(n, xsq, r, t))
+        worst = [int(np.argmin(col)) for col in columns]
+        found = {span[0] + i: np.append(redrawn[i], t[i]) for i in worst if i in redrawn}
+        return [col[i] for col, i in zip(columns, worst)], [span[0] + i for i in worst], found
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(span_minima, spans))
-    minima = np.stack([part[0] for part in parts])  # (spans, k)
-    rows = np.stack([part[1] for part in parts])  # (spans, k, 2n+1)
-    first = np.argmin(minima, axis=0)  # spans run in row order: the first row attaining the minimum
+    # spans run in row order: the first span attaining a minimum holds its first row
+    first = np.argmin([part[0] for part in parts], axis=0)
     out = []
-    for i, name in enumerate(names):
-        value, row = minima[first[i], i], rows[first[i], i]
+    for c, name in enumerate(names):
+        minima, worst, found = parts[first[c]]
+        value, i = minima[c], worst[c]
+        row = found[i] if i in found else _fetch_row(n, n_points, seed, i)
         out.append(
             InequalityReport(
                 name=name,
@@ -276,6 +353,17 @@ def _cloud_reports(
             )
         )
     return out
+
+
+def _fetch_row(n: int, n_points: int, seed: int, i: int) -> np.ndarray:
+    """Coordinates of sample_cloud's row i, drawn alone from its stream positions.
+
+    Right for every row that was not rejected: a rejected row's redraw is
+    keyed by its span's start, which a one-row span does not share.
+    """
+    found = []
+    t = _span_rows(n, n_points, seed, (i, i + 1), lambda rows, x: found.append(x[0]))
+    return np.append(found[0], t[0])
 
 
 _GRADIENT_NAMES = ("radial-lower", "gradient-lower", "gradient-upper")
@@ -293,8 +381,7 @@ def check_gradient_bounds(
     lower_const = 2.0 ** -(5.0 + 2.0 / n)
     upper_const = (2 * n + 1) ** 2 / (2.0 ** 3 * n * n)
 
-    def margins(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
-        phi, sp, sb, tt = _chart_slopes(x, t)
+    def margins(phi, sp, sb, tt):
         radial = np.subtract(sp, sb)  # phi s_p + (1 - phi) s_b + 1/(4n)
         radial *= phi
         radial += sb
@@ -337,8 +424,7 @@ def check_partial_bounds(
     mixed_block_const = (2 * n - 1) / (2.0 ** (1.0 / n + 2.0) * n)
     mixed_pair_const = 2.0 ** -(2.0 + 1.0 / n)
 
-    def margins(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
-        _, sp, sb, tt = _chart_slopes(x, t)
+    def margins(phi, sp, sb, tt):
         abs_p, abs_b = np.abs(sp), np.abs(sb)
         mixed_block = abs_b + tt
         mixed_block -= mixed_block_const

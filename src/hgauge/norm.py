@@ -31,7 +31,8 @@ bits are pinned (the chain and partials digests and the benchmark's
 sample-mala-2 reference).  The private _chart_slopes returns the
 degree-0 products N * slope that the cloud margins of hgauge.inequalities
 read, evaluated on the slice B = 1 of the orbit chart (rho = A/B,
-tau = t/B): no hypot, no product of nonzero degree, one in-place pass, and
+tau = t/B) from each row's |x|^2, R and t alone, the first two from
+_row_dots: no hypot, no product of nonzero degree, one in-place pass, and
 values that hold wherever |x|^2 is a normal float.  partials_batch can move
 onto the chart only once the sample-mala-2 reference moves too: when the
 benchmark's references are re-recorded or MALA is retired.
@@ -229,8 +230,19 @@ class PartialsBatch(NamedTuple):
         return dn_dx
 
 
-def _chart_slopes(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(phi, s_p, s_b, T) of (rows, 2n) x and (rows,) t, on the slice B = 1 of the orbit chart.
+def _row_dots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|x|^2 and R of (rows, 2n) x: the two row dots that fix a row's chart point.
+
+    Each is an einsum row dot, whose bits depend on the row alone: the same
+    at any row offset and for x strided inside a wider array.
+    """
+    n = x.shape[1] // 2
+    pair = x[:, ::n]
+    return np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", pair, pair)
+
+
+def _chart_slopes(n: int, xsq: np.ndarray, r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(phi, s_p, s_b, T) of rows with |x|^2 = xsq, R = r and time t, on the slice B = 1 of the orbit chart.
 
     phi = R/|x|^2, s_p = N pair_slope, s_b = N block_slope and T = N |dN/dt|
     have degree 0, so they are partials_batch's N * slope at the chart point
@@ -242,16 +254,16 @@ def _chart_slopes(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
         s_b = K/(2nP) + c f (1 + rho/W) - K/(2W),
         T   = |tau| (K/(2nP) + (c f (2 + rho/W) - K/(2W)) / E).
 
+    The chart reads a row only through its two dots (_row_dots) and t, so a
+    cloud can keep three numbers per row instead of its 2n + 1 coordinates.
     No hypot and no product of nonzero degree: the values hold wherever |x|^2
     is a normal float and |t|/|x|^2 is below about 1e150 (tau^2 finite),
     where partials_batch on raw (A, B, t) holds at scales of about 1e-50 to 1e50.
-    One in-place pass; the comments name what a reused array holds.
+    One in-place pass, which overwrites xsq and r (phi is r); the comments
+    name what a reused array holds.
     """
-    n = x.shape[1] // 2
     c = (2 * n - 1) / (4.0 * n)
-    pair = x[:, ::n]
-    tau = np.einsum("ij,ij->i", x, x)  # |x|^2
-    phi = np.einsum("ij,ij->i", pair, pair)
+    tau, phi = xsq, r  # |x|^2, R
     phi /= tau
     rho = np.multiply(phi, -0.25)
     rho += 0.5  # b

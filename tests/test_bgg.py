@@ -20,7 +20,7 @@ from hgauge.bgg import (
 )
 from hgauge.cli import main
 from hgauge.group import Point
-from hgauge.inequalities import BOX, _draw
+from hgauge.inequalities import BOX, _part
 from hgauge.norm import ab_batch, norm_N, wed
 
 # -- fundamental solution ------------------------------------------------------
@@ -111,7 +111,7 @@ def test_compare_cloud_rows_equal_scalar_quadrature(monkeypatch):
     for n in (2, 6):
         seen.clear()
         compare_cloud(n, 30, seed=5)
-        x, t = _draw(n, 5, 0, 30, BOX, BOX * BOX, bgg.CLOUD_MIN_RADIUS, (0, 30))
+        x, t = _part(n, 5, 30, BOX, BOX * BOX, bgg.CLOUD_MIN_RADIUS)
         assert [k for k, _, _ in seen] == ([2] if n == 2 else [n, 2])
         _, seen_t, vals = seen[0]
         assert seen_t.tobytes() == t.tobytes()

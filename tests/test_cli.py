@@ -754,6 +754,21 @@ def test_cli_import_does_not_load_scipy():
     assert lines[-1] == "0 False"
 
 
+def test_cli_import_does_not_load_the_thread_pool():
+    # only the cloud checks open a pool, and they import concurrent.futures,
+    # with its logging and queue, when they do: no other command pays for it
+    argv = ["--no-timestamp", "check", "lemma2", "--n", "2", "--points", "5", "--seed", "1"]
+    code = (
+        "import sys, hgauge.cli; print('concurrent.futures' in sys.modules); "
+        f"status = hgauge.cli.main({argv!r}); print(status, 'concurrent.futures' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hgauge.__file__).parents[1]))
+    p = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    lines = p.stdout.strip().splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "0 True"
+
+
 def test_output_file_written(tmp_path, capsys):
     path = tmp_path / "report.json"
     status = main(

@@ -122,11 +122,11 @@ def test_chart_slopes_match_exact_reference(n, monkeypatch):
     tau = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-3.0, 6.0, m)
     tau[1:4] = 1e6, -1e6, 0.0
     t = tau * norm.ab_batch(x)[1]
-    _, sp, sb, tt = norm._chart_slopes(x.copy(), t.copy())
+    _, sp, sb, tt = norm._chart_slopes(n, *norm._row_dots(x), t)
     captured = []
     monkeypatch.setattr(inequalities, "_cloud_reports", lambda names, fn, *rest: captured.append(fn))
     inequalities.check_gradient_bounds(n, 1, 0)
-    radial, lower, upper = captured[0](x.copy(), t.copy())
+    radial, lower, upper = captured[0](*norm._chart_slopes(n, *norm._row_dots(x), t))
     lower_const, upper_const = 2.0 ** -(5.0 + 2.0 / n), (2 * n + 1) ** 2 / (8.0 * n * n)
     for i in range(m):
         sp_ref, sb_ref, tt_ref, ratio_ref, x_dot_ref = _chart_reference(n, x[i], t[i])

@@ -1,5 +1,7 @@
+import concurrent.futures
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 import pins
 
 from hgauge import bgg, inequalities
-from hgauge.norm import norm_batch, partials_batch
+from hgauge.norm import _chart_slopes, _row_dots, norm_batch, partials_batch
 from hgauge.inequalities import (
     EXCLUSION,
     TOLERANCE,
@@ -92,7 +94,8 @@ def pool_sizes(monkeypatch):
             seen.append(len(chunks))
             return map(fn, chunks)
 
-    monkeypatch.setattr(inequalities, "ThreadPoolExecutor", Recorder)
+    # _cloud_reports imports the executor when it opens its pool
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     return seen
 
 
@@ -122,6 +125,13 @@ def test_threads_below_one_raise(check, threads):
 CHUNK = inequalities._CHUNK
 
 
+def _span_coords(n, m, seed, span):
+    """Rows span[0]:span[1] of sample_cloud, kept by _span_rows as coordinate rows."""
+    rows = np.empty((span[1] - span[0], 2 * n + 1))
+    rows[:, -1] = inequalities._span_rows(n, m, seed, span, inequalities._into(rows))
+    return rows
+
+
 @pytest.mark.parametrize("n", [2, 6, 10])
 @pytest.mark.parametrize("m", [1, 5, CHUNK + 1, 100_003, 4 * CHUNK + 8])
 def test_span_rows_concatenate_to_sample_cloud(n, m):
@@ -131,9 +141,7 @@ def test_span_rows_concatenate_to_sample_cloud(n, m):
     seed, dim = 20261017, 2 * n
     spans = inequalities._spans(m)
     assert all(b - a <= CHUNK for a, b in spans)
-    rows = np.concatenate(
-        [np.column_stack(inequalities._span_rows(n, m, seed, span)) for span in spans]
-    )
+    rows = np.concatenate([_span_coords(n, m, seed, span) for span in spans])
     m_box = (3 * m) // 4
     x = inequalities._uniform(seed, 0, m_box * dim, -5.0, 5.0).reshape(m_box, dim)
     t = inequalities._uniform(seed, m_box * dim, m_box, -25.0, 25.0)
@@ -216,7 +224,7 @@ def test_shell_cloud_has_no_gauge_window():
 
 
 def _margin_fn(check, n, seed, monkeypatch):
-    """The margin_fn that check hands to _cloud_reports."""
+    """The margins that check hands to _cloud_reports, on (x, t) rows through their chart point."""
     captured = []
     reports = inequalities._cloud_reports
 
@@ -227,33 +235,52 @@ def _margin_fn(check, n, seed, monkeypatch):
     monkeypatch.setattr(inequalities, "_cloud_reports", capture)
     check(n, 1, seed)
     monkeypatch.setattr(inequalities, "_cloud_reports", reports)
-    return captured[0]
+    return lambda x, t: captured[0](*_chart_slopes(n, *_row_dots(x), t))
 
 
 def _materialised_reports(check, n, m, seed, monkeypatch):
-    """(min_margin, worst row) per column of margin_fn over the whole sample_cloud."""
+    """(min_margin, worst row, its kind) per column of margin_fn over the whole
+    sample_cloud; a worst row is radial, redrawn (a box row rejected once) or box."""
     coords = sample_cloud(n, m, seed)
     margins = np.column_stack(_margin_fn(check, n, seed, monkeypatch)(coords[:, :-1], coords[:, -1]))
+    m_box, dim = (3 * m) // 4, 2 * n
+
+    def kind(w):
+        if w >= m_box:
+            return "radial"
+        first = inequalities._uniform(seed, int(w) * dim, dim, -inequalities.BOX, inequalities.BOX)
+        return "box" if first.tobytes() == coords[w, :-1].tobytes() else "redrawn"
+
     worst = np.argmin(margins, axis=0)
-    return [(margins[w, i], coords[w]) for i, w in enumerate(worst)]
+    return [(margins[w, i], coords[w], kind(w)) for i, w in enumerate(worst)]
+
+
+# cases whose worst rows must include a kind: each branch of the worst-row
+# fetch, its own stream positions (a dilated radial row) and its span's redraws
+OCCURS = {(2, CHUNK, 1e-3): "redrawn", (40, CHUNK + 1, 5.0): "radial"}
 
 
 @pytest.mark.parametrize(
     "n, m, box",
     [(n, m, 5.0) for n in (2, 6, 10) for m in (1, CHUNK - 1, CHUNK, CHUNK + 1, 100_003)]
-    + [(2, 5000, 1e-3), (2, 100_003, 1e-3)],
+    + [(40, 1, 5.0), (40, CHUNK + 1, 5.0)]
+    + [(2, 5000, 1e-3), (2, CHUNK, 1e-3), (2, 100_003, 1e-3)],
 )
 def test_streamed_reports_equal_materialised_cloud(n, m, box, monkeypatch):
     # BOX=1e-3 rejects rows, which the spans redraw in place
     monkeypatch.setattr(inequalities, "BOX", box)
+    kinds = set()
     for check in (check_gradient_bounds, check_partial_bounds):
         want = _materialised_reports(check, n, m, 9, monkeypatch)
+        kinds |= {kind for _, _, kind in want}
         for threads in (1, 2):
             got = check(n, m, 9, threads=threads)
             assert [r.n_points for r in got] == [m] * len(want)
-            for r, (value, row) in zip(got, want):
+            for r, (value, row, _) in zip(got, want):
                 assert r.min_margin == value, (check.__name__, threads, r.name)
                 assert r.worst_point.coords().tobytes() == row.tobytes(), (check.__name__, threads, r.name)
+    if (n, m, box) in OCCURS:
+        assert OCCURS[n, m, box] in kinds, kinds
 
 
 def _reference_margins(check, x, t, n):
@@ -330,12 +357,35 @@ def test_margins_hold_at_random_scales(check, n, monkeypatch):
 
 
 def test_streamed_check_never_builds_the_cloud(monkeypatch):
+    # neither sample_cloud nor the keep that writes its coordinate rows runs:
+    # the spans keep row sums, and each worst row is drawn alone
     def refuse(*args, **kwargs):
-        raise AssertionError("sample_cloud called")
+        raise AssertionError("cloud rows materialised")
 
     monkeypatch.setattr(inequalities, "sample_cloud", refuse)
-    for r in check_gradient_bounds(2, 200_000, seed=5, threads=2):
-        assert r.passed and r.n_points == 200_000
+    monkeypatch.setattr(inequalities, "_into", refuse)
+    for check in (check_gradient_bounds, check_partial_bounds):
+        for r in check(2, 200_000, seed=5, threads=2):
+            assert r.passed and r.n_points == 200_000
+
+
+def _peak_bytes(n, m):
+    """tracemalloc's peak over one check_partial_bounds on one pool thread."""
+    tracemalloc.start()
+    try:
+        check_partial_bounds(n, m, 3, threads=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_allocation_follows_the_block_not_the_span():
+    # a span's coordinates at n = 40 are CHUNK * 80 doubles, about 21 MB; a
+    # check holds one block of x and a span's row sums, so its peak stays
+    # below that and grows from n = 6 to n = 40 by no more than the block
+    peak6, peak40 = _peak_bytes(6, 2 * CHUNK), _peak_bytes(40, 2 * CHUNK)
+    assert peak40 < CHUNK * 80 * 8
+    assert peak40 - peak6 <= inequalities._BLOCK * (80 - 12) * 8
 
 
 @pytest.mark.parametrize("m", [0, -3])
